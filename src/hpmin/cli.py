@@ -63,7 +63,6 @@ class BenchConfig:
     out_dir: Path | None = None
     export_vtk: bool = False
     verbose: bool = False
-    parallel: bool = False  # independent levels in worker processes, no timing
 
     def __post_init__(self):
         if not self.levels:
@@ -149,7 +148,7 @@ def _export_vtk(config: BenchConfig, level: int, model, v_full):
 
 
 def _run_level(config: BenchConfig, level: int) -> tuple[ConvergenceRow, bool]:
-    """Solve one benchmark level (also the worker for parallel sweeps)."""
+    """Solve one benchmark level."""
     if config.problem == "plaplace":
         mesh = make_lshape(level)
         problem, model = plaplace_problem(mesh, p=config.p, alpha=config.alpha,
@@ -166,7 +165,7 @@ def _run_level(config: BenchConfig, level: int) -> tuple[ConvergenceRow, bool]:
                                max_iters_default=3000)
     t0 = time.perf_counter()
     sol = minimize(problem, opts)
-    elapsed = 0.0 if config.parallel else time.perf_counter() - t0
+    elapsed = time.perf_counter() - t0
     if not sol.converged:
         print(f"level {level}: no convergence (grad norm {sol.grad_norm:.3e})",
               file=sys.stderr)
@@ -180,16 +179,7 @@ def _run_level(config: BenchConfig, level: int) -> tuple[ConvergenceRow, bool]:
 
 
 def _run_levels(config: BenchConfig, csv_name: str):
-    if config.parallel and len(config.levels) > 1:
-        import concurrent.futures as cf
-
-        worker_config = replace(config, verbose=False)  # log fn not picklable
-        with cf.ProcessPoolExecutor() as pool:
-            results = list(pool.map(_run_level,
-                                    [worker_config] * len(config.levels),
-                                    config.levels))
-    else:
-        results = [_run_level(config, level) for level in config.levels]
+    results = [_run_level(config, level) for level in config.levels]
     rows = [row for row, _ in results]
     failures = sum(not ok for _, ok in results)
     if config.out_dir is not None:
@@ -299,8 +289,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--max-iters", type=int, default=None)
     pl.add_argument("--out", type=Path, default=None)
     pl.add_argument("--vtk", action="store_true")
-    pl.add_argument("--parallel", action="store_true",
-                    help="run levels in worker processes (disables timing)")
     pl.add_argument("--verbose", action="store_true")
 
     hy = sub.add_parser("hyper", help="perforated-square hyperelasticity")
@@ -314,8 +302,6 @@ def _build_parser() -> argparse.ArgumentParser:
     hy.add_argument("--max-iters", type=int, default=None)
     hy.add_argument("--out", type=Path, default=None)
     hy.add_argument("--vtk", action="store_true")
-    hy.add_argument("--parallel", action="store_true",
-                    help="run levels in worker processes (disables timing)")
     hy.add_argument("--verbose", action="store_true")
 
     cp = sub.add_parser("compare", help="element comparison from a spec file")
@@ -332,14 +318,13 @@ def _config_from_args(args) -> BenchConfig:
             problem="plaplace", p=args.p, levels=args.levels, alpha=args.alpha,
             f=args.f, gradient_mode=_GRAD_MODES[args.grad],
             max_iters=args.max_iters, out_dir=args.out, export_vtk=args.vtk,
-            verbose=args.verbose, parallel=args.parallel,
+            verbose=args.verbose,
         )
     return BenchConfig(
         problem="hyperelasticity", p=args.p, levels=args.level,
         young=args.E, poisson=args.nu, f_vec=(args.fx, args.fy),
         gradient_mode=_GRAD_MODES[args.grad], max_iters=args.max_iters,
         out_dir=args.out, export_vtk=args.vtk, verbose=args.verbose,
-        parallel=args.parallel,
     )
 
 

@@ -202,10 +202,7 @@ def sparsity_pattern(dofmap: DofMap) -> SparsityPattern:
     before the free-DOF restriction.
     """
     n_elems = dofmap.mesh.n_elems
-    cols = np.concatenate(
-        [dofmap.elems2dofs + c * dofmap.n_p for c in range(dofmap.components)],
-        axis=1,
-    )
+    cols, _ = local_layout(dofmap)
     rows = np.repeat(np.arange(n_elems), cols.shape[1])
     inc = sp.csr_matrix(
         (np.ones(cols.size), (rows, cols.ravel())),

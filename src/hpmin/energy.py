@@ -1,9 +1,12 @@
 """Discrete energy functionals and their explicit gradients.
 
-Two models share one evaluation scheme: gather signed local coefficients,
-form gradient fields at the quadrature points, integrate a pointwise
-density with the precomputed weights, and subtract the linear load term
-``b . v`` assembled once up front.
+A model is only its pointwise pair on the gradient array G = grad v at
+the quadrature points, shape (components, 2, elems, n_ip): the density
+W(G) and the stress P = dW/dG.  The shared base class does the rest once
+for every model: gather signed local coefficients into G, integrate
+w |J| W(G) per element, contract w |J| P(G) with the shape-function
+derivatives, scatter into a global gradient, and subtract the linear load
+term ``b . v`` assembled once up front.
 
 * scalar power-law diffusion: (1/alpha) integral |grad v|^alpha - integral f v
 * vector compressible Neo-Hookean elasticity with stored density
@@ -29,7 +32,6 @@ __all__ = [
     "PLaplaceModel",
     "NeoHookeModel",
     "assemble_load",
-    "evaluate_gradfield",
     "identity_deformation",
 ]
 
@@ -58,10 +60,6 @@ class DeformationField:
     @property
     def det(self) -> np.ndarray:
         return self.f11 * self.f22 - self.f12 * self.f21
-
-    @property
-    def frobenius2(self) -> np.ndarray:
-        return self.f11**2 + self.f12**2 + self.f21**2 + self.f22**2
 
 
 def assemble_load(geometry: GeometryFactors, dofmap: DofMap, f) -> np.ndarray:
@@ -96,7 +94,16 @@ def identity_deformation(dofmap: DofMap) -> np.ndarray:
 
 
 class _ModelBase:
-    """Shared gather/scatter plumbing over one geometry and DOF map."""
+    """Gather -> pointwise -> contract -> scatter over one geometry and DOF map.
+
+    A subclass sets ``Field``, the named view that :meth:`gradfield`
+    returns, and defines two pointwise functions of the gradient array G
+    of shape (components, 2, elems, n_ip): ``density(G)``, the energy
+    density W at every quadrature point, and ``stress(G)``, its
+    derivative dW/dG with the shape of G.
+    """
+
+    Field: type
 
     def __init__(self, geometry: GeometryFactors, dofmap: DofMap, f):
         if geometry.n_elems != dofmap.mesh.n_elems:
@@ -105,10 +112,7 @@ class _ModelBase:
         self.dofmap = dofmap
         self.b_full = assemble_load(geometry, dofmap, f)
         self._cols, self._signs = local_layout(dofmap)
-
-    @property
-    def n_local(self) -> int:
-        return self._cols.shape[1]
+        self._dphi = (geometry.dphi_x, geometry.dphi_y)
 
     def local_coeffs(self, v_full: np.ndarray) -> np.ndarray:
         """Signed element-local coefficients, (T, n_local)."""
@@ -128,6 +132,28 @@ class _ModelBase:
             minlength=self.dofmap.n_dofs,
         )
 
+    def _gather(self, elems, v_loc: np.ndarray) -> np.ndarray:
+        """Gradient array G of the selected elements, (components, 2, P, n_ip)."""
+        n_c = self.dofmap.components
+        v_c = v_loc.reshape(v_loc.shape[0], n_c, -1)
+        G = np.empty((n_c, 2, v_loc.shape[0], self.geometry.n_ip))
+        for d, dphi in enumerate(self._dphi):
+            dphi = dphi[elems]  # one gathered copy alive at a time
+            for c in range(n_c):
+                np.einsum("pm,pqm->pq", v_c[:, c], dphi, out=G[c, d])
+        return G
+
+    def gradfield(self, v_full: np.ndarray):
+        """Gradient components at all quadrature points as a ``Field``."""
+        G = self._gather(slice(None), self.local_coeffs(v_full))
+        return self.Field(*G.reshape(-1, *G.shape[2:]))
+
+    def element_energies_local(self, elems, v_loc: np.ndarray) -> np.ndarray:
+        """Density integrals for the selected elements with given coefficients."""
+        dens = self.density(self._gather(elems, v_loc))
+        # w |J| > 0 on valid meshes, so a +inf density gives a +inf element
+        return np.einsum("pq,pq->p", self.geometry.wdetj[elems], dens)
+
     def element_energies(self, v_full: np.ndarray) -> np.ndarray:
         """Per-element density integrals (no load term), (T,)."""
         return self.element_energies_local(
@@ -140,9 +166,32 @@ class _ModelBase:
             return np.inf
         return float(dens.sum() - self.b_full @ v_full)
 
+    def gradient(self, v_full: np.ndarray) -> np.ndarray:
+        G = self._gather(slice(None), self.local_coeffs(v_full))
+        P = self.stress(G) * self.geometry.wdetj
+        dx, dy = self._dphi
+        g_loc = np.concatenate(
+            [np.einsum("tq,tqm->tm", Px, dx) + np.einsum("tq,tqm->tm", Py, dy)
+             for Px, Py in P],
+            axis=1,
+        )
+        return self.scatter(g_loc) - self.b_full
+
+
+def _frobenius2(G: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of G at every quadrature point."""
+    return sum(g * g for g in G.reshape(-1, *G.shape[2:]))
+
+
+def _det(G: np.ndarray) -> np.ndarray:
+    """det F at every quadrature point of a 2-component G."""
+    return G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0]
+
 
 class PLaplaceModel(_ModelBase):
     """Power-law diffusion energy (1/alpha) integral |grad v|^alpha - integral f v."""
+
+    Field = ScalarGradField
 
     def __init__(self, geometry: GeometryFactors, dofmap: DofMap,
                  alpha: float, f: float):
@@ -154,23 +203,13 @@ class PLaplaceModel(_ModelBase):
         self.alpha = float(alpha)
         self.f = float(f)
 
-    def gradfield(self, v_full: np.ndarray) -> ScalarGradField:
-        v_loc = self.local_coeffs(v_full)
-        return ScalarGradField(
-            v_x=np.einsum("tm,tqm->tq", v_loc, self.geometry.dphi_x),
-            v_y=np.einsum("tm,tqm->tq", v_loc, self.geometry.dphi_y),
-        )
+    def density(self, G: np.ndarray) -> np.ndarray:
+        """(1/alpha) |grad v|^alpha."""
+        return _frobenius2(G) ** (self.alpha / 2.0) / self.alpha
 
-    def element_energies_local(self, elems, v_loc: np.ndarray) -> np.ndarray:
-        """Density integrals for the selected elements with given coefficients."""
-        dx = np.einsum("pm,pqm->pq", v_loc, self.geometry.dphi_x[elems])
-        dy = np.einsum("pm,pqm->pq", v_loc, self.geometry.dphi_y[elems])
-        dens = (dx * dx + dy * dy) ** (self.alpha / 2.0) / self.alpha
-        return np.einsum("pq,pq->p", self.geometry.wdetj[elems], dens)
-
-    def gradient(self, v_full: np.ndarray) -> np.ndarray:
-        field = self.gradfield(v_full)
-        norm2 = field.v_x**2 + field.v_y**2
+    def stress(self, G: np.ndarray) -> np.ndarray:
+        """|grad v|^(alpha-2) grad v."""
+        norm2 = _frobenius2(G)
         if self.alpha < 2.0 and np.any(norm2 == 0.0):
             raise ValueError(
                 "singular gradient: |grad v| = 0 at a quadrature point with alpha < 2"
@@ -179,15 +218,13 @@ class PLaplaceModel(_ModelBase):
         scale = np.zeros_like(norm2)
         pos = norm2 > 0.0
         scale[pos] = norm2[pos] ** ((self.alpha - 2.0) / 2.0)
-        wx = self.geometry.wdetj * scale * field.v_x
-        wy = self.geometry.wdetj * scale * field.v_y
-        g_loc = (np.einsum("tq,tqm->tm", wx, self.geometry.dphi_x)
-                 + np.einsum("tq,tqm->tm", wy, self.geometry.dphi_y))
-        return self.scatter(g_loc) - self.b_full
+        return scale * G
 
 
 class NeoHookeModel(_ModelBase):
     """Compressible Neo-Hookean stored energy over deformation coefficients."""
+
+    Field = DeformationField
 
     def __init__(self, geometry: GeometryFactors, dofmap: DofMap,
                  c1: float, d1: float, f):
@@ -207,58 +244,27 @@ class NeoHookeModel(_ModelBase):
         bulk = young / (3.0 * (1.0 - 2.0 * poisson))
         return cls(geometry, dofmap, c1=mu / 2.0, d1=bulk / 2.0, f=f)
 
-    def _fields(self, elems, v_loc: np.ndarray) -> DeformationField:
-        m = self.n_local // 2
-        v1, v2 = v_loc[:, :m], v_loc[:, m:]
-        dpx = self.geometry.dphi_x[elems]
-        dpy = self.geometry.dphi_y[elems]
-        return DeformationField(
-            f11=np.einsum("pm,pqm->pq", v1, dpx),
-            f12=np.einsum("pm,pqm->pq", v1, dpy),
-            f21=np.einsum("pm,pqm->pq", v2, dpx),
-            f22=np.einsum("pm,pqm->pq", v2, dpy),
-        )
-
-    def gradfield(self, v_full: np.ndarray) -> DeformationField:
-        return self._fields(slice(None), self.local_coeffs(v_full))
-
-    def density(self, field: DeformationField) -> np.ndarray:
+    def density(self, G: np.ndarray) -> np.ndarray:
         """Pointwise stored energy, +inf where the deformation inverts."""
-        det = field.det
+        det = _det(G)
         dens = np.full(det.shape, np.inf)
         ok = det > 0.0
         det_ok = det[ok]
-        dens[ok] = (self.c1 * (field.frobenius2[ok] - 2.0 - 2.0 * np.log(det_ok))
+        dens[ok] = (self.c1 * (_frobenius2(G)[ok] - 2.0 - 2.0 * np.log(det_ok))
                     + self.d1 * (det_ok - 1.0) ** 2)
         return dens
 
-    def element_energies_local(self, elems, v_loc: np.ndarray) -> np.ndarray:
-        dens = self.density(self._fields(elems, v_loc))
-        wd = self.geometry.wdetj[elems]
-        out = np.full(dens.shape[0], np.inf)
-        ok = np.all(np.isfinite(dens), axis=1)
-        out[ok] = np.einsum("pq,pq->p", wd[ok], dens[ok])
-        return out
-
-    def gradient(self, v_full: np.ndarray) -> np.ndarray:
-        field = self.gradfield(v_full)
-        det = field.det
+    def stress(self, G: np.ndarray) -> np.ndarray:
+        """First Piola stress P = 2 C1 (F - F^{-T}) + 2 D1 (det F - 1) det F F^{-T}."""
+        det = _det(G)
         if np.any(det <= 0.0):
             raise BarrierError("gradient requested at an inverted configuration")
-        # first Piola stress P = 2 C1 (F - F^{-T}) + 2 D1 (det F - 1) det F F^{-T}
         coef = (2.0 * self.d1 * (det - 1.0) * det - 2.0 * self.c1) / det
-        p11 = 2.0 * self.c1 * field.f11 + coef * field.f22
-        p12 = 2.0 * self.c1 * field.f12 - coef * field.f21
-        p21 = 2.0 * self.c1 * field.f21 - coef * field.f12
-        p22 = 2.0 * self.c1 * field.f22 + coef * field.f11
-        wd = self.geometry.wdetj
-        g1 = (np.einsum("tq,tqm->tm", wd * p11, self.geometry.dphi_x)
-              + np.einsum("tq,tqm->tm", wd * p12, self.geometry.dphi_y))
-        g2 = (np.einsum("tq,tqm->tm", wd * p21, self.geometry.dphi_x)
-              + np.einsum("tq,tqm->tm", wd * p22, self.geometry.dphi_y))
-        return self.scatter(np.concatenate([g1, g2], axis=1)) - self.b_full
-
-
-def evaluate_gradfield(model, v_full):
-    """Gradient components of the expansion at all quadrature points."""
-    return model.gradfield(v_full)
+        # det F F^{-T} is the cofactor matrix [[f22, -f21], [-f12, f11]]
+        (f11, f12), (f21, f22) = G
+        P = 2.0 * self.c1 * G
+        P[0, 0] += coef * f22
+        P[0, 1] -= coef * f21
+        P[1, 0] -= coef * f12
+        P[1, 1] += coef * f11
+        return P

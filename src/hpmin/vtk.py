@@ -6,9 +6,8 @@ import numpy as np
 
 from .basis import tabulate
 from .dofmap import DofMap, sample_field
-from .mesh import QuadMesh
 
-__all__ = ["write_vtk", "mesh_to_vtk", "solution_grid"]
+__all__ = ["write_vtk", "solution_grid"]
 
 QUAD_CELL_TYPE = 9
 
@@ -44,12 +43,6 @@ def write_vtk(path, points, cells, point_data=None, cell_data=None,
             lines.extend(f"{v:.12g}" for v in np.asarray(values, dtype=float))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def mesh_to_vtk(mesh: QuadMesh, path, point_data=None, cell_data=None):
-    """Export the mesh itself (nodes + elements)."""
-    write_vtk(path, mesh.nodes, mesh.elems2nodes,
-              point_data=point_data, cell_data=cell_data)
 
 
 def solution_grid(dofmap: DofMap, v_full: np.ndarray, n_sub: int):

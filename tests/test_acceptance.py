@@ -75,17 +75,33 @@ def test_criterion_1_optional_large_levels(capsys):
 # -- criterion 2: explicit vs central-difference gradient runs ---------------
 
 def test_criterion_2_gradient_option_equivalence(capsys):
-    diffs = []
+    diffs, dvs = [], []
     for level in (1, 2, 3, 4):
-        explicit, _ = run_plaplace(BenchConfig(p=2, levels=(level,),
-                                               gradient_mode="explicit"))
-        fd, _ = run_plaplace(BenchConfig(p=2, levels=(level,),
-                                         gradient_mode="central_diff"))
-        diffs.append(abs(explicit[0].energy - fd[0].energy))
+        sols = {}
+        for mode in ("explicit", "central_diff"):
+            problem, _ = plaplace_problem(make_lshape(level), p=2, alpha=3.0,
+                                         f=-10.0)
+            # the options hpmin.cli uses for the plaplace benchmark
+            sols[mode] = minimize(problem, TrOptions(
+                max_iters=200, initial_radius=1.0, gradient_mode=mode))
+        explicit, fd = sols["explicit"], sols["central_diff"]
+        diffs.append(abs(explicit.energy - fd.energy))
         assert diffs[-1] < 1e-6, f"level {level}: |dJ| = {diffs[-1]:.2e}"
+        assert explicit.iterations == fd.iterations, f"level {level}"
+        dvs.append(np.max(np.abs(explicit.v_free - fd.v_free))
+                   / np.max(np.abs(explicit.v_free)))
+        assert dvs[-1] <= 1e-8, f"level {level}: rel |dv| = {dvs[-1]:.2e}"
+        if level == 1:
+            # the CLI's --grad fd path runs the same solve
+            rows, _ = run_plaplace(BenchConfig(p=2, levels=(1,),
+                                               gradient_mode="central_diff"))
+            assert rows[0].iters == fd.iterations
+            assert rows[0].energy == float(f"{fd.energy:.10g}")
     with capsys.disabled():
-        _report(2, "explicit and central-difference runs agree in J within "
-                   f"1e-6 on levels 1-4 (max |dJ| = {max(diffs):.2e})")
+        _report(2, "explicit and central-difference runs take equal iteration "
+                   "counts and agree in J within 1e-6 and in v within 1e-8 "
+                   f"relative on levels 1-4 (max |dJ| = {max(diffs):.2e}, "
+                   f"max rel |dv| = {max(dvs):.2e})")
 
 
 # -- criterion 3: DOF bookkeeping oracles -------------------------------------

@@ -10,7 +10,6 @@ from hpmin.energy import (
     NeoHookeModel,
     PLaplaceModel,
     assemble_load,
-    evaluate_gradfield,
     identity_deformation,
 )
 from hpmin.mesh import geometry_factors, make_lshape, make_perforated_square, make_rect
@@ -66,7 +65,7 @@ def test_gradfield_linear_interpolant():
     v = np.zeros(dm.n_dofs)
     v[:mesh.n_nodes] = mesh.nodes[:, 0]  # interpolant of v(x, y) = x
     model = PLaplaceModel(geo, dm, alpha=3.0, f=0.0)
-    field = evaluate_gradfield(model, v)
+    field = model.gradfield(v)
     np.testing.assert_allclose(field.v_x, 1.0, atol=1e-13)
     np.testing.assert_allclose(field.v_y, 0.0, atol=1e-13)
 

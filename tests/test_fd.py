@@ -54,8 +54,9 @@ def test_gradient_central_constant_energy():
     np.testing.assert_array_equal(gradient_central(lambda _: 3.5, v), 0.0)
 
 
-def test_local_gradient_matches_explicit():
-    model = _plaplace_model()
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_local_gradient_matches_explicit(p):
+    model = _plaplace_model(p=p)
     v = RNG.standard_normal(model.dofmap.n_dofs)
     g_fd = gradient_central_local(model, v)
     g = model.gradient(v)
@@ -90,11 +91,12 @@ def test_local_gradient_close_to_full_energy_differencing():
     assert np.max(np.abs(fast - naive)) <= 1e-7 * max(1.0, np.max(np.abs(naive)))
 
 
-def test_local_gradient_vector_model():
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_local_gradient_vector_model(p):
     mesh = make_rect(3, 3)
-    rule = rule_for_degree(2)
-    geo = geometry_factors(mesh, rule, tabulate(2, rule.points))
-    dm = build_dofmap(mesh, 2, components=2)
+    rule = rule_for_degree(p)
+    geo = geometry_factors(mesh, rule, tabulate(p, rule.points))
+    dm = build_dofmap(mesh, p, components=2)
     model = NeoHookeModel(geo, dm, c1=1.0, d1=2.0, f=(-1.0, 0.5))
     v = identity_deformation(dm) + 0.01 * RNG.standard_normal(dm.n_dofs)
     g_fd = gradient_central_local(model, v)
