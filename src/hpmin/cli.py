@@ -5,7 +5,8 @@ refinement levels of the L-shape at fixed degree and tabulates the
 minimal energies, `hyper` solves the perforated-square elasticity
 problem, and `compare` runs several element degrees from a key=value
 spec file and reports energies against the best achieved value for
-external accuracy-vs-dofs plots.
+external accuracy-vs-dofs plots.  Both problem subcommands share one run
+path; what differs between them lives in the ``PROBLEMS`` table.
 
 Exit codes: 0 success, 2 solver failure, 3 configuration error.
 """
@@ -17,8 +18,9 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -31,8 +33,8 @@ from .vtk import solution_grid, write_vtk
 __all__ = [
     "BenchConfig",
     "ConvergenceRow",
-    "run_plaplace",
-    "run_hyperelasticity",
+    "PROBLEMS",
+    "run",
     "compare_elements",
     "main",
 ]
@@ -56,10 +58,10 @@ class BenchConfig:
     f: float = -10.0
     young: float = 2e8
     poisson: float = 0.3
-    f_vec: tuple[float, float] = (-3.5e7, -3.5e7)
+    fx: float = -3.5e7
+    fy: float = -3.5e7
     gradient_mode: str = "explicit"
     max_iters: int | None = None
-    grad_tol: float | None = None
     out_dir: Path | None = None
     export_vtk: bool = False
     verbose: bool = False
@@ -69,8 +71,9 @@ class BenchConfig:
             raise ValueError("level list must not be empty")
         if self.p < 1:
             raise ValueError(f"degree must be >= 1, got {self.p}")
-        if self.problem not in ("plaplace", "hyperelasticity"):
-            raise ValueError(f"unknown problem {self.problem!r}")
+        if self.problem not in PROBLEMS:
+            raise ValueError(f"unknown problem {self.problem!r}; "
+                             f"known: {sorted(PROBLEMS)}")
 
 
 @dataclass
@@ -89,13 +92,67 @@ class ConvergenceRow:
         self.energy = float(f"{self.energy:.10g}")
 
 
-def write_rows(rows, path):
+@dataclass(frozen=True)
+class ProblemSpec:
+    """What the run path needs to know about one benchmark problem."""
+
+    make_mesh: Callable  # level -> QuadMesh
+    build: Callable  # (mesh, BenchConfig) -> (EnergyProblem, model)
+    initial_radius: Callable  # mesh -> trust radius of the first step
+    max_iters: int  # iteration cap unless the config sets one
+    export_vtk: Callable  # (path, BenchConfig, level, model, v_full) -> None
+
+
+def _plaplace_vtk(path, config: BenchConfig, level: int, model, v_full):
+    """Per-element sampling grids of the scalar solution, point field u."""
+    points, cells, values = solution_grid(model.dofmap, v_full,
+                                          n_sub=config.p + 1)
+    write_vtk(path, points, cells, point_data={"u": values},
+              title=f"p-Laplace level {level}, p={config.p}")
+
+
+def _hyper_vtk(path, config: BenchConfig, level: int, model, v_full):
+    """Nodes displaced by the bilinear part of the deformation, with the
+    per-element mean stored-energy density as cell field W."""
+    dm = model.dofmap
+    mesh = dm.mesh
+    deformed = v_full.reshape(2, dm.n_p)[:, :mesh.n_nodes].T
+    dens = model.element_energies(v_full) / element_areas(mesh)
+    write_vtk(path, deformed, mesh.elems2nodes, cell_data={"W": dens},
+              title=f"hyperelasticity level {level}, p={config.p}")
+
+
+PROBLEMS = {
+    "plaplace": ProblemSpec(
+        make_mesh=make_lshape,
+        build=lambda mesh, c: plaplace_problem(mesh, p=c.p, alpha=c.alpha,
+                                               f=c.f),
+        initial_radius=lambda mesh: 1.0,
+        max_iters=200,
+        export_vtk=_plaplace_vtk,
+    ),
+    "hyper": ProblemSpec(
+        make_mesh=make_perforated_square,
+        build=lambda mesh, c: neohooke_problem(
+            mesh, p=c.p, young=c.young, poisson=c.poisson, f=(c.fx, c.fy)),
+        # a tenth of the domain diagonal
+        initial_radius=lambda mesh: 0.1 * np.sqrt(2) * float(
+            np.ptp(mesh.nodes, axis=0).max()),
+        max_iters=3000,
+        export_vtk=_hyper_vtk,
+    ),
+}
+
+
+def _format(row) -> list[str]:
+    return [f"{v:.10g}" if isinstance(v, float) else str(v) for v in row]
+
+
+def write_rows(rows, path, header=CSV_HEADER):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for row in rows:
-            writer.writerow([f"{v:.10g}" if isinstance(v, float) else v
-                             for v in row])
+        writer.writerow(header)
+        writer.writerows(_format(row) for row in rows)
 
 
 def read_rows(path) -> list[ConvergenceRow]:
@@ -111,103 +168,42 @@ def read_rows(path) -> list[ConvergenceRow]:
         ]
 
 
-def _solver_options(config: BenchConfig, initial_radius: float,
-                    max_iters_default: int) -> TrOptions:
+def run(config: BenchConfig):
+    """Solve the configured problem on each of its refinement levels.
+
+    Returns (rows, exit_code).  With an output directory it writes
+    ``<problem>.csv`` and, with ``export_vtk``, ``<problem>_level<n>.vtk``.
+    """
+    spec = PROBLEMS[config.problem]
     log = None
     if config.verbose:
         log = lambda rec: print(json.dumps(rec), file=sys.stderr)
-    return TrOptions(
-        grad_tol=config.grad_tol,
-        max_iters=config.max_iters or max_iters_default,
-        initial_radius=initial_radius,
-        gradient_mode=config.gradient_mode,
-        log=log,
-    )
-
-
-def _export_vtk(config: BenchConfig, level: int, model, v_full):
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    mesh = model.dofmap.mesh
-    if config.problem == "plaplace":
-        points, cells, values = solution_grid(model.dofmap, v_full,
-                                              n_sub=config.p + 1)
-        write_vtk(config.out_dir / f"plaplace_level{level}.vtk",
-                  points, cells, point_data={"u": values},
-                  title=f"p-Laplace level {level}, p={config.p}")
-    else:
-        # nodes displaced by the bilinear part of the deformation,
-        # per-element mean stored-energy density as a cell field
-        deformed = np.column_stack([
-            v_full[:mesh.n_nodes],
-            v_full[model.dofmap.n_p:model.dofmap.n_p + mesh.n_nodes],
-        ])
-        dens = model.element_energies(v_full) / element_areas(mesh)
-        write_vtk(config.out_dir / f"hyper_level{level}.vtk",
-                  deformed, mesh.elems2nodes, cell_data={"W": dens},
-                  title=f"hyperelasticity level {level}, p={config.p}")
-
-
-def _run_level(config: BenchConfig, level: int) -> tuple[ConvergenceRow, bool]:
-    """Solve one benchmark level."""
-    if config.problem == "plaplace":
-        mesh = make_lshape(level)
-        problem, model = plaplace_problem(mesh, p=config.p, alpha=config.alpha,
-                                          f=config.f)
-        opts = _solver_options(config, initial_radius=1.0, max_iters_default=200)
-    else:
-        mesh = make_perforated_square(level)
-        problem, model = neohooke_problem(
-            mesh, p=config.p, young=config.young, poisson=config.poisson,
-            f=config.f_vec,
-        )
-        diameter = float(np.max(mesh.nodes.max(axis=0) - mesh.nodes.min(axis=0)))
-        opts = _solver_options(config, initial_radius=0.1 * np.sqrt(2) * diameter,
-                               max_iters_default=3000)
-    t0 = time.perf_counter()
-    sol = minimize(problem, opts)
-    elapsed = time.perf_counter() - t0
-    if not sol.converged:
-        print(f"level {level}: no convergence (grad norm {sol.grad_norm:.3e})",
-              file=sys.stderr)
-    if config.out_dir is not None and config.export_vtk:
-        _export_vtk(config, level, model,
-                    expand_solution(model.dofmap, sol.v_free))
-    row = ConvergenceRow(level=level, nelems=mesh.n_elems,
-                         dofs=problem.x0.size, time_s=elapsed,
-                         iters=sol.iterations, energy=sol.energy)
-    return row, sol.converged
-
-
-def _run_levels(config: BenchConfig, csv_name: str):
-    results = [_run_level(config, level) for level in config.levels]
-    rows = [row for row, _ in results]
-    failures = sum(not ok for _, ok in results)
     if config.out_dir is not None:
         config.out_dir.mkdir(parents=True, exist_ok=True)
-        write_rows([[r.level, r.nelems, r.dofs, r.time_s, r.iters, r.energy]
-                    for r in rows], config.out_dir / csv_name)
+    rows, failures = [], 0
+    for level in config.levels:
+        mesh = spec.make_mesh(level)
+        problem, model = spec.build(mesh, config)
+        opts = TrOptions(max_iters=config.max_iters or spec.max_iters,
+                         initial_radius=spec.initial_radius(mesh),
+                         gradient_mode=config.gradient_mode, log=log)
+        t0 = time.perf_counter()
+        sol = minimize(problem, opts)
+        elapsed = time.perf_counter() - t0
+        if not sol.converged:
+            failures += 1
+            print(f"level {level}: no convergence (grad norm {sol.grad_norm:.3e})",
+                  file=sys.stderr)
+        if config.out_dir is not None and config.export_vtk:
+            spec.export_vtk(config.out_dir / f"{config.problem}_level{level}.vtk",
+                            config, level, model,
+                            expand_solution(model.dofmap, sol.v_free))
+        rows.append(ConvergenceRow(level=level, nelems=mesh.n_elems,
+                                   dofs=problem.x0.size, time_s=elapsed,
+                                   iters=sol.iterations, energy=sol.energy))
+    if config.out_dir is not None:
+        write_rows(map(astuple, rows), config.out_dir / f"{config.problem}.csv")
     return rows, EXIT_SOLVER_FAILURE if failures else EXIT_OK
-
-
-def run_plaplace(config: BenchConfig):
-    """Energy-minimization sweep over L-shape refinement levels.
-
-    Returns (rows, exit_code); writes plaplace.csv and optional per-level
-    VTK samplings of the solution into the output directory.
-    """
-    if config.problem != "plaplace":
-        raise ValueError("config is not a plaplace benchmark")
-    return _run_levels(config, "plaplace.csv")
-
-
-def run_hyperelasticity(config: BenchConfig):
-    """Perforated-square elasticity sweep; optionally exports deformed meshes.
-
-    Returns (rows, exit_code); writes hyper.csv into the output directory.
-    """
-    if config.problem != "hyperelasticity":
-        raise ValueError("config is not a hyperelasticity benchmark")
-    return _run_levels(config, "hyper.csv")
 
 
 def compare_elements(config: BenchConfig, degrees):
@@ -220,30 +216,20 @@ def compare_elements(config: BenchConfig, degrees):
     """
     if len(degrees) < 1:
         raise ValueError("compare needs at least one degree")
-    runner = run_plaplace if config.problem == "plaplace" else run_hyperelasticity
     all_rows = []
     code = EXIT_OK
     for p in degrees:
-        sub = replace(config, p=p, out_dir=None, export_vtk=False)
-        rows, sub_code = runner(sub)
+        rows, sub_code = run(replace(config, p=p, out_dir=None, export_vtk=False))
         code = max(code, sub_code)
         all_rows.extend((p, r) for r in rows)
 
     j_ref = min(r.energy for _, r in all_rows) - ENERGY_DROP
-    table = [
-        [p, r.level, r.nelems, r.dofs, r.time_s, r.iters, r.energy,
-         float(f"{r.energy - j_ref:.10g}")]
-        for p, r in all_rows
-    ]
+    table = [[p, *astuple(r), float(f"{r.energy - j_ref:.10g}")]
+             for p, r in all_rows]
     if config.out_dir is not None:
         config.out_dir.mkdir(parents=True, exist_ok=True)
-        path = config.out_dir / "compare.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["p"] + CSV_HEADER + ["energy_minus_ref"])
-            for row in table:
-                writer.writerow([f"{v:.10g}" if isinstance(v, float) else v
-                                 for v in row])
+        write_rows(table, config.out_dir / "compare.csv",
+                   header=["p", *CSV_HEADER, "energy_minus_ref"])
     return table, code
 
 
@@ -272,84 +258,85 @@ def read_config_file(path) -> dict:
 
 _GRAD_MODES = {"explicit": "explicit", "fd": "central_diff"}
 
+# key of a spec file and dest of a command-line flag -> (BenchConfig field, parser)
+_KEYS = {
+    "problem": ("problem", str),
+    "p": ("p", int),
+    "levels": ("levels", parse_levels),
+    "alpha": ("alpha", float),
+    "f": ("f", float),
+    "E": ("young", float),
+    "nu": ("poisson", float),
+    "fx": ("fx", float),
+    "fy": ("fy", float),
+    "grad": ("gradient_mode", lambda text: _GRAD_MODES[text]),
+    "max_iters": ("max_iters", int),
+    "out": ("out_dir", Path),
+}
+
+
+def make_config(values: dict, **fields) -> BenchConfig:
+    """BenchConfig from key=value strings plus already typed fields."""
+    for key, text in values.items():
+        if key not in _KEYS:
+            raise ValueError(f"unknown key {key!r}; known: {sorted(_KEYS)}")
+        name, parse = _KEYS[key]
+        fields[name] = parse(text)
+    return BenchConfig(**fields)
+
 
 def _build_parser() -> argparse.ArgumentParser:
+    # flags keep their text and are absent unless given; make_config
+    # parses them and BenchConfig supplies the defaults
+    shared = argparse.ArgumentParser(add_help=False,
+                                     argument_default=argparse.SUPPRESS)
+    shared.add_argument("--p")
+    shared.add_argument("--grad", choices=sorted(_GRAD_MODES))
+    shared.add_argument("--max-iters")
+    shared.add_argument("--out")
+    shared.add_argument("--vtk", dest="export_vtk", action="store_true",
+                        default=False)
+    shared.add_argument("--verbose", action="store_true", default=False)
+
     parser = argparse.ArgumentParser(
         prog="hpmin",
         description="hp-FEM energy minimization benchmarks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    pl = sub.add_parser("plaplace", help="L-shape power-law diffusion sweep")
-    pl.add_argument("--p", type=int, default=2)
-    pl.add_argument("--alpha", type=float, default=3.0)
-    pl.add_argument("--f", type=float, default=-10.0)
-    pl.add_argument("--levels", type=parse_levels, default=(1,))
-    pl.add_argument("--grad", choices=sorted(_GRAD_MODES), default="explicit")
-    pl.add_argument("--max-iters", type=int, default=None)
-    pl.add_argument("--out", type=Path, default=None)
-    pl.add_argument("--vtk", action="store_true")
-    pl.add_argument("--verbose", action="store_true")
-
-    hy = sub.add_parser("hyper", help="perforated-square hyperelasticity")
-    hy.add_argument("--p", type=int, default=2)
-    hy.add_argument("--level", type=parse_levels, default=(2,))
-    hy.add_argument("--E", type=float, default=2e8)
-    hy.add_argument("--nu", type=float, default=0.3)
-    hy.add_argument("--fx", type=float, default=-3.5e7)
-    hy.add_argument("--fy", type=float, default=-3.5e7)
-    hy.add_argument("--grad", choices=sorted(_GRAD_MODES), default="explicit")
-    hy.add_argument("--max-iters", type=int, default=None)
-    hy.add_argument("--out", type=Path, default=None)
-    hy.add_argument("--vtk", action="store_true")
-    hy.add_argument("--verbose", action="store_true")
+    pl = sub.add_parser("plaplace", parents=[shared],
+                        argument_default=argparse.SUPPRESS,
+                        help="L-shape power-law diffusion sweep")
+    for flag in ("--alpha", "--f", "--levels"):
+        pl.add_argument(flag)
+    hy = sub.add_parser("hyper", parents=[shared],
+                        argument_default=argparse.SUPPRESS,
+                        help="perforated-square hyperelasticity")
+    hy.add_argument("--level", dest="levels", default="2", metavar="LEVEL")
+    for flag in ("--E", "--nu", "--fx", "--fy"):
+        hy.add_argument(flag)
 
     cp = sub.add_parser("compare", help="element comparison from a spec file")
     cp.add_argument("--spec", type=Path, required=True)
     cp.add_argument("--set", dest="overrides", action="append", default=[],
                     metavar="KEY=VALUE")
-    cp.add_argument("--out", type=Path, default=None)
+    cp.add_argument("--out")
     return parser
 
 
-def _config_from_args(args) -> BenchConfig:
-    if args.command == "plaplace":
-        return BenchConfig(
-            problem="plaplace", p=args.p, levels=args.levels, alpha=args.alpha,
-            f=args.f, gradient_mode=_GRAD_MODES[args.grad],
-            max_iters=args.max_iters, out_dir=args.out, export_vtk=args.vtk,
-            verbose=args.verbose,
-        )
-    return BenchConfig(
-        problem="hyperelasticity", p=args.p, levels=args.level,
-        young=args.E, poisson=args.nu, f_vec=(args.fx, args.fy),
-        gradient_mode=_GRAD_MODES[args.grad], max_iters=args.max_iters,
-        out_dir=args.out, export_vtk=args.vtk, verbose=args.verbose,
-    )
-
-
-def _compare_config(args) -> tuple[BenchConfig, list[int]]:
+def _compare(args) -> int:
     values = read_config_file(args.spec)
     for item in args.overrides:
         if "=" not in item:
             raise ValueError(f"override must look like key=value: {item!r}")
         key, _, val = item.partition("=")
         values[key.strip()] = val.strip()
-
-    degrees = [int(v) for v in values.get("p", "1,2").split(",")]
-    config = BenchConfig(
-        problem=values.get("problem", "plaplace"),
-        levels=parse_levels(values.get("levels", "1")),
-        alpha=float(values.get("alpha", 3.0)),
-        f=float(values.get("f", -10.0)),
-        young=float(values.get("E", 2e8)),
-        poisson=float(values.get("nu", 0.3)),
-        f_vec=(float(values.get("fx", -3.5e7)), float(values.get("fy", -3.5e7))),
-        gradient_mode=_GRAD_MODES[values.get("grad", "explicit")],
-        max_iters=int(values["max_iters"]) if "max_iters" in values else None,
-        out_dir=args.out or (Path(values["out"]) if "out" in values else None),
-    )
-    return config, degrees
+    if args.out is not None:
+        values["out"] = args.out
+    degrees = [int(v) for v in values.pop("p", "1,2").split(",")]
+    table, code = compare_elements(make_config(values), degrees)
+    for row in table:
+        print(" ".join(_format(row)))
+    return code
 
 
 def main(argv=None) -> int:
@@ -362,27 +349,18 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "compare":
-            config, degrees = _compare_config(args)
-            table, code = compare_elements(config, degrees)
-            for row in table:
-                print(" ".join(f"{v:.10g}" if isinstance(v, float) else str(v)
-                               for v in row))
-            return code
-        config = _config_from_args(args)
+            return _compare(args)
+        flags = vars(args)
+        command = flags.pop("command")
+        export_vtk, verbose = flags.pop("export_vtk"), flags.pop("verbose")
+        rows, code = run(make_config(flags, problem=command,
+                                     export_vtk=export_vtk, verbose=verbose))
     except (ValueError, OSError, KeyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-
-    runner = run_plaplace if config.problem == "plaplace" else run_hyperelasticity
-    try:
-        rows, code = runner(config)
-    except ValueError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
     print(",".join(CSV_HEADER))
-    for r in rows:
-        print(f"{r.level},{r.nelems},{r.dofs},{r.time_s:.10g},"
-              f"{r.iters},{r.energy:.10g}")
+    for row in rows:
+        print(",".join(_format(astuple(row))))
     return code
 
 

@@ -1,14 +1,16 @@
 """Global degree-of-freedom bookkeeping for hierarchical quad elements.
 
-Three element-indexed tables tie the mesh topology to the global basis:
-the per-DOF kind labels, the element-to-DOF incidence aligned with the
-local shape ordering, and the per-entry signs that repair odd-degree edge
-modes whose element-local direction opposes the global (ascending node
-index) edge direction.
+Two element-indexed tables tie the mesh topology to the global basis:
+the element-to-DOF incidence aligned with the local shape ordering, and
+the per-entry signs that repair odd-degree edge modes whose element-local
+direction opposes the global (ascending node index) edge direction.
 
 Global numbering is blocked: nodal DOFs by node index, then edge DOFs by
 edge index and degree, then bubbles by element; vector problems repeat
-the whole layout per component (all x-DOFs, then all y-DOFs).
+the whole layout per component (all x-DOFs, then all y-DOFs).  The kind
+of a DOF follows from its scalar id and the two block offsets kept in
+``DofMap``: ids below ``edge_base`` are nodal, ids below ``bubble_base``
+are edge modes, the rest are bubbles.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import Bubble, EdgeMode, Nodal, n_bubbles, shape_kinds, tabulate
+from .basis import EdgeMode, Nodal, n_bubbles, shape_kinds, tabulate
 from .mesh import QuadMesh
 
 __all__ = [
@@ -40,10 +42,12 @@ class DirichletSpec:
     ``tags`` may contain generator tags ("left", "hole", ...) or the
     built-in "boundary" for the whole boundary.  ``g`` is a constant
     (scalar, or a length-``components`` sequence) or a callable
-    ``g(x, y)`` returning the same.  Nodal DOFs on selected nodes are
-    fixed to g evaluated there; edge modes on selected boundary edges are
-    fixed to zero (exact whenever g restricted to the edge is linear);
-    bubbles are never fixed.
+    ``g(x, y)``, called once with the coordinate arrays of the selected
+    nodes, returning a value or array (a tuple of them, one per component,
+    for vector problems).  Nodal DOFs on selected nodes are fixed to g
+    evaluated there; edge modes on selected boundary edges are fixed to
+    zero (exact whenever g restricted to the edge is linear); bubbles are
+    never fixed.
     """
 
     tags: tuple[str, ...] = ("boundary",)
@@ -58,7 +62,8 @@ class DofMap:
     p: int
     components: int
     n_p: int                  # scalar global basis count
-    dof_kind: tuple           # scalar layout: ("node", n) / ("edge", e, k) / ("bubble", t, i, j)
+    edge_base: int            # first scalar edge-mode id (= number of nodes)
+    bubble_base: int          # first scalar bubble id
     elems2dofs: np.ndarray    # (T, n_p_ref) scalar DOF ids, ShapeTable order
     signs: np.ndarray         # (T, n_p_ref) entries +-1
     free_dofs: np.ndarray
@@ -76,17 +81,18 @@ class DofMap:
 
 
 def _resolve_g(g, xy: np.ndarray, components: int) -> np.ndarray:
-    """Evaluate the boundary datum at the rows of xy, -> (len(xy), components)."""
+    """Evaluate the boundary datum at the rows of xy, -> (components, len(xy))."""
     if callable(g):
-        vals = np.array([np.atleast_1d(np.asarray(g(x, y), dtype=float))
-                         for x, y in xy])
+        g = g(xy[:, 0], xy[:, 1])
+        parts = g if isinstance(g, (tuple, list)) else [g]
     else:
-        vals = np.tile(np.atleast_1d(np.asarray(g, dtype=float)), (len(xy), 1))
-    if vals.shape[1] != components:
+        parts = np.atleast_1d(np.asarray(g, dtype=float))
+    if len(parts) != components:
         raise ValueError(
-            f"boundary value has {vals.shape[1]} components, expected {components}"
+            f"boundary value has {len(parts)} components, expected {components}"
         )
-    return vals
+    return np.stack([np.broadcast_to(np.asarray(v, dtype=float), len(xy))
+                     for v in parts])
 
 
 def _selected_boundary(mesh: QuadMesh, tags) -> tuple[np.ndarray, np.ndarray]:
@@ -123,13 +129,6 @@ def build_dofmap(mesh: QuadMesh, p: int, components: int = 1,
     bubble_base = n_nodes + (p - 1) * n_edges
     n_p = bubble_base + n_elems * nb
 
-    dof_kind = [("node", n) for n in range(n_nodes)]
-    for e in range(n_edges):
-        dof_kind.extend(("edge", e, k) for k in range(2, p + 1))
-    bubble_kinds = [(b.i, b.j) for b in kinds if isinstance(b, Bubble)]
-    for t in range(n_elems):
-        dof_kind.extend(("bubble", t, i, j) for i, j in bubble_kinds)
-
     elems2dofs = np.empty((n_elems, len(kinds)), dtype=np.int64)
     signs = np.ones((n_elems, len(kinds)))
     nxt = np.roll(mesh.elems2nodes, -1, axis=1)
@@ -154,24 +153,22 @@ def build_dofmap(mesh: QuadMesh, p: int, components: int = 1,
     fixed_values_full = np.zeros(n_dofs)
     if dirichlet is not None:
         sel_nodes, sel_edges = _selected_boundary(mesh, dirichlet.tags)
-        if sel_nodes.size:
-            gvals = _resolve_g(dirichlet.g, mesh.nodes[sel_nodes], components)
-            for c in range(components):
-                ids = c * n_p + sel_nodes
-                fixed_mask[ids] = True
-                fixed_values_full[ids] = gvals[:, c]
-        for e in sel_edges:
-            for k in range(2, p + 1):
-                for c in range(components):
-                    fixed_mask[c * n_p + edge_base + e * (p - 1) + (k - 2)] = True
+        offsets = n_p * np.arange(components)[:, None]
+        node_ids = offsets + sel_nodes
+        fixed_mask[node_ids] = True
+        fixed_values_full[node_ids] = _resolve_g(dirichlet.g, mesh.nodes[sel_nodes],
+                                                 components)
+        edge_modes = (edge_base + (p - 1) * sel_edges[:, None]
+                      + np.arange(p - 1)).ravel()
+        fixed_mask[offsets + edge_modes] = True
 
     fixed_dofs = np.where(fixed_mask)[0]
     free_dofs = np.where(~fixed_mask)[0]
     free_index = -np.ones(n_dofs, dtype=np.int64)
     free_index[free_dofs] = np.arange(free_dofs.size)
     return DofMap(
-        mesh=mesh, p=p, components=components, n_p=n_p,
-        dof_kind=tuple(dof_kind), elems2dofs=elems2dofs, signs=signs,
+        mesh=mesh, p=p, components=components, n_p=n_p, edge_base=edge_base,
+        bubble_base=bubble_base, elems2dofs=elems2dofs, signs=signs,
         free_dofs=free_dofs, fixed_dofs=fixed_dofs,
         fixed_values=fixed_values_full[fixed_dofs], free_index=free_index,
     )

@@ -240,6 +240,10 @@ class NeoHookeModel(_ModelBase):
     @classmethod
     def from_young_poisson(cls, geometry, dofmap, young: float, poisson: float, f):
         """Standard identification C1 = mu/2, D1 = K/2 from (E, nu)."""
+        if not young > 0.0:
+            raise ValueError(f"Young's modulus must be positive, got {young}")
+        if not -1.0 < poisson < 0.5:
+            raise ValueError(f"Poisson ratio must lie in (-1, 0.5), got {poisson}")
         mu = young / (2.0 * (1.0 + poisson))
         bulk = young / (3.0 * (1.0 - 2.0 * poisson))
         return cls(geometry, dofmap, c1=mu / 2.0, d1=bulk / 2.0, f=f)

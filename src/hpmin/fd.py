@@ -63,24 +63,23 @@ def gradient_central_local(model, v_full: np.ndarray, h: float = 1e-6,
 
     ``model`` provides ``local_coeffs``, ``element_energies_local``,
     ``b_full`` and ``dofmap``; the result matches :func:`gradient_central`
-    on the corresponding full energy up to summation order.
+    on the corresponding full energy up to summation order.  ``dofs`` must
+    not repeat an id.
     """
     v_full = np.asarray(v_full, dtype=float)
     dm = model.dofmap
     dofs = np.arange(dm.n_dofs) if dofs is None else np.asarray(dofs)
 
+    # one (element, local slot) pair per occurrence of each requested dof,
+    # in increasing flat index, so each dof's differences add up in that order
     cols, signs = local_layout(dm)
-    flat_dofs = cols.ravel()
-    order = np.argsort(flat_dofs, kind="stable")
-    sorted_dofs = flat_dofs[order]
-    starts = np.searchsorted(sorted_dofs, dofs, side="left")
-    ends = np.searchsorted(sorted_dofs, dofs, side="right")
-
-    # one (element, local slot) pair per occurrence of each requested dof
-    counts = ends - starts
-    owner = np.repeat(np.arange(dofs.size), counts)
-    flat_idx = order[np.concatenate([np.arange(s, e) for s, e in zip(starts, ends)])]
-    pair_elem, pair_slot = np.divmod(flat_idx, cols.shape[1])
+    position = np.full(dm.n_dofs, -1)
+    position[dofs] = np.arange(dofs.size)
+    if np.count_nonzero(position >= 0) != dofs.size:
+        raise ValueError("dofs contains repeated ids")
+    owner = position[cols]
+    pair_elem, pair_slot = np.nonzero(owner >= 0)
+    owner = owner[pair_elem, pair_slot]
     pair_sign = signs[pair_elem, pair_slot]
 
     base = model.local_coeffs(v_full)
@@ -90,7 +89,7 @@ def gradient_central_local(model, v_full: np.ndarray, h: float = 1e-6,
         sl = slice(lo, min(lo + _PAIR_CHUNK, owner.size))
         elems, slots = pair_elem[sl], pair_slot[sl]
         delta = pair_sign[sl] * steps[owner[sl]]
-        probe = base[elems].copy()
+        probe = base[elems]
         rows = np.arange(elems.size)
         center = probe[rows, slots].copy()
         probe[rows, slots] = center + delta

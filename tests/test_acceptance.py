@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from hpmin.basis import Bubble, EdgeMode, tabulate
-from hpmin.cli import BenchConfig, main, read_rows, run_plaplace
+from hpmin.cli import BenchConfig, main, read_rows, run
 from hpmin.dofmap import (
     DirichletSpec,
     build_dofmap,
@@ -63,7 +63,7 @@ LARGE_LEVEL_ENERGIES = {5: -7.9596, 6: -7.9600}
 @pytest.mark.skipif(not os.environ.get("HPMIN_RUN_LARGE"),
                     reason="levels 5-6 are optional; set HPMIN_RUN_LARGE=1")
 def test_criterion_1_optional_large_levels(capsys):
-    rows, code = run_plaplace(BenchConfig(p=2, levels=(5, 6)))
+    rows, code = run(BenchConfig(p=2, levels=(5, 6)))
     assert code == 0
     for row in rows:
         assert row.energy == pytest.approx(LARGE_LEVEL_ENERGIES[row.level],
@@ -93,8 +93,8 @@ def test_criterion_2_gradient_option_equivalence(capsys):
         assert dvs[-1] <= 1e-8, f"level {level}: rel |dv| = {dvs[-1]:.2e}"
         if level == 1:
             # the CLI's --grad fd path runs the same solve
-            rows, _ = run_plaplace(BenchConfig(p=2, levels=(1,),
-                                               gradient_mode="central_diff"))
+            rows, _ = run(BenchConfig(p=2, levels=(1,),
+                                      gradient_mode="central_diff"))
             assert rows[0].iters == fd.iterations
             assert rows[0].energy == float(f"{fd.energy:.10g}")
     with capsys.disabled():
@@ -108,9 +108,10 @@ def test_criterion_2_gradient_option_equivalence(capsys):
 
 def test_criterion_3_dof_bookkeeping(capsys):
     dm0 = build_dofmap(make_lshape(0), p=2)
-    kinds = [k[0] for k in dm0.dof_kind]
     assert dm0.n_p == 53
-    assert kinds.count("node") == 21 and kinds.count("edge") == 32
+    # blocked numbering: nodal ids, then edge modes, then bubbles
+    assert dm0.edge_base == 21 and dm0.bubble_base - dm0.edge_base == 32
+    assert dm0.n_p == dm0.bubble_base
     dm1 = build_dofmap(make_lshape(1), p=2,
                        dirichlet=DirichletSpec(("boundary",), 0.0))
     assert dm1.n_free == 113

@@ -9,8 +9,7 @@ from hpmin.cli import (
     parse_levels,
     read_config_file,
     read_rows,
-    run_hyperelasticity,
-    run_plaplace,
+    run,
 )
 from hpmin.dofmap import build_dofmap
 from hpmin.mesh import make_lshape
@@ -35,7 +34,7 @@ def test_config_validation():
 def test_run_plaplace_csv_roundtrip(tmp_path):
     config = BenchConfig(problem="plaplace", p=2, levels=(0, 1),
                          out_dir=tmp_path)
-    rows, code = run_plaplace(config)
+    rows, code = run(config)
     assert code == 0
     parsed = read_rows(tmp_path / "plaplace.csv")
     assert parsed == rows
@@ -44,7 +43,7 @@ def test_run_plaplace_csv_roundtrip(tmp_path):
 def test_run_plaplace_vtk_export(tmp_path):
     config = BenchConfig(problem="plaplace", p=2, levels=(0,),
                          out_dir=tmp_path, export_vtk=True)
-    _, code = run_plaplace(config)
+    _, code = run(config)
     assert code == 0
     text = (tmp_path / "plaplace_level0.vtk").read_text().splitlines()
     mesh = make_lshape(0)
@@ -56,23 +55,23 @@ def test_run_plaplace_vtk_export(tmp_path):
 
 def test_run_plaplace_determinism():
     config = BenchConfig(problem="plaplace", p=2, levels=(1,))
-    rows1, _ = run_plaplace(config)
-    rows2, _ = run_plaplace(config)
+    rows1, _ = run(config)
+    rows2, _ = run(config)
     assert abs(rows1[0].energy - rows2[0].energy) < 1e-12
     assert rows1[0].iters == rows2[0].iters
 
 
 def test_zero_source_solves_instantly():
     config = BenchConfig(problem="plaplace", p=2, levels=(0,), f=0.0)
-    rows, code = run_plaplace(config)
+    rows, code = run(config)
     assert code == 0
     assert rows[0].energy == 0.0
     assert rows[0].iters <= 1
 
 
 def test_plaplace_degree_monotonicity():
-    rows_p1, _ = run_plaplace(BenchConfig(p=1, levels=(1,)))
-    rows_p2, _ = run_plaplace(BenchConfig(p=2, levels=(1,)))
+    rows_p1, _ = run(BenchConfig(p=1, levels=(1,)))
+    rows_p2, _ = run(BenchConfig(p=2, levels=(1,)))
     assert rows_p2[0].energy <= rows_p1[0].energy
 
 
@@ -98,6 +97,25 @@ def test_cli_exit_code_on_bad_config(capsys):
     assert "configuration error" in err
 
 
+@pytest.mark.parametrize("nu", ["0.5", "-1"])
+def test_cli_hyper_rejects_bad_poisson_ratio(nu, capsys):
+    assert main(["hyper", "--level", "0", "--nu", nu]) == 3
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_cli_hyper_stdout_without_load(capsys):
+    # with no load the identity start is the minimizer: the material and
+    # load flags reach the model, and the solve stops before any step
+    code = main(["hyper", "--p", "1", "--level", "0", "--fx", "0", "--fy", "0"])
+    assert code == 0
+    out = capsys.readouterr().out.strip().splitlines()
+    assert out[0] == "level,nelems,dofs,time_s,iters,energy"
+    level, _, _, _, iters, energy = out[1].split(",")
+    assert (level, iters) == ("0", "0")
+    # W(I) = 0 up to rounding of the interpolated identity, scale C1 ~ 4e7
+    assert abs(float(energy)) < 1e-6
+
+
 def test_cli_solver_failure_exit(capsys):
     # one iteration cannot reach the tolerance: rows flagged, exit code 2
     code = main(["plaplace", "--levels", "1", "--max-iters", "1"])
@@ -117,9 +135,9 @@ def test_verbose_emits_json_log(capsys):
 
 
 def test_run_hyperelasticity_small(tmp_path):
-    config = BenchConfig(problem="hyperelasticity", p=1, levels=(0,),
+    config = BenchConfig(problem="hyper", p=1, levels=(0,),
                          out_dir=tmp_path, export_vtk=True, max_iters=2000)
-    rows, code = run_hyperelasticity(config)
+    rows, code = run(config)
     assert code == 0
     assert np.isfinite(rows[0].energy)
     vtk = (tmp_path / "hyper_level0.vtk").read_text().splitlines()
@@ -175,6 +193,25 @@ def test_compare_overrides(tmp_path):
     assert code == 0
     lines = (tmp_path / "compare.csv").read_text().strip().splitlines()
     assert lines[1].split(",")[1] == "0"  # level column respects override
+
+
+def test_compare_hyper(tmp_path, capsys):
+    spec = tmp_path / "hyper.cfg"
+    spec.write_text("problem=hyper\np=1\nlevels=0\nmax_iters=2000\n")
+    code = main(["compare", "--spec", str(spec), "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert code == 0
+    lines = (tmp_path / "compare.csv").read_text().strip().splitlines()
+    assert len(lines) == 2
+    assert lines[1].split(",")[:2] == ["1", "0"]
+
+
+def test_compare_unknown_problem_lists_known(tmp_path, capsys):
+    spec = tmp_path / "heat.cfg"
+    spec.write_text("problem=heat\np=1\nlevels=0\n")
+    assert main(["compare", "--spec", str(spec)]) == 3
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "'hyper'" in err
 
 
 def test_vtk_mesh_export(tmp_path):

@@ -18,10 +18,18 @@ RNG = np.random.default_rng(20240512)
 _CORNERS = np.array([(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)])
 
 
+def _kind(dm, dof):
+    """Kind of a global DOF, read off the blocked numbering."""
+    base = dof % dm.n_p
+    if base < dm.edge_base:
+        return "node"
+    return "edge" if base < dm.bubble_base else "bubble"
+
+
 def test_lshape_p2_global_count():
     dm = build_dofmap(make_lshape(0), p=2)
     assert dm.n_p == 53
-    kinds = [k[0] for k in dm.dof_kind]
+    kinds = [_kind(dm, d) for d in range(dm.n_p)]
     assert kinds.count("node") == 21
     assert kinds.count("edge") == 32
     assert kinds.count("bubble") == 0
@@ -91,7 +99,7 @@ def test_single_odd_edge_mode_is_globally_consistent():
     dm = build_dofmap(mesh, p=3)
     pairs = _interior_edge_pairs(mesh)
     e = next(iter(pairs))
-    dof = next(i for i, k in enumerate(dm.dof_kind) if k == ("edge", e, 3))
+    dof = dm.edge_base + e * (dm.p - 1) + (3 - 2)  # degree-3 mode of edge e
     v = np.zeros(dm.n_dofs)
     v[dof] = 1.0
     lam = np.linspace(0.1, 0.9, 10)
@@ -104,7 +112,7 @@ def test_single_odd_edge_mode_is_globally_consistent():
 
 def test_dirichlet_fixes_nodes_and_edges_not_bubbles():
     dm = build_dofmap(make_lshape(0), p=4, dirichlet=DirichletSpec(("boundary",), 0.0))
-    fixed_kinds = {dm.dof_kind[d][0] for d in dm.fixed_dofs}
+    fixed_kinds = {_kind(dm, d) for d in dm.fixed_dofs}
     assert fixed_kinds == {"node", "edge"}
     # 16 boundary nodes + 16 boundary edges * 3 modes each
     assert dm.fixed_dofs.size == 16 + 16 * 3
@@ -114,18 +122,26 @@ def test_dirichlet_tag_subsets():
     mesh = make_perforated_square(0)
     dm = build_dofmap(mesh, p=2, components=2,
                       dirichlet=DirichletSpec(("left", "bottom"), lambda x, y: (x, y)))
-    fixed_nodes = [dm.dof_kind[d % dm.n_p][1] for d in dm.fixed_dofs
-                   if dm.dof_kind[d % dm.n_p][0] == "node"]
+    fixed_nodes = [d % dm.n_p for d in dm.fixed_dofs if _kind(dm, d) == "node"]
     coords = mesh.nodes[np.unique(fixed_nodes)]
     assert np.all((np.abs(coords[:, 0]) < 1e-12) | (np.abs(coords[:, 1]) < 1e-12))
     # nodal values must interpolate g = identity in each component
     for d, val in zip(dm.fixed_dofs, dm.fixed_values):
         comp, base = divmod(d, dm.n_p)
-        kind = dm.dof_kind[base]
-        if kind[0] == "node":
-            assert val == pytest.approx(mesh.nodes[kind[1], comp], abs=1e-14)
+        if _kind(dm, d) == "node":
+            assert val == pytest.approx(mesh.nodes[base, comp], abs=1e-14)
         else:
             assert val == 0.0
+
+
+def test_dirichlet_scalar_callable():
+    mesh = make_lshape(0)
+    dm = build_dofmap(mesh, p=2, dirichlet=DirichletSpec(("boundary",),
+                                                         lambda x, y: x + 2 * y))
+    nodal = dm.fixed_dofs < dm.edge_base
+    x, y = mesh.nodes[dm.fixed_dofs[nodal]].T
+    np.testing.assert_array_equal(dm.fixed_values[nodal], x + 2 * y)
+    assert np.all(dm.fixed_values[~nodal] == 0.0)
 
 
 def test_unknown_tag_raises():

@@ -104,6 +104,29 @@ def test_local_gradient_vector_model(p):
     assert np.max(np.abs(g_fd - g)) / np.max(np.abs(g)) < 1e-6
 
 
+@pytest.mark.parametrize("components", [1, 2])
+def test_local_gradient_of_shuffled_subset(components):
+    # each requested dof sums its element differences in the same order
+    # whatever else is requested, so a subset is bit-identical to the full run
+    rng = np.random.default_rng(3)
+    mesh = make_rect(3, 2)
+    rule = rule_for_degree(3)
+    geo = geometry_factors(mesh, rule, tabulate(3, rule.points))
+    dm = build_dofmap(mesh, 3, components=components)
+    if components == 1:
+        model = PLaplaceModel(geo, dm, alpha=3.0, f=-10.0)
+        v = rng.standard_normal(dm.n_dofs)
+    else:
+        model = NeoHookeModel(geo, dm, c1=1.0, d1=2.0, f=(-1.0, 0.5))
+        v = identity_deformation(dm) + 0.01 * rng.standard_normal(dm.n_dofs)
+    full = gradient_central_local(model, v)
+    dofs = rng.permutation(dm.n_dofs)[: dm.n_dofs // 3]
+    np.testing.assert_array_equal(gradient_central_local(model, v, dofs=dofs),
+                                  full[dofs])
+    with pytest.raises(ValueError, match="repeated"):
+        gradient_central_local(model, v, dofs=np.r_[dofs, dofs[:1]])
+
+
 def test_barrier_propagates():
     mesh = make_rect(1, 1)
     rule = rule_for_degree(1)
