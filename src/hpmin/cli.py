@@ -184,7 +184,8 @@ def run(config: BenchConfig):
     for level in config.levels:
         mesh = spec.make_mesh(level)
         problem, model = spec.build(mesh, config)
-        opts = TrOptions(max_iters=config.max_iters or spec.max_iters,
+        opts = TrOptions(max_iters=(spec.max_iters if config.max_iters is None
+                                    else config.max_iters),
                          initial_radius=spec.initial_radius(mesh),
                          gradient_mode=config.gradient_mode, log=log)
         t0 = time.perf_counter()

@@ -27,7 +27,11 @@ __all__ = [
     "hessian_fd",
 ]
 
-_PAIR_CHUNK = 1 << 16
+# (element, slot) pairs per batch of probes: a batch's temporaries, a few
+# (pairs, n_ip) arrays, stay at a few hundred kB, which malloc reuses from
+# batch to batch.  Arrays of several MB go back to the OS after each call
+# and cost thousands of page faults when they are allocated again.
+_PAIR_CHUNK = 1024
 
 
 def _steps(values: np.ndarray, h: float) -> np.ndarray:
@@ -104,21 +108,35 @@ def gradient_central_local(model, v_full: np.ndarray, h: float = 1e-6,
 
 @dataclass(frozen=True)
 class ColoredPattern:
-    """Distance-2 coloring of a sparsity pattern.
+    """Distance-2 coloring of a sparsity pattern, with its CSR layout.
 
     DOFs in one group share no structurally-nonzero row, so a single
-    gradient difference recovers all of their Hessian columns.
+    gradient difference recovers all of their Hessian columns.  The
+    pattern's (row, col) order is CSR order: ``indptr`` completes its
+    column indices to a CSR structure, and ``transpose`` maps each entry
+    to the position of its mirror entry (col, row).
     """
 
     pattern: SparsityPattern
     groups: np.ndarray
     n_groups: int
+    indptr: np.ndarray
+    transpose: np.ndarray
 
 
 def greedy_coloring(pattern: SparsityPattern) -> ColoredPattern:
-    """Sequential greedy distance-2 coloring in natural DOF order."""
+    """Sequential greedy distance-2 coloring in natural DOF order.
+
+    The pattern must be symmetric, as a Hessian pattern is.
+    """
     adj = pattern.to_csr()
     indptr, indices = adj.indptr, adj.indices
+    if adj.nnz != pattern.nnz:
+        raise ValueError("pattern repeats an entry")
+    transpose = np.lexsort((pattern.rows, pattern.cols))
+    if not (np.array_equal(pattern.rows[transpose], pattern.cols)
+            and np.array_equal(pattern.cols[transpose], pattern.rows)):
+        raise ValueError("pattern is not symmetric or not sorted by (row, col)")
     groups = -np.ones(pattern.n, dtype=np.int64)
     for i in range(pattern.n):
         nbrs = indices[indptr[i]:indptr[i + 1]]
@@ -130,7 +148,8 @@ def greedy_coloring(pattern: SparsityPattern) -> ColoredPattern:
             color += 1
         groups[i] = color
     return ColoredPattern(pattern=pattern, groups=groups,
-                          n_groups=int(groups.max()) + 1)
+                          n_groups=int(groups.max()) + 1, indptr=indptr,
+                          transpose=transpose)
 
 
 def hessian_fd(grad, v: np.ndarray, colored: ColoredPattern,
@@ -140,7 +159,8 @@ def hessian_fd(grad, v: np.ndarray, colored: ColoredPattern,
     For each color group one evaluates grad(v + steps on the group) and
     scatters the difference into the pattern columns of that group;
     entries outside the pattern are discarded and the result is
-    symmetrized.  ``grad`` acts on vectors of the same layout as ``v``.
+    symmetrized, (H + H^T) / 2, directly in the pattern's CSR layout.
+    ``grad`` acts on vectors of the same layout as ``v``.
     """
     v = np.asarray(v, dtype=float)
     pattern = colored.pattern
@@ -157,6 +177,6 @@ def hessian_fd(grad, v: np.ndarray, colored: ColoredPattern,
         diffs[group] = grad(probe) - g0
     data = (diffs[colored.groups[pattern.cols], pattern.rows]
             / steps[pattern.cols])
-    H = sp.csr_matrix((data, (pattern.rows, pattern.cols)),
-                      shape=(pattern.n, pattern.n))
-    return ((H + H.T) * 0.5).tocsr()
+    return sp.csr_matrix(((data + data[colored.transpose]) * 0.5,
+                          pattern.cols, colored.indptr),
+                         shape=(pattern.n, pattern.n))

@@ -260,19 +260,20 @@ def element_areas(mesh: QuadMesh) -> np.ndarray:
 
 @dataclass
 class GeometryFactors:
-    """Physical shape-function gradients and integration weights.
+    """Per-point inverse-transposed Jacobians and integration weights.
 
-    ``dphi_x`` / ``dphi_y`` have shape (n_elems, n_ip, n_basis) and hold
-    the physical partial derivatives of every local shape function at
-    every quadrature point; ``wdetj`` (n_elems, n_ip) holds quadrature
-    weight times Jacobian determinant, and ``phi`` (n_basis, n_ip) the
-    shared reference values.
+    The physical gradient of a shape function at a quadrature point is
+    J^{-T} times its reference gradient, and the reference gradients are
+    the same on every element.  So only the geometry is stored per point:
+    ``jinv_t`` (2, 2, n_elems, n_ip) holds J^{-T}, with ``jinv_t[a, b]``
+    the factor of the reference direction b (xi, eta) in the physical
+    direction a (x, y); ``wdetj`` (n_elems, n_ip) holds quadrature weight
+    times Jacobian determinant.  ``table`` carries the shared reference
+    values and derivatives ``values`` / ``dxi`` / ``deta`` (n_basis, n_ip).
     """
 
-    dphi_x: np.ndarray
-    dphi_y: np.ndarray
+    jinv_t: np.ndarray
     wdetj: np.ndarray
-    phi: np.ndarray
     table: ShapeTable
     rule: QuadRule
 
@@ -284,9 +285,25 @@ class GeometryFactors:
     def n_ip(self) -> int:
         return self.wdetj.shape[1]
 
+    def _physical(self, a: int) -> np.ndarray:
+        jt = self.jinv_t[a]
+        return (np.einsum("tq,mq->tqm", jt[0], self.table.dxi)
+                + np.einsum("tq,mq->tqm", jt[1], self.table.deta))
+
+    @property
+    def dphi_x(self) -> np.ndarray:
+        """Physical x-derivatives of every shape function, (n_elems, n_ip,
+        n_basis), built on each access for inspection and test oracles."""
+        return self._physical(0)
+
+    @property
+    def dphi_y(self) -> np.ndarray:
+        """Physical y-derivatives, laid out as :attr:`dphi_x`."""
+        return self._physical(1)
+
 
 def geometry_factors(mesh: QuadMesh, rule: QuadRule, table: ShapeTable) -> GeometryFactors:
-    """Map reference derivatives through the bilinear geometry of each element.
+    """Invert the bilinear Jacobian of each element at the quadrature points.
 
     Requires ``table`` tabulated at ``rule.points``.  Raises on
     non-positive Jacobian determinants.
@@ -304,12 +321,7 @@ def geometry_factors(mesh: QuadMesh, rule: QuadRule, table: ShapeTable) -> Geome
         t = int(np.where(det.min(axis=1) <= 0.0)[0][0])
         raise ValueError(f"degenerate element {t}: nonpositive Jacobian")
 
-    inv_det = 1.0 / det
-    # [dphi_x; dphi_y] = J^{-T} [dxi; deta]
-    dphi_x = (np.einsum("tq,mq->tqm", j22, table.dxi)
-              - np.einsum("tq,mq->tqm", j21, table.deta)) * inv_det[:, :, None]
-    dphi_y = (np.einsum("tq,mq->tqm", j11, table.deta)
-              - np.einsum("tq,mq->tqm", j12, table.dxi)) * inv_det[:, :, None]
+    # J^{-T} = [[j22, -j21], [-j12, j11]] / det
+    jinv_t = np.stack([np.stack([j22, -j21]), np.stack([-j12, j11])]) / det
     wdetj = rule.weights[None, :] * det
-    return GeometryFactors(dphi_x=dphi_x, dphi_y=dphi_y, wdetj=wdetj,
-                           phi=table.values, table=table, rule=rule)
+    return GeometryFactors(jinv_t=jinv_t, wdetj=wdetj, table=table, rule=rule)

@@ -67,6 +67,8 @@ class TrOptions:
             raise ValueError(
                 "need 0 < eta_accept < shrink_threshold < expand_threshold < 1"
             )
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
         if self.gradient_mode not in ("explicit", "central_diff"):
             raise ValueError(f"unknown gradient mode {self.gradient_mode!r}")
 

@@ -123,6 +123,21 @@ def test_cli_solver_failure_exit(capsys):
     assert "no convergence" in capsys.readouterr().err
 
 
+def test_cli_zero_max_iters_stops_before_first_step(capsys):
+    # a cap of 0 is a cap, not "unset": no step, flagged as not converged
+    code = main(["plaplace", "--levels", "1", "--max-iters", "0"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "no convergence" in captured.err
+    level, _, _, _, iters, _ = captured.out.strip().splitlines()[1].split(",")
+    assert (level, iters) == ("1", "0")
+
+
+def test_cli_negative_max_iters_is_config_error(capsys):
+    assert main(["plaplace", "--levels", "1", "--max-iters", "-1"]) == 3
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_verbose_emits_json_log(capsys):
     code = main(["plaplace", "--levels", "0", "--verbose"])
     assert code == 0

@@ -87,6 +87,65 @@ def test_gradfield_identity_deformation():
     np.testing.assert_allclose(field.f21, 0.0, atol=1e-12)
 
 
+def _kernel_case(problem, p):
+    # p-Laplace on the L-shape, Neo-Hooke on the perforated square, whose
+    # hole-side elements are not parallelograms: J^{-T} varies inside them
+    if problem == "plaplace":
+        geo, dm = _setup(make_lshape(1), p)
+        model = PLaplaceModel(geo, dm, alpha=3.0, f=-10.0)
+        v = RNG.standard_normal(dm.n_dofs)
+    else:
+        geo, dm = _setup(make_perforated_square(1), p, components=2)
+        model = NeoHookeModel(geo, dm, c1=1.0, d1=2.0, f=(-1.0, -2.0))
+        v = identity_deformation(dm) + 1e-3 * RNG.standard_normal(dm.n_dofs)
+    return model, v
+
+
+def _einsum_gather(model, elems, v_loc):
+    """Oracle G from the stored physical derivatives, (components, 2, P, n_ip)."""
+    geo = model.geometry
+    v_c = v_loc.reshape(v_loc.shape[0], model.dofmap.components, -1)
+    dphi = (geo.dphi_x[elems], geo.dphi_y[elems])
+    return np.array([[np.einsum("pm,pqm->pq", v_c[:, c], d) for d in dphi]
+                     for c in range(v_c.shape[1])])
+
+
+def _rel_err(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("problem", ["plaplace", "neohooke"])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_gather_matches_einsum_oracle(problem, p):
+    model, v = _kernel_case(problem, p)
+    v_loc = model.local_coeffs(v)
+    assert _rel_err(model._gather(slice(None), v_loc),
+                    _einsum_gather(model, slice(None), v_loc)) <= 1e-13
+    # shuffled element ids with repeats, each row with its own coefficients
+    n_elems = model.geometry.n_elems
+    idx = RNG.permutation(np.concatenate(
+        [np.arange(n_elems), RNG.integers(0, n_elems, n_elems // 2)]))
+    rows = v_loc[idx] + 1e-3 * RNG.standard_normal((idx.size, v_loc.shape[1]))
+    assert _rel_err(model._gather(idx, rows),
+                    _einsum_gather(model, idx, rows)) <= 1e-13
+
+
+@pytest.mark.parametrize("problem", ["plaplace", "neohooke"])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_gradient_matches_einsum_oracle(problem, p):
+    model, v = _kernel_case(problem, p)
+    geo = model.geometry
+    P = model.stress(_einsum_gather(model, slice(None), model.local_coeffs(v)))
+    P = P * geo.wdetj
+    g_loc = np.concatenate(
+        [np.einsum("tq,tqm->tm", Px, geo.dphi_x)
+         + np.einsum("tq,tqm->tm", Py, geo.dphi_y) for Px, Py in P],
+        axis=1,
+    )
+    assert _rel_err(model.gradient(v),
+                    model.scatter(g_loc) - model.b_full) <= 1e-13
+
+
 def test_plaplace_energy_zero_field():
     geo, dm = _setup(make_lshape(0), p=2)
     model = PLaplaceModel(geo, dm, alpha=3.0, f=-10.0)

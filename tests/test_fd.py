@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hpmin.basis import tabulate
 from hpmin.dofmap import (
@@ -18,7 +19,8 @@ from hpmin.fd import (
     greedy_coloring,
     hessian_fd,
 )
-from hpmin.mesh import geometry_factors, make_lshape, make_rect
+from hpmin.mesh import geometry_factors, make_lshape, make_perforated_square, make_rect
+from hpmin.problems import neohooke_problem, plaplace_problem
 from hpmin.quadrature import rule_for_degree
 
 RNG = np.random.default_rng(20240514)
@@ -249,3 +251,45 @@ def test_hessian_fd_discards_outside_pattern():
     H = hessian_fd(lambda v: A @ v, np.zeros(n), colored).toarray()
     assert np.all(H[~tri] == 0.0)
     np.testing.assert_allclose(H, H.T, atol=0)
+
+
+def _hessian_fd_coo_oracle(grad, v, colored, h=1e-6):
+    """Forward differences assembled through COO and a sparse H + H^T."""
+    pattern = colored.pattern
+    g0 = grad(v)
+    steps = h * np.maximum(1.0, np.abs(v))
+    diffs = np.empty((colored.n_groups, pattern.n))
+    for group in range(colored.n_groups):
+        members = colored.groups == group
+        probe = v.copy()
+        probe[members] += steps[members]
+        diffs[group] = grad(probe) - g0
+    data = diffs[colored.groups[pattern.cols], pattern.rows] / steps[pattern.cols]
+    H = sp.csr_matrix((data, (pattern.rows, pattern.cols)),
+                      shape=(pattern.n, pattern.n))
+    return ((H + H.T) * 0.5).tocsr()
+
+
+@pytest.mark.parametrize("problem", ["hyper", "plaplace"])
+def test_hessian_fd_csr_assembly_matches_coo_oracle(problem):
+    if problem == "hyper":
+        fe, model = neohooke_problem(make_perforated_square(1), p=2, young=2e8,
+                                     poisson=0.3, f=(-3.5e7, -3.5e7))
+        v = fe.x0 + 1e-3 * RNG.standard_normal(fe.x0.size)
+    else:
+        fe, model = plaplace_problem(make_lshape(2), p=2, alpha=3.0, f=-10.0)
+        v = RNG.standard_normal(fe.x0.size)
+    colored = greedy_coloring(fe.pattern)
+    H = hessian_fd(fe.gradient, v, colored)
+    oracle = _hessian_fd_coo_oracle(fe.gradient, v, colored)
+    assert H.has_sorted_indices
+    assert (H != H.T).nnz == 0
+    np.testing.assert_array_equal(H.toarray(), oracle.toarray())
+    x = RNG.standard_normal(v.size)
+    np.testing.assert_array_equal(H @ x, oracle @ x)
+
+
+def test_coloring_rejects_asymmetric_pattern():
+    upper = np.triu(np.ones((5, 5), dtype=bool))
+    with pytest.raises(ValueError, match="symmetric"):
+        greedy_coloring(_pattern_from_dense(upper))

@@ -184,6 +184,21 @@ def test_geometry_factors_hand_computed_gradient():
     assert geo.dphi_y[0, 0, 0] == pytest.approx(-0.5, abs=1e-14)
 
 
+def test_geometry_factors_inverse_transposed_jacobian():
+    # J^{-T} J^T = I at every point, J from the bilinear corner map
+    mesh = make_perforated_square(1)
+    rule = rule_for_degree(2)
+    geo = geometry_factors(mesh, rule, tabulate(2, rule.points))
+    q1 = tabulate(1, rule.points)
+    x = mesh.nodes[mesh.elems2nodes]
+    # jac[c, b]: derivative of coordinate c along reference direction b
+    jac = np.array([[np.einsum("mq,tm->tq", d, x[:, :, c]) for d in (q1.dxi, q1.deta)]
+                    for c in range(2)])
+    product = np.einsum("abtq,cbtq->actq", geo.jinv_t, jac)
+    np.testing.assert_allclose(product, np.eye(2)[:, :, None, None]
+                               * np.ones_like(product), rtol=0, atol=1e-12)
+
+
 def test_geometry_factors_rejects_degenerate():
     # bypass build_mesh validation to hit geometry_factors' own check
     import dataclasses
