@@ -20,12 +20,16 @@ from .dofmap import SparsityPattern, local_layout
 from .energy import BarrierError
 
 __all__ = [
+    "FD_STEP",
     "ColoredPattern",
     "gradient_central",
     "gradient_central_local",
     "greedy_coloring",
     "hessian_fd",
 ]
+
+# Relative difference step: coordinate i moves by FD_STEP * max(1, |v_i|).
+FD_STEP = 1e-6
 
 # (element, slot) pairs per batch of probes: a batch's temporaries, a few
 # (pairs, n_ip) arrays, stay at a few hundred kB, which malloc reuses from
@@ -39,7 +43,7 @@ def _steps(values: np.ndarray, h: float) -> np.ndarray:
     return h * np.maximum(1.0, np.abs(values))
 
 
-def gradient_central(energy, v: np.ndarray, h: float = 1e-6,
+def gradient_central(energy, v: np.ndarray, h: float = FD_STEP,
                      dofs=None) -> np.ndarray:
     """Naive central differences of a scalar energy over the given dofs.
 
@@ -61,7 +65,7 @@ def gradient_central(energy, v: np.ndarray, h: float = 1e-6,
     return g
 
 
-def gradient_central_local(model, v_full: np.ndarray, h: float = 1e-6,
+def gradient_central_local(model, v_full: np.ndarray, h: float = FD_STEP,
                            dofs=None) -> np.ndarray:
     """Central differences re-evaluating only the touched elements.
 
@@ -127,39 +131,41 @@ class ColoredPattern:
 def greedy_coloring(pattern: SparsityPattern) -> ColoredPattern:
     """Sequential greedy distance-2 coloring in natural DOF order.
 
-    The pattern must be symmetric, as a Hessian pattern is.
+    Each DOF takes the smallest color not yet used within two hops of it,
+    read off its row of the boolean square of the pattern.  The pattern
+    must be symmetric, as a Hessian pattern is.
     """
     adj = pattern.to_csr()
-    indptr, indices = adj.indptr, adj.indices
     if adj.nnz != pattern.nnz:
         raise ValueError("pattern repeats an entry")
     transpose = np.lexsort((pattern.rows, pattern.cols))
     if not (np.array_equal(pattern.rows[transpose], pattern.cols)
             and np.array_equal(pattern.cols[transpose], pattern.rows)):
         raise ValueError("pattern is not symmetric or not sorted by (row, col)")
+    reach = adj.astype(bool)
+    reach = reach @ reach
+    starts, two_hop = reach.indptr, reach.indices
     groups = -np.ones(pattern.n, dtype=np.int64)
     for i in range(pattern.n):
-        nbrs = indices[indptr[i]:indptr[i + 1]]
-        two_hop = np.concatenate([indices[indptr[k]:indptr[k + 1]] for k in nbrs])
-        used = groups[two_hop]
-        used = set(used[used >= 0].tolist())
+        used = set(groups[two_hop[starts[i]:starts[i + 1]]].tolist())
         color = 0
         while color in used:
             color += 1
         groups[i] = color
     return ColoredPattern(pattern=pattern, groups=groups,
-                          n_groups=int(groups.max()) + 1, indptr=indptr,
-                          transpose=transpose)
+                          n_groups=int(groups.max(initial=-1)) + 1,
+                          indptr=adj.indptr, transpose=transpose)
 
 
 def hessian_fd(grad, v: np.ndarray, colored: ColoredPattern,
-               h: float = 1e-6, g0: np.ndarray | None = None) -> sp.csr_matrix:
+               g0: np.ndarray | None = None) -> sp.csr_matrix:
     """Sparse symmetric Hessian estimate from grouped forward differences.
 
-    For each color group one evaluates grad(v + steps on the group) and
-    scatters the difference into the pattern columns of that group;
-    entries outside the pattern are discarded and the result is
-    symmetrized, (H + H^T) / 2, directly in the pattern's CSR layout.
+    For each color group one evaluates grad(v + steps on the group), with
+    step FD_STEP * max(1, |v_i|) on coordinate i, and scatters the
+    difference into the pattern columns of that group; entries outside the
+    pattern are discarded and the result is symmetrized, (H + H^T) / 2,
+    directly in the pattern's CSR layout.
     ``grad`` acts on vectors of the same layout as ``v``.
     """
     v = np.asarray(v, dtype=float)
@@ -168,7 +174,7 @@ def hessian_fd(grad, v: np.ndarray, colored: ColoredPattern,
         raise ValueError(f"expected vector of length {pattern.n}, got {v.size}")
     if g0 is None:
         g0 = grad(v)
-    steps = _steps(v, h)
+    steps = _steps(v, FD_STEP)
     diffs = np.empty((colored.n_groups, pattern.n))
     for group in range(colored.n_groups):
         members = colored.groups == group

@@ -275,7 +275,6 @@ class GeometryFactors:
     jinv_t: np.ndarray
     wdetj: np.ndarray
     table: ShapeTable
-    rule: QuadRule
 
     @property
     def n_elems(self) -> int:
@@ -324,4 +323,4 @@ def geometry_factors(mesh: QuadMesh, rule: QuadRule, table: ShapeTable) -> Geome
     # J^{-T} = [[j22, -j21], [-j12, j11]] / det
     jinv_t = np.stack([np.stack([j22, -j21]), np.stack([-j12, j11])]) / det
     wdetj = rule.weights[None, :] * det
-    return GeometryFactors(jinv_t=jinv_t, wdetj=wdetj, table=table, rule=rule)
+    return GeometryFactors(jinv_t=jinv_t, wdetj=wdetj, table=table)

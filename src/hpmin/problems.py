@@ -15,8 +15,18 @@ from .solver import EnergyProblem
 __all__ = ["plaplace_problem", "neohooke_problem"]
 
 
-def _free_callbacks(model, fd_step: float):
-    dm = model.dofmap
+def _problem(mesh: QuadMesh, p: int, components: int, dirichlet: DirichletSpec,
+             make_model, make_x0):
+    """Quadrature rule, geometry, DOF map and model of one problem, and the
+    ``EnergyProblem`` over its free DOFs.
+
+    ``make_model(geo, dofmap)`` builds the energy model and
+    ``make_x0(dofmap)`` the free-DOF starting vector.
+    """
+    rule = rule_for_degree(p)
+    geo = geometry_factors(mesh, rule, tabulate(p, rule.points))
+    dm = build_dofmap(mesh, p, components=components, dirichlet=dirichlet)
+    model = make_model(geo, dm)
 
     def energy(v_free):
         return model.energy(expand_solution(dm, v_free))
@@ -25,51 +35,30 @@ def _free_callbacks(model, fd_step: float):
         return model.gradient(expand_solution(dm, v_free))[dm.free_dofs]
 
     def gradient_fd(v_free):
-        v_full = expand_solution(dm, v_free)
-        return gradient_central_local(model, v_full, h=fd_step,
+        return gradient_central_local(model, expand_solution(dm, v_free),
                                       dofs=dm.free_dofs)
 
-    return energy, gradient, gradient_fd
-
-
-def plaplace_problem(mesh: QuadMesh, p: int, alpha: float, f: float,
-                     g=0.0, tags=("boundary",),
-                     fd_step: float = 1e-6) -> tuple[EnergyProblem, PLaplaceModel]:
-    """Power-law diffusion with Dirichlet data g on the tagged boundary.
-
-    Starts from the zero vector (admissible for g = 0).
-    """
-    rule = rule_for_degree(p)
-    geo = geometry_factors(mesh, rule, tabulate(p, rule.points))
-    dm = build_dofmap(mesh, p, components=1,
-                      dirichlet=DirichletSpec(tuple(tags), g))
-    model = PLaplaceModel(geo, dm, alpha=alpha, f=f)
-    energy, gradient, gradient_fd = _free_callbacks(model, fd_step)
-    problem = EnergyProblem(
-        energy=energy, gradient=gradient, gradient_fd=gradient_fd,
-        pattern=sparsity_pattern(dm), x0=np.zeros(dm.n_free),
-        name=f"plaplace(p={p}, alpha={alpha})",
-    )
+    problem = EnergyProblem(energy=energy, gradient=gradient,
+                            gradient_fd=gradient_fd,
+                            pattern=sparsity_pattern(dm), x0=make_x0(dm))
     return problem, model
+
+
+def plaplace_problem(mesh: QuadMesh, p: int, alpha: float,
+                     f: float) -> tuple[EnergyProblem, PLaplaceModel]:
+    """Power-law diffusion with u = 0 on the whole boundary, starting from
+    the zero vector."""
+    return _problem(mesh, p, 1, DirichletSpec(("boundary",), 0.0),
+                    lambda geo, dm: PLaplaceModel(geo, dm, alpha=alpha, f=f),
+                    lambda dm: np.zeros(dm.n_free))
 
 
 def neohooke_problem(mesh: QuadMesh, p: int, young: float, poisson: float,
-                     f, fixed_tags=("left", "bottom"),
-                     fd_step: float = 1e-6) -> tuple[EnergyProblem, NeoHookeModel]:
+                     f) -> tuple[EnergyProblem, NeoHookeModel]:
     """Compressible Neo-Hookean elasticity, deformation pinned to the
-    identity on the tagged boundary parts, starting from the identity map."""
-    rule = rule_for_degree(p)
-    geo = geometry_factors(mesh, rule, tabulate(p, rule.points))
-    dm = build_dofmap(mesh, p, components=2,
-                      dirichlet=DirichletSpec(tuple(fixed_tags),
-                                              lambda x, y: (x, y)))
-    model = NeoHookeModel.from_young_poisson(geo, dm, young=young,
-                                             poisson=poisson, f=f)
-    energy, gradient, gradient_fd = _free_callbacks(model, fd_step)
-    problem = EnergyProblem(
-        energy=energy, gradient=gradient, gradient_fd=gradient_fd,
-        pattern=sparsity_pattern(dm),
-        x0=identity_deformation(dm)[dm.free_dofs],
-        name=f"neohooke(p={p})",
-    )
-    return problem, model
+    identity on the left and bottom sides, starting from the identity map."""
+    return _problem(mesh, p, 2,
+                    DirichletSpec(("left", "bottom"), lambda x, y: (x, y)),
+                    lambda geo, dm: NeoHookeModel.from_young_poisson(
+                        geo, dm, young=young, poisson=poisson, f=f),
+                    lambda dm: identity_deformation(dm)[dm.free_dofs])

@@ -20,6 +20,14 @@ from .fd import greedy_coloring, hessian_fd
 
 __all__ = ["EnergyProblem", "TrOptions", "TrSolution", "minimize", "steihaug_cg"]
 
+# Constants of the method: the acceptance and radius rule of the
+# trust-region loop, and the relative residual at which CG stops.
+ETA_ACCEPT = 0.05
+SHRINK_THRESHOLD, SHRINK_FACTOR = 0.25, 0.25
+EXPAND_THRESHOLD, EXPAND_FACTOR = 0.75, 2.0
+MAX_RADIUS = 1e8
+CG_TOL = 1e-8
+
 
 @dataclass
 class EnergyProblem:
@@ -35,38 +43,26 @@ class EnergyProblem:
     pattern: SparsityPattern
     x0: np.ndarray
     gradient_fd: Callable[[np.ndarray], np.ndarray] | None = None
-    name: str = ""
 
 
 @dataclass
 class TrOptions:
-    """Trust-region controls; defaults follow standard practice.
+    """What a caller chooses per solve: stopping test, first radius,
+    gradient source and an optional per-iteration log.
 
     ``grad_tol=None`` resolves to 1e-6 * max(1, |J(x0)|), which adapts the
-    stopping test to the energy scale of the problem.
+    stopping test to the energy scale of the problem.  The radius policy
+    and the CG tolerance are the module constants above; the Hessian's
+    difference step is :data:`hpmin.fd.FD_STEP`.
     """
 
     grad_tol: float | None = None
     max_iters: int = 200
     initial_radius: float = 1.0
-    max_radius: float = 1e8
-    eta_accept: float = 0.05
-    shrink_threshold: float = 0.25
-    shrink_factor: float = 0.25
-    expand_threshold: float = 0.75
-    expand_factor: float = 2.0
-    cg_tol: float = 1e-8
-    cg_max_iters: int | None = None
     gradient_mode: str = "explicit"  # "explicit" | "central_diff"
-    fd_step: float = 1e-6
     log: Callable[[dict], None] | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.eta_accept < self.shrink_threshold \
-                < self.expand_threshold < 1.0:
-            raise ValueError(
-                "need 0 < eta_accept < shrink_threshold < expand_threshold < 1"
-            )
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
         if self.gradient_mode not in ("explicit", "central_diff"):
@@ -95,14 +91,14 @@ def _boundary_tau(s: np.ndarray, d: np.ndarray, radius: float) -> float:
     return (-sd + np.sqrt(sd * sd + dd * (radius * radius - ss))) / dd
 
 
-def steihaug_cg(H, g: np.ndarray, radius: float, tol: float = 1e-8,
-                max_iters: int | None = None) -> tuple[np.ndarray, bool]:
+def steihaug_cg(H, g: np.ndarray, radius: float) -> tuple[np.ndarray, bool]:
     """Truncated CG on H s = -g inside the trust region.
 
     Returns (step, hit_boundary).  Stops at the boundary along the current
     direction on negative curvature or when the iterate leaves the region;
-    otherwise iterates to relative residual ``tol``.  The returned step
-    never increases the quadratic model (Cauchy point or better).
+    otherwise iterates to relative residual ``CG_TOL``, for at most 2n
+    iterations.  The returned step never increases the quadratic model
+    (Cauchy point or better).
     """
     if radius <= 0.0:
         raise ValueError(f"radius must be positive, got {radius}")
@@ -114,7 +110,7 @@ def steihaug_cg(H, g: np.ndarray, radius: float, tol: float = 1e-8,
         return s, False
     d = -r
     rr = g_norm * g_norm
-    for _ in range(max_iters if max_iters is not None else 2 * g.size):
+    for _ in range(2 * g.size):
         Hd = H @ d
         kappa = d @ Hd
         if kappa <= 0.0:
@@ -126,7 +122,7 @@ def steihaug_cg(H, g: np.ndarray, radius: float, tol: float = 1e-8,
         s = s_trial
         r = r + alpha * Hd
         rr_new = r @ r
-        if np.sqrt(rr_new) <= tol * g_norm:
+        if np.sqrt(rr_new) <= CG_TOL * g_norm:
             break
         d = -r + (rr_new / rr) * d
         rr = rr_new
@@ -166,16 +162,15 @@ def minimize(problem: EnergyProblem, opts: TrOptions | None = None) -> TrSolutio
             converged = True
             break
         if H is None:
-            H = hessian_fd(grad_fn, v, colored, h=opts.fd_step, g0=g)
-        step, hit_boundary = steihaug_cg(H, g, radius, tol=opts.cg_tol,
-                                         max_iters=opts.cg_max_iters)
+            H = hessian_fd(grad_fn, v, colored, g0=g)
+        step, hit_boundary = steihaug_cg(H, g, radius)
         predicted = -(g @ step + 0.5 * (step @ (H @ step)))
         trial = problem.energy(v + step)
         if np.isfinite(trial) and predicted > 0.0:
             rho = (energy_now - trial) / predicted
         else:
             rho = -np.inf
-        accept = rho > opts.eta_accept
+        accept = rho > ETA_ACCEPT
         if accept:
             v = v + step
             energy_now = trial
@@ -184,10 +179,10 @@ def minimize(problem: EnergyProblem, opts: TrOptions | None = None) -> TrSolutio
             H = None  # rebuild at the new point
         else:
             rejected += 1
-        if rho < opts.shrink_threshold:
-            radius *= opts.shrink_factor
-        elif rho > opts.expand_threshold and hit_boundary:
-            radius = min(radius * opts.expand_factor, opts.max_radius)
+        if rho < SHRINK_THRESHOLD:
+            radius *= SHRINK_FACTOR
+        elif rho > EXPAND_THRESHOLD and hit_boundary:
+            radius = min(radius * EXPAND_FACTOR, MAX_RADIUS)
         record = {
             "iteration": iteration, "energy": float(energy_now),
             "grad_norm": grad_norm, "radius": float(radius),

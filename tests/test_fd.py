@@ -293,3 +293,41 @@ def test_coloring_rejects_asymmetric_pattern():
     upper = np.triu(np.ones((5, 5), dtype=bool))
     with pytest.raises(ValueError, match="symmetric"):
         greedy_coloring(_pattern_from_dense(upper))
+
+
+def _coloring_oracle(pattern):
+    """Natural-order greedy distance-2 coloring, one neighbour list at a time."""
+    adj = pattern.to_csr()
+    indptr, indices = adj.indptr, adj.indices
+    groups = -np.ones(pattern.n, dtype=np.int64)
+    for i in range(pattern.n):
+        nbrs = indices[indptr[i]:indptr[i + 1]]
+        two_hop = np.concatenate([indices[indptr[k]:indptr[k + 1]] for k in nbrs])
+        used = groups[two_hop]
+        used = set(used[used >= 0].tolist())
+        color = 0
+        while color in used:
+            color += 1
+        groups[i] = color
+    return groups
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("problem", ["hyper", "plaplace"])
+def test_coloring_matches_neighbour_loop_oracle(problem, p):
+    if problem == "hyper":
+        fe, _ = neohooke_problem(make_perforated_square(1), p=p, young=2e8,
+                                 poisson=0.3, f=(-3.5e7, -3.5e7))
+    else:
+        fe, _ = plaplace_problem(make_lshape(2), p=p, alpha=3.0, f=-10.0)
+    colored = greedy_coloring(fe.pattern)
+    oracle = _coloring_oracle(fe.pattern)
+    np.testing.assert_array_equal(colored.groups, oracle)
+    assert colored.n_groups == oracle.max() + 1
+
+
+def test_coloring_empty_pattern():
+    empty = np.zeros(0, dtype=np.int64)
+    colored = greedy_coloring(SparsityPattern(n=0, rows=empty, cols=empty))
+    assert colored.n_groups == 0
+    assert colored.groups.size == 0

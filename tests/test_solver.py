@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from hpmin.dofmap import SparsityPattern, expand_solution
-from hpmin.mesh import make_lshape, make_perforated_square
+from hpmin.mesh import make_lshape, make_perforated_square, make_rect
 from hpmin.problems import neohooke_problem, plaplace_problem
 from hpmin.solver import EnergyProblem, TrOptions, minimize, steihaug_cg
 
@@ -153,8 +153,6 @@ def test_log_callback_and_history_agree():
 
 def test_options_validation():
     with pytest.raises(ValueError):
-        TrOptions(eta_accept=0.5, shrink_threshold=0.25)
-    with pytest.raises(ValueError):
         TrOptions(gradient_mode="magic")
 
 
@@ -174,3 +172,13 @@ def test_central_diff_requires_callback():
     )
     with pytest.raises(ValueError, match="central-difference"):
         minimize(problem, TrOptions(gradient_mode="central_diff"))
+
+
+def test_no_free_dofs_converges_at_once():
+    # one p = 1 element with its whole boundary fixed has nothing to solve
+    problem, _ = plaplace_problem(make_rect(1, 1), p=1, alpha=3.0, f=-10.0)
+    assert problem.x0.size == 0
+    sol = minimize(problem, TrOptions())
+    assert sol.converged
+    assert sol.iterations == 0
+    assert sol.v_free.size == 0
