@@ -148,10 +148,6 @@ class ShapeTable:
     deta: np.ndarray
 
     @property
-    def n_basis(self) -> int:
-        return len(self.kinds)
-
-    @property
     def n_points(self) -> int:
         return self.points.shape[0]
 

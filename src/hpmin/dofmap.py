@@ -15,7 +15,7 @@ are edge modes, the rest are bubbles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -69,7 +69,6 @@ class DofMap:
     free_dofs: np.ndarray
     fixed_dofs: np.ndarray
     fixed_values: np.ndarray
-    free_index: np.ndarray = field(repr=False)  # full id -> free id or -1
 
     @property
     def n_dofs(self) -> int:
@@ -164,13 +163,11 @@ def build_dofmap(mesh: QuadMesh, p: int, components: int = 1,
 
     fixed_dofs = np.where(fixed_mask)[0]
     free_dofs = np.where(~fixed_mask)[0]
-    free_index = -np.ones(n_dofs, dtype=np.int64)
-    free_index[free_dofs] = np.arange(free_dofs.size)
     return DofMap(
         mesh=mesh, p=p, components=components, n_p=n_p, edge_base=edge_base,
         bubble_base=bubble_base, elems2dofs=elems2dofs, signs=signs,
         free_dofs=free_dofs, fixed_dofs=fixed_dofs,
-        fixed_values=fixed_values_full[fixed_dofs], free_index=free_index,
+        fixed_values=fixed_values_full[fixed_dofs],
     )
 
 
@@ -186,9 +183,9 @@ class SparsityPattern:
     def nnz(self) -> int:
         return self.rows.size
 
-    def to_csr(self, values=None) -> sp.csr_matrix:
-        data = np.ones(self.nnz) if values is None else values
-        return sp.csr_matrix((data, (self.rows, self.cols)), shape=(self.n, self.n))
+    def to_csr(self) -> sp.csr_matrix:
+        return sp.csr_matrix((np.ones(self.nnz), (self.rows, self.cols)),
+                             shape=(self.n, self.n))
 
 
 def sparsity_pattern(dofmap: DofMap) -> SparsityPattern:
@@ -196,7 +193,9 @@ def sparsity_pattern(dofmap: DofMap) -> SparsityPattern:
 
     For vector problems all components of an element's DOFs co-occur, so
     the pattern is the scalar pattern tiled ``components`` x ``components``
-    before the free-DOF restriction.
+    before the free-DOF restriction.  The free columns of the
+    element-DOF incidence give the pattern as CSR, so its entries come
+    out in (row, col) order.
     """
     n_elems = dofmap.mesh.n_elems
     cols, _ = local_layout(dofmap)
@@ -204,14 +203,15 @@ def sparsity_pattern(dofmap: DofMap) -> SparsityPattern:
     inc = sp.csr_matrix(
         (np.ones(cols.size), (rows, cols.ravel())),
         shape=(n_elems, dofmap.n_dofs),
+    )[:, dofmap.free_dofs]
+    coupled = (inc.T @ inc).tocsr()
+    coupled.sort_indices()
+    # int64 ids: int32 ones slow down every gather of the Hessian assembly
+    return SparsityPattern(
+        n=dofmap.n_free,
+        rows=np.repeat(np.arange(dofmap.n_free), np.diff(coupled.indptr)),
+        cols=coupled.indices.astype(np.int64),
     )
-    coupled = (inc.T @ inc).tocoo()
-    fi = dofmap.free_index
-    r, c = fi[coupled.row], fi[coupled.col]
-    keep = (r >= 0) & (c >= 0)
-    r, c = r[keep], c[keep]
-    order = np.lexsort((c, r))
-    return SparsityPattern(n=dofmap.n_free, rows=r[order], cols=c[order])
 
 
 def expand_solution(dofmap: DofMap, free_vector) -> np.ndarray:
@@ -242,13 +242,11 @@ def local_layout(dofmap: DofMap) -> tuple[np.ndarray, np.ndarray]:
     return cols, signs
 
 
-def sample_field(dofmap: DofMap, v_full: np.ndarray, ref_points,
-                 component: int = 0) -> np.ndarray:
+def sample_field(dofmap: DofMap, v_full: np.ndarray, ref_points) -> np.ndarray:
     """Evaluate the expansion on every element at reference points.
 
-    Returns (n_elems, n_points) values of the selected component.
+    Returns (n_elems, n_points) values of the first component.
     """
     table = tabulate(dofmap.p, ref_points)
-    dofs = dofmap.elems2dofs + component * dofmap.n_p
-    coeff = dofmap.signs * v_full[dofs]
+    coeff = dofmap.signs * v_full[dofmap.elems2dofs]
     return coeff @ table.values

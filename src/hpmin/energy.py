@@ -14,7 +14,8 @@ gather is a batched matrix product of the local coefficients with that
 table followed by J^{-T} at each point, and the gradient maps P back to
 the reference directions with w |J| J^{-T} and contracts with one batched
 product against the transposed table; no per-element derivative tensor
-is formed.
+is formed.  Outside these kernels G is exposed only as
+``NeoHookeModel.gradfield``, the named entries of F for det F checks.
 
 * scalar power-law diffusion: (1/alpha) integral |grad v|^alpha - integral f v
 * vector compressible Neo-Hookean elasticity with stored density
@@ -35,7 +36,6 @@ from .mesh import GeometryFactors
 
 __all__ = [
     "BarrierError",
-    "ScalarGradField",
     "DeformationField",
     "PLaplaceModel",
     "NeoHookeModel",
@@ -46,14 +46,6 @@ __all__ = [
 
 class BarrierError(ArithmeticError):
     """Gradient requested at a configuration with non-positive det F."""
-
-
-@dataclass(frozen=True)
-class ScalarGradField:
-    """Partial derivatives of a scalar field at all quadrature points, (T, n_ip)."""
-
-    v_x: np.ndarray
-    v_y: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -104,14 +96,11 @@ def identity_deformation(dofmap: DofMap) -> np.ndarray:
 class _ModelBase:
     """Gather -> pointwise -> contract -> scatter over one geometry and DOF map.
 
-    A subclass sets ``Field``, the named view that :meth:`gradfield`
-    returns, and defines two pointwise functions of the gradient array G
-    of shape (components, 2, elems, n_ip): ``density(G)``, the energy
-    density W at every quadrature point, and ``stress(G)``, its
-    derivative dW/dG with the shape of G.
+    A subclass defines two pointwise functions of the gradient array G of
+    shape (components, 2, elems, n_ip): ``density(G)``, the energy density
+    W at every quadrature point, and ``stress(G)``, its derivative dW/dG
+    with the shape of G.
     """
-
-    Field: type
 
     def __init__(self, geometry: GeometryFactors, dofmap: DofMap, f):
         if geometry.n_elems != dofmap.mesh.n_elems:
@@ -158,11 +147,6 @@ class _ModelBase:
         jt = jt[:, :, elems] if isinstance(elems, slice) else jt.take(elems, axis=2)
         return np.einsum("abpq,cbpq->capq", jt, R)
 
-    def gradfield(self, v_full: np.ndarray):
-        """Gradient components at all quadrature points as a ``Field``."""
-        G = self._gather(slice(None), self.local_coeffs(v_full))
-        return self.Field(*G.reshape(-1, *G.shape[2:]))
-
     def element_energies_local(self, elems, v_loc: np.ndarray) -> np.ndarray:
         """Density integrals for the selected elements with given coefficients."""
         dens = self.density(self._gather(elems, v_loc))
@@ -203,8 +187,6 @@ def _det(G: np.ndarray) -> np.ndarray:
 class PLaplaceModel(_ModelBase):
     """Power-law diffusion energy (1/alpha) integral |grad v|^alpha - integral f v."""
 
-    Field = ScalarGradField
-
     def __init__(self, geometry: GeometryFactors, dofmap: DofMap,
                  alpha: float, f: float):
         if not alpha > 1.0:
@@ -213,7 +195,6 @@ class PLaplaceModel(_ModelBase):
             raise ValueError("scalar model needs a 1-component DofMap")
         super().__init__(geometry, dofmap, f)
         self.alpha = float(alpha)
-        self.f = float(f)
 
     def density(self, G: np.ndarray) -> np.ndarray:
         """(1/alpha) |grad v|^alpha."""
@@ -236,8 +217,6 @@ class PLaplaceModel(_ModelBase):
 class NeoHookeModel(_ModelBase):
     """Compressible Neo-Hookean stored energy over deformation coefficients."""
 
-    Field = DeformationField
-
     def __init__(self, geometry: GeometryFactors, dofmap: DofMap,
                  c1: float, d1: float, f):
         if c1 <= 0.0 or d1 <= 0.0:
@@ -247,7 +226,6 @@ class NeoHookeModel(_ModelBase):
         super().__init__(geometry, dofmap, f)
         self.c1 = float(c1)
         self.d1 = float(d1)
-        self.f_vec = np.atleast_1d(np.asarray(f, dtype=float))
 
     @classmethod
     def from_young_poisson(cls, geometry, dofmap, young: float, poisson: float, f):
@@ -259,6 +237,11 @@ class NeoHookeModel(_ModelBase):
         mu = young / (2.0 * (1.0 + poisson))
         bulk = young / (3.0 * (1.0 - 2.0 * poisson))
         return cls(geometry, dofmap, c1=mu / 2.0, d1=bulk / 2.0, f=f)
+
+    def gradfield(self, v_full: np.ndarray) -> DeformationField:
+        """Deformation gradient F at all quadrature points."""
+        G = self._gather(slice(None), self.local_coeffs(v_full))
+        return DeformationField(*G.reshape(4, *G.shape[2:]))
 
     def density(self, G: np.ndarray) -> np.ndarray:
         """Pointwise stored energy, +inf where the deformation inverts."""

@@ -4,9 +4,10 @@ finite-difference Hessians driven by a distance-2 coloring of the pattern.
 The gradient path exploits element locality: perturbing one DOF changes
 the energy density only on the elements containing it, so each central
 difference re-evaluates a handful of element densities instead of the
-whole functional.  The Hessian needs one forward gradient difference per
-color group; group members share no structurally-coupled row, so every
-pattern column can be read off directly.
+whole functional; no probe of the full energy is made here.  The Hessian
+needs one forward gradient difference per color group; group members
+share no structurally-coupled row, so every pattern column can be read
+off directly.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .energy import BarrierError
 __all__ = [
     "FD_STEP",
     "ColoredPattern",
-    "gradient_central",
     "gradient_central_local",
     "greedy_coloring",
     "hessian_fd",
@@ -43,36 +43,13 @@ def _steps(values: np.ndarray, h: float) -> np.ndarray:
     return h * np.maximum(1.0, np.abs(values))
 
 
-def gradient_central(energy, v: np.ndarray, h: float = FD_STEP,
-                     dofs=None) -> np.ndarray:
-    """Naive central differences of a scalar energy over the given dofs.
-
-    Reference implementation: every probe re-evaluates the full energy.
-    """
-    v = np.asarray(v, dtype=float)
-    dofs = np.arange(v.size) if dofs is None else np.asarray(dofs)
-    g = np.empty(dofs.size)
-    for out, i in enumerate(dofs):
-        hi = h * max(1.0, abs(v[i]))
-        probe = v.copy()
-        probe[i] = v[i] + hi
-        e_up = energy(probe)
-        probe[i] = v[i] - hi
-        e_dn = energy(probe)
-        if not (np.isfinite(e_up) and np.isfinite(e_dn)):
-            raise BarrierError(f"energy not finite at probe of dof {i}")
-        g[out] = (e_up - e_dn) / (2.0 * hi)
-    return g
-
-
 def gradient_central_local(model, v_full: np.ndarray, h: float = FD_STEP,
                            dofs=None) -> np.ndarray:
     """Central differences re-evaluating only the touched elements.
 
     ``model`` provides ``local_coeffs``, ``element_energies_local``,
-    ``b_full`` and ``dofmap``; the result matches :func:`gradient_central`
-    on the corresponding full energy up to summation order.  ``dofs`` must
-    not repeat an id.
+    ``b_full`` and ``dofmap``; the result equals central differences of
+    the full energy up to summation order.  ``dofs`` must not repeat an id.
     """
     v_full = np.asarray(v_full, dtype=float)
     dm = model.dofmap

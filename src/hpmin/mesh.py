@@ -280,26 +280,6 @@ class GeometryFactors:
     def n_elems(self) -> int:
         return self.wdetj.shape[0]
 
-    @property
-    def n_ip(self) -> int:
-        return self.wdetj.shape[1]
-
-    def _physical(self, a: int) -> np.ndarray:
-        jt = self.jinv_t[a]
-        return (np.einsum("tq,mq->tqm", jt[0], self.table.dxi)
-                + np.einsum("tq,mq->tqm", jt[1], self.table.deta))
-
-    @property
-    def dphi_x(self) -> np.ndarray:
-        """Physical x-derivatives of every shape function, (n_elems, n_ip,
-        n_basis), built on each access for inspection and test oracles."""
-        return self._physical(0)
-
-    @property
-    def dphi_y(self) -> np.ndarray:
-        """Physical y-derivatives, laid out as :attr:`dphi_x`."""
-        return self._physical(1)
-
 
 def geometry_factors(mesh: QuadMesh, rule: QuadRule, table: ShapeTable) -> GeometryFactors:
     """Invert the bilinear Jacobian of each element at the quadrature points.

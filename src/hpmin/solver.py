@@ -130,7 +130,10 @@ def steihaug_cg(H, g: np.ndarray, radius: float) -> tuple[np.ndarray, bool]:
 
 
 def minimize(problem: EnergyProblem, opts: TrOptions | None = None) -> TrSolution:
-    """Classic trust-region loop with a rebuilt FD Hessian per accepted step."""
+    """Classic trust-region loop with a rebuilt FD Hessian per accepted step.
+
+    A radius that shrinks to 0.0 ends the loop unconverged.
+    """
     opts = opts or TrOptions()
     if opts.gradient_mode == "central_diff":
         grad_fn = problem.gradient_fd
@@ -191,6 +194,8 @@ def minimize(problem: EnergyProblem, opts: TrOptions | None = None) -> TrSolutio
         history.append(record)
         if opts.log is not None:
             opts.log(record)
+        if radius == 0.0:  # shrunk below the smallest float: no step is left
+            break
     else:
         converged = float(np.max(np.abs(g))) < grad_tol if g.size else True
 

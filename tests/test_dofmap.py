@@ -12,6 +12,7 @@ from hpmin.dofmap import (
     sparsity_pattern,
 )
 from hpmin.mesh import make_lshape, make_perforated_square, make_rect
+from oracles import free_index
 
 RNG = np.random.default_rng(20240512)
 
@@ -187,6 +188,23 @@ def test_sparsity_nodal_block_nesting():
     assert block == full
 
 
+def _cooccurrence(dm):
+    """Brute-force pattern: free DOF pairs that share an element, in free ids."""
+    fi = free_index(dm)
+    expected = set()
+    for t in range(dm.mesh.n_elems):
+        dofs = [fi[c * dm.n_p + d] for c in range(dm.components)
+                for d in dm.elems2dofs[t]]
+        expected.update((i, j) for i in dofs for j in dofs if i >= 0 and j >= 0)
+    return expected
+
+
+def _assert_csr_order(pat):
+    np.testing.assert_array_equal(np.lexsort((pat.cols, pat.rows)),
+                                  np.arange(pat.nnz))
+    assert pat.rows.dtype == pat.cols.dtype == np.int64
+
+
 def test_vector_pattern_matches_bruteforce():
     mesh = make_rect(2, 1)
     dm = build_dofmap(mesh, p=2, components=2)
@@ -198,6 +216,7 @@ def test_vector_pattern_matches_bruteforce():
         expected.update((i, j) for i in dofs for j in dofs)
     got = set(zip(pat.rows.tolist(), pat.cols.tolist()))
     assert got == expected
+    _assert_csr_order(pat)
     # and it is the scalar pattern tiled 2x2
     pat_s = sparsity_pattern(build_dofmap(mesh, p=2))
     tiled = set()
@@ -206,3 +225,14 @@ def test_vector_pattern_matches_bruteforce():
             for cj in range(2):
                 tiled.add((ci * dm.n_p + i, cj * dm.n_p + j))
     assert got == tiled
+    # with Dirichlet sides the pattern keeps exactly the free-DOF couplings
+    dm_bc = build_dofmap(make_perforated_square(0), p=3, components=2,
+                         dirichlet=DirichletSpec(("left", "bottom"),
+                                                 lambda x, y: (x, y)))
+    assert 0 < dm_bc.n_free < dm_bc.n_dofs
+    pat_bc = sparsity_pattern(dm_bc)
+    assert pat_bc.n == dm_bc.n_free
+    got_bc = set(zip(pat_bc.rows.tolist(), pat_bc.cols.tolist()))
+    assert pat_bc.nnz == len(got_bc)
+    assert got_bc == _cooccurrence(dm_bc)
+    _assert_csr_order(pat_bc)

@@ -13,15 +13,11 @@ from hpmin.dofmap import (
     sparsity_pattern,
 )
 from hpmin.energy import BarrierError, NeoHookeModel, PLaplaceModel, identity_deformation
-from hpmin.fd import (
-    gradient_central,
-    gradient_central_local,
-    greedy_coloring,
-    hessian_fd,
-)
+from hpmin.fd import gradient_central_local, greedy_coloring, hessian_fd
 from hpmin.mesh import geometry_factors, make_lshape, make_perforated_square, make_rect
 from hpmin.problems import neohooke_problem, plaplace_problem
 from hpmin.quadrature import rule_for_degree
+from oracles import free_index, gradient_central, physical_derivatives
 
 RNG = np.random.default_rng(20240514)
 
@@ -222,11 +218,12 @@ def test_hessian_fd_matches_assembled_stiffness():
     n = dm.n_free
 
     K = np.zeros((n, n))
-    fi = dm.free_index
+    fi = free_index(dm)
+    dphi_x, dphi_y = physical_derivatives(geo)
     for t in range(dm.mesh.n_elems):
         dofs = fi[dm.elems2dofs[t]]
-        ke = np.einsum("q,qa,qb->ab", geo.wdetj[t], geo.dphi_x[t], geo.dphi_x[t])
-        ke += np.einsum("q,qa,qb->ab", geo.wdetj[t], geo.dphi_y[t], geo.dphi_y[t])
+        ke = np.einsum("q,qa,qb->ab", geo.wdetj[t], dphi_x[t], dphi_x[t])
+        ke += np.einsum("q,qa,qb->ab", geo.wdetj[t], dphi_y[t], dphi_y[t])
         for a in range(4):
             for b in range(4):
                 if dofs[a] >= 0 and dofs[b] >= 0:
