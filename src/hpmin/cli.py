@@ -3,10 +3,10 @@
 Subcommands reproduce the two benchmark studies: `plaplace` sweeps
 refinement levels of the L-shape at fixed degree and tabulates the
 minimal energies, `hyper` solves the perforated-square elasticity
-problem, and `compare` runs several element degrees from a key=value
-spec file and reports energies against the best achieved value for
-external accuracy-vs-dofs plots.  Both problem subcommands share one run
-path; what differs between them lives in the ``PROBLEMS`` table.
+problem, and `compare` runs one of them at several element degrees and
+reports energies against the best achieved value for external
+accuracy-vs-dofs plots.  Both problems share one run path and one set of
+flags; what differs between them lives in the ``PROBLEMS`` table.
 
 Exit codes: 0 success, 2 solver failure, 3 configuration error.
 """
@@ -236,108 +236,72 @@ def compare_elements(config: BenchConfig, degrees):
 
 def parse_levels(text: str) -> tuple[int, ...]:
     """Accept '2', '1,3,5', or '1..6'."""
-    text = text.strip()
     if ".." in text:
         lo, hi = text.split("..")
         return tuple(range(int(lo), int(hi) + 1))
     return tuple(int(part) for part in text.split(","))
 
 
-def read_config_file(path) -> dict:
-    """Plain key=value lines; '#' starts a comment."""
-    values = {}
-    for raw in Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"malformed config line: {raw!r}")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
-    return values
+def _gradient_mode(text: str) -> str:
+    """The solver's gradient mode for a --grad choice."""
+    modes = {"explicit": "explicit", "fd": "central_diff"}
+    if text not in modes:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {text!r} (choose from {', '.join(modes)})")
+    return modes[text]
 
 
-_GRAD_MODES = {"explicit": "explicit", "fd": "central_diff"}
+def _add_problem_parsers(sub, parents) -> None:
+    """The plaplace and hyper subcommands with their own flags.
 
-# key of a spec file and dest of a command-line flag -> (BenchConfig field, parser)
-_KEYS = {
-    "problem": ("problem", str),
-    "p": ("p", int),
-    "levels": ("levels", parse_levels),
-    "alpha": ("alpha", float),
-    "f": ("f", float),
-    "E": ("young", float),
-    "nu": ("poisson", float),
-    "fx": ("fx", float),
-    "fy": ("fy", float),
-    "grad": ("gradient_mode", lambda text: _GRAD_MODES[text]),
-    "max_iters": ("max_iters", int),
-    "out": ("out_dir", Path),
-}
-
-
-def make_config(values: dict, **fields) -> BenchConfig:
-    """BenchConfig from key=value strings plus already typed fields."""
-    for key, text in values.items():
-        if key not in _KEYS:
-            raise ValueError(f"unknown key {key!r}; known: {sorted(_KEYS)}")
-        name, parse = _KEYS[key]
-        fields[name] = parse(text)
-    return BenchConfig(**fields)
+    Each flag's dest is its BenchConfig field and an absent flag stays
+    absent, so BenchConfig supplies the defaults.  ``SUPPRESS`` must be
+    set on each parser: the parents' setting covers only their flags.
+    """
+    kwargs = dict(parents=parents, argument_default=argparse.SUPPRESS)
+    pl = sub.add_parser("plaplace", help="L-shape power-law diffusion sweep",
+                        **kwargs)
+    pl.add_argument("--levels", type=parse_levels)
+    pl.add_argument("--alpha", type=float)
+    pl.add_argument("--f", type=float)
+    hy = sub.add_parser("hyper", help="perforated-square hyperelasticity",
+                        **kwargs)
+    hy.add_argument("--level", dest="levels", type=parse_levels, default=(2,),
+                    metavar="LEVEL")
+    hy.add_argument("--E", dest="young", type=float)
+    hy.add_argument("--nu", dest="poisson", type=float)
+    hy.add_argument("--fx", type=float)
+    hy.add_argument("--fy", type=float)
+    pl.set_defaults(problem="plaplace")
+    hy.set_defaults(problem="hyper")
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    # flags keep their text and are absent unless given; make_config
-    # parses them and BenchConfig supplies the defaults
     shared = argparse.ArgumentParser(add_help=False,
                                      argument_default=argparse.SUPPRESS)
-    shared.add_argument("--p")
-    shared.add_argument("--grad", choices=sorted(_GRAD_MODES))
-    shared.add_argument("--max-iters")
-    shared.add_argument("--out")
-    shared.add_argument("--vtk", dest="export_vtk", action="store_true",
-                        default=False)
-    shared.add_argument("--verbose", action="store_true", default=False)
+    shared.add_argument("--grad", dest="gradient_mode", type=_gradient_mode,
+                        metavar="{explicit,fd}")
+    shared.add_argument("--max-iters", type=int)
+    shared.add_argument("--out", dest="out_dir", type=Path)
+    shared.add_argument("--verbose", action="store_true")
+    single = argparse.ArgumentParser(add_help=False,
+                                     argument_default=argparse.SUPPRESS)
+    single.add_argument("--p", type=int)
+    single.add_argument("--vtk", dest="export_vtk", action="store_true")
+    degrees = argparse.ArgumentParser(add_help=False)
+    degrees.add_argument("--p", dest="degrees", type=parse_levels,
+                         required=True)
 
     parser = argparse.ArgumentParser(
         prog="hpmin",
         description="hp-FEM energy minimization benchmarks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    pl = sub.add_parser("plaplace", parents=[shared],
-                        argument_default=argparse.SUPPRESS,
-                        help="L-shape power-law diffusion sweep")
-    for flag in ("--alpha", "--f", "--levels"):
-        pl.add_argument(flag)
-    hy = sub.add_parser("hyper", parents=[shared],
-                        argument_default=argparse.SUPPRESS,
-                        help="perforated-square hyperelasticity")
-    hy.add_argument("--level", dest="levels", default="2", metavar="LEVEL")
-    for flag in ("--E", "--nu", "--fx", "--fy"):
-        hy.add_argument(flag)
-
-    cp = sub.add_parser("compare", help="element comparison from a spec file")
-    cp.add_argument("--spec", type=Path, required=True)
-    cp.add_argument("--set", dest="overrides", action="append", default=[],
-                    metavar="KEY=VALUE")
-    cp.add_argument("--out")
+    _add_problem_parsers(sub, [shared, single])
+    cp = sub.add_parser("compare", help="energies of several element degrees")
+    _add_problem_parsers(cp.add_subparsers(dest="problem", required=True),
+                         [shared, degrees])
     return parser
-
-
-def _compare(args) -> int:
-    values = read_config_file(args.spec)
-    for item in args.overrides:
-        if "=" not in item:
-            raise ValueError(f"override must look like key=value: {item!r}")
-        key, _, val = item.partition("=")
-        values[key.strip()] = val.strip()
-    if args.out is not None:
-        values["out"] = args.out
-    degrees = [int(v) for v in values.pop("p", "1,2").split(",")]
-    table, code = compare_elements(make_config(values), degrees)
-    for row in table:
-        print(" ".join(_format(row)))
-    return code
 
 
 def main(argv=None) -> int:
@@ -348,15 +312,16 @@ def main(argv=None) -> int:
         # argparse uses 2 for usage errors; map onto the config-error code
         return EXIT_CONFIG_ERROR if exc.code else EXIT_OK
 
+    fields = vars(args)
     try:
-        if args.command == "compare":
-            return _compare(args)
-        flags = vars(args)
-        command = flags.pop("command")
-        export_vtk, verbose = flags.pop("export_vtk"), flags.pop("verbose")
-        rows, code = run(make_config(flags, problem=command,
-                                     export_vtk=export_vtk, verbose=verbose))
-    except (ValueError, OSError, KeyError) as exc:
+        if fields.pop("command") == "compare":
+            degrees = fields.pop("degrees")
+            table, code = compare_elements(BenchConfig(**fields), degrees)
+            for row in table:
+                print(" ".join(_format(row)))
+            return code
+        rows, code = run(BenchConfig(**fields))
+    except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     print(",".join(CSV_HEADER))

@@ -132,7 +132,8 @@ def steihaug_cg(H, g: np.ndarray, radius: float) -> tuple[np.ndarray, bool]:
 def minimize(problem: EnergyProblem, opts: TrOptions | None = None) -> TrSolution:
     """Classic trust-region loop with a rebuilt FD Hessian per accepted step.
 
-    A radius that shrinks to 0.0 ends the loop unconverged.
+    A radius that shrinks below the rounding of v, eps * max(1, |v|),
+    ends the loop unconverged.
     """
     opts = opts or TrOptions()
     if opts.gradient_mode == "central_diff":
@@ -194,8 +195,8 @@ def minimize(problem: EnergyProblem, opts: TrOptions | None = None) -> TrSolutio
         history.append(record)
         if opts.log is not None:
             opts.log(record)
-        if radius == 0.0:  # shrunk below the smallest float: no step is left
-            break
+        if radius < np.finfo(float).eps * max(1.0, np.linalg.norm(v)):
+            break  # a step this short can no longer move v
     else:
         converged = float(np.max(np.abs(g))) < grad_tol if g.size else True
 

@@ -1,16 +1,12 @@
 """Benchmark driver: CSV round trips, determinism, CLI surface, VTK output."""
 
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from hpmin.cli import (
-    BenchConfig,
-    main,
-    parse_levels,
-    read_config_file,
-    read_rows,
-    run,
-)
+from hpmin.cli import BenchConfig, _build_parser, main, parse_levels, read_rows, run
 from hpmin.dofmap import build_dofmap
 from hpmin.mesh import make_lshape
 from hpmin.vtk import solution_grid, write_vtk
@@ -164,14 +160,8 @@ def test_run_hyperelasticity_small(tmp_path):
 
 
 def test_compare_elements_reference_rule(tmp_path):
-    spec = tmp_path / "compare.cfg"
-    spec.write_text(
-        "problem=plaplace\np=1,2\nlevels=0,1\nalpha=3\nf=-10\n# comment\n"
-    )
-    config_values = read_config_file(spec)
-    assert config_values["p"] == "1,2"
-
-    code = main(["compare", "--spec", str(spec), "--out", str(tmp_path)])
+    code = main(["compare", "plaplace", "--p", "1,2", "--levels", "0,1",
+                 "--alpha", "3", "--f", "-10", "--out", str(tmp_path)])
     assert code == 0
     lines = (tmp_path / "compare.csv").read_text().strip().splitlines()
     assert lines[0] == "p,level,nelems,dofs,time_s,iters,energy,energy_minus_ref"
@@ -191,29 +181,17 @@ def test_compare_elements_reference_rule(tmp_path):
 
 
 def test_compare_single_run(tmp_path):
-    spec = tmp_path / "one.cfg"
-    spec.write_text("problem=plaplace\np=2\nlevels=1\n")
-    code = main(["compare", "--spec", str(spec), "--out", str(tmp_path)])
+    code = main(["compare", "plaplace", "--p", "2", "--levels", "1",
+                 "--out", str(tmp_path)])
     assert code == 0
     lines = (tmp_path / "compare.csv").read_text().strip().splitlines()
     assert len(lines) == 2
     assert float(lines[1].split(",")[-1]) == pytest.approx(1e-4, rel=1e-9)
 
 
-def test_compare_overrides(tmp_path):
-    spec = tmp_path / "base.cfg"
-    spec.write_text("problem=plaplace\np=1\nlevels=1\n")
-    code = main(["compare", "--spec", str(spec), "--set", "levels=0",
-                 "--out", str(tmp_path)])
-    assert code == 0
-    lines = (tmp_path / "compare.csv").read_text().strip().splitlines()
-    assert lines[1].split(",")[1] == "0"  # level column respects override
-
-
 def test_compare_hyper(tmp_path, capsys):
-    spec = tmp_path / "hyper.cfg"
-    spec.write_text("problem=hyper\np=1\nlevels=0\nmax_iters=2000\n")
-    code = main(["compare", "--spec", str(spec), "--out", str(tmp_path)])
+    code = main(["compare", "hyper", "--p", "1", "--level", "0",
+                 "--max-iters", "2000", "--out", str(tmp_path)])
     capsys.readouterr()
     assert code == 0
     lines = (tmp_path / "compare.csv").read_text().strip().splitlines()
@@ -221,12 +199,42 @@ def test_compare_hyper(tmp_path, capsys):
     assert lines[1].split(",")[:2] == ["1", "0"]
 
 
-def test_compare_unknown_problem_lists_known(tmp_path, capsys):
-    spec = tmp_path / "heat.cfg"
-    spec.write_text("problem=heat\np=1\nlevels=0\n")
-    assert main(["compare", "--spec", str(spec)]) == 3
+def test_compare_unknown_problem_lists_known(capsys):
+    assert main(["compare", "heat", "--p", "1", "--levels", "0"]) == 3
     err = capsys.readouterr().err
-    assert "configuration error" in err and "'hyper'" in err
+    assert "'heat'" in err and "'hyper'" in err and "'plaplace'" in err
+
+
+def test_compare_requires_degrees(capsys):
+    assert main(["compare", "plaplace", "--levels", "0"]) == 3
+    assert "--p" in capsys.readouterr().err
+
+
+def test_compare_rejects_vtk(capsys):
+    # compare writes no VTK files, so the flag is an error, not ignored
+    assert main(["compare", "plaplace", "--p", "1", "--levels", "0",
+                 "--vtk"]) == 3
+    assert "--vtk" in capsys.readouterr().err
+
+
+def test_cli_bad_gradient_mode_lists_choices(capsys):
+    assert main(["plaplace", "--grad", "bogus"]) == 3
+    err = capsys.readouterr().err
+    assert "'bogus'" in err and "explicit" in err and "fd" in err
+
+
+def test_readme_commands_parse():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True)
+                for line in block.replace("\\\n", " ").splitlines()]
+    parser = _build_parser()
+    for argv in filter(None, commands):
+        assert argv[0] == "hpmin"
+        parser.parse_args(argv[1:])
+    assert {argv[1] for argv in commands if argv} == {"plaplace", "hyper",
+                                                      "compare"}
 
 
 def test_vtk_mesh_export(tmp_path):

@@ -185,14 +185,15 @@ def test_no_free_dofs_converges_at_once():
 
 
 def test_radius_collapse_stops_unconverged():
-    # repeated barrier rejections shrink the radius to 0.0; the solve must
-    # end there and report no convergence instead of raising from CG
+    # repeated barrier rejections shrink the radius below the rounding of v;
+    # the solve must stop within a few iterations of the last accepted step
+    # (iteration 105) and report no convergence instead of raising from CG
     problem, _ = neohooke_problem(make_perforated_square(1), p=1, young=2e8,
                                   poisson=0.3, f=(-3.5e7, -3.5e7))
     sol = minimize(problem, TrOptions(grad_tol=1e-6, max_iters=3000,
                                       initial_radius=0.28))
     assert not sol.converged
-    assert sol.iterations < 3000
-    assert sol.history[-1]["radius"] == 0.0
+    assert sol.iterations <= 110
+    assert sol.history[-1]["radius"] < 1e-15 * np.linalg.norm(sol.v_free)
     assert len(sol.history) == sol.iterations
     assert np.isfinite(sol.energy)
