@@ -9,9 +9,17 @@ combines three kinds of functions:
 * interior bubbles phi_i(xi) * phi_j(eta) with i, j >= 2 and i + j <= p,
   vanishing on the whole element boundary.
 
+Every one of them is a signed product f_a(xi) * f_b(eta) of the 1D family
+f_0 = (1 - x)/2, f_1 = (1 + x)/2, f_k = phi_k (k = 2..p): corner s takes
+(a, b) = ((0,0), (1,0), (1,1), (0,1))[s], edge s of degree k takes
+((k,0), (1,k), (k,1), (0,k))[s], and bubble (i, j) takes (i, j).  So
+``tabulate`` evaluates the family once per coordinate and multiplies.
+
 Edge-local coordinates run in the counterclockwise direction of the
-element; kernel functions of odd degree are odd, which is what makes a
-global sign convention necessary (see :mod:`hpmin.dofmap`).
+element, so edges 2 and 3 run towards -xi and -eta and carry the sign
+(-1)^k of phi_k(-t) = (-1)^k phi_k(t); kernel functions of odd degree are
+odd, which is what makes a global sign convention necessary (see
+:mod:`hpmin.dofmap`).
 """
 
 from __future__ import annotations
@@ -32,17 +40,6 @@ __all__ = [
     "n_basis_functions",
     "tabulate",
 ]
-
-# Corner s of the reference square, counterclockwise from (-1, -1).
-_CORNERS = ((-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0))
-
-# Local edge s joins corners s and (s+1) % 4.  For each edge:
-# tangential coordinate t = TX*xi + TY*eta (counterclockwise direction)
-# and linear blend lam = (1 + BS*coord)/2 where coord is xi (axis 0)
-# or eta (axis 1).
-_EDGE_TANGENT = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
-_EDGE_BLEND = ((1, -1.0), (0, 1.0), (1, 1.0), (0, -1.0))  # (axis, sign)
-
 
 @dataclass(frozen=True)
 class Nodal:
@@ -152,29 +149,25 @@ class ShapeTable:
         return self.points.shape[0]
 
 
-def _eval_shape(kind: ShapeKind, xi: np.ndarray, eta: np.ndarray):
-    """Value, d/dxi and d/deta of one shape function at given points."""
+def _family(p: int, x: np.ndarray):
+    """The 1D family f_0 = (1 - x)/2, f_1 = (1 + x)/2, f_k = phi_k (k = 2..p)
+    at x and its derivatives, each (p + 1, n)."""
+    kernels = [kernel_eval(k, x) for k in range(2, p + 1)]
+    half = np.full_like(x, 0.5)
+    values = np.stack([0.5 * (1.0 - x), 0.5 * (1.0 + x), *(v for v, _ in kernels)])
+    derivs = np.stack([-half, half, *(d for _, d in kernels)])
+    return values, derivs
+
+
+def _factors(kind: ShapeKind) -> tuple[int, int, float]:
+    """Indices a, b into the 1D family and the sign of f_a(xi) * f_b(eta)."""
     if isinstance(kind, Nodal):
-        cx, cy = _CORNERS[kind.node]
-        val = 0.25 * (1.0 + cx * xi) * (1.0 + cy * eta)
-        dxi = 0.25 * cx * (1.0 + cy * eta)
-        deta = 0.25 * cy * (1.0 + cx * xi)
-        return val, dxi, deta
+        return (*((0, 0), (1, 0), (1, 1), (0, 1))[kind.node], 1.0)
     if isinstance(kind, EdgeMode):
-        tx, ty = _EDGE_TANGENT[kind.edge]
-        axis, bsign = _EDGE_BLEND[kind.edge]
-        t = tx * xi + ty * eta
-        lam = 0.5 * (1.0 + bsign * (xi if axis == 0 else eta))
-        dlam_dxi = 0.5 * bsign if axis == 0 else 0.0
-        dlam_deta = 0.5 * bsign if axis == 1 else 0.0
-        phi, dphi = kernel_eval(kind.degree, t)
-        val = phi * lam
-        dxi = dphi * tx * lam + phi * dlam_dxi
-        deta = dphi * ty * lam + phi * dlam_deta
-        return val, dxi, deta
-    phi_i, dphi_i = kernel_eval(kind.i, xi)
-    phi_j, dphi_j = kernel_eval(kind.j, eta)
-    return phi_i * phi_j, dphi_i * phi_j, phi_i * dphi_j
+        s, k = kind.edge, kind.degree
+        sign = (-1.0) ** k if s >= 2 else 1.0
+        return (*((k, 0), (1, k), (k, 1), (0, k))[s], sign)
+    return kind.i, kind.j, 1.0
 
 
 def tabulate(p: int, points) -> ShapeTable:
@@ -186,13 +179,13 @@ def tabulate(p: int, points) -> ShapeTable:
     if points.shape[1] != 2:
         raise ValueError("points must be an (n, 2) array of (xi, eta)")
     kinds = shape_kinds(p)
-    xi, eta = points[:, 0], points[:, 1]
-    n, n_ip = len(kinds), points.shape[0]
-    values = np.empty((n, n_ip))
-    dxi = np.empty((n, n_ip))
-    deta = np.empty((n, n_ip))
-    for m, kind in enumerate(kinds):
-        values[m], dxi[m], deta[m] = _eval_shape(kind, xi, eta)
+    a, b, sign = map(np.array, zip(*map(_factors, kinds)))
+    fx, dfx = _family(p, points[:, 0])
+    fy, dfy = _family(p, points[:, 1])
+    sign = sign[:, None]
+    values = sign * fx[a] * fy[b]
+    dxi = sign * dfx[a] * fy[b]
+    deta = sign * fx[a] * dfy[b]
     values.setflags(write=False)
     dxi.setflags(write=False)
     deta.setflags(write=False)

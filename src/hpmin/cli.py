@@ -266,7 +266,7 @@ def _add_problem_parsers(sub, parents) -> None:
     pl.add_argument("--f", type=float)
     hy = sub.add_parser("hyper", help="perforated-square hyperelasticity",
                         **kwargs)
-    hy.add_argument("--level", dest="levels", type=parse_levels, default=(2,),
+    hy.add_argument("--level", dest="levels", type=parse_levels,
                     metavar="LEVEL")
     hy.add_argument("--E", dest="young", type=float)
     hy.add_argument("--nu", dest="poisson", type=float)

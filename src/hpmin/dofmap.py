@@ -3,7 +3,11 @@
 Two element-indexed tables tie the mesh topology to the global basis:
 the element-to-DOF incidence aligned with the local shape ordering, and
 the per-entry signs that repair odd-degree edge modes whose element-local
-direction opposes the global (ascending node index) edge direction.
+direction opposes the global (ascending node index) edge direction.  Both
+are stored in the local layout the kernels read: for a vector problem the
+scalar columns are tiled once per component, so slot c * m + j of an
+element (m local shape functions) addresses component c of its local
+function j: that function's scalar DOF id plus c * n_p.
 
 Global numbering is blocked: nodal DOFs by node index, then edge DOFs by
 edge index and degree, then bubbles by element; vector problems repeat
@@ -30,7 +34,6 @@ __all__ = [
     "build_dofmap",
     "sparsity_pattern",
     "expand_solution",
-    "local_layout",
     "sample_field",
 ]
 
@@ -64,8 +67,10 @@ class DofMap:
     n_p: int                  # scalar global basis count
     edge_base: int            # first scalar edge-mode id (= number of nodes)
     bubble_base: int          # first scalar bubble id
-    elems2dofs: np.ndarray    # (T, n_p_ref) scalar DOF ids, ShapeTable order
-    signs: np.ndarray         # (T, n_p_ref) entries +-1
+    # (T, components * m) for m local shape functions: slot c * m + j holds
+    # the scalar id of local function j (ShapeTable order) plus c * n_p
+    elems2dofs: np.ndarray
+    signs: np.ndarray         # (T, components * m) entries +-1, same slots
     free_dofs: np.ndarray
     fixed_dofs: np.ndarray
     fixed_values: np.ndarray
@@ -146,6 +151,9 @@ def build_dofmap(mesh: QuadMesh, p: int, components: int = 1,
             elems2dofs[:, m] = (bubble_base + np.arange(n_elems) * nb
                                 + bubble_count)
             bubble_count += 1
+    elems2dofs = np.concatenate(
+        [elems2dofs + c * n_p for c in range(components)], axis=1)
+    signs = np.tile(signs, (1, components))
 
     n_dofs = n_p * components
     fixed_mask = np.zeros(n_dofs, dtype=bool)
@@ -198,7 +206,7 @@ def sparsity_pattern(dofmap: DofMap) -> SparsityPattern:
     out in (row, col) order.
     """
     n_elems = dofmap.mesh.n_elems
-    cols, _ = local_layout(dofmap)
+    cols = dofmap.elems2dofs
     rows = np.repeat(np.arange(n_elems), cols.shape[1])
     inc = sp.csr_matrix(
         (np.ones(cols.size), (rows, cols.ravel())),
@@ -227,26 +235,12 @@ def expand_solution(dofmap: DofMap, free_vector) -> np.ndarray:
     return full
 
 
-def local_layout(dofmap: DofMap) -> tuple[np.ndarray, np.ndarray]:
-    """Element incidence and signs tiled over components.
-
-    Returns (cols, signs), both (n_elems, n_p_ref * components), with the
-    component blocks concatenated: local slot c * n_p_ref + m addresses
-    global DOF elems2dofs[t, m] + c * n_p.
-    """
-    cols = np.concatenate(
-        [dofmap.elems2dofs + c * dofmap.n_p for c in range(dofmap.components)],
-        axis=1,
-    )
-    signs = np.tile(dofmap.signs, (1, dofmap.components))
-    return cols, signs
-
-
 def sample_field(dofmap: DofMap, v_full: np.ndarray, ref_points) -> np.ndarray:
     """Evaluate the expansion on every element at reference points.
 
     Returns (n_elems, n_points) values of the first component.
     """
     table = tabulate(dofmap.p, ref_points)
-    coeff = dofmap.signs * v_full[dofmap.elems2dofs]
+    m = table.values.shape[0]
+    coeff = dofmap.signs[:, :m] * v_full[dofmap.elems2dofs[:, :m]]
     return coeff @ table.values

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dofmap import DofMap, local_layout
+from .dofmap import DofMap
 from .mesh import GeometryFactors
 
 __all__ = [
@@ -72,14 +72,11 @@ def assemble_load(geometry: GeometryFactors, dofmap: DofMap, f) -> np.ndarray:
     if f.shape != (dofmap.components,):
         raise ValueError(f"expected {dofmap.components} load components, got {f.shape}")
     # integral of each local shape function over each element
-    cell = np.einsum("tq,mq->tm", geometry.wdetj, geometry.table.values) * dofmap.signs
-    b = np.empty(dofmap.n_dofs)
-    for c in range(dofmap.components):
-        b[c * dofmap.n_p:(c + 1) * dofmap.n_p] = np.bincount(
-            dofmap.elems2dofs.ravel(), weights=(f[c] * cell).ravel(),
-            minlength=dofmap.n_p,
-        )
-    return b
+    cell = np.einsum("tq,mq->tm", geometry.wdetj, geometry.table.values)
+    weights = np.repeat(f, cell.shape[1]) * np.tile(cell, dofmap.components)
+    return np.bincount(dofmap.elems2dofs.ravel(),
+                       weights=(dofmap.signs * weights).ravel(),
+                       minlength=dofmap.n_dofs)
 
 
 def identity_deformation(dofmap: DofMap) -> np.ndarray:
@@ -108,7 +105,6 @@ class _ModelBase:
         self.geometry = geometry
         self.dofmap = dofmap
         self.b_full = assemble_load(geometry, dofmap, f)
-        self._cols, self._signs = local_layout(dofmap)
         table = geometry.table
         self._ref = np.stack([table.dxi, table.deta])  # (2, m, n_ip)
         self._ref_t = np.ascontiguousarray(self._ref.transpose(0, 2, 1))  # (2, n_ip, m)
@@ -122,13 +118,13 @@ class _ModelBase:
                 f"expected coefficient vector of length {self.dofmap.n_dofs}, "
                 f"got {v_full.shape}"
             )
-        return self._signs * v_full[self._cols]
+        return self.dofmap.signs * v_full[self.dofmap.elems2dofs]
 
     def scatter(self, g_loc: np.ndarray) -> np.ndarray:
         """Accumulate signed local contributions into a full vector."""
         return np.bincount(
-            self._cols.ravel(),
-            weights=(self._signs * g_loc).ravel(),
+            self.dofmap.elems2dofs.ravel(),
+            weights=(self.dofmap.signs * g_loc).ravel(),
             minlength=self.dofmap.n_dofs,
         )
 
@@ -207,11 +203,9 @@ class PLaplaceModel(_ModelBase):
             raise ValueError(
                 "singular gradient: |grad v| = 0 at a quadrature point with alpha < 2"
             )
-        # |grad v|^(alpha-2), with the analytic limit 0 at grad v = 0
-        scale = np.zeros_like(norm2)
-        pos = norm2 > 0.0
-        scale[pos] = norm2[pos] ** ((self.alpha - 2.0) / 2.0)
-        return scale * G
+        # the analytic limit at grad v = 0: 0 ** positive is 0, and the 1
+        # that 0 ** 0 gives at alpha = 2 multiplies G = 0
+        return norm2 ** ((self.alpha - 2.0) / 2.0) * G
 
 
 class NeoHookeModel(_ModelBase):

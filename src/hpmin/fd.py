@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .dofmap import SparsityPattern, local_layout
+from .dofmap import SparsityPattern
 from .energy import BarrierError
 
 __all__ = [
@@ -57,15 +57,14 @@ def gradient_central_local(model, v_full: np.ndarray, h: float = FD_STEP,
 
     # one (element, local slot) pair per occurrence of each requested dof,
     # in increasing flat index, so each dof's differences add up in that order
-    cols, signs = local_layout(dm)
     position = np.full(dm.n_dofs, -1)
     position[dofs] = np.arange(dofs.size)
     if np.count_nonzero(position >= 0) != dofs.size:
         raise ValueError("dofs contains repeated ids")
-    owner = position[cols]
+    owner = position[dm.elems2dofs]
     pair_elem, pair_slot = np.nonzero(owner >= 0)
     owner = owner[pair_elem, pair_slot]
-    pair_sign = signs[pair_elem, pair_slot]
+    pair_sign = dm.signs[pair_elem, pair_slot]
 
     base = model.local_coeffs(v_full)
     steps = _steps(v_full[dofs], h)

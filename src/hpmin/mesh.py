@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import ShapeTable, tabulate
+from .basis import ShapeTable
 from .quadrature import QuadRule
 
 __all__ = [
@@ -108,25 +108,21 @@ def build_mesh(nodes, elems2nodes, node_tags=None) -> QuadMesh:
     )
 
 
-def _grid_mesh(xs: np.ndarray, ys: np.ndarray, keep_cell) -> QuadMesh:
-    """Structured grid over xs x ys keeping cells where keep_cell(i, j)."""
-    nx, ny = len(xs) - 1, len(ys) - 1
-    node_id = lambda i, j: j * (nx + 1) + i
-    elems = []
-    for j in range(ny):
-        for i in range(nx):
-            if keep_cell(i, j):
-                elems.append(
-                    [node_id(i, j), node_id(i + 1, j),
-                     node_id(i + 1, j + 1), node_id(i, j + 1)]
-                )
-    elems = np.asarray(elems, dtype=np.int64)
-    used = np.unique(elems)
-    renum = -np.ones((nx + 1) * (ny + 1), dtype=np.int64)
-    renum[used] = np.arange(used.size)
+def _grid(xs: np.ndarray, ys: np.ndarray, keep: np.ndarray):
+    """Nodes of the grid xs x ys and the cells where the (ny, nx) mask
+    ``keep`` is set, as counterclockwise corner ids in row-major order."""
+    j, i = np.nonzero(keep)
+    first = j * len(xs) + i
+    elems = np.stack([first, first + 1, first + len(xs) + 1, first + len(xs)],
+                     axis=1)
     gx, gy = np.meshgrid(xs, ys, indexing="xy")
-    nodes = np.column_stack([gx.ravel(), gy.ravel()])[used]
-    return build_mesh(nodes, renum[elems])
+    return np.column_stack([gx.ravel(), gy.ravel()]), elems
+
+
+def _compact(nodes: np.ndarray, elems: np.ndarray):
+    """Drop the nodes no element uses, keeping the others in order."""
+    used, renum = np.unique(elems, return_inverse=True)
+    return nodes[used], renum.reshape(elems.shape)
 
 
 def _coord_tag(nodes, idx, axis, value, tol=1e-9):
@@ -142,7 +138,9 @@ def make_lshape(level: int = 0) -> QuadMesh:
     if level < 0:
         raise ValueError("refinement level must be >= 0")
     xs = np.linspace(0.0, 2.0, 5)
-    mesh = _grid_mesh(xs, xs, lambda i, j: not (i >= 2 and j <= 1))
+    keep = np.ones((4, 4), dtype=bool)
+    keep[:2, 2:] = False
+    mesh = build_mesh(*_compact(*_grid(xs, xs, keep)))
     for _ in range(level):
         mesh = refine_uniform(mesh)
     return mesh
@@ -152,7 +150,7 @@ def make_rect(nx: int, ny: int, width: float = 1.0, height: float = 1.0) -> Quad
     """Uniform nx x ny mesh of [0, width] x [0, height], tagged sides."""
     xs = np.linspace(0.0, width, nx + 1)
     ys = np.linspace(0.0, height, ny + 1)
-    mesh = _grid_mesh(xs, ys, lambda i, j: True)
+    mesh = build_mesh(*_grid(xs, ys, np.ones((ny, nx), dtype=bool)))
     b = mesh.boundary_nodes
     mesh.node_tags = {
         "left": _coord_tag(mesh.nodes, b, 0, 0.0),
@@ -184,26 +182,17 @@ def make_perforated_square(level: int = 0) -> QuadMesh:
     xs = np.linspace(0.0, 2.0, n + 1)
     r = HOLE_RADIUS
 
-    def keep(i, j):
-        dx = max(xs[i] - 1.0, 1.0 - xs[i + 1], 0.0)
-        dy = max(xs[j] - 1.0, 1.0 - xs[j + 1], 0.0)
-        return np.hypot(dx, dy) >= r
-
-    mesh = _grid_mesh(xs, xs, keep)
-    offset = mesh.nodes - 1.0
+    # per-axis gap between the center and each column (and row) of cells
+    gap = np.maximum(np.maximum(xs[:-1] - 1.0, 1.0 - xs[1:]), 0.0)
+    nodes, elems = _grid(xs, xs, np.hypot(gap, gap[:, None]) >= r)
+    offset = nodes - 1.0
     dist = np.hypot(offset[:, 0], offset[:, 1])
     pull = dist < r + h
     scale = np.where(pull, r / np.where(dist > 0.0, dist, 1.0), 1.0)
     nodes = 1.0 + offset * scale[:, None]
 
-    elems = mesh.elems2nodes
-    ok = _corner_cross(nodes, elems).min(axis=1) > 0.0
-    elems = elems[ok]
-    used = np.unique(elems)
-    renum = np.zeros(nodes.shape[0], dtype=np.int64)
-    renum[used] = np.arange(used.size)
-    nodes, elems = nodes[used], renum[elems]
-
+    elems = elems[_corner_cross(nodes, elems).min(axis=1) > 0.0]
+    nodes, elems = _compact(nodes, elems)
     assert _corner_cross(nodes, elems).min() > 0.0, \
         "hole projection inverted an element"
     mesh = build_mesh(nodes, elems)
@@ -289,12 +278,13 @@ def geometry_factors(mesh: QuadMesh, rule: QuadRule, table: ShapeTable) -> Geome
     """
     if table.n_points != rule.n_ip or not np.array_equal(table.points, rule.points):
         raise ValueError("shape table is not tabulated at the quadrature points")
-    q1 = table if table.p == 1 else tabulate(1, rule.points)
+    # the four nodal hats lead every degree's table: they are the bilinear map
+    dxi, deta = table.dxi[:4], table.deta[:4]
     x = mesh.nodes[mesh.elems2nodes]  # (T, 4, 2)
-    j11 = np.einsum("mq,tm->tq", q1.dxi, x[:, :, 0])   # dx/dxi
-    j12 = np.einsum("mq,tm->tq", q1.deta, x[:, :, 0])  # dx/deta
-    j21 = np.einsum("mq,tm->tq", q1.dxi, x[:, :, 1])   # dy/dxi
-    j22 = np.einsum("mq,tm->tq", q1.deta, x[:, :, 1])  # dy/deta
+    j11 = np.einsum("mq,tm->tq", dxi, x[:, :, 0])   # dx/dxi
+    j12 = np.einsum("mq,tm->tq", deta, x[:, :, 0])  # dx/deta
+    j21 = np.einsum("mq,tm->tq", dxi, x[:, :, 1])   # dy/dxi
+    j22 = np.einsum("mq,tm->tq", deta, x[:, :, 1])  # dy/deta
     det = j11 * j22 - j12 * j21
     if det.min() <= 0.0:
         t = int(np.where(det.min(axis=1) <= 0.0)[0][0])

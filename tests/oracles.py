@@ -1,14 +1,17 @@
 """Reference implementations that only the tests read.
 
 Each one is the plain form of a fast path in ``hpmin``: whole-energy
-central differences, per-element physical shape derivatives, and the
-full-to-free DOF index.
+central differences, per-element physical shape derivatives, the
+full-to-free DOF index, shape functions evaluated one at a time from the
+geometry of the reference square, and structured grids built cell by cell.
 """
 
 import numpy as np
 
+from hpmin.basis import EdgeMode, Nodal, kernel_eval, shape_kinds
 from hpmin.energy import BarrierError
 from hpmin.fd import FD_STEP
+from hpmin.mesh import HOLE_RADIUS, _corner_cross
 
 
 def gradient_central(energy, v: np.ndarray, h: float = FD_STEP,
@@ -48,3 +51,95 @@ def free_index(dm) -> np.ndarray:
     index = -np.ones(dm.n_dofs, dtype=np.int64)
     index[dm.free_dofs] = np.arange(dm.n_free)
     return index
+
+
+# Corner s of the reference square, counterclockwise from (-1, -1).
+_CORNERS = ((-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0))
+
+# Local edge s joins corners s and (s+1) % 4.  For each edge:
+# tangential coordinate t = TX*xi + TY*eta (counterclockwise direction)
+# and linear blend lam = (1 + BS*coord)/2 where coord is xi (axis 0)
+# or eta (axis 1).
+_EDGE_TANGENT = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
+_EDGE_BLEND = ((1, -1.0), (0, 1.0), (1, 1.0), (0, -1.0))  # (axis, sign)
+
+
+def eval_shape(kind, xi: np.ndarray, eta: np.ndarray):
+    """Value, d/dxi and d/deta of one shape function at given points."""
+    if isinstance(kind, Nodal):
+        cx, cy = _CORNERS[kind.node]
+        val = 0.25 * (1.0 + cx * xi) * (1.0 + cy * eta)
+        dxi = 0.25 * cx * (1.0 + cy * eta)
+        deta = 0.25 * cy * (1.0 + cx * xi)
+        return val, dxi, deta
+    if isinstance(kind, EdgeMode):
+        tx, ty = _EDGE_TANGENT[kind.edge]
+        axis, bsign = _EDGE_BLEND[kind.edge]
+        t = tx * xi + ty * eta
+        lam = 0.5 * (1.0 + bsign * (xi if axis == 0 else eta))
+        dlam_dxi = 0.5 * bsign if axis == 0 else 0.0
+        dlam_deta = 0.5 * bsign if axis == 1 else 0.0
+        phi, dphi = kernel_eval(kind.degree, t)
+        val = phi * lam
+        dxi = dphi * tx * lam + phi * dlam_dxi
+        deta = dphi * ty * lam + phi * dlam_deta
+        return val, dxi, deta
+    phi_i, dphi_i = kernel_eval(kind.i, xi)
+    phi_j, dphi_j = kernel_eval(kind.j, eta)
+    return phi_i * phi_j, dphi_i * phi_j, phi_i * dphi_j
+
+
+def shape_table(p: int, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Values, d/dxi and d/deta of every degree-p shape function, each
+    (n_basis, n_points), one function at a time."""
+    points = np.asarray(points, dtype=float)
+    rows = [eval_shape(kind, points[:, 0], points[:, 1]) for kind in shape_kinds(p)]
+    return tuple(np.array(part) for part in zip(*rows))
+
+
+def grid_cells(xs, ys, keep_cell) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and counterclockwise cells of the grid xs x ys, keeping cell
+    (i, j) where keep_cell(i, j), with unused nodes dropped."""
+    nx, ny = len(xs) - 1, len(ys) - 1
+    node_id = lambda i, j: j * (nx + 1) + i
+    elems = []
+    for j in range(ny):
+        for i in range(nx):
+            if keep_cell(i, j):
+                elems.append(
+                    [node_id(i, j), node_id(i + 1, j),
+                     node_id(i + 1, j + 1), node_id(i, j + 1)]
+                )
+    elems = np.asarray(elems, dtype=np.int64)
+    used = np.unique(elems)
+    renum = -np.ones((nx + 1) * (ny + 1), dtype=np.int64)
+    renum[used] = np.arange(used.size)
+    gx, gy = np.meshgrid(xs, ys, indexing="xy")
+    nodes = np.column_stack([gx.ravel(), gy.ravel()])[used]
+    return nodes, renum[elems]
+
+
+def perforated_square_cells(level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and elements of the perforated square, cell by cell: keep the
+    cells whose closure misses the open hole, snap the nodes near it onto
+    the circle, drop the elements the snap folds, renumber."""
+    n = 8 * 2**level
+    h = 2.0 / n
+    xs = np.linspace(0.0, 2.0, n + 1)
+    r = HOLE_RADIUS
+
+    def keep(i, j):
+        dx = max(xs[i] - 1.0, 1.0 - xs[i + 1], 0.0)
+        dy = max(xs[j] - 1.0, 1.0 - xs[j + 1], 0.0)
+        return np.hypot(dx, dy) >= r
+
+    nodes, elems = grid_cells(xs, xs, keep)
+    offset = nodes - 1.0
+    dist = np.hypot(offset[:, 0], offset[:, 1])
+    scale = np.where(dist < r + h, r / np.where(dist > 0.0, dist, 1.0), 1.0)
+    nodes = 1.0 + offset * scale[:, None]
+    elems = elems[_corner_cross(nodes, elems).min(axis=1) > 0.0]
+    used = np.unique(elems)
+    renum = np.zeros(nodes.shape[0], dtype=np.int64)
+    renum[used] = np.arange(used.size)
+    return nodes[used], renum[elems]

@@ -15,6 +15,7 @@ from hpmin.basis import (
     tabulate,
 )
 from hpmin.quadrature import rule_for_degree
+from oracles import shape_table
 
 RNG = np.random.default_rng(20240511)
 
@@ -166,3 +167,27 @@ def test_odd_edge_mode_flips_under_direction_reversal():
 def test_tabulate_rejects_bad_degree():
     with pytest.raises(ValueError):
         tabulate(0, [(0.0, 0.0)])
+
+
+_GRID = np.array([(x, y) for y in np.linspace(-1.0, 1.0, 7)
+                  for x in np.linspace(-1.0, 1.0, 7)])
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
+def test_tabulate_matches_per_shape_oracle(p):
+    # products of the 1D family reproduce the per-shape formulas exactly
+    for points in (rule_for_degree(p).points, _GRID):
+        table = tabulate(p, points)
+        for got, want in zip((table.values, table.dxi, table.deta),
+                             shape_table(p, points)):
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
+def test_nodal_rows_equal_degree_one_table(p):
+    # geometry_factors reads the bilinear map off rows 0-3 of any degree
+    for points in (rule_for_degree(p).points, _GRID):
+        table, q1 = tabulate(p, points), tabulate(1, points)
+        for got, want in ((table.values, q1.values), (table.dxi, q1.dxi),
+                          (table.deta, q1.deta)):
+            assert np.array_equal(got[:4], want)

@@ -237,6 +237,24 @@ def test_readme_commands_parse():
                                                       "compare"}
 
 
+def test_hyper_level_defaults_to_bench_config():
+    fields = vars(_build_parser().parse_args(["hyper"]))
+    assert "levels" not in fields
+    del fields["command"]
+    assert BenchConfig(**fields).levels == (1,)
+
+
+def test_readme_library_layout_lists_every_module():
+    root = Path(__file__).parents[1]
+    block = (root / "README.md").read_text().split("## Library layout", 1)[1]
+    table = block.split("\n\n", 2)[1]
+    listed = {line.split("`")[1] for line in table.splitlines()
+              if line.startswith("| `hpmin.")}
+    modules = {f"hpmin.{path.stem}" for path in (root / "src" / "hpmin").glob("*.py")
+               if path.stem != "__init__"}
+    assert listed == modules
+
+
 def test_vtk_mesh_export(tmp_path):
     mesh = make_lshape(0)
     path = tmp_path / "mesh.vtk"

@@ -193,8 +193,7 @@ def _cooccurrence(dm):
     fi = free_index(dm)
     expected = set()
     for t in range(dm.mesh.n_elems):
-        dofs = [fi[c * dm.n_p + d] for c in range(dm.components)
-                for d in dm.elems2dofs[t]]
+        dofs = fi[dm.elems2dofs[t]]
         expected.update((i, j) for i in dofs for j in dofs if i >= 0 and j >= 0)
     return expected
 
@@ -212,7 +211,7 @@ def test_vector_pattern_matches_bruteforce():
     # oracle: direct co-occurrence scan over elements and components
     expected = set()
     for t in range(mesh.n_elems):
-        dofs = [c * dm.n_p + d for c in range(2) for d in dm.elems2dofs[t]]
+        dofs = dm.elems2dofs[t]
         expected.update((i, j) for i in dofs for j in dofs)
     got = set(zip(pat.rows.tolist(), pat.cols.tolist()))
     assert got == expected

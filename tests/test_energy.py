@@ -168,9 +168,11 @@ def test_plaplace_rejects_bad_alpha():
         PLaplaceModel(geo, dm, alpha=1.0, f=0.0)
 
 
-def test_plaplace_gradient_zero_point():
+@pytest.mark.parametrize("alpha", [2.0, 3.0])
+def test_plaplace_gradient_zero_point(alpha):
+    # |grad v|^(alpha-2) at grad v = 0 is 0 above alpha = 2 and 1 at it
     geo, dm = _setup(make_lshape(0), p=2)
-    model = PLaplaceModel(geo, dm, alpha=3.0, f=0.0)
+    model = PLaplaceModel(geo, dm, alpha=alpha, f=0.0)
     np.testing.assert_array_equal(model.gradient(np.zeros(dm.n_dofs)), 0.0)
 
 

@@ -14,7 +14,7 @@ from hpmin.mesh import (
     refine_uniform,
 )
 from hpmin.quadrature import rule_for_degree
-from oracles import physical_derivatives
+from oracles import grid_cells, perforated_square_cells, physical_derivatives
 
 HOLE_AREA_EXACT = 4.0 - np.pi / 9.0
 
@@ -93,6 +93,26 @@ def test_perforated_square_tags():
         ids = mesh.node_tags[tag]
         assert ids.size == 8 * 2 + 1
         np.testing.assert_allclose(mesh.nodes[ids, axis], value, atol=1e-12)
+
+
+def test_grid_generators_match_cell_by_cell_oracle():
+    xs = np.linspace(0.0, 2.0, 5)
+    cases = (
+        (make_lshape(0), grid_cells(xs, xs, lambda i, j: not (i >= 2 and j <= 1))),
+        (make_rect(3, 2), grid_cells(np.linspace(0.0, 1.0, 4),
+                                     np.linspace(0.0, 1.0, 3), lambda i, j: True)),
+    )
+    for mesh, (nodes, elems) in cases:
+        assert np.array_equal(mesh.nodes, nodes)
+        assert np.array_equal(mesh.elems2nodes, elems)
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_perforated_square_matches_cell_by_cell_oracle(level):
+    mesh = make_perforated_square(level)
+    nodes, elems = perforated_square_cells(level)
+    assert np.array_equal(mesh.nodes, nodes)
+    assert np.array_equal(mesh.elems2nodes, elems)
 
 
 def test_refine_quadruples_and_preserves_orientation():
