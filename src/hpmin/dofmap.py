@@ -24,13 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import EdgeMode, Nodal, n_bubbles, shape_kinds, tabulate
+from .basis import EdgeMode, Nodal, ShapeTable, n_bubbles, shape_kinds
 from .mesh import QuadMesh
 
 __all__ = [
     "DirichletSpec",
     "DofMap",
-    "SparsityPattern",
     "build_dofmap",
     "sparsity_pattern",
     "expand_solution",
@@ -179,47 +178,24 @@ def build_dofmap(mesh: QuadMesh, p: int, components: int = 1,
     )
 
 
-@dataclass(frozen=True)
-class SparsityPattern:
-    """Structural nonzeros of the free-DOF Hessian, sorted by (row, col)."""
-
-    n: int
-    rows: np.ndarray
-    cols: np.ndarray
-
-    @property
-    def nnz(self) -> int:
-        return self.rows.size
-
-    def to_csr(self) -> sp.csr_matrix:
-        return sp.csr_matrix((np.ones(self.nnz), (self.rows, self.cols)),
-                             shape=(self.n, self.n))
-
-
-def sparsity_pattern(dofmap: DofMap) -> SparsityPattern:
+def sparsity_pattern(dofmap: DofMap) -> sp.csr_matrix:
     """Free DOFs i, j are coupled iff they co-occur in some element.
 
     For vector problems all components of an element's DOFs co-occur, so
     the pattern is the scalar pattern tiled ``components`` x ``components``
-    before the free-DOF restriction.  The free columns of the
-    element-DOF incidence give the pattern as CSR, so its entries come
-    out in (row, col) order.
+    before the free-DOF restriction.  Returns the (n_free, n_free) bool
+    CSR matrix of couplings, the square of the free columns of the
+    element-DOF incidence, with sorted indices and no repeated entry.
     """
-    n_elems = dofmap.mesh.n_elems
-    cols = dofmap.elems2dofs
-    rows = np.repeat(np.arange(n_elems), cols.shape[1])
+    e2d = dofmap.elems2dofs
     inc = sp.csr_matrix(
-        (np.ones(cols.size), (rows, cols.ravel())),
-        shape=(n_elems, dofmap.n_dofs),
+        (np.ones(e2d.size, dtype=bool), e2d.ravel(),
+         np.arange(0, e2d.size + 1, e2d.shape[1])),
+        shape=(dofmap.mesh.n_elems, dofmap.n_dofs),
     )[:, dofmap.free_dofs]
     coupled = (inc.T @ inc).tocsr()
     coupled.sort_indices()
-    # int64 ids: int32 ones slow down every gather of the Hessian assembly
-    return SparsityPattern(
-        n=dofmap.n_free,
-        rows=np.repeat(np.arange(dofmap.n_free), np.diff(coupled.indptr)),
-        cols=coupled.indices.astype(np.int64),
-    )
+    return coupled
 
 
 def expand_solution(dofmap: DofMap, free_vector) -> np.ndarray:
@@ -235,12 +211,14 @@ def expand_solution(dofmap: DofMap, free_vector) -> np.ndarray:
     return full
 
 
-def sample_field(dofmap: DofMap, v_full: np.ndarray, ref_points) -> np.ndarray:
-    """Evaluate the expansion on every element at reference points.
+def sample_field(dofmap: DofMap, v_full: np.ndarray, table: ShapeTable) -> np.ndarray:
+    """Evaluate the expansion on every element at the points of ``table``.
 
+    ``table`` is the degree-p shape table at the reference points.
     Returns (n_elems, n_points) values of the first component.
     """
-    table = tabulate(dofmap.p, ref_points)
+    if table.p != dofmap.p:
+        raise ValueError(f"shape table has degree {table.p}, expected {dofmap.p}")
     m = table.values.shape[0]
     coeff = dofmap.signs[:, :m] * v_full[dofmap.elems2dofs[:, :m]]
     return coeff @ table.values

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .dofmap import SparsityPattern
 from .energy import BarrierError
 
 __all__ = [
@@ -88,49 +87,63 @@ def gradient_central_local(model, v_full: np.ndarray, h: float = FD_STEP,
 
 @dataclass(frozen=True)
 class ColoredPattern:
-    """Distance-2 coloring of a sparsity pattern, with its CSR layout.
+    """Distance-2 coloring of a sparsity pattern, with its entries listed.
 
     DOFs in one group share no structurally-nonzero row, so a single
-    gradient difference recovers all of their Hessian columns.  The
-    pattern's (row, col) order is CSR order: ``indptr`` completes its
-    column indices to a CSR structure, and ``transpose`` maps each entry
-    to the position of its mirror entry (col, row).
+    gradient difference recovers all of their Hessian columns.  ``rows``
+    and ``cols`` list the pattern's stored entries in CSR order, and
+    ``transpose`` maps each entry to the position of its mirror entry
+    (col, row).
     """
 
-    pattern: SparsityPattern
+    pattern: sp.csr_matrix
     groups: np.ndarray
     n_groups: int
-    indptr: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
     transpose: np.ndarray
 
 
-def greedy_coloring(pattern: SparsityPattern) -> ColoredPattern:
+def greedy_coloring(pattern: sp.csr_matrix) -> ColoredPattern:
     """Sequential greedy distance-2 coloring in natural DOF order.
 
-    Each DOF takes the smallest color not yet used within two hops of it,
-    read off its row of the boolean square of the pattern.  The pattern
-    must be symmetric, as a Hessian pattern is.
+    ``pattern`` is a square CSR matrix with sorted indices and no repeated
+    entry; every stored entry is a coupling, whatever its value.  It must
+    be symmetric, as a Hessian pattern is.  Each DOF takes the smallest
+    color not yet used within two hops of it, read off its row of the
+    boolean square of the pattern.
     """
-    adj = pattern.to_csr()
-    if adj.nnz != pattern.nnz:
-        raise ValueError("pattern repeats an entry")
-    transpose = np.lexsort((pattern.rows, pattern.cols))
-    if not (np.array_equal(pattern.rows[transpose], pattern.cols)
-            and np.array_equal(pattern.cols[transpose], pattern.rows)):
-        raise ValueError("pattern is not symmetric or not sorted by (row, col)")
-    reach = adj.astype(bool)
+    if not (sp.issparse(pattern) and pattern.format == "csr"
+            and pattern.shape[0] == pattern.shape[1]
+            and pattern.has_canonical_format):
+        raise ValueError("pattern must be a square CSR matrix with sorted "
+                         "indices and no repeated entry")
+    n = pattern.shape[0]
+    # 1-based entry numbers: every stored entry is nonzero, and the mirror
+    # of entry k carries k + 1 to the position of (col, row)
+    entry = sp.csr_matrix((np.arange(1, pattern.nnz + 1), pattern.indices,
+                           pattern.indptr), shape=pattern.shape)
+    mirror = entry.T.tocsr()
+    if not (np.array_equal(mirror.indptr, pattern.indptr)
+            and np.array_equal(mirror.indices, pattern.indices)):
+        raise ValueError("pattern is not symmetric")
+    mirror.data -= 1  # the position of each entry's mirror
+    reach = entry.astype(bool)
     reach = reach @ reach
     starts, two_hop = reach.indptr, reach.indices
-    groups = -np.ones(pattern.n, dtype=np.int64)
-    for i in range(pattern.n):
+    groups = -np.ones(n, dtype=np.int64)
+    for i in range(n):
         used = set(groups[two_hop[starts[i]:starts[i + 1]]].tolist())
         color = 0
         while color in used:
             color += 1
         groups[i] = color
-    return ColoredPattern(pattern=pattern, groups=groups,
-                          n_groups=int(groups.max(initial=-1)) + 1,
-                          indptr=adj.indptr, transpose=transpose)
+    # int64 ids: int32 ones slow down every gather of the Hessian assembly
+    return ColoredPattern(
+        pattern=pattern, groups=groups,
+        n_groups=int(groups.max(initial=-1)) + 1,
+        rows=np.repeat(np.arange(n), np.diff(pattern.indptr)),
+        cols=pattern.indices.astype(np.int64), transpose=mirror.data)
 
 
 def hessian_fd(grad, v: np.ndarray, colored: ColoredPattern,
@@ -146,19 +159,18 @@ def hessian_fd(grad, v: np.ndarray, colored: ColoredPattern,
     """
     v = np.asarray(v, dtype=float)
     pattern = colored.pattern
-    if v.size != pattern.n:
-        raise ValueError(f"expected vector of length {pattern.n}, got {v.size}")
+    if v.size != pattern.shape[0]:
+        raise ValueError(f"expected vector of length {pattern.shape[0]}, got {v.size}")
     if g0 is None:
         g0 = grad(v)
     steps = _steps(v, FD_STEP)
-    diffs = np.empty((colored.n_groups, pattern.n))
+    diffs = np.empty((colored.n_groups, v.size))
     for group in range(colored.n_groups):
         members = colored.groups == group
         probe = v.copy()
         probe[members] += steps[members]
         diffs[group] = grad(probe) - g0
-    data = (diffs[colored.groups[pattern.cols], pattern.rows]
-            / steps[pattern.cols])
+    data = (diffs[colored.groups[colored.cols], colored.rows]
+            / steps[colored.cols])
     return sp.csr_matrix(((data + data[colored.transpose]) * 0.5,
-                          pattern.cols, colored.indptr),
-                         shape=(pattern.n, pattern.n))
+                          pattern.indices, pattern.indptr), shape=pattern.shape)

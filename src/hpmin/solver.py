@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
-from .dofmap import SparsityPattern
 from .fd import greedy_coloring, hessian_fd
 
 __all__ = ["EnergyProblem", "TrOptions", "TrSolution", "minimize", "steihaug_cg"]
@@ -35,12 +35,15 @@ class EnergyProblem:
 
     ``energy`` and ``gradient`` act on free-DOF vectors; ``gradient_fd``
     is the central-difference alternative used when the solver runs in
-    ``central_diff`` mode.
+    ``central_diff`` mode.  ``pattern`` holds the Hessian's structural
+    nonzeros as a square, symmetric CSR matrix with sorted indices and no
+    repeated entry, as :func:`hpmin.dofmap.sparsity_pattern` builds it
+    (bool data); :func:`hpmin.fd.greedy_coloring` rejects anything else.
     """
 
     energy: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
-    pattern: SparsityPattern
+    pattern: sp.csr_matrix
     x0: np.ndarray
     gradient_fd: Callable[[np.ndarray], np.ndarray] | None = None
 
@@ -158,12 +161,10 @@ def minimize(problem: EnergyProblem, opts: TrOptions | None = None) -> TrSolutio
     H = None
     history: list[dict] = []
     accepted = rejected = 0
-    converged = False
 
     for iteration in range(opts.max_iters):
-        grad_norm = float(np.max(np.abs(g))) if g.size else 0.0
+        grad_norm = float(np.max(np.abs(g), initial=0.0))
         if grad_norm < grad_tol:
-            converged = True
             break
         if H is None:
             H = hessian_fd(grad_fn, v, colored, g0=g)
@@ -197,11 +198,10 @@ def minimize(problem: EnergyProblem, opts: TrOptions | None = None) -> TrSolutio
             opts.log(record)
         if radius < np.finfo(float).eps * max(1.0, np.linalg.norm(v)):
             break  # a step this short can no longer move v
-    else:
-        converged = float(np.max(np.abs(g))) < grad_tol if g.size else True
 
+    grad_norm = float(np.max(np.abs(g), initial=0.0))
     return TrSolution(
-        v_free=v, energy=energy_now, converged=converged,
+        v_free=v, energy=energy_now, converged=grad_norm < grad_tol,
         iterations=accepted + rejected, accepted=accepted, rejected=rejected,
-        grad_norm=float(np.max(np.abs(g))) if g.size else 0.0, history=history,
+        grad_norm=grad_norm, history=history,
     )

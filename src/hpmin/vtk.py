@@ -57,11 +57,12 @@ def solution_grid(dofmap: DofMap, v_full: np.ndarray, n_sub: int):
     t = np.linspace(-1.0, 1.0, n_sub)
     xi, eta = np.meshgrid(t, t, indexing="ij")
     ref = np.column_stack([xi.ravel(), eta.ravel()])
-    values = sample_field(dofmap, v_full, ref)  # (T, n_sub^2)
+    table = tabulate(dofmap.p, ref)
+    values = sample_field(dofmap, v_full, table)  # (T, n_sub^2)
 
-    q1 = tabulate(1, ref)
+    # the four nodal hats lead every degree's table: they are the bilinear map
     corners = dofmap.mesh.nodes[dofmap.mesh.elems2nodes]  # (T, 4, 2)
-    phys = np.einsum("mq,tmd->tqd", q1.values, corners)   # (T, n_sub^2, 2)
+    phys = np.einsum("mq,tmd->tqd", table.values[:4], corners)  # (T, n_sub^2, 2)
 
     base = np.arange(dofmap.mesh.n_elems)[:, None] * (n_sub * n_sub)
     i, j = np.meshgrid(np.arange(n_sub - 1), np.arange(n_sub - 1), indexing="ij")

@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hpmin.basis import Bubble, EdgeMode, tabulate
 from hpmin.cli import BenchConfig, main, read_rows, run
@@ -128,9 +129,11 @@ def test_criterion_4_sparsity_nesting(capsys):
     pat1 = sparsity_pattern(build_dofmap(mesh, p=1))
     pat2 = sparsity_pattern(build_dofmap(mesh, p=2))
     nodal = mesh.n_nodes
-    mask = (pat2.rows < nodal) & (pat2.cols < nodal)
-    block = set(zip(pat2.rows[mask].tolist(), pat2.cols[mask].tolist()))
-    assert block == set(zip(pat1.rows.tolist(), pat1.cols.tolist()))
+    rows1, cols1 = pat1.nonzero()
+    rows2, cols2 = pat2.nonzero()
+    mask = (rows2 < nodal) & (cols2 < nodal)
+    block = set(zip(rows2[mask].tolist(), cols2[mask].tolist()))
+    assert block == set(zip(rows1.tolist(), cols1.tolist()))
     with capsys.disabled():
         _report(4, "p=2 pattern restricted to nodal DOFs equals the p=1 pattern")
 
@@ -255,7 +258,7 @@ def test_criterion_6_basis_properties(capsys):
                        else 1 - 2 * lam)
                 ref = (np.outer((1 - tau) / 2, corners[s])
                        + np.outer((1 + tau) / 2, corners[(s + 1) % 4]))
-                vals.append(sample_field(dm, v, ref)[tt])
+                vals.append(sample_field(dm, v, tabulate(dm.p, ref))[tt])
             np.testing.assert_allclose(vals[0], vals[1], atol=1e-10)
     with capsys.disabled():
         _report(6, "trace vanishing, partition of unity, parity, and "
@@ -321,10 +324,7 @@ def test_criterion_9_solver_oracles(capsys):
     M = RNG.standard_normal((n, n))
     A = M @ M.T + n * np.eye(n)
     b = RNG.standard_normal(n)
-    rows, cols = np.nonzero(np.ones((n, n), dtype=bool))
-    from hpmin.dofmap import SparsityPattern
-
-    dense = SparsityPattern(n=n, rows=rows, cols=cols)
+    dense = sp.csr_matrix(np.ones((n, n), dtype=bool))
     quad = EnergyProblem(energy=lambda v: 0.5 * v @ A @ v - b @ v,
                          gradient=lambda v: A @ v - b, pattern=dense,
                          x0=np.zeros(n))
@@ -332,8 +332,7 @@ def test_criterion_9_solver_oracles(capsys):
     assert sol.converged and sol.iterations <= 10 and sol.grad_norm < 1e-10
     np.testing.assert_allclose(sol.v_free, np.linalg.solve(A, b), atol=1e-9)
 
-    rows2, cols2 = np.nonzero(np.ones((2, 2), dtype=bool))
-    dense2 = SparsityPattern(n=2, rows=rows2, cols=cols2)
+    dense2 = sp.csr_matrix(np.ones((2, 2), dtype=bool))
     rosen = EnergyProblem(
         energy=lambda v: (1 - v[0]) ** 2 + 100 * (v[1] - v[0] ** 2) ** 2,
         gradient=lambda v: np.array([
@@ -342,8 +341,6 @@ def test_criterion_9_solver_oracles(capsys):
         pattern=dense2, x0=np.array([-1.2, 1.0]))
     sol_r = minimize(rosen, TrOptions(grad_tol=1e-12, max_iters=500))
     np.testing.assert_allclose(sol_r.v_free, [1.0, 1.0], atol=1e-8)
-
-    import scipy.sparse as sp
 
     g = RNG.standard_normal(5)
     radius = 0.25 * np.linalg.norm(g)

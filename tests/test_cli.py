@@ -1,5 +1,6 @@
 """Benchmark driver: CSV round trips, determinism, CLI surface, VTK output."""
 
+import importlib
 import shlex
 from pathlib import Path
 
@@ -253,6 +254,16 @@ def test_readme_library_layout_lists_every_module():
     modules = {f"hpmin.{path.stem}" for path in (root / "src" / "hpmin").glob("*.py")
                if path.stem != "__init__"}
     assert listed == modules
+
+
+def test_every_exported_name_exists():
+    # a name left in __all__ after its definition is gone breaks star imports
+    src = Path(__file__).parents[1] / "src" / "hpmin"
+    for path in src.glob("*.py"):
+        name = "hpmin" if path.stem == "__init__" else f"hpmin.{path.stem}"
+        module = importlib.import_module(name)
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert not missing, f"{name}.__all__ names undefined {missing}"
 
 
 def test_vtk_mesh_export(tmp_path):

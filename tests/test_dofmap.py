@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hpmin.basis import n_basis_functions
+from hpmin.basis import n_basis_functions, tabulate
 from hpmin.dofmap import (
     DirichletSpec,
     build_dofmap,
@@ -11,6 +11,7 @@ from hpmin.dofmap import (
     sample_field,
     sparsity_pattern,
 )
+from hpmin.fd import greedy_coloring
 from hpmin.mesh import make_lshape, make_perforated_square, make_rect
 from oracles import free_index
 
@@ -67,7 +68,7 @@ def _trace_on_edge(dm, v_full, t, s, lam):
     tau = 2.0 * lam - 1.0 if mesh.elems2nodes[t, s] == a else 1.0 - 2.0 * lam
     ref = (np.outer((1.0 - tau) / 2.0, _CORNERS[s])
            + np.outer((1.0 + tau) / 2.0, _CORNERS[(s + 1) % 4]))
-    return sample_field(dm, v_full, ref)[t]
+    return sample_field(dm, v_full, tabulate(dm.p, ref))[t]
 
 
 def _interior_edge_pairs(mesh):
@@ -164,16 +165,17 @@ def test_expand_solution_roundtrip():
 
 def test_sparsity_single_element_dense():
     pat = sparsity_pattern(build_dofmap(make_rect(1, 1), p=1))
-    assert pat.n == 4
+    assert pat.shape[0] == 4
     assert pat.nnz == 16
 
 
 def test_sparsity_symmetric_with_diagonal():
     dm = build_dofmap(make_lshape(0), p=2, dirichlet=DirichletSpec(("boundary",), 0.0))
     pat = sparsity_pattern(dm)
-    entries = set(zip(pat.rows.tolist(), pat.cols.tolist()))
+    rows, cols = pat.nonzero()
+    entries = set(zip(rows.tolist(), cols.tolist()))
     assert all((j, i) in entries for i, j in entries)
-    assert all((i, i) in entries for i in range(pat.n))
+    assert all((i, i) in entries for i in range(pat.shape[0]))
 
 
 def test_sparsity_nodal_block_nesting():
@@ -182,9 +184,11 @@ def test_sparsity_nodal_block_nesting():
     pat1 = sparsity_pattern(build_dofmap(mesh, p=1))
     pat2 = sparsity_pattern(build_dofmap(mesh, p=2))
     nodal = mesh.n_nodes
-    mask = (pat2.rows < nodal) & (pat2.cols < nodal)
-    block = set(zip(pat2.rows[mask].tolist(), pat2.cols[mask].tolist()))
-    full = set(zip(pat1.rows.tolist(), pat1.cols.tolist()))
+    rows1, cols1 = pat1.nonzero()
+    rows2, cols2 = pat2.nonzero()
+    mask = (rows2 < nodal) & (cols2 < nodal)
+    block = set(zip(rows2[mask].tolist(), cols2[mask].tolist()))
+    full = set(zip(rows1.tolist(), cols1.tolist()))
     assert block == full
 
 
@@ -199,9 +203,9 @@ def _cooccurrence(dm):
 
 
 def _assert_csr_order(pat):
-    np.testing.assert_array_equal(np.lexsort((pat.cols, pat.rows)),
-                                  np.arange(pat.nnz))
-    assert pat.rows.dtype == pat.cols.dtype == np.int64
+    assert pat.has_canonical_format
+    colored = greedy_coloring(pat)
+    assert colored.rows.dtype == colored.cols.dtype == np.int64
 
 
 def test_vector_pattern_matches_bruteforce():
@@ -213,13 +217,15 @@ def test_vector_pattern_matches_bruteforce():
     for t in range(mesh.n_elems):
         dofs = dm.elems2dofs[t]
         expected.update((i, j) for i in dofs for j in dofs)
-    got = set(zip(pat.rows.tolist(), pat.cols.tolist()))
+    rows, cols = pat.nonzero()
+    got = set(zip(rows.tolist(), cols.tolist()))
     assert got == expected
     _assert_csr_order(pat)
     # and it is the scalar pattern tiled 2x2
     pat_s = sparsity_pattern(build_dofmap(mesh, p=2))
     tiled = set()
-    for i, j in zip(pat_s.rows.tolist(), pat_s.cols.tolist()):
+    rows_s, cols_s = pat_s.nonzero()
+    for i, j in zip(rows_s.tolist(), cols_s.tolist()):
         for ci in range(2):
             for cj in range(2):
                 tiled.add((ci * dm.n_p + i, cj * dm.n_p + j))
@@ -230,8 +236,9 @@ def test_vector_pattern_matches_bruteforce():
                                                  lambda x, y: (x, y)))
     assert 0 < dm_bc.n_free < dm_bc.n_dofs
     pat_bc = sparsity_pattern(dm_bc)
-    assert pat_bc.n == dm_bc.n_free
-    got_bc = set(zip(pat_bc.rows.tolist(), pat_bc.cols.tolist()))
+    assert pat_bc.shape[0] == dm_bc.n_free
+    rows_bc, cols_bc = pat_bc.nonzero()
+    got_bc = set(zip(rows_bc.tolist(), cols_bc.tolist()))
     assert pat_bc.nnz == len(got_bc)
     assert got_bc == _cooccurrence(dm_bc)
     _assert_csr_order(pat_bc)

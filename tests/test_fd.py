@@ -7,7 +7,6 @@ import scipy.sparse as sp
 from hpmin.basis import tabulate
 from hpmin.dofmap import (
     DirichletSpec,
-    SparsityPattern,
     build_dofmap,
     expand_solution,
     sparsity_pattern,
@@ -20,12 +19,6 @@ from hpmin.quadrature import rule_for_degree
 from oracles import free_index, gradient_central, physical_derivatives
 
 RNG = np.random.default_rng(20240514)
-
-
-def _pattern_from_dense(mask: np.ndarray) -> SparsityPattern:
-    rows, cols = np.nonzero(mask)
-    order = np.lexsort((cols, rows))
-    return SparsityPattern(n=mask.shape[0], rows=rows[order], cols=cols[order])
 
 
 def _plaplace_model(p=2, alpha=3.0, f=-10.0, level=0):
@@ -152,19 +145,19 @@ def test_fd_error_scales_quadratically():
 
 
 def test_coloring_diagonal_pattern():
-    colored = greedy_coloring(_pattern_from_dense(np.eye(9, dtype=bool)))
+    colored = greedy_coloring(sp.csr_matrix(np.eye(9, dtype=bool)))
     assert colored.n_groups == 1
 
 
 def test_coloring_dense_pattern():
-    colored = greedy_coloring(_pattern_from_dense(np.ones((6, 6), dtype=bool)))
+    colored = greedy_coloring(sp.csr_matrix(np.ones((6, 6), dtype=bool)))
     assert colored.n_groups == 6
     assert sorted(colored.groups.tolist()) == list(range(6))
 
 
 def _assert_valid_distance2(colored):
     # brute force: same-group columns may not share any row
-    dense = colored.pattern.to_csr().toarray() > 0
+    dense = colored.pattern.toarray() > 0
     n = dense.shape[0]
     for i in range(n):
         for j in range(i + 1, n):
@@ -202,7 +195,7 @@ def _quadratic_with_pattern(n):
 def test_hessian_fd_recovers_quadratic():
     n = 14
     A = _quadratic_with_pattern(n)
-    colored = greedy_coloring(_pattern_from_dense(A != 0))
+    colored = greedy_coloring(sp.csr_matrix(A != 0))
     grad = lambda v: A @ v
     v = RNG.standard_normal(n)
     H = hessian_fd(grad, v, colored).toarray()
@@ -244,7 +237,7 @@ def test_hessian_fd_discards_outside_pattern():
     n = 8
     A = _quadratic_with_pattern(n)
     tri = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= 1
-    colored = greedy_coloring(_pattern_from_dense(tri))
+    colored = greedy_coloring(sp.csr_matrix(tri))
     H = hessian_fd(lambda v: A @ v, np.zeros(n), colored).toarray()
     assert np.all(H[~tri] == 0.0)
     np.testing.assert_allclose(H, H.T, atol=0)
@@ -253,17 +246,18 @@ def test_hessian_fd_discards_outside_pattern():
 def _hessian_fd_coo_oracle(grad, v, colored, h=1e-6):
     """Forward differences assembled through COO and a sparse H + H^T."""
     pattern = colored.pattern
+    n = pattern.shape[0]
+    rows, cols = pattern.nonzero()
     g0 = grad(v)
     steps = h * np.maximum(1.0, np.abs(v))
-    diffs = np.empty((colored.n_groups, pattern.n))
+    diffs = np.empty((colored.n_groups, n))
     for group in range(colored.n_groups):
         members = colored.groups == group
         probe = v.copy()
         probe[members] += steps[members]
         diffs[group] = grad(probe) - g0
-    data = diffs[colored.groups[pattern.cols], pattern.rows] / steps[pattern.cols]
-    H = sp.csr_matrix((data, (pattern.rows, pattern.cols)),
-                      shape=(pattern.n, pattern.n))
+    data = diffs[colored.groups[cols], rows] / steps[cols]
+    H = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
     return ((H + H.T) * 0.5).tocsr()
 
 
@@ -289,15 +283,44 @@ def test_hessian_fd_csr_assembly_matches_coo_oracle(problem):
 def test_coloring_rejects_asymmetric_pattern():
     upper = np.triu(np.ones((5, 5), dtype=bool))
     with pytest.raises(ValueError, match="symmetric"):
-        greedy_coloring(_pattern_from_dense(upper))
+        greedy_coloring(sp.csr_matrix(upper))
+
+
+def _csr(indices, indptr, n):
+    """An n x n CSR structure taken as given: neither sorted nor summed."""
+    return sp.csr_matrix((np.ones(len(indices), dtype=bool), indices, indptr),
+                         shape=(n, n))
+
+
+@pytest.mark.parametrize("pattern", [
+    sp.csr_matrix(np.ones((3, 4), dtype=bool)),
+    _csr([1, 0, 0, 1], [0, 2, 4], 2),
+    _csr([0, 1, 1, 0, 1], [0, 3, 5], 2),
+], ids=["non_square", "unsorted", "duplicate"])
+def test_coloring_rejects_non_canonical_pattern(pattern):
+    with pytest.raises(ValueError, match="square CSR matrix with sorted"):
+        greedy_coloring(pattern)
+
+
+def test_coloring_counts_stored_zero_entries():
+    # a stored entry is a coupling whatever its value: on the path 0-1-2
+    # all three DOFs are within two hops of each other
+    path = np.abs(np.subtract.outer(np.arange(3), np.arange(3))) <= 1
+    ones = sp.csr_matrix(path)
+    zeros = ones.copy()
+    zeros.data[[1, 2]] = False  # entries (0, 1) and (1, 0)
+    assert zeros.nnz == ones.nnz
+    np.testing.assert_array_equal(greedy_coloring(zeros).groups,
+                                  greedy_coloring(ones).groups)
+    np.testing.assert_array_equal(greedy_coloring(ones).groups, [0, 1, 2])
 
 
 def _coloring_oracle(pattern):
     """Natural-order greedy distance-2 coloring, one neighbour list at a time."""
-    adj = pattern.to_csr()
-    indptr, indices = adj.indptr, adj.indices
-    groups = -np.ones(pattern.n, dtype=np.int64)
-    for i in range(pattern.n):
+    indptr, indices = pattern.indptr, pattern.indices
+    n = pattern.shape[0]
+    groups = -np.ones(n, dtype=np.int64)
+    for i in range(n):
         nbrs = indices[indptr[i]:indptr[i + 1]]
         two_hop = np.concatenate([indices[indptr[k]:indptr[k + 1]] for k in nbrs])
         used = groups[two_hop]
@@ -324,7 +347,6 @@ def test_coloring_matches_neighbour_loop_oracle(problem, p):
 
 
 def test_coloring_empty_pattern():
-    empty = np.zeros(0, dtype=np.int64)
-    colored = greedy_coloring(SparsityPattern(n=0, rows=empty, cols=empty))
+    colored = greedy_coloring(sp.csr_matrix((0, 0), dtype=bool))
     assert colored.n_groups == 0
     assert colored.groups.size == 0

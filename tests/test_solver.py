@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hpmin.dofmap import SparsityPattern, expand_solution
+from hpmin.dofmap import expand_solution
 from hpmin.mesh import make_lshape, make_perforated_square, make_rect
 from hpmin.problems import neohooke_problem, plaplace_problem
 from hpmin.solver import EnergyProblem, TrOptions, minimize, steihaug_cg
@@ -13,8 +13,7 @@ RNG = np.random.default_rng(20240515)
 
 
 def _dense_pattern(n):
-    rows, cols = np.nonzero(np.ones((n, n), dtype=bool))
-    return SparsityPattern(n=n, rows=rows, cols=cols)
+    return sp.csr_matrix(np.ones((n, n), dtype=bool))
 
 
 def test_steihaug_interior_newton_step():
