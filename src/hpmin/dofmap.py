@@ -186,6 +186,8 @@ def sparsity_pattern(dofmap: DofMap) -> sp.csr_matrix:
     before the free-DOF restriction.  Returns the (n_free, n_free) bool
     CSR matrix of couplings, the square of the free columns of the
     element-DOF incidence, with sorted indices and no repeated entry.
+    Its ``indices`` and ``indptr`` are read-only: every FD Hessian shares
+    them, so an in-place structural change raises instead.
     """
     e2d = dofmap.elems2dofs
     inc = sp.csr_matrix(
@@ -195,6 +197,8 @@ def sparsity_pattern(dofmap: DofMap) -> sp.csr_matrix:
     )[:, dofmap.free_dofs]
     coupled = (inc.T @ inc).tocsr()
     coupled.sort_indices()
+    coupled.indices.setflags(write=False)
+    coupled.indptr.setflags(write=False)
     return coupled
 
 

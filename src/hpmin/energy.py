@@ -128,32 +128,27 @@ class _ModelBase:
             minlength=self.dofmap.n_dofs,
         )
 
-    def _gather(self, elems, v_loc: np.ndarray) -> np.ndarray:
-        """Gradient array G of the selected elements, (components, 2, P, n_ip).
+    def _gather(self, v_loc: np.ndarray) -> np.ndarray:
+        """Gradient array G of all elements, (components, 2, T, n_ip).
 
         The reference derivatives of all components come from one batched
-        product with the shared table; J^{-T} of the selected elements then
-        maps them to physical directions: G[c, a] = sum_b J^{-T}[a, b] R[c, b].
+        product with the shared table; J^{-T} then maps them to physical
+        directions: G[c, a] = sum_b J^{-T}[a, b] R[c, b].
         """
         n_elems = v_loc.shape[0]
         v_c = v_loc.reshape(n_elems, self.dofmap.components, 1, -1)
-        R = v_c.transpose(1, 2, 0, 3) @ self._ref  # (components, 2, P, n_ip)
-        jt = self.geometry.jinv_t
-        # take copies an indexed third axis several times faster than jt[:, :, idx]
-        jt = jt[:, :, elems] if isinstance(elems, slice) else jt.take(elems, axis=2)
-        return np.einsum("abpq,cbpq->capq", jt, R)
+        R = v_c.transpose(1, 2, 0, 3) @ self._ref  # (components, 2, T, n_ip)
+        return np.einsum("abpq,cbpq->capq", self.geometry.jinv_t, R)
 
-    def element_energies_local(self, elems, v_loc: np.ndarray) -> np.ndarray:
-        """Density integrals for the selected elements with given coefficients."""
-        dens = self.density(self._gather(elems, v_loc))
+    def element_energies_local(self, v_loc: np.ndarray) -> np.ndarray:
+        """Per-element density integrals for given local coefficients, (T,)."""
+        dens = self.density(self._gather(v_loc))
         # w |J| > 0 on valid meshes, so a +inf density gives a +inf element
-        return np.einsum("pq,pq->p", self.geometry.wdetj[elems], dens)
+        return np.einsum("pq,pq->p", self.geometry.wdetj, dens)
 
     def element_energies(self, v_full: np.ndarray) -> np.ndarray:
         """Per-element density integrals (no load term), (T,)."""
-        return self.element_energies_local(
-            slice(None), self.local_coeffs(v_full)
-        )
+        return self.element_energies_local(self.local_coeffs(v_full))
 
     def energy(self, v_full: np.ndarray) -> float:
         dens = self.element_energies(v_full)
@@ -162,7 +157,7 @@ class _ModelBase:
         return float(dens.sum() - self.b_full @ v_full)
 
     def gradient(self, v_full: np.ndarray) -> np.ndarray:
-        G = self._gather(slice(None), self.local_coeffs(v_full))
+        G = self._gather(self.local_coeffs(v_full))
         # w |J| P J^{-T}: the stress against the reference directions
         Q = np.einsum("catq,abtq->cbtq", self.stress(G), self._w_jinv_t)
         g_loc = (Q @ self._ref_t).sum(axis=1)  # (components, T, m)
@@ -173,6 +168,10 @@ class _ModelBase:
 def _frobenius2(G: np.ndarray) -> np.ndarray:
     """Squared Frobenius norm of G at every quadrature point."""
     return sum(g * g for g in G.reshape(-1, *G.shape[2:]))
+
+
+# signs that turn G[::-1, ::-1] into the cofactor matrix of a 2x2 G
+_COFACTOR_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]]).reshape(2, 2, 1, 1)
 
 
 def _det(G: np.ndarray) -> np.ndarray:
@@ -234,7 +233,7 @@ class NeoHookeModel(_ModelBase):
 
     def gradfield(self, v_full: np.ndarray) -> DeformationField:
         """Deformation gradient F at all quadrature points."""
-        G = self._gather(slice(None), self.local_coeffs(v_full))
+        G = self._gather(self.local_coeffs(v_full))
         return DeformationField(*G.reshape(4, *G.shape[2:]))
 
     def density(self, G: np.ndarray) -> np.ndarray:
@@ -250,14 +249,8 @@ class NeoHookeModel(_ModelBase):
     def stress(self, G: np.ndarray) -> np.ndarray:
         """First Piola stress P = 2 C1 (F - F^{-T}) + 2 D1 (det F - 1) det F F^{-T}."""
         det = _det(G)
-        if np.any(det <= 0.0):
+        if det.min(initial=np.inf) <= 0.0:
             raise BarrierError("gradient requested at an inverted configuration")
         coef = (2.0 * self.d1 * (det - 1.0) * det - 2.0 * self.c1) / det
         # det F F^{-T} is the cofactor matrix [[f22, -f21], [-f12, f11]]
-        (f11, f12), (f21, f22) = G
-        P = 2.0 * self.c1 * G
-        P[0, 0] += coef * f22
-        P[0, 1] -= coef * f21
-        P[1, 0] -= coef * f12
-        P[1, 1] += coef * f11
-        return P
+        return 2.0 * self.c1 * G + coef * (G[::-1, ::-1] * _COFACTOR_SIGNS)

@@ -2,12 +2,13 @@
 finite-difference Hessians driven by a distance-2 coloring of the pattern.
 
 The gradient path exploits element locality: perturbing one DOF changes
-the energy density only on the elements containing it, so each central
-difference re-evaluates a handful of element densities instead of the
-whole functional; no probe of the full energy is made here.  The Hessian
-needs one forward gradient difference per color group; group members
-share no structurally-coupled row, so every pattern column can be read
-off directly.
+the energy density only on the elements containing it, in one local slot
+of each.  So the central differences probe one local slot at a time, all
+elements at once, and no probe of the full energy is made here.  The
+Hessian needs one forward gradient difference per color group; group
+members share no structurally-coupled row, so every pattern column can be
+read off directly.  The groups come from a greedy coloring in
+smallest-last order, which needs fewer of them than the natural order.
 """
 
 from __future__ import annotations
@@ -30,12 +31,6 @@ __all__ = [
 # Relative difference step: coordinate i moves by FD_STEP * max(1, |v_i|).
 FD_STEP = 1e-6
 
-# (element, slot) pairs per batch of probes: a batch's temporaries, a few
-# (pairs, n_ip) arrays, stay at a few hundred kB, which malloc reuses from
-# batch to batch.  Arrays of several MB go back to the OS after each call
-# and cost thousands of page faults when they are allocated again.
-_PAIR_CHUNK = 1024
-
 
 def _steps(values: np.ndarray, h: float) -> np.ndarray:
     """Per-coordinate step h * max(1, |v_i|)."""
@@ -44,74 +39,118 @@ def _steps(values: np.ndarray, h: float) -> np.ndarray:
 
 def gradient_central_local(model, v_full: np.ndarray, h: float = FD_STEP,
                            dofs=None) -> np.ndarray:
-    """Central differences re-evaluating only the touched elements.
+    """Central differences one local slot at a time.
 
-    ``model`` provides ``local_coeffs``, ``element_energies_local``,
-    ``b_full`` and ``dofmap``; the result equals central differences of
-    the full energy up to summation order.  ``dofs`` must not repeat an id.
+    A probe of DOF i changes only the elements holding it, and each element
+    holds it in one local slot.  So for each slot s all elements are probed
+    together: slot s of every element moves by its DOF's step, up and down,
+    and the energy differences are accumulated onto the DOFs in slot s.
+    DOFs outside ``dofs`` take a zero step.  ``model`` provides
+    ``local_coeffs``, ``element_energies_local``, ``b_full`` and
+    ``dofmap``; the result equals central differences of the full energy
+    up to summation order.  ``dofs`` must not repeat an id.
     """
     v_full = np.asarray(v_full, dtype=float)
     dm = model.dofmap
     dofs = np.arange(dm.n_dofs) if dofs is None else np.asarray(dofs)
-
-    # one (element, local slot) pair per occurrence of each requested dof,
-    # in increasing flat index, so each dof's differences add up in that order
-    position = np.full(dm.n_dofs, -1)
-    position[dofs] = np.arange(dofs.size)
-    if np.count_nonzero(position >= 0) != dofs.size:
+    requested = np.zeros(dm.n_dofs, dtype=bool)
+    requested[dofs] = True
+    if np.count_nonzero(requested) != dofs.size:
         raise ValueError("dofs contains repeated ids")
-    owner = position[dm.elems2dofs]
-    pair_elem, pair_slot = np.nonzero(owner >= 0)
-    owner = owner[pair_elem, pair_slot]
-    pair_sign = dm.signs[pair_elem, pair_slot]
+    steps = np.where(requested, _steps(v_full, h), 0.0)
 
-    base = model.local_coeffs(v_full)
-    steps = _steps(v_full[dofs], h)
-    diff = np.zeros(dofs.size)
-    for lo in range(0, owner.size, _PAIR_CHUNK):
-        sl = slice(lo, min(lo + _PAIR_CHUNK, owner.size))
-        elems, slots = pair_elem[sl], pair_slot[sl]
-        delta = pair_sign[sl] * steps[owner[sl]]
-        probe = base[elems]
-        rows = np.arange(elems.size)
-        center = probe[rows, slots].copy()
-        probe[rows, slots] = center + delta
-        e_up = model.element_energies_local(elems, probe)
-        probe[rows, slots] = center - delta
-        e_dn = model.element_energies_local(elems, probe)
+    probe = model.local_coeffs(v_full)
+    diff = np.zeros(dm.n_dofs)
+    for slot, slot_dofs in enumerate(dm.elems2dofs.T):
+        center = probe[:, slot].copy()
+        delta = dm.signs[:, slot] * steps[slot_dofs]
+        probe[:, slot] = center + delta
+        e_up = model.element_energies_local(probe)
+        probe[:, slot] = center - delta
+        e_dn = model.element_energies_local(probe)
+        probe[:, slot] = center
         if not (np.all(np.isfinite(e_up)) and np.all(np.isfinite(e_dn))):
             raise BarrierError("energy not finite at a finite-difference probe")
-        np.add.at(diff, owner[sl], e_up - e_dn)
-    return diff / (2.0 * steps) - model.b_full[dofs]
+        diff += np.bincount(slot_dofs, weights=e_up - e_dn, minlength=dm.n_dofs)
+    return diff[dofs] / (2.0 * steps[dofs]) - model.b_full[dofs]
 
 
 @dataclass(frozen=True)
 class ColoredPattern:
-    """Distance-2 coloring of a sparsity pattern, with its entries listed.
+    """Distance-2 coloring of a sparsity pattern, with its probe bookkeeping.
 
     DOFs in one group share no structurally-nonzero row, so a single
-    gradient difference recovers all of their Hessian columns.  ``rows``
-    and ``cols`` list the pattern's stored entries in CSR order, and
-    ``transpose`` maps each entry to the position of its mirror entry
-    (col, row).
+    gradient difference recovers all of their Hessian columns.
+    ``members[g]`` lists the DOFs of group g in increasing order.  For the
+    pattern's stored entries (row, col) in CSR order, ``cols`` holds col,
+    ``source`` the flat index ``groups[col] * n + row`` of the entry's
+    estimate in the (n_groups, n) array of gradient differences, and
+    ``transpose`` the position of the mirror entry (col, row).
     """
 
     pattern: sp.csr_matrix
     groups: np.ndarray
     n_groups: int
-    rows: np.ndarray
+    members: tuple[np.ndarray, ...]
+    source: np.ndarray
     cols: np.ndarray
     transpose: np.ndarray
 
 
+def _colored(pattern: sp.csr_matrix, groups: np.ndarray,
+             transpose: np.ndarray) -> ColoredPattern:
+    """The ``ColoredPattern`` of a valid distance-2 coloring ``groups``."""
+    n = pattern.shape[0]
+    n_groups = int(groups.max(initial=-1)) + 1
+    by_group = np.argsort(groups, kind="stable")
+    bounds = np.cumsum(np.bincount(groups, minlength=n_groups))[:-1]
+    # int64 ids: int32 ones slow down every gather of the Hessian assembly
+    cols = pattern.indices.astype(np.int64)
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(pattern.indptr))
+    return ColoredPattern(
+        pattern=pattern, groups=groups, n_groups=n_groups,
+        members=tuple(np.split(by_group, bounds)),
+        source=groups[cols] * n + rows, cols=cols, transpose=transpose)
+
+
+def _smallest_last_order(reach: sp.csr_matrix) -> np.ndarray:
+    """Vertices of the symmetric graph ``reach`` in smallest-last order.
+
+    A vertex's degree is its count of stored entries among the vertices
+    left.  Each round peels every vertex of least degree and takes its
+    entries out of the degrees of its neighbours, with one row gather and
+    one ``bincount``.  The order is the reverse of the peel:
+    the last round first, each round in increasing vertex id.
+    """
+    n = reach.shape[0]
+    starts, nbrs = reach.indptr, reach.indices
+    degree = np.diff(starts).astype(np.int64)
+    order = np.empty(n, dtype=np.int64)
+    left = np.arange(n)
+    end = n
+    while left.size:
+        left_degree = degree[left]
+        least = left_degree == left_degree.min()
+        peel, left = left[least], left[~least]
+        order[end - peel.size:end] = peel
+        end -= peel.size
+        lengths = starts[peel + 1] - starts[peel]
+        # positions in nbrs of the peeled rows, concatenated
+        shift = np.repeat(starts[peel] - np.cumsum(lengths) + lengths, lengths)
+        degree -= np.bincount(nbrs[shift + np.arange(shift.size)], minlength=n)
+    return order
+
+
 def greedy_coloring(pattern: sp.csr_matrix) -> ColoredPattern:
-    """Sequential greedy distance-2 coloring in natural DOF order.
+    """Sequential greedy distance-2 coloring in smallest-last order.
 
     ``pattern`` is a square CSR matrix with sorted indices and no repeated
     entry; every stored entry is a coupling, whatever its value.  It must
-    be symmetric, as a Hessian pattern is.  Each DOF takes the smallest
-    color not yet used within two hops of it, read off its row of the
-    boolean square of the pattern.
+    be symmetric, as a Hessian pattern is.  Two DOFs conflict when they
+    are within two hops, i.e. share a row of the pattern: a stored entry of
+    its boolean square.  DOFs are visited in smallest-last order on that
+    square (Coleman & More 1983), and each takes the smallest color not
+    yet used among its conflicts.
     """
     if not (sp.issparse(pattern) and pattern.format == "csr"
             and pattern.shape[0] == pattern.shape[1]
@@ -132,18 +171,13 @@ def greedy_coloring(pattern: sp.csr_matrix) -> ColoredPattern:
     reach = reach @ reach
     starts, two_hop = reach.indptr, reach.indices
     groups = -np.ones(n, dtype=np.int64)
-    for i in range(n):
+    for i in _smallest_last_order(reach).tolist():
         used = set(groups[two_hop[starts[i]:starts[i + 1]]].tolist())
         color = 0
         while color in used:
             color += 1
         groups[i] = color
-    # int64 ids: int32 ones slow down every gather of the Hessian assembly
-    return ColoredPattern(
-        pattern=pattern, groups=groups,
-        n_groups=int(groups.max(initial=-1)) + 1,
-        rows=np.repeat(np.arange(n), np.diff(pattern.indptr)),
-        cols=pattern.indices.astype(np.int64), transpose=mirror.data)
+    return _colored(pattern, groups, mirror.data)
 
 
 def hessian_fd(grad, v: np.ndarray, colored: ColoredPattern,
@@ -151,11 +185,16 @@ def hessian_fd(grad, v: np.ndarray, colored: ColoredPattern,
     """Sparse symmetric Hessian estimate from grouped forward differences.
 
     For each color group one evaluates grad(v + steps on the group), with
-    step FD_STEP * max(1, |v_i|) on coordinate i, and scatters the
-    difference into the pattern columns of that group; entries outside the
-    pattern are discarded and the result is symmetrized, (H + H^T) / 2,
-    directly in the pattern's CSR layout.
+    step FD_STEP * max(1, |v_i|) on coordinate i, in one probe vector that
+    is restored after each call; each pattern entry then reads its group's
+    difference, so entries outside the pattern are discarded.  The result
+    is symmetrized, (H + H^T) / 2, directly in the pattern's CSR layout and
+    shares the pattern's ``indices`` and ``indptr`` arrays.
     ``grad`` acts on vectors of the same layout as ``v``.
+
+    Row i of a probe's difference sees at most one member of the group,
+    the one coupled to i, so every entry, and the whole H, has the same
+    bits under any valid distance-2 coloring.
     """
     v = np.asarray(v, dtype=float)
     pattern = colored.pattern
@@ -165,12 +204,11 @@ def hessian_fd(grad, v: np.ndarray, colored: ColoredPattern,
         g0 = grad(v)
     steps = _steps(v, FD_STEP)
     diffs = np.empty((colored.n_groups, v.size))
-    for group in range(colored.n_groups):
-        members = colored.groups == group
-        probe = v.copy()
-        probe[members] += steps[members]
+    probe = v.copy()
+    for group, members in enumerate(colored.members):
+        probe[members] = v[members] + steps[members]
         diffs[group] = grad(probe) - g0
-    data = (diffs[colored.groups[colored.cols], colored.rows]
-            / steps[colored.cols])
+        probe[members] = v[members]
+    data = diffs.take(colored.source) / steps.take(colored.cols)
     return sp.csr_matrix(((data + data[colored.transpose]) * 0.5,
                           pattern.indices, pattern.indptr), shape=pattern.shape)

@@ -205,7 +205,7 @@ def _cooccurrence(dm):
 def _assert_csr_order(pat):
     assert pat.has_canonical_format
     colored = greedy_coloring(pat)
-    assert colored.rows.dtype == colored.cols.dtype == np.int64
+    assert colored.source.dtype == colored.cols.dtype == np.int64
 
 
 def test_vector_pattern_matches_bruteforce():

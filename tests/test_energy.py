@@ -66,7 +66,7 @@ def test_gradfield_linear_interpolant():
     v = np.zeros(dm.n_dofs)
     v[:mesh.n_nodes] = mesh.nodes[:, 0]  # interpolant of v(x, y) = x
     model = PLaplaceModel(geo, dm, alpha=3.0, f=0.0)
-    [(v_x, v_y)] = model._gather(slice(None), model.local_coeffs(v))
+    [(v_x, v_y)] = model._gather(model.local_coeffs(v))
     np.testing.assert_allclose(v_x, 1.0, atol=1e-13)
     np.testing.assert_allclose(v_y, 0.0, atol=1e-13)
 
@@ -74,7 +74,7 @@ def test_gradfield_linear_interpolant():
 def test_gradfield_zero():
     geo, dm = _setup(make_lshape(0), p=3)
     model = PLaplaceModel(geo, dm, alpha=3.0, f=-10.0)
-    [(v_x, v_y)] = model._gather(slice(None), model.local_coeffs(np.zeros(dm.n_dofs)))
+    [(v_x, v_y)] = model._gather(model.local_coeffs(np.zeros(dm.n_dofs)))
     assert np.all(v_x == 0.0) and np.all(v_y == 0.0)
 
 
@@ -102,10 +102,10 @@ def _kernel_case(problem, p):
     return model, v
 
 
-def _einsum_gather(model, elems, v_loc):
-    """Oracle G from the per-element physical derivatives, (components, 2, P, n_ip)."""
+def _einsum_gather(model, v_loc):
+    """Oracle G from the per-element physical derivatives, (components, 2, T, n_ip)."""
     v_c = v_loc.reshape(v_loc.shape[0], model.dofmap.components, -1)
-    dphi = tuple(d[elems] for d in physical_derivatives(model.geometry))
+    dphi = physical_derivatives(model.geometry)
     return np.array([[np.einsum("pm,pqm->pq", v_c[:, c], d) for d in dphi]
                      for c in range(v_c.shape[1])])
 
@@ -119,15 +119,7 @@ def _rel_err(a, b):
 def test_gather_matches_einsum_oracle(problem, p):
     model, v = _kernel_case(problem, p)
     v_loc = model.local_coeffs(v)
-    assert _rel_err(model._gather(slice(None), v_loc),
-                    _einsum_gather(model, slice(None), v_loc)) <= 1e-13
-    # shuffled element ids with repeats, each row with its own coefficients
-    n_elems = model.geometry.n_elems
-    idx = RNG.permutation(np.concatenate(
-        [np.arange(n_elems), RNG.integers(0, n_elems, n_elems // 2)]))
-    rows = v_loc[idx] + 1e-3 * RNG.standard_normal((idx.size, v_loc.shape[1]))
-    assert _rel_err(model._gather(idx, rows),
-                    _einsum_gather(model, idx, rows)) <= 1e-13
+    assert _rel_err(model._gather(v_loc), _einsum_gather(model, v_loc)) <= 1e-13
 
 
 @pytest.mark.parametrize("problem", ["plaplace", "neohooke"])
@@ -135,7 +127,7 @@ def test_gather_matches_einsum_oracle(problem, p):
 def test_gradient_matches_einsum_oracle(problem, p):
     model, v = _kernel_case(problem, p)
     geo = model.geometry
-    P = model.stress(_einsum_gather(model, slice(None), model.local_coeffs(v)))
+    P = model.stress(_einsum_gather(model, model.local_coeffs(v)))
     P = P * geo.wdetj
     dphi_x, dphi_y = physical_derivatives(geo)
     g_loc = np.concatenate(

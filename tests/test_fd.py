@@ -12,7 +12,13 @@ from hpmin.dofmap import (
     sparsity_pattern,
 )
 from hpmin.energy import BarrierError, NeoHookeModel, PLaplaceModel, identity_deformation
-from hpmin.fd import gradient_central_local, greedy_coloring, hessian_fd
+from hpmin.fd import (
+    _colored,
+    _smallest_last_order,
+    gradient_central_local,
+    greedy_coloring,
+    hessian_fd,
+)
 from hpmin.mesh import geometry_factors, make_lshape, make_perforated_square, make_rect
 from hpmin.problems import neohooke_problem, plaplace_problem
 from hpmin.quadrature import rule_for_degree
@@ -156,13 +162,14 @@ def test_coloring_dense_pattern():
 
 
 def _assert_valid_distance2(colored):
-    # brute force: same-group columns may not share any row
-    dense = colored.pattern.toarray() > 0
-    n = dense.shape[0]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if colored.groups[i] == colored.groups[j]:
-                assert not np.any(dense[:, i] & dense[:, j])
+    # same-group columns may not share any row: each row meets each group
+    # in at most one column
+    pattern = colored.pattern
+    n = pattern.shape[0]
+    member_of = sp.csr_matrix((np.ones(n), (np.arange(n), colored.groups)),
+                              shape=(n, colored.n_groups))
+    meets = pattern.astype(float) @ member_of
+    assert np.all(meets.data <= 1.0)
 
 
 def test_coloring_valid_on_fem_pattern():
@@ -315,12 +322,38 @@ def test_coloring_counts_stored_zero_entries():
     np.testing.assert_array_equal(greedy_coloring(ones).groups, [0, 1, 2])
 
 
-def _coloring_oracle(pattern):
-    """Natural-order greedy distance-2 coloring, one neighbour list at a time."""
+def _smallest_last_oracle(pattern):
+    """Smallest-last order on the two-hop graph, one vertex at a time.
+
+    Each round peels every vertex whose count of unpeeled vertices within
+    two hops (itself included) is least; the order is the rounds reversed,
+    each in increasing id.
+    """
+    indptr, indices = pattern.indptr, pattern.indices
+    n = pattern.shape[0]
+    nbrs = [indices[indptr[i]:indptr[i + 1]].tolist() for i in range(n)]
+    two_hop = [set().union(*(nbrs[k] for k in nbrs[i])) for i in range(n)]
+    degree = {i: len(two_hop[i]) for i in range(n)}
+    rounds = []
+    while degree:
+        least = min(degree.values())
+        peel = sorted(i for i, d in degree.items() if d == least)
+        for i in peel:
+            del degree[i]
+        for i in peel:
+            for k in two_hop[i]:
+                if k in degree:
+                    degree[k] -= 1
+        rounds.append(peel)
+    return np.array([i for peel in reversed(rounds) for i in peel], dtype=np.int64)
+
+
+def _coloring_oracle(pattern, order):
+    """Greedy distance-2 coloring in ``order``, one neighbour list at a time."""
     indptr, indices = pattern.indptr, pattern.indices
     n = pattern.shape[0]
     groups = -np.ones(n, dtype=np.int64)
-    for i in range(n):
+    for i in order:
         nbrs = indices[indptr[i]:indptr[i + 1]]
         two_hop = np.concatenate([indices[indptr[k]:indptr[k + 1]] for k in nbrs])
         used = groups[two_hop]
@@ -332,18 +365,74 @@ def _coloring_oracle(pattern):
     return groups
 
 
+def _fem_problem(problem, p, level):
+    if problem == "hyper":
+        return neohooke_problem(make_perforated_square(level), p=p, young=2e8,
+                                poisson=0.3, f=(-3.5e7, -3.5e7))[0]
+    return plaplace_problem(make_lshape(level), p=p, alpha=3.0, f=-10.0)[0]
+
+
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 @pytest.mark.parametrize("problem", ["hyper", "plaplace"])
 def test_coloring_matches_neighbour_loop_oracle(problem, p):
-    if problem == "hyper":
-        fe, _ = neohooke_problem(make_perforated_square(1), p=p, young=2e8,
-                                 poisson=0.3, f=(-3.5e7, -3.5e7))
-    else:
-        fe, _ = plaplace_problem(make_lshape(2), p=p, alpha=3.0, f=-10.0)
+    fe = _fem_problem(problem, p, level=1 if problem == "hyper" else 2)
     colored = greedy_coloring(fe.pattern)
-    oracle = _coloring_oracle(fe.pattern)
+    reach = fe.pattern.astype(bool) @ fe.pattern.astype(bool)
+    order = _smallest_last_oracle(fe.pattern)
+    np.testing.assert_array_equal(_smallest_last_order(reach), order)
+    oracle = _coloring_oracle(fe.pattern, order)
     np.testing.assert_array_equal(colored.groups, oracle)
     assert colored.n_groups == oracle.max() + 1
+    _assert_valid_distance2(colored)
+
+
+@pytest.mark.parametrize("problem, level, most", [("plaplace", 4, 25),
+                                                  ("hyper", 1, 47)])
+def test_smallest_last_color_count(problem, level, most):
+    # natural order takes 34 and 46 colors; the row-length bound is 21 and 42
+    assert greedy_coloring(_fem_problem(problem, 2, level).pattern).n_groups <= most
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("problem", ["hyper", "plaplace"])
+def test_hessian_fd_bits_do_not_depend_on_the_coloring(problem, p):
+    # row i of a probe sees only the one group member coupled to it, so any
+    # valid distance-2 coloring gives the same bits
+    fe = _fem_problem(problem, p, level=1)
+    rng = np.random.default_rng(p)
+    scale = 1e-3 if problem == "hyper" else 1.0
+    v = fe.x0 + scale * rng.standard_normal(fe.x0.size)
+    colored = greedy_coloring(fe.pattern)
+    natural = _colored(fe.pattern,
+                       _coloring_oracle(fe.pattern, np.arange(fe.x0.size)),
+                       colored.transpose)
+    assert not np.array_equal(natural.groups, colored.groups)
+    _assert_valid_distance2(natural)
+    grads = [fe.gradient] + ([fe.gradient_fd] if problem == "plaplace" else [])
+    for grad in grads:
+        np.testing.assert_array_equal(hessian_fd(grad, v, colored).data,
+                                      hessian_fd(grad, v, natural).data)
+
+
+def test_hessian_shares_a_read_only_structure():
+    # the top row of a 3 x 1 strip with the bottom fixed: a 4 x 4
+    # tridiagonal pattern; a diagonal quadratic gives zero off-diagonal
+    # estimates, which eliminate_zeros would drop from the shared arrays
+    dm = build_dofmap(make_rect(3, 1), p=1,
+                      dirichlet=DirichletSpec(("bottom",), 0.0))
+    pattern = sparsity_pattern(dm)
+    np.testing.assert_array_equal(pattern.indices, [0, 1, 0, 1, 2, 1, 2, 3, 2, 3])
+    np.testing.assert_array_equal(pattern.indptr, [0, 2, 5, 8, 10])
+    d = np.arange(1.0, 5.0)
+    H = hessian_fd(lambda v: d * v, np.zeros(4), greedy_coloring(pattern))
+    np.testing.assert_allclose(H.toarray(), np.diag(d), rtol=1e-9, atol=0)
+    with pytest.raises(ValueError):
+        H.eliminate_zeros()
+    np.testing.assert_array_equal(pattern.indices, [0, 1, 0, 1, 2, 1, 2, 3, 2, 3])
+    np.testing.assert_array_equal(pattern.indptr, [0, 2, 5, 8, 10])
+    # shared, not copied: no Hessian pays for its own index arrays
+    assert np.shares_memory(H.indices, pattern.indices)
+    assert np.shares_memory(H.indptr, pattern.indptr)
 
 
 def test_coloring_empty_pattern():
