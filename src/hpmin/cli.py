@@ -155,19 +155,6 @@ def write_rows(rows, path, header=CSV_HEADER):
         writer.writerows(_format(row) for row in rows)
 
 
-def read_rows(path) -> list[ConvergenceRow]:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        return [
-            ConvergenceRow(
-                level=int(r["level"]), nelems=int(r["nelems"]),
-                dofs=int(r["dofs"]), time_s=float(r["time_s"]),
-                iters=int(r["iters"]), energy=float(r["energy"]),
-            )
-            for r in reader
-        ]
-
-
 def run(config: BenchConfig):
     """Solve the configured problem on each of its refinement levels.
 

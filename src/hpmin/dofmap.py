@@ -39,20 +39,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DirichletSpec:
-    """Boundary selection by tags plus the boundary value g.
+    """Boundary selection by a coordinate predicate plus the boundary value g.
 
-    ``tags`` may contain generator tags ("left", "hole", ...) or the
-    built-in "boundary" for the whole boundary.  ``g`` is a constant
-    (scalar, or a length-``components`` sequence) or a callable
-    ``g(x, y)``, called once with the coordinate arrays of the selected
-    nodes, returning a value or array (a tuple of them, one per component,
-    for vector problems).  Nodal DOFs on selected nodes are fixed to g
-    evaluated there; edge modes on selected boundary edges are fixed to
-    zero (exact whenever g restricted to the edge is linear); bubbles are
-    never fixed.
+    ``on(x, y)`` is called once with the coordinate arrays of the mesh's
+    boundary nodes and returns a bool mask of the nodes to fix, one entry
+    per node; anything else raises ``ValueError``.  ``on=None`` fixes the
+    whole boundary.  ``g`` is a constant (scalar, or a
+    length-``components`` sequence) or a callable ``g(x, y)``, called once
+    with the coordinate arrays of the fixed nodes, returning a value or
+    array (a tuple of them, one per component, for vector problems).
+    Nodal DOFs on fixed nodes are set to g evaluated there; edge modes on
+    boundary edges with both end nodes fixed are set to zero (exact
+    whenever g restricted to the edge is linear); bubbles are never fixed.
     """
 
-    tags: tuple[str, ...] = ("boundary",)
+    on: object = None
     g: object = 0.0
 
 
@@ -82,6 +83,23 @@ class DofMap:
     def n_free(self) -> int:
         return self.free_dofs.size
 
+    def gather(self, v_full) -> np.ndarray:
+        """Signed element-local coefficients of a full vector, in the
+        layout of ``elems2dofs``."""
+        v_full = np.asarray(v_full, dtype=float)
+        if v_full.shape != (self.n_dofs,):
+            raise ValueError(
+                f"expected coefficient vector of length {self.n_dofs}, "
+                f"got {v_full.shape}"
+            )
+        return self.signs * v_full[self.elems2dofs]
+
+    def scatter(self, local: np.ndarray) -> np.ndarray:
+        """Accumulate signed element-local values into a full vector."""
+        return np.bincount(self.elems2dofs.ravel(),
+                           weights=(self.signs * local).ravel(),
+                           minlength=self.n_dofs)
+
 
 def _resolve_g(g, xy: np.ndarray, components: int) -> np.ndarray:
     """Evaluate the boundary datum at the rows of xy, -> (components, len(xy))."""
@@ -98,22 +116,20 @@ def _resolve_g(g, xy: np.ndarray, components: int) -> np.ndarray:
                      for v in parts])
 
 
-def _selected_boundary(mesh: QuadMesh, tags) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and boundary edges picked by a tag list."""
-    chosen = []
-    for tag in tags:
-        if tag == "boundary":
-            chosen.append(mesh.boundary_nodes)
-        elif tag in mesh.node_tags:
-            chosen.append(mesh.node_tags[tag])
-        else:
-            known = ["boundary", *mesh.node_tags]
-            raise ValueError(f"unknown boundary tag {tag!r}; known: {known}")
-    nodes = np.unique(np.concatenate(chosen)) if chosen else np.array([], dtype=int)
-    mask = np.zeros(mesh.n_nodes, dtype=bool)
-    mask[nodes] = True
-    edge_nodes = mesh.edges2nodes[mesh.boundary_edges]
-    covered = mask[edge_nodes[:, 0]] & mask[edge_nodes[:, 1]]
+def _selected_boundary(mesh: QuadMesh, on) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary nodes picked by the predicate ``on`` and the boundary edges
+    whose end nodes are both picked."""
+    nodes = mesh.boundary_nodes
+    if on is not None:
+        mask = np.asarray(on(*mesh.nodes[nodes].T))
+        if mask.dtype != bool or mask.shape != nodes.shape:
+            raise ValueError(
+                f"boundary predicate must return a bool mask of shape "
+                f"{nodes.shape}, got {mask.dtype} of shape {mask.shape}")
+        nodes = nodes[mask]
+    picked = np.zeros(mesh.n_nodes, dtype=bool)
+    picked[nodes] = True
+    covered = picked[mesh.edges2nodes[mesh.boundary_edges]].all(axis=1)
     return nodes, mesh.boundary_edges[covered]
 
 
@@ -158,7 +174,7 @@ def build_dofmap(mesh: QuadMesh, p: int, components: int = 1,
     fixed_mask = np.zeros(n_dofs, dtype=bool)
     fixed_values_full = np.zeros(n_dofs)
     if dirichlet is not None:
-        sel_nodes, sel_edges = _selected_boundary(mesh, dirichlet.tags)
+        sel_nodes, sel_edges = _selected_boundary(mesh, dirichlet.on)
         offsets = n_p * np.arange(components)[:, None]
         node_ids = offsets + sel_nodes
         fixed_mask[node_ids] = True
@@ -223,6 +239,4 @@ def sample_field(dofmap: DofMap, v_full: np.ndarray, table: ShapeTable) -> np.nd
     """
     if table.p != dofmap.p:
         raise ValueError(f"shape table has degree {table.p}, expected {dofmap.p}")
-    m = table.values.shape[0]
-    coeff = dofmap.signs[:, :m] * v_full[dofmap.elems2dofs[:, :m]]
-    return coeff @ table.values
+    return dofmap.gather(v_full)[:, :table.values.shape[0]] @ table.values

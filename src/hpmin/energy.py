@@ -73,10 +73,8 @@ def assemble_load(geometry: GeometryFactors, dofmap: DofMap, f) -> np.ndarray:
         raise ValueError(f"expected {dofmap.components} load components, got {f.shape}")
     # integral of each local shape function over each element
     cell = np.einsum("tq,mq->tm", geometry.wdetj, geometry.table.values)
-    weights = np.repeat(f, cell.shape[1]) * np.tile(cell, dofmap.components)
-    return np.bincount(dofmap.elems2dofs.ravel(),
-                       weights=(dofmap.signs * weights).ravel(),
-                       minlength=dofmap.n_dofs)
+    return dofmap.scatter(np.repeat(f, cell.shape[1])
+                          * np.tile(cell, dofmap.components))
 
 
 def identity_deformation(dofmap: DofMap) -> np.ndarray:
@@ -110,24 +108,6 @@ class _ModelBase:
         self._ref_t = np.ascontiguousarray(self._ref.transpose(0, 2, 1))  # (2, n_ip, m)
         self._w_jinv_t = geometry.wdetj * geometry.jinv_t  # (2, 2, T, n_ip)
 
-    def local_coeffs(self, v_full: np.ndarray) -> np.ndarray:
-        """Signed element-local coefficients, (T, n_local)."""
-        v_full = np.asarray(v_full, dtype=float)
-        if v_full.shape != (self.dofmap.n_dofs,):
-            raise ValueError(
-                f"expected coefficient vector of length {self.dofmap.n_dofs}, "
-                f"got {v_full.shape}"
-            )
-        return self.dofmap.signs * v_full[self.dofmap.elems2dofs]
-
-    def scatter(self, g_loc: np.ndarray) -> np.ndarray:
-        """Accumulate signed local contributions into a full vector."""
-        return np.bincount(
-            self.dofmap.elems2dofs.ravel(),
-            weights=(self.dofmap.signs * g_loc).ravel(),
-            minlength=self.dofmap.n_dofs,
-        )
-
     def _gather(self, v_loc: np.ndarray) -> np.ndarray:
         """Gradient array G of all elements, (components, 2, T, n_ip).
 
@@ -148,7 +128,7 @@ class _ModelBase:
 
     def element_energies(self, v_full: np.ndarray) -> np.ndarray:
         """Per-element density integrals (no load term), (T,)."""
-        return self.element_energies_local(self.local_coeffs(v_full))
+        return self.element_energies_local(self.dofmap.gather(v_full))
 
     def energy(self, v_full: np.ndarray) -> float:
         dens = self.element_energies(v_full)
@@ -157,12 +137,12 @@ class _ModelBase:
         return float(dens.sum() - self.b_full @ v_full)
 
     def gradient(self, v_full: np.ndarray) -> np.ndarray:
-        G = self._gather(self.local_coeffs(v_full))
+        G = self._gather(self.dofmap.gather(v_full))
         # w |J| P J^{-T}: the stress against the reference directions
         Q = np.einsum("catq,abtq->cbtq", self.stress(G), self._w_jinv_t)
         g_loc = (Q @ self._ref_t).sum(axis=1)  # (components, T, m)
         g_loc = g_loc.transpose(1, 0, 2).reshape(G.shape[2], -1)
-        return self.scatter(g_loc) - self.b_full
+        return self.dofmap.scatter(g_loc) - self.b_full
 
 
 def _frobenius2(G: np.ndarray) -> np.ndarray:
@@ -233,7 +213,7 @@ class NeoHookeModel(_ModelBase):
 
     def gradfield(self, v_full: np.ndarray) -> DeformationField:
         """Deformation gradient F at all quadrature points."""
-        G = self._gather(self.local_coeffs(v_full))
+        G = self._gather(self.dofmap.gather(v_full))
         return DeformationField(*G.reshape(4, *G.shape[2:]))
 
     def density(self, G: np.ndarray) -> np.ndarray:

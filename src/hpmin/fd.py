@@ -45,10 +45,12 @@ def gradient_central_local(model, v_full: np.ndarray, h: float = FD_STEP,
     holds it in one local slot.  So for each slot s all elements are probed
     together: slot s of every element moves by its DOF's step, up and down,
     and the energy differences are accumulated onto the DOFs in slot s.
-    DOFs outside ``dofs`` take a zero step.  ``model`` provides
-    ``local_coeffs``, ``element_energies_local``, ``b_full`` and
-    ``dofmap``; the result equals central differences of the full energy
-    up to summation order.  ``dofs`` must not repeat an id.
+    DOFs outside ``dofs`` take a zero step.  The signed local coefficients
+    and steps are gathered once, through ``model.dofmap.gather``, before
+    the slot loop.  ``model`` provides ``dofmap``,
+    ``element_energies_local`` and ``b_full``; the result equals central
+    differences of the full energy up to summation order.  ``dofs`` must
+    not repeat an id.
     """
     v_full = np.asarray(v_full, dtype=float)
     dm = model.dofmap
@@ -59,14 +61,14 @@ def gradient_central_local(model, v_full: np.ndarray, h: float = FD_STEP,
         raise ValueError("dofs contains repeated ids")
     steps = np.where(requested, _steps(v_full, h), 0.0)
 
-    probe = model.local_coeffs(v_full)
+    probe = dm.gather(v_full)
+    deltas = dm.gather(steps)
     diff = np.zeros(dm.n_dofs)
     for slot, slot_dofs in enumerate(dm.elems2dofs.T):
         center = probe[:, slot].copy()
-        delta = dm.signs[:, slot] * steps[slot_dofs]
-        probe[:, slot] = center + delta
+        probe[:, slot] = center + deltas[:, slot]
         e_up = model.element_energies_local(probe)
-        probe[:, slot] = center - delta
+        probe[:, slot] = center - deltas[:, slot]
         e_dn = model.element_energies_local(probe)
         probe[:, slot] = center
         if not (np.all(np.isfinite(e_up)) and np.all(np.isfinite(e_dn))):

@@ -8,7 +8,7 @@ ascending direction is the reference direction for edge-DOF signs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,9 +34,9 @@ class QuadMesh:
 
     ``elems2nodes`` lists corners counterclockwise; local edge s connects
     local nodes s and (s+1) % 4 and ``elems2edges`` follows that layout.
-    ``node_tags`` carries generator labels ("left", "hole", ...) used to
-    select Dirichlet boundary parts; the full boundary is always available
-    via ``boundary_nodes`` / ``boundary_edges``.
+    ``boundary_nodes`` and ``boundary_edges`` are ascending ids.  A mesh
+    holds geometry and topology only: which part of the boundary a
+    problem fixes is decided from coordinates where the problem is built.
     """
 
     nodes: np.ndarray        # (N, 2)
@@ -45,7 +45,6 @@ class QuadMesh:
     elems2edges: np.ndarray  # (T, 4)
     boundary_nodes: np.ndarray
     boundary_edges: np.ndarray
-    node_tags: dict[str, np.ndarray] = field(default_factory=dict)
 
     @property
     def n_nodes(self) -> int:
@@ -72,11 +71,12 @@ def _corner_cross(nodes: np.ndarray, elems2nodes: np.ndarray) -> np.ndarray:
     return prev[:, :, 0] * e[:, :, 1] - prev[:, :, 1] * e[:, :, 0]
 
 
-def build_mesh(nodes, elems2nodes, node_tags=None) -> QuadMesh:
+def build_mesh(nodes, elems2nodes) -> QuadMesh:
     """Assemble a QuadMesh from coordinates and counterclockwise elements.
 
     Derives the edge tables (numbered lexicographically, so the edge set
-    and numbering do not depend on element order) and the boundary sets.
+    and numbering do not depend on element order) and the boundary sets:
+    the edges of one element and the nodes on them.
     """
     nodes = np.asarray(nodes, dtype=float)
     elems2nodes = np.asarray(elems2nodes, dtype=np.int64)
@@ -104,7 +104,6 @@ def build_mesh(nodes, elems2nodes, node_tags=None) -> QuadMesh:
         elems2edges=elems2edges,
         boundary_nodes=boundary_nodes,
         boundary_edges=boundary_edges,
-        node_tags=dict(node_tags or {}),
     )
 
 
@@ -125,10 +124,6 @@ def _compact(nodes: np.ndarray, elems: np.ndarray):
     return nodes[used], renum.reshape(elems.shape)
 
 
-def _coord_tag(nodes, idx, axis, value, tol=1e-9):
-    return idx[np.abs(nodes[idx, axis] - value) < tol]
-
-
 def make_lshape(level: int = 0) -> QuadMesh:
     """L-shaped domain (0,2)^2 minus the quadrant [1,2]x[0,1].
 
@@ -146,19 +141,11 @@ def make_lshape(level: int = 0) -> QuadMesh:
     return mesh
 
 
-def make_rect(nx: int, ny: int, width: float = 1.0, height: float = 1.0) -> QuadMesh:
-    """Uniform nx x ny mesh of [0, width] x [0, height], tagged sides."""
-    xs = np.linspace(0.0, width, nx + 1)
-    ys = np.linspace(0.0, height, ny + 1)
-    mesh = build_mesh(*_grid(xs, ys, np.ones((ny, nx), dtype=bool)))
-    b = mesh.boundary_nodes
-    mesh.node_tags = {
-        "left": _coord_tag(mesh.nodes, b, 0, 0.0),
-        "right": _coord_tag(mesh.nodes, b, 0, width),
-        "bottom": _coord_tag(mesh.nodes, b, 1, 0.0),
-        "top": _coord_tag(mesh.nodes, b, 1, height),
-    }
-    return mesh
+def make_rect(nx: int, ny: int) -> QuadMesh:
+    """Uniform nx x ny mesh of the unit square [0, 1]^2."""
+    return build_mesh(*_grid(np.linspace(0.0, 1.0, nx + 1),
+                             np.linspace(0.0, 1.0, ny + 1),
+                             np.ones((ny, nx), dtype=bool)))
 
 
 HOLE_RADIUS = 1.0 / 3.0
@@ -195,26 +182,15 @@ def make_perforated_square(level: int = 0) -> QuadMesh:
     nodes, elems = _compact(nodes, elems)
     assert _corner_cross(nodes, elems).min() > 0.0, \
         "hole projection inverted an element"
-    mesh = build_mesh(nodes, elems)
-
-    b = mesh.boundary_nodes
-    on_hole = b[np.abs(np.hypot(*(mesh.nodes[b] - 1.0).T) - r) < 1e-12]
-    mesh.node_tags = {
-        "left": _coord_tag(mesh.nodes, b, 0, 0.0),
-        "right": _coord_tag(mesh.nodes, b, 0, 2.0),
-        "bottom": _coord_tag(mesh.nodes, b, 1, 0.0),
-        "top": _coord_tag(mesh.nodes, b, 1, 2.0),
-        "hole": on_hole,
-    }
-    return mesh
+    return build_mesh(nodes, elems)
 
 
 def refine_uniform(mesh: QuadMesh) -> QuadMesh:
     """Split every quad into 4 via edge midpoints and the bilinear centroid.
 
     New node numbering: original nodes, then one midpoint per edge (in
-    edge order), then one center per element.  User tags are inherited by
-    a midpoint when both edge endpoints carry the tag.
+    edge order), then one center per element.  Midpoints are placed on the
+    straight edges, so the refined mesh covers the same polygon.
     """
     n_nodes, n_edges = mesh.n_nodes, mesh.n_edges
     midpoints = 0.5 * (mesh.nodes[mesh.edges2nodes[:, 0]]
@@ -230,14 +206,7 @@ def refine_uniform(mesh: QuadMesh) -> QuadMesh:
     children[:, 1] = np.stack([mid[:, 0], c[:, 1], mid[:, 1], ctr], axis=1)
     children[:, 2] = np.stack([ctr, mid[:, 1], c[:, 2], mid[:, 2]], axis=1)
     children[:, 3] = np.stack([mid[:, 3], ctr, mid[:, 2], c[:, 3]], axis=1)
-
-    tags = {}
-    for name, tagged in mesh.node_tags.items():
-        mask = np.zeros(n_nodes, dtype=bool)
-        mask[tagged] = True
-        both = mask[mesh.edges2nodes[:, 0]] & mask[mesh.edges2nodes[:, 1]]
-        tags[name] = np.concatenate([tagged, n_nodes + np.where(both)[0]])
-    return build_mesh(nodes, children.reshape(-1, 4), tags)
+    return build_mesh(nodes, children.reshape(-1, 4))
 
 
 def element_areas(mesh: QuadMesh) -> np.ndarray:

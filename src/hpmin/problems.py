@@ -48,7 +48,7 @@ def plaplace_problem(mesh: QuadMesh, p: int, alpha: float,
                      f: float) -> tuple[EnergyProblem, PLaplaceModel]:
     """Power-law diffusion with u = 0 on the whole boundary, starting from
     the zero vector."""
-    return _problem(mesh, p, 1, DirichletSpec(("boundary",), 0.0),
+    return _problem(mesh, p, 1, DirichletSpec(g=0.0),
                     lambda geo, dm: PLaplaceModel(geo, dm, alpha=alpha, f=f),
                     lambda dm: np.zeros(dm.n_free))
 
@@ -56,9 +56,11 @@ def plaplace_problem(mesh: QuadMesh, p: int, alpha: float,
 def neohooke_problem(mesh: QuadMesh, p: int, young: float, poisson: float,
                      f) -> tuple[EnergyProblem, NeoHookeModel]:
     """Compressible Neo-Hookean elasticity, deformation pinned to the
-    identity on the left and bottom sides, starting from the identity map."""
+    identity on the left and bottom sides (x = 0 or y = 0, to 1e-9),
+    starting from the identity map."""
     return _problem(mesh, p, 2,
-                    DirichletSpec(("left", "bottom"), lambda x, y: (x, y)),
+                    DirichletSpec(on=lambda x, y: (abs(x) < 1e-9) | (abs(y) < 1e-9),
+                                  g=lambda x, y: (x, y)),
                     lambda geo, dm: NeoHookeModel.from_young_poisson(
                         geo, dm, young=young, poisson=poisson, f=f),
                     lambda dm: identity_deformation(dm)[dm.free_dofs])

@@ -5,7 +5,10 @@ sparsity pattern (one gradient difference per color group), solves the
 trust-region subproblem with Steihaug-Toint truncated CG, and accepts or
 rejects the step by the ratio of actual to predicted energy reduction.
 A +inf trial energy (the elastic orientation barrier) simply rejects the
-step and shrinks the radius.
+step and shrinks the radius.  So does a ``BarrierError`` from the gradient
+of a trial that would be accepted, raised when a difference probe of a
+central-difference gradient crosses det F <= 0; the same error while the
+Hessian is built ends the solve unconverged at the current point.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
+from .energy import BarrierError
 from .fd import greedy_coloring, hessian_fd
 
 __all__ = ["EnergyProblem", "TrOptions", "TrSolution", "minimize", "steihaug_cg"]
@@ -136,7 +140,8 @@ def minimize(problem: EnergyProblem, opts: TrOptions | None = None) -> TrSolutio
     """Classic trust-region loop with a rebuilt FD Hessian per accepted step.
 
     A radius that shrinks below the rounding of v, eps * max(1, |v|),
-    ends the loop unconverged.
+    ends the loop unconverged, as does a ``BarrierError`` while the Hessian
+    is built.
     """
     opts = opts or TrOptions()
     if opts.gradient_mode == "central_diff":
@@ -167,7 +172,10 @@ def minimize(problem: EnergyProblem, opts: TrOptions | None = None) -> TrSolutio
         if grad_norm < grad_tol:
             break
         if H is None:
-            H = hessian_fd(grad_fn, v, colored, g0=g)
+            try:
+                H = hessian_fd(grad_fn, v, colored, g0=g)
+            except BarrierError:
+                break  # a difference probe crossed det F <= 0
         step, hit_boundary = steihaug_cg(H, g, radius)
         predicted = -(g @ step + 0.5 * (step @ (H @ step)))
         trial = problem.energy(v + step)
@@ -175,11 +183,16 @@ def minimize(problem: EnergyProblem, opts: TrOptions | None = None) -> TrSolutio
             rho = (energy_now - trial) / predicted
         else:
             rho = -np.inf
+        if rho > ETA_ACCEPT:
+            try:
+                g_trial = grad_fn(v + step)
+            except BarrierError:
+                rho = -np.inf
         accept = rho > ETA_ACCEPT
         if accept:
             v = v + step
             energy_now = trial
-            g = grad_fn(v)
+            g = g_trial
             accepted += 1
             H = None  # rebuild at the new point
         else:

@@ -4,11 +4,16 @@ Each one is the plain form of a fast path in ``hpmin``: whole-energy
 central differences, per-element physical shape derivatives, the
 full-to-free DOF index, shape functions evaluated one at a time from the
 geometry of the reference square, and structured grids built cell by cell.
+It also holds the reader of the convergence-table CSV that ``hpmin.cli``
+writes.
 """
+
+import csv
 
 import numpy as np
 
 from hpmin.basis import EdgeMode, Nodal, kernel_eval, shape_kinds
+from hpmin.cli import ConvergenceRow
 from hpmin.energy import BarrierError
 from hpmin.fd import FD_STEP
 from hpmin.mesh import HOLE_RADIUS, _corner_cross
@@ -143,3 +148,17 @@ def perforated_square_cells(level: int) -> tuple[np.ndarray, np.ndarray]:
     renum = np.zeros(nodes.shape[0], dtype=np.int64)
     renum[used] = np.arange(used.size)
     return nodes[used], renum[elems]
+
+
+def read_rows(path) -> list[ConvergenceRow]:
+    """The rows of a convergence-table CSV written by ``hpmin.cli``."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        return [
+            ConvergenceRow(
+                level=int(r["level"]), nelems=int(r["nelems"]),
+                dofs=int(r["dofs"]), time_s=float(r["time_s"]),
+                iters=int(r["iters"]), energy=float(r["energy"]),
+            )
+            for r in reader
+        ]

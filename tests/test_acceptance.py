@@ -12,7 +12,7 @@ import pytest
 import scipy.sparse as sp
 
 from hpmin.basis import Bubble, EdgeMode, tabulate
-from hpmin.cli import BenchConfig, main, read_rows, run
+from hpmin.cli import BenchConfig, main, run
 from hpmin.dofmap import (
     DirichletSpec,
     build_dofmap,
@@ -26,7 +26,7 @@ from hpmin.mesh import geometry_factors, make_lshape, make_perforated_square
 from hpmin.problems import neohooke_problem, plaplace_problem
 from hpmin.quadrature import rule_for_degree
 from hpmin.solver import EnergyProblem, TrOptions, minimize, steihaug_cg
-from oracles import free_index, physical_derivatives
+from oracles import free_index, physical_derivatives, read_rows
 
 REFERENCE_ENERGIES = {1: -7.9209, 2: -7.9488, 3: -7.9562, 4: -7.9587}
 REFERENCE_TOL = 5e-4
@@ -115,7 +115,7 @@ def test_criterion_3_dof_bookkeeping(capsys):
     assert dm0.edge_base == 21 and dm0.bubble_base - dm0.edge_base == 32
     assert dm0.n_p == dm0.bubble_base
     dm1 = build_dofmap(make_lshape(1), p=2,
-                       dirichlet=DirichletSpec(("boundary",), 0.0))
+                       dirichlet=DirichletSpec(g=0.0))
     assert dm1.n_free == 113
     with capsys.disabled():
         _report(3, "level 0 p=2 has 53 = 21 nodal + 32 edge DOFs; "
@@ -177,7 +177,7 @@ def test_criterion_5_gradient_correctness(capsys):
 
     # FD Hessian of the alpha=2 functional vs directly assembled stiffness
     dm2 = build_dofmap(make_lshape(1), p=1,
-                       dirichlet=DirichletSpec(("boundary",), 0.0))
+                       dirichlet=DirichletSpec(g=0.0))
     mesh2 = dm2.mesh
     rule1 = rule_for_degree(1)
     geo2 = geometry_factors(mesh2, rule1, tabulate(1, rule1.points))

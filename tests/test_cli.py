@@ -7,10 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hpmin.cli import BenchConfig, _build_parser, main, parse_levels, read_rows, run
+from hpmin.cli import BenchConfig, _build_parser, main, parse_levels, run
 from hpmin.dofmap import build_dofmap
 from hpmin.mesh import make_lshape
 from hpmin.vtk import solution_grid, write_vtk
+from oracles import read_rows
 
 
 def test_parse_levels():
@@ -236,6 +237,26 @@ def test_readme_commands_parse():
         parser.parse_args(argv[1:])
     assert {argv[1] for argv in commands if argv} == {"plaplace", "hyper",
                                                       "compare"}
+
+
+def test_readme_library_session_solves():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("A minimal library session:", 1)[1]
+    block = block.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    assert namespace["solution"].converged
+
+
+@pytest.mark.parametrize("grad", ["explicit", "fd"])
+def test_barrier_probe_exits_with_solver_failure(grad, capsys):
+    # under a load of 1e30 a difference probe crosses det F <= 0; the run
+    # must report no convergence instead of dying with a traceback
+    code = main(["hyper", "--level", "0", "--grad", grad, "--fx=1e30"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "level 0: no convergence" in err
+    assert "Traceback" not in err
 
 
 def test_hyper_level_defaults_to_bench_config():

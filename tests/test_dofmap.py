@@ -13,9 +13,14 @@ from hpmin.dofmap import (
 )
 from hpmin.fd import greedy_coloring
 from hpmin.mesh import make_lshape, make_perforated_square, make_rect
+from hpmin.problems import neohooke_problem
 from oracles import free_index
 
 RNG = np.random.default_rng(20240512)
+
+def _left_or_bottom(x, y):
+    return (np.abs(x) < 1e-12) | (np.abs(y) < 1e-12)
+
 
 _CORNERS = np.array([(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)])
 
@@ -38,7 +43,7 @@ def test_lshape_p2_global_count():
 
 
 def test_lshape_level1_free_count():
-    dm = build_dofmap(make_lshape(1), p=2, dirichlet=DirichletSpec(("boundary",), 0.0))
+    dm = build_dofmap(make_lshape(1), p=2, dirichlet=DirichletSpec(g=0.0))
     # cross-check: (65 - 32 boundary nodes) + (112 - 32 boundary edges)
     assert dm.n_free == 113
 
@@ -113,7 +118,7 @@ def test_single_odd_edge_mode_is_globally_consistent():
 
 
 def test_dirichlet_fixes_nodes_and_edges_not_bubbles():
-    dm = build_dofmap(make_lshape(0), p=4, dirichlet=DirichletSpec(("boundary",), 0.0))
+    dm = build_dofmap(make_lshape(0), p=4, dirichlet=DirichletSpec(g=0.0))
     fixed_kinds = {_kind(dm, d) for d in dm.fixed_dofs}
     assert fixed_kinds == {"node", "edge"}
     # 16 boundary nodes + 16 boundary edges * 3 modes each
@@ -123,7 +128,7 @@ def test_dirichlet_fixes_nodes_and_edges_not_bubbles():
 def test_dirichlet_tag_subsets():
     mesh = make_perforated_square(0)
     dm = build_dofmap(mesh, p=2, components=2,
-                      dirichlet=DirichletSpec(("left", "bottom"), lambda x, y: (x, y)))
+                      dirichlet=DirichletSpec(_left_or_bottom, lambda x, y: (x, y)))
     fixed_nodes = [d % dm.n_p for d in dm.fixed_dofs if _kind(dm, d) == "node"]
     coords = mesh.nodes[np.unique(fixed_nodes)]
     assert np.all((np.abs(coords[:, 0]) < 1e-12) | (np.abs(coords[:, 1]) < 1e-12))
@@ -138,21 +143,50 @@ def test_dirichlet_tag_subsets():
 
 def test_dirichlet_scalar_callable():
     mesh = make_lshape(0)
-    dm = build_dofmap(mesh, p=2, dirichlet=DirichletSpec(("boundary",),
-                                                         lambda x, y: x + 2 * y))
+    dm = build_dofmap(mesh, p=2, dirichlet=DirichletSpec(g=lambda x, y: x + 2 * y))
     nodal = dm.fixed_dofs < dm.edge_base
     x, y = mesh.nodes[dm.fixed_dofs[nodal]].T
     np.testing.assert_array_equal(dm.fixed_values[nodal], x + 2 * y)
     assert np.all(dm.fixed_values[~nodal] == 0.0)
 
 
-def test_unknown_tag_raises():
-    with pytest.raises(ValueError, match="unknown boundary tag"):
-        build_dofmap(make_lshape(0), p=2, dirichlet=DirichletSpec(("lid",), 0.0))
+def test_boundary_predicate_must_return_bool_mask():
+    wrong = (
+        lambda x, y: x,                         # float values
+        lambda x, y: (x == 0.0).astype(int),    # 0/1 integers
+        lambda x, y: np.ones(x.size + 1, dtype=bool),
+        lambda x, y: np.ones((x.size, 1), dtype=bool),
+    )
+    for on in wrong:
+        with pytest.raises(ValueError, match="bool mask"):
+            build_dofmap(make_lshape(0), p=2, dirichlet=DirichletSpec(on, 0.0))
+    # one entry per boundary node: fixing none leaves every DOF free
+    dm = build_dofmap(make_lshape(0), p=2,
+                      dirichlet=DirichletSpec(lambda x, y: np.zeros(x.size, bool)))
+    assert dm.n_free == dm.n_dofs
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_neohooke_fixes_left_and_bottom_sides(level, p):
+    # n cells per side: the left and bottom sides share their corner, so
+    # they hold 2n + 1 nodes and 2n edges of p - 1 modes, per component
+    _, model = neohooke_problem(make_perforated_square(level), p=p,
+                                young=2e8, poisson=0.3, f=(0.0, 0.0))
+    dm, nodes = model.dofmap, model.dofmap.mesh.nodes
+    n = 8 * 2**level
+    assert dm.fixed_dofs.size == 2 * ((2 * n + 1) + 2 * n * (p - 1))
+    comp, base = np.divmod(dm.fixed_dofs, dm.n_p)
+    nodal = base < dm.edge_base
+    x, y = nodes[base[nodal]].T
+    assert np.all((x == 0.0) | (y == 0.0))
+    np.testing.assert_array_equal(dm.fixed_values[nodal],
+                                  nodes[base[nodal], comp[nodal]])
+    assert np.all(dm.fixed_values[~nodal] == 0.0)
 
 
 def test_expand_solution_roundtrip():
-    dm = build_dofmap(make_lshape(0), p=1, dirichlet=DirichletSpec(("boundary",), 1.0))
+    dm = build_dofmap(make_lshape(0), p=1, dirichlet=DirichletSpec(g=1.0))
     full = expand_solution(dm, np.zeros(dm.n_free))
     assert dm.n_free == 5  # interior nodes of the level-0 L-shape
     assert full.sum() == pytest.approx(16.0)  # 16 boundary nodes carry g = 1
@@ -170,7 +204,7 @@ def test_sparsity_single_element_dense():
 
 
 def test_sparsity_symmetric_with_diagonal():
-    dm = build_dofmap(make_lshape(0), p=2, dirichlet=DirichletSpec(("boundary",), 0.0))
+    dm = build_dofmap(make_lshape(0), p=2, dirichlet=DirichletSpec(g=0.0))
     pat = sparsity_pattern(dm)
     rows, cols = pat.nonzero()
     entries = set(zip(rows.tolist(), cols.tolist()))
@@ -232,7 +266,7 @@ def test_vector_pattern_matches_bruteforce():
     assert got == tiled
     # with Dirichlet sides the pattern keeps exactly the free-DOF couplings
     dm_bc = build_dofmap(make_perforated_square(0), p=3, components=2,
-                         dirichlet=DirichletSpec(("left", "bottom"),
+                         dirichlet=DirichletSpec(_left_or_bottom,
                                                  lambda x, y: (x, y)))
     assert 0 < dm_bc.n_free < dm_bc.n_dofs
     pat_bc = sparsity_pattern(dm_bc)

@@ -66,7 +66,7 @@ def test_gradfield_linear_interpolant():
     v = np.zeros(dm.n_dofs)
     v[:mesh.n_nodes] = mesh.nodes[:, 0]  # interpolant of v(x, y) = x
     model = PLaplaceModel(geo, dm, alpha=3.0, f=0.0)
-    [(v_x, v_y)] = model._gather(model.local_coeffs(v))
+    [(v_x, v_y)] = model._gather(model.dofmap.gather(v))
     np.testing.assert_allclose(v_x, 1.0, atol=1e-13)
     np.testing.assert_allclose(v_y, 0.0, atol=1e-13)
 
@@ -74,7 +74,7 @@ def test_gradfield_linear_interpolant():
 def test_gradfield_zero():
     geo, dm = _setup(make_lshape(0), p=3)
     model = PLaplaceModel(geo, dm, alpha=3.0, f=-10.0)
-    [(v_x, v_y)] = model._gather(model.local_coeffs(np.zeros(dm.n_dofs)))
+    [(v_x, v_y)] = model._gather(model.dofmap.gather(np.zeros(dm.n_dofs)))
     assert np.all(v_x == 0.0) and np.all(v_y == 0.0)
 
 
@@ -118,7 +118,7 @@ def _rel_err(a, b):
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 def test_gather_matches_einsum_oracle(problem, p):
     model, v = _kernel_case(problem, p)
-    v_loc = model.local_coeffs(v)
+    v_loc = model.dofmap.gather(v)
     assert _rel_err(model._gather(v_loc), _einsum_gather(model, v_loc)) <= 1e-13
 
 
@@ -127,7 +127,7 @@ def test_gather_matches_einsum_oracle(problem, p):
 def test_gradient_matches_einsum_oracle(problem, p):
     model, v = _kernel_case(problem, p)
     geo = model.geometry
-    P = model.stress(_einsum_gather(model, model.local_coeffs(v)))
+    P = model.stress(_einsum_gather(model, model.dofmap.gather(v)))
     P = P * geo.wdetj
     dphi_x, dphi_y = physical_derivatives(geo)
     g_loc = np.concatenate(
@@ -136,7 +136,7 @@ def test_gradient_matches_einsum_oracle(problem, p):
         axis=1,
     )
     assert _rel_err(model.gradient(v),
-                    model.scatter(g_loc) - model.b_full) <= 1e-13
+                    model.dofmap.scatter(g_loc) - model.b_full) <= 1e-13
 
 
 def test_plaplace_energy_zero_field():

@@ -31,7 +31,7 @@ def _plaplace_model(p=2, alpha=3.0, f=-10.0, level=0):
     mesh = make_lshape(level)
     rule = rule_for_degree(p)
     geo = geometry_factors(mesh, rule, tabulate(p, rule.points))
-    dm = build_dofmap(mesh, p, dirichlet=DirichletSpec(("boundary",), 0.0))
+    dm = build_dofmap(mesh, p, dirichlet=DirichletSpec(g=0.0))
     return PLaplaceModel(geo, dm, alpha=alpha, f=f)
 
 
@@ -181,7 +181,7 @@ def test_coloring_valid_on_fem_pattern():
 
 
 def test_coloring_valid_p1_pattern():
-    dm = build_dofmap(make_lshape(1), p=1, dirichlet=DirichletSpec(("boundary",), 0.0))
+    dm = build_dofmap(make_lshape(1), p=1, dirichlet=DirichletSpec(g=0.0))
     colored = greedy_coloring(sparsity_pattern(dm))
     assert colored.n_groups <= 25
     _assert_valid_distance2(colored)
@@ -419,7 +419,7 @@ def test_hessian_shares_a_read_only_structure():
     # tridiagonal pattern; a diagonal quadratic gives zero off-diagonal
     # estimates, which eliminate_zeros would drop from the shared arrays
     dm = build_dofmap(make_rect(3, 1), p=1,
-                      dirichlet=DirichletSpec(("bottom",), 0.0))
+                      dirichlet=DirichletSpec(on=lambda x, y: y == 0.0, g=0.0))
     pattern = sparsity_pattern(dm)
     np.testing.assert_array_equal(pattern.indices, [0, 1, 0, 1, 2, 1, 2, 3, 2, 3])
     np.testing.assert_array_equal(pattern.indptr, [0, 2, 5, 8, 10])

@@ -58,11 +58,20 @@ def test_monte_carlo_area_oracle():
 
 
 def test_perforated_square_hole_nodes_on_circle():
-    mesh = make_perforated_square(0)
-    hole = mesh.node_tags["hole"]
-    assert hole.size > 0
-    dist = np.hypot(*(mesh.nodes[hole] - 1.0).T)
-    assert np.max(np.abs(dist - 1.0 / 3.0)) < 1e-12
+    # the hole's boundary nodes are those nearer than 1 to the center; none
+    # lies inside the disk, most lie on the circle, and the rest are the
+    # staircase corners left where slivers were dropped, within 2h of it
+    r = 1.0 / 3.0
+    for level, n_near, n_on in ((0, 16, 12), (1, 24, 20), (2, 48, 32),
+                                (3, 88, 64)):
+        mesh = make_perforated_square(level)
+        h = 2.0 / (8 * 2**level)
+        dist = np.hypot(*(mesh.nodes[mesh.boundary_nodes] - 1.0).T)
+        dist = dist[dist < 1.0]
+        assert dist.size == n_near
+        assert np.all(dist >= r - 1e-12)
+        assert np.all(dist < r + 2.0 * h)
+        assert np.count_nonzero(np.abs(dist - r) < 1e-12) == n_on
 
 
 def test_perforated_square_orientation_and_area_convergence():
@@ -86,13 +95,13 @@ def test_perforated_square_level2_element_count():
     assert 500 <= mesh.n_elems <= 2000
 
 
-def test_perforated_square_tags():
-    mesh = make_perforated_square(1)
-    for tag, axis, value in (("left", 0, 0.0), ("right", 0, 2.0),
-                             ("bottom", 1, 0.0), ("top", 1, 2.0)):
-        ids = mesh.node_tags[tag]
-        assert ids.size == 8 * 2 + 1
-        np.testing.assert_allclose(mesh.nodes[ids, axis], value, atol=1e-12)
+def test_perforated_square_side_nodes():
+    for level in (0, 1, 2):
+        mesh = make_perforated_square(level)
+        xy = mesh.nodes[mesh.boundary_nodes]
+        for axis, value in ((0, 0.0), (0, 2.0), (1, 0.0), (1, 2.0)):
+            on_side = np.abs(xy[:, axis] - value) < 1e-9
+            assert np.count_nonzero(on_side) == 8 * 2**level + 1
 
 
 def test_grid_generators_match_cell_by_cell_oracle():
@@ -132,11 +141,17 @@ def test_refine_unit_square_twice():
     assert mesh.n_nodes == 25
 
 
-def test_refine_inherits_side_tags():
-    mesh = refine_uniform(make_rect(2, 2))
-    left = mesh.node_tags["left"]
-    assert left.size == 5
-    np.testing.assert_allclose(mesh.nodes[left, 0], 0.0, atol=1e-15)
+def test_refine_side_nodes():
+    coarse = make_rect(2, 2)
+    mesh = refine_uniform(coarse)
+    # the new boundary: the old one plus the midpoints of its edges
+    np.testing.assert_array_equal(
+        mesh.boundary_nodes,
+        np.concatenate([coarse.boundary_nodes,
+                        coarse.n_nodes + coarse.boundary_edges]))
+    xy = mesh.nodes[mesh.boundary_nodes]
+    for axis, value in ((0, 0.0), (0, 1.0), (1, 0.0), (1, 1.0)):
+        assert np.count_nonzero(np.abs(xy[:, axis] - value) < 1e-15) == 5
 
 
 def test_edge_set_independent_of_element_order():
@@ -173,7 +188,8 @@ def test_rejects_clockwise_element():
 
 def test_geometry_factors_affine_scaling():
     h = 0.5
-    mesh = make_rect(1, 1, width=h, height=h)
+    unit = make_rect(1, 1)
+    mesh = build_mesh(h * unit.nodes, unit.elems2nodes)
     rule = rule_for_degree(2)
     geo = geometry_factors(mesh, rule, tabulate(2, rule.points))
     # det J = h^2 / 4 at every point for an axis-aligned square of side h

@@ -1,10 +1,13 @@
 """Trust-region solver: subproblem oracles, convergence, and robustness."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from hpmin.dofmap import expand_solution
+from hpmin.energy import BarrierError
 from hpmin.mesh import make_lshape, make_perforated_square, make_rect
 from hpmin.problems import neohooke_problem, plaplace_problem
 from hpmin.solver import EnergyProblem, TrOptions, minimize, steihaug_cg
@@ -196,3 +199,38 @@ def test_radius_collapse_stops_unconverged():
     assert sol.history[-1]["radius"] < 1e-15 * np.linalg.norm(sol.v_free)
     assert len(sol.history) == sol.iterations
     assert np.isfinite(sol.energy)
+
+
+@pytest.mark.parametrize("mode", ["explicit", "central_diff"])
+def test_barrier_probe_ends_or_rejects(mode):
+    # a load of 1e30 drives det F towards 0, where a difference probe
+    # crosses det F <= 0: in the Hessian build (both modes), which ends the
+    # solve at the current point, and in the central-difference gradient of
+    # a trial that would be accepted, which rejects that trial
+    problem, _ = neohooke_problem(make_perforated_square(0), p=2, young=2e8,
+                                  poisson=0.3, f=(1e30, -3.5e7))
+    raised_at = []
+
+    def counting(fn):
+        def grad(v):
+            try:
+                return fn(v)
+            except BarrierError:
+                raised_at.append(len(records))
+                raise
+        return grad
+
+    records = []
+    problem = replace(problem, gradient=counting(problem.gradient),
+                      gradient_fd=counting(problem.gradient_fd))
+    sol = minimize(problem, TrOptions(initial_radius=0.2 * np.sqrt(2.0),
+                                      max_iters=3000, gradient_mode=mode,
+                                      log=records.append))
+    assert not sol.converged
+    assert np.isfinite(sol.energy)
+    assert len(sol.history) == sol.iterations < 3000
+    assert raised_at[-1] == sol.iterations  # the Hessian build ended the solve
+    for i in raised_at[:-1]:
+        assert not sol.history[i]["accepted"] and sol.history[i]["rho"] == -np.inf
+    if mode == "central_diff":
+        assert len(raised_at) > 1
