@@ -12,8 +12,10 @@ combines three kinds of functions:
 Every one of them is a signed product f_a(xi) * f_b(eta) of the 1D family
 f_0 = (1 - x)/2, f_1 = (1 + x)/2, f_k = phi_k (k = 2..p): corner s takes
 (a, b) = ((0,0), (1,0), (1,1), (0,1))[s], edge s of degree k takes
-((k,0), (1,k), (k,1), (0,k))[s], and bubble (i, j) takes (i, j).  So
-``tabulate`` evaluates the family once per coordinate and multiplies.
+((k,0), (1,k), (k,1), (0,k))[s], and bubble (i, j) takes (i, j).  The
+integrated-Legendre kernels phi_k = (L_k - L_{k-2}) / sqrt(4k - 2) all
+come from one :func:`legendre_table` of L_0 ... L_p, so ``tabulate``
+evaluates the family once per coordinate and multiplies.
 
 Edge-local coordinates run in the counterclockwise direction of the
 element, so edges 2 and 3 run towards -xi and -eta and carry the sign
@@ -33,11 +35,9 @@ __all__ = [
     "EdgeMode",
     "Bubble",
     "ShapeTable",
-    "legendre_eval",
-    "kernel_eval",
+    "legendre_table",
     "shape_kinds",
     "n_bubbles",
-    "n_basis_functions",
     "tabulate",
 ]
 
@@ -67,38 +67,21 @@ class Bubble:
 ShapeKind = Nodal | EdgeMode | Bubble
 
 
-def legendre_eval(k: int, xi):
-    """Evaluate the Legendre polynomial L_k at xi (scalar or array).
+def legendre_table(n: int, x) -> np.ndarray:
+    """Legendre polynomials L_0 ... L_n at x, shape (n + 1, *x.shape).
 
-    Uses the three-term recurrence (n+1) L_{n+1} = (2n+1) xi L_n - n L_{n-1}.
+    One pass of the three-term recurrence
+    L_{k+1} = ((2k + 1) x L_k - k L_{k-1}) / (k + 1).
     """
-    if k < 0:
-        raise ValueError(f"Legendre degree must be >= 0, got {k}")
-    xi = np.asarray(xi, dtype=float)
-    p_prev = np.ones_like(xi)
-    if k == 0:
-        return p_prev if p_prev.ndim else float(p_prev)
-    p_cur = xi.copy()
-    for n in range(1, k):
-        p_prev, p_cur = p_cur, ((2 * n + 1) * xi * p_cur - n * p_prev) / (n + 1)
-    return p_cur if p_cur.ndim else float(p_cur)
-
-
-def kernel_eval(k: int, xi):
-    """Integrated-Legendre kernel phi_k and its derivative at xi.
-
-    phi_k(xi) = (L_k(xi) - L_{k-2}(xi)) / sqrt(4k - 2), k >= 2.
-
-    The kernel vanishes at xi = +-1 and has the parity of k, so odd-degree
-    kernels flip sign when the coordinate direction is reversed.  The
-    derivative uses the closed form phi_k' = sqrt((2k-1)/2) * L_{k-1}.
-    """
-    if k < 2:
-        raise ValueError(f"kernel degree must be >= 2, got {k}")
-    scale = 1.0 / np.sqrt(4.0 * k - 2.0)
-    value = (legendre_eval(k, xi) - legendre_eval(k - 2, xi)) * scale
-    deriv = (2.0 * k - 1.0) * scale * legendre_eval(k - 1, xi)
-    return value, deriv
+    if n < 0:
+        raise ValueError(f"Legendre degree must be >= 0, got {n}")
+    x = np.asarray(x, dtype=float)
+    table = np.empty((n + 1, *x.shape))
+    table[0] = 1.0
+    table[1:2] = x  # empty for n = 0
+    for k in range(1, n):
+        table[k + 1] = ((2 * k + 1) * x * table[k] - k * table[k - 1]) / (k + 1)
+    return table
 
 
 def shape_kinds(p: int) -> list[ShapeKind]:
@@ -122,23 +105,15 @@ def n_bubbles(p: int) -> int:
     return (p - 2) * (p - 3) // 2 if p >= 4 else 0
 
 
-def n_basis_functions(p: int) -> int:
-    """Count of local shape functions: 4 nodal + 4(p-1) edge + bubbles."""
-    if p < 1:
-        raise ValueError(f"degree must be >= 1, got {p}")
-    return 4 + 4 * (p - 1) + n_bubbles(p)
-
-
 @dataclass(frozen=True)
 class ShapeTable:
     """Values and reference derivatives of all local shape functions.
 
-    Arrays are laid out [n_basis x n_points] in the order of ``kinds``.
-    Immutable after construction; share freely.
+    Arrays are laid out [n_basis x n_points] in the order of
+    ``shape_kinds(p)``.  Immutable after construction; share freely.
     """
 
     p: int
-    kinds: tuple[ShapeKind, ...]
     points: np.ndarray  # (n_points, 2)
     values: np.ndarray  # (n_basis, n_points)
     dxi: np.ndarray
@@ -151,11 +126,17 @@ class ShapeTable:
 
 def _family(p: int, x: np.ndarray):
     """The 1D family f_0 = (1 - x)/2, f_1 = (1 + x)/2, f_k = phi_k (k = 2..p)
-    at x and its derivatives, each (p + 1, n)."""
-    kernels = [kernel_eval(k, x) for k in range(2, p + 1)]
+    at x and its derivatives, each (p + 1, n), from one Legendre table:
+    phi_k = (L_k - L_{k-2}) s_k and phi_k' = (2k - 1) s_k L_{k-1} with
+    s_k = 1 / sqrt(4k - 2)."""
+    legendre = legendre_table(p, x)
+    k = np.arange(2, p + 1)[:, None]
+    scale = 1.0 / np.sqrt(4.0 * k - 2.0)
     half = np.full_like(x, 0.5)
-    values = np.stack([0.5 * (1.0 - x), 0.5 * (1.0 + x), *(v for v, _ in kernels)])
-    derivs = np.stack([-half, half, *(d for _, d in kernels)])
+    values = np.concatenate([[0.5 * (1.0 - x), 0.5 * (1.0 + x)],
+                             (legendre[2:] - legendre[:-2]) * scale])
+    derivs = np.concatenate([[-half, half],
+                             (2.0 * k - 1.0) * scale * legendre[1:-1]])
     return values, derivs
 
 
@@ -178,8 +159,7 @@ def tabulate(p: int, points) -> ShapeTable:
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[1] != 2:
         raise ValueError("points must be an (n, 2) array of (xi, eta)")
-    kinds = shape_kinds(p)
-    a, b, sign = map(np.array, zip(*map(_factors, kinds)))
+    a, b, sign = map(np.array, zip(*map(_factors, shape_kinds(p))))
     fx, dfx = _family(p, points[:, 0])
     fy, dfy = _family(p, points[:, 1])
     sign = sign[:, None]
@@ -189,5 +169,4 @@ def tabulate(p: int, points) -> ShapeTable:
     values.setflags(write=False)
     dxi.setflags(write=False)
     deta.setflags(write=False)
-    return ShapeTable(p=p, kinds=tuple(kinds), points=points,
-                      values=values, dxi=dxi, deta=deta)
+    return ShapeTable(p=p, points=points, values=values, dxi=dxi, deta=deta)

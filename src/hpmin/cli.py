@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .dofmap import expand_solution
-from .mesh import element_areas, make_lshape, make_perforated_square
+from .mesh import make_lshape, make_perforated_square
 from .problems import neohooke_problem, plaplace_problem
 from .solver import TrOptions, minimize
 from .vtk import solution_grid, write_vtk
@@ -113,11 +113,12 @@ def _plaplace_vtk(path, config: BenchConfig, level: int, model, v_full):
 
 def _hyper_vtk(path, config: BenchConfig, level: int, model, v_full):
     """Nodes displaced by the bilinear part of the deformation, with the
-    per-element mean stored-energy density as cell field W."""
+    per-element mean stored-energy density as cell field W (the element
+    area is the sum of w|J|, exact for bilinear cells)."""
     dm = model.dofmap
     mesh = dm.mesh
     deformed = v_full.reshape(2, dm.n_p)[:, :mesh.n_nodes].T
-    dens = model.element_energies(v_full) / element_areas(mesh)
+    dens = model.element_energies(v_full) / model.geometry.wdetj.sum(axis=1)
     write_vtk(path, deformed, mesh.elems2nodes, cell_data={"W": dens},
               title=f"hyperelasticity level {level}, p={config.p}")
 
@@ -162,9 +163,6 @@ def run(config: BenchConfig):
     ``<problem>.csv`` and, with ``export_vtk``, ``<problem>_level<n>.vtk``.
     """
     spec = PROBLEMS[config.problem]
-    log = None
-    if config.verbose:
-        log = lambda rec: print(json.dumps(rec), file=sys.stderr)
     if config.out_dir is not None:
         config.out_dir.mkdir(parents=True, exist_ok=True)
     rows, failures = [], 0
@@ -174,10 +172,13 @@ def run(config: BenchConfig):
         opts = TrOptions(max_iters=(spec.max_iters if config.max_iters is None
                                     else config.max_iters),
                          initial_radius=spec.initial_radius(mesh),
-                         gradient_mode=config.gradient_mode, log=log)
+                         gradient_mode=config.gradient_mode)
         t0 = time.perf_counter()
         sol = minimize(problem, opts)
         elapsed = time.perf_counter() - t0
+        if config.verbose:
+            for rec in sol.history:
+                print(json.dumps(rec, allow_nan=False), file=sys.stderr)
         if not sol.converged:
             failures += 1
             print(f"level {level}: no convergence (grad norm {sol.grad_norm:.3e})",

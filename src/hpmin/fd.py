@@ -183,7 +183,7 @@ def greedy_coloring(pattern: sp.csr_matrix) -> ColoredPattern:
 
 
 def hessian_fd(grad, v: np.ndarray, colored: ColoredPattern,
-               g0: np.ndarray | None = None) -> sp.csr_matrix:
+               g0: np.ndarray) -> sp.csr_matrix:
     """Sparse symmetric Hessian estimate from grouped forward differences.
 
     For each color group one evaluates grad(v + steps on the group), with
@@ -192,7 +192,9 @@ def hessian_fd(grad, v: np.ndarray, colored: ColoredPattern,
     difference, so entries outside the pattern are discarded.  The result
     is symmetrized, (H + H^T) / 2, directly in the pattern's CSR layout and
     shares the pattern's ``indices`` and ``indptr`` arrays.
-    ``grad`` acts on vectors of the same layout as ``v``.
+    ``grad`` acts on vectors of the same layout as ``v``, and ``g0`` is
+    grad(v), which the caller already holds, so the estimate costs exactly
+    one gradient call per color group.
 
     Row i of a probe's difference sees at most one member of the group,
     the one coupled to i, so every entry, and the whole H, has the same
@@ -202,8 +204,6 @@ def hessian_fd(grad, v: np.ndarray, colored: ColoredPattern,
     pattern = colored.pattern
     if v.size != pattern.shape[0]:
         raise ValueError(f"expected vector of length {pattern.shape[0]}, got {v.size}")
-    if g0 is None:
-        g0 = grad(v)
     steps = _steps(v, FD_STEP)
     diffs = np.empty((colored.n_groups, v.size))
     probe = v.copy()

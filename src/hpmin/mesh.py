@@ -21,10 +21,8 @@ __all__ = [
     "build_mesh",
     "make_lshape",
     "make_perforated_square",
-    "make_rect",
     "refine_uniform",
     "geometry_factors",
-    "element_areas",
 ]
 
 
@@ -141,13 +139,6 @@ def make_lshape(level: int = 0) -> QuadMesh:
     return mesh
 
 
-def make_rect(nx: int, ny: int) -> QuadMesh:
-    """Uniform nx x ny mesh of the unit square [0, 1]^2."""
-    return build_mesh(*_grid(np.linspace(0.0, 1.0, nx + 1),
-                             np.linspace(0.0, 1.0, ny + 1),
-                             np.ones((ny, nx), dtype=bool)))
-
-
 HOLE_RADIUS = 1.0 / 3.0
 
 
@@ -207,13 +198,6 @@ def refine_uniform(mesh: QuadMesh) -> QuadMesh:
     children[:, 2] = np.stack([ctr, mid[:, 1], c[:, 2], mid[:, 2]], axis=1)
     children[:, 3] = np.stack([mid[:, 3], ctr, mid[:, 2], c[:, 3]], axis=1)
     return build_mesh(nodes, children.reshape(-1, 4))
-
-
-def element_areas(mesh: QuadMesh) -> np.ndarray:
-    """Signed shoelace areas (positive for counterclockwise quads)."""
-    x = mesh.nodes[mesh.elems2nodes]
-    nxt = np.roll(x, -1, axis=1)
-    return 0.5 * np.sum(x[:, :, 0] * nxt[:, :, 1] - nxt[:, :, 0] * x[:, :, 1], axis=1)
 
 
 @dataclass

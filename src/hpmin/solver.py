@@ -9,6 +9,8 @@ step and shrinks the radius.  So does a ``BarrierError`` from the gradient
 of a trial that would be accepted, raised when a difference probe of a
 central-difference gradient crosses det F <= 0; the same error while the
 Hessian is built ends the solve unconverged at the current point.
+``TrSolution.history`` is the one per-iteration record; such a rejected
+trial records ``rho`` as None.
 """
 
 from __future__ import annotations
@@ -54,8 +56,8 @@ class EnergyProblem:
 
 @dataclass
 class TrOptions:
-    """What a caller chooses per solve: stopping test, first radius,
-    gradient source and an optional per-iteration log.
+    """What a caller chooses per solve: stopping test, iteration cap,
+    first radius and gradient source.
 
     ``grad_tol=None`` resolves to 1e-6 * max(1, |J(x0)|), which adapts the
     stopping test to the energy scale of the problem.  The radius policy
@@ -67,7 +69,6 @@ class TrOptions:
     max_iters: int = 200
     initial_radius: float = 1.0
     gradient_mode: str = "explicit"  # "explicit" | "central_diff"
-    log: Callable[[dict], None] | None = None
 
     def __post_init__(self):
         if self.max_iters < 0:
@@ -78,7 +79,16 @@ class TrOptions:
 
 @dataclass
 class TrSolution:
-    """Minimizer, final energy, and per-iteration statistics."""
+    """Minimizer, final energy, and per-iteration statistics.
+
+    ``history`` holds one record per iteration, plain Python values that
+    strict JSON can carry: ``iteration``; ``grad_norm``, the max-norm of
+    the gradient the step was computed from; ``energy`` and ``radius``
+    after the step was accepted or rejected; ``accepted``; and ``rho``,
+    the ratio of actual to predicted decrease, or None when the trial has
+    no ratio (a +inf trial energy, a non-positive predicted decrease, or a
+    ``BarrierError`` from the trial's gradient).
+    """
 
     v_free: np.ndarray
     energy: float
@@ -201,14 +211,12 @@ def minimize(problem: EnergyProblem, opts: TrOptions | None = None) -> TrSolutio
             radius *= SHRINK_FACTOR
         elif rho > EXPAND_THRESHOLD and hit_boundary:
             radius = min(radius * EXPAND_FACTOR, MAX_RADIUS)
-        record = {
+        history.append({
             "iteration": iteration, "energy": float(energy_now),
             "grad_norm": grad_norm, "radius": float(radius),
-            "rho": float(rho), "accepted": bool(accept),
-        }
-        history.append(record)
-        if opts.log is not None:
-            opts.log(record)
+            "rho": None if rho == -np.inf else float(rho),
+            "accepted": bool(accept),
+        })
         if radius < np.finfo(float).eps * max(1.0, np.linalg.norm(v)):
             break  # a step this short can no longer move v
 

@@ -2,21 +2,23 @@
 
 Each one is the plain form of a fast path in ``hpmin``: whole-energy
 central differences, per-element physical shape derivatives, the
-full-to-free DOF index, shape functions evaluated one at a time from the
-geometry of the reference square, and structured grids built cell by cell.
-It also holds the reader of the convergence-table CSV that ``hpmin.cli``
-writes.
+full-to-free DOF index, Legendre polynomials and kernels one degree at a
+time, shape functions evaluated one at a time from the geometry of the
+reference square, shoelace element areas, and structured grids built cell
+by cell.  It also holds what only the tests use: the unit-square mesh
+generator, the local basis count, and the reader of the convergence-table
+CSV that ``hpmin.cli`` writes.
 """
 
 import csv
 
 import numpy as np
 
-from hpmin.basis import EdgeMode, Nodal, kernel_eval, shape_kinds
+from hpmin.basis import EdgeMode, Nodal, n_bubbles, shape_kinds
 from hpmin.cli import ConvergenceRow
 from hpmin.energy import BarrierError
 from hpmin.fd import FD_STEP
-from hpmin.mesh import HOLE_RADIUS, _corner_cross
+from hpmin.mesh import HOLE_RADIUS, QuadMesh, _corner_cross, _grid, build_mesh
 
 
 def gradient_central(energy, v: np.ndarray, h: float = FD_STEP,
@@ -56,6 +58,44 @@ def free_index(dm) -> np.ndarray:
     index = -np.ones(dm.n_dofs, dtype=np.int64)
     index[dm.free_dofs] = np.arange(dm.n_free)
     return index
+
+
+def legendre_eval(k: int, xi):
+    """Evaluate the Legendre polynomial L_k at xi (scalar or array).
+
+    Uses the three-term recurrence (n+1) L_{n+1} = (2n+1) xi L_n - n L_{n-1}.
+    """
+    if k < 0:
+        raise ValueError(f"Legendre degree must be >= 0, got {k}")
+    xi = np.asarray(xi, dtype=float)
+    p_prev = np.ones_like(xi)
+    if k == 0:
+        return p_prev if p_prev.ndim else float(p_prev)
+    p_cur = xi.copy()
+    for n in range(1, k):
+        p_prev, p_cur = p_cur, ((2 * n + 1) * xi * p_cur - n * p_prev) / (n + 1)
+    return p_cur if p_cur.ndim else float(p_cur)
+
+
+def kernel_eval(k: int, xi):
+    """Integrated-Legendre kernel phi_k and its derivative at xi.
+
+    phi_k(xi) = (L_k(xi) - L_{k-2}(xi)) / sqrt(4k - 2), k >= 2, with the
+    closed-form derivative phi_k' = sqrt((2k-1)/2) * L_{k-1}.
+    """
+    if k < 2:
+        raise ValueError(f"kernel degree must be >= 2, got {k}")
+    scale = 1.0 / np.sqrt(4.0 * k - 2.0)
+    value = (legendre_eval(k, xi) - legendre_eval(k - 2, xi)) * scale
+    deriv = (2.0 * k - 1.0) * scale * legendre_eval(k - 1, xi)
+    return value, deriv
+
+
+def n_basis_functions(p: int) -> int:
+    """Count of local shape functions: 4 nodal + 4(p-1) edge + bubbles."""
+    if p < 1:
+        raise ValueError(f"degree must be >= 1, got {p}")
+    return 4 + 4 * (p - 1) + n_bubbles(p)
 
 
 # Corner s of the reference square, counterclockwise from (-1, -1).
@@ -122,6 +162,20 @@ def grid_cells(xs, ys, keep_cell) -> tuple[np.ndarray, np.ndarray]:
     gx, gy = np.meshgrid(xs, ys, indexing="xy")
     nodes = np.column_stack([gx.ravel(), gy.ravel()])[used]
     return nodes, renum[elems]
+
+
+def make_rect(nx: int, ny: int) -> QuadMesh:
+    """Uniform nx x ny mesh of the unit square [0, 1]^2."""
+    return build_mesh(*_grid(np.linspace(0.0, 1.0, nx + 1),
+                             np.linspace(0.0, 1.0, ny + 1),
+                             np.ones((ny, nx), dtype=bool)))
+
+
+def element_areas(mesh: QuadMesh) -> np.ndarray:
+    """Signed shoelace areas (positive for counterclockwise quads)."""
+    x = mesh.nodes[mesh.elems2nodes]
+    nxt = np.roll(x, -1, axis=1)
+    return 0.5 * np.sum(x[:, :, 0] * nxt[:, :, 1] - nxt[:, :, 0] * x[:, :, 1], axis=1)
 
 
 def perforated_square_cells(level: int) -> tuple[np.ndarray, np.ndarray]:

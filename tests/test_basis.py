@@ -8,75 +8,74 @@ from hpmin.basis import (
     Bubble,
     EdgeMode,
     Nodal,
-    kernel_eval,
-    legendre_eval,
-    n_basis_functions,
+    _family,
+    legendre_table,
     shape_kinds,
     tabulate,
 )
 from hpmin.quadrature import rule_for_degree
-from oracles import shape_table
+from oracles import n_basis_functions, shape_table
 
 RNG = np.random.default_rng(20240511)
 
 
 def test_legendre_low_degrees():
-    assert legendre_eval(0, 0.3) == 1.0
-    assert legendre_eval(1, -0.5) == -0.5
+    table = legendre_table(2, [0.3, -0.5, 0.5])
+    assert table.shape == (3, 3)
+    assert table[0, 0] == 1.0
+    assert table[1, 1] == -0.5
     # L_2(0.5) = (3 * 0.25 - 1) / 2
-    assert legendre_eval(2, 0.5) == pytest.approx(-0.125, abs=1e-15)
+    assert table[2, 2] == pytest.approx(-0.125, abs=1e-15)
+    assert np.array_equal(legendre_table(0, 0.3), [1.0])
 
 
 def test_legendre_against_numpy():
     xs = RNG.uniform(-1.0, 1.0, size=40)
+    table = legendre_table(11, xs)
     for k in range(0, 12):
         coeffs = np.zeros(k + 1)
         coeffs[k] = 1.0
         np.testing.assert_allclose(
-            legendre_eval(k, xs), npleg.legval(xs, coeffs), rtol=1e-13, atol=1e-13
+            table[k], npleg.legval(xs, coeffs), rtol=1e-13, atol=1e-13
         )
 
 
 def test_legendre_rejects_negative_degree():
     with pytest.raises(ValueError):
-        legendre_eval(-1, 0.0)
+        legendre_table(-1, 0.0)
 
+
+# Rows 2..p of the 1D family are the kernels phi_2 ... phi_p.
 
 def test_kernel_vanishes_at_endpoints():
-    for k in range(2, 9):
-        for x in (-1.0, 1.0):
-            val, _ = kernel_eval(k, x)
-            assert abs(val) < 1e-14
+    values, _ = _family(8, np.array([-1.0, 1.0]))
+    assert np.max(np.abs(values[2:])) < 1e-14
 
 
 def test_kernel_value_at_zero():
     # phi_2(0) = (L_2(0) - L_0(0)) / sqrt(6) = -(3/2)/sqrt(6) = -sqrt(6)/4
-    val, der = kernel_eval(2, 0.0)
-    assert val == pytest.approx(-np.sqrt(6.0) / 4.0, abs=1e-15)
-    assert der == pytest.approx(0.0, abs=1e-15)
+    values, derivs = _family(2, np.array([0.0]))
+    assert values[2, 0] == pytest.approx(-np.sqrt(6.0) / 4.0, abs=1e-15)
+    assert derivs[2, 0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_kernel_parity():
     xs = RNG.uniform(-1.0, 1.0, size=20)
+    plus, _ = _family(7, xs)
+    minus, _ = _family(7, -xs)
     for k in range(2, 8):
-        plus, _ = kernel_eval(k, xs)
-        minus, _ = kernel_eval(k, -xs)
-        np.testing.assert_allclose(minus, (-1.0) ** k * plus, atol=1e-14)
+        np.testing.assert_allclose(minus[k], (-1.0) ** k * plus[k], atol=1e-14)
 
 
 def test_kernel_derivative_matches_fd():
     xs = RNG.uniform(-0.9, 0.9, size=15)
     h = 1e-6
+    _, der = _family(7, xs)
+    up, _ = _family(7, xs + h)
+    dn, _ = _family(7, xs - h)
     for k in range(2, 8):
-        _, der = kernel_eval(k, xs)
-        up, _ = kernel_eval(k, xs + h)
-        dn, _ = kernel_eval(k, xs - h)
-        np.testing.assert_allclose(der, (up - dn) / (2 * h), rtol=1e-7, atol=1e-9)
-
-
-def test_kernel_rejects_low_degree():
-    with pytest.raises(ValueError):
-        kernel_eval(1, 0.0)
+        np.testing.assert_allclose(der[k], (up[k] - dn[k]) / (2 * h),
+                                   rtol=1e-7, atol=1e-9)
 
 
 def test_basis_counts():
@@ -116,7 +115,7 @@ def _edge_points(s, n=10):
 def test_edge_trace_vanishes_on_other_edges(p):
     for s_other in range(4):
         table = tabulate(p, _edge_points(s_other))
-        for m, kind in enumerate(table.kinds):
+        for m, kind in enumerate(shape_kinds(p)):
             if isinstance(kind, EdgeMode) and kind.edge != s_other:
                 assert np.max(np.abs(table.values[m])) < 1e-12
 
@@ -125,7 +124,7 @@ def test_edge_trace_vanishes_on_other_edges(p):
 def test_bubble_trace_vanishes(p):
     for s in range(4):
         table = tabulate(p, _edge_points(s))
-        for m, kind in enumerate(table.kinds):
+        for m, kind in enumerate(shape_kinds(p)):
             if isinstance(kind, Bubble):
                 assert np.max(np.abs(table.values[m])) < 1e-12
 
@@ -158,7 +157,7 @@ def test_odd_edge_mode_flips_under_direction_reversal():
     t = RNG.uniform(-1.0, 1.0, size=12)
     fwd = tabulate(4, np.column_stack([t, -np.ones_like(t)]))
     rev = tabulate(4, np.column_stack([-t, -np.ones_like(t)]))
-    for m, kind in enumerate(fwd.kinds):
+    for m, kind in enumerate(shape_kinds(4)):
         if isinstance(kind, EdgeMode) and kind.edge == 0:
             sign = (-1.0) ** kind.degree
             np.testing.assert_allclose(rev.values[m], sign * fwd.values[m], atol=1e-13)

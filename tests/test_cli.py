@@ -1,17 +1,24 @@
 """Benchmark driver: CSV round trips, determinism, CLI surface, VTK output."""
 
+import ast
 import importlib
+import json
+import re
 import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hpmin.cli
 from hpmin.cli import BenchConfig, _build_parser, main, parse_levels, run
 from hpmin.dofmap import build_dofmap
 from hpmin.mesh import make_lshape
+from hpmin.solver import minimize
 from hpmin.vtk import solution_grid, write_vtk
 from oracles import read_rows
+
+RECORD_KEYS = {"iteration", "energy", "grad_norm", "radius", "rho", "accepted"}
 
 
 def test_parse_levels():
@@ -136,15 +143,38 @@ def test_cli_negative_max_iters_is_config_error(capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
-def test_verbose_emits_json_log(capsys):
-    code = main(["plaplace", "--levels", "0", "--verbose"])
-    assert code == 0
-    import json
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON")
 
-    err_lines = [l for l in capsys.readouterr().err.splitlines() if l.strip()]
-    records = [json.loads(l) for l in err_lines]
-    assert all({"iteration", "energy", "grad_norm", "radius", "rho",
-                "accepted"} <= set(r) for r in records)
+
+def test_verbose_emits_json_log(capsys):
+    # one strict-JSON line per iteration; this solve rejects trials with a
+    # +inf energy, whose rho is null, not -Infinity
+    code = main(["hyper", "--level", "0", "--verbose"])
+    assert code == 0
+    captured = capsys.readouterr()
+    records = [json.loads(line, parse_constant=_not_json)
+               for line in captured.err.splitlines()]
+    iters = int(captured.out.splitlines()[1].split(",")[4])
+    assert len(records) == iters
+    assert all(set(r) == RECORD_KEYS for r in records)
+    assert any(r["rho"] is None for r in records)
+
+
+def test_verbose_prints_exactly_the_history(capsys, monkeypatch):
+    solutions = []
+
+    def solve(problem, opts):
+        solutions.append(minimize(problem, opts))
+        return solutions[-1]
+
+    monkeypatch.setattr(hpmin.cli, "minimize", solve)
+    assert main(["plaplace", "--levels", "0,1", "--verbose"]) == 0
+    history = [r for sol in solutions for r in sol.history]
+    assert len(solutions) == 2 and history
+    assert all(set(r) == RECORD_KEYS for r in history)
+    printed = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert printed == history
 
 
 def test_run_hyperelasticity_small(tmp_path):
@@ -285,6 +315,31 @@ def test_every_exported_name_exists():
         module = importlib.import_module(name)
         missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
         assert not missing, f"{name}.__all__ names undefined {missing}"
+
+
+def test_every_exported_name_is_used_outside_tests():
+    # a name that only the tests read belongs in tests/oracles.py: each
+    # __all__ name must be read in src/hpmin (its own def, class or __all__
+    # entry does not count), named in bench/*.py or named in README.md
+    root = Path(__file__).parents[1]
+    used = set()
+    for path in (root / "src" / "hpmin").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    outside = "\n".join([(root / "README.md").read_text(),
+                         *(path.read_text() for path in (root / "bench").glob("*.py"))])
+    unused = []
+    for path in (root / "src" / "hpmin").glob("*.py"):
+        name = "hpmin" if path.stem == "__init__" else f"hpmin.{path.stem}"
+        for export in getattr(importlib.import_module(name), "__all__", ()):
+            if export not in used and not re.search(rf"\b{export}\b", outside):
+                unused.append(f"{name}.{export}")
+    assert not unused, f"exported names only the tests use: {sorted(unused)}"
 
 
 def test_vtk_mesh_export(tmp_path):

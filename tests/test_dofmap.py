@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hpmin.basis import n_basis_functions, tabulate
+from hpmin.basis import tabulate
 from hpmin.dofmap import (
     DirichletSpec,
     build_dofmap,
@@ -12,9 +12,9 @@ from hpmin.dofmap import (
     sparsity_pattern,
 )
 from hpmin.fd import greedy_coloring
-from hpmin.mesh import make_lshape, make_perforated_square, make_rect
+from hpmin.mesh import make_lshape, make_perforated_square
 from hpmin.problems import neohooke_problem
-from oracles import free_index
+from oracles import free_index, make_rect, n_basis_functions
 
 RNG = np.random.default_rng(20240512)
 

@@ -19,10 +19,10 @@ from hpmin.fd import (
     greedy_coloring,
     hessian_fd,
 )
-from hpmin.mesh import geometry_factors, make_lshape, make_perforated_square, make_rect
+from hpmin.mesh import geometry_factors, make_lshape, make_perforated_square
 from hpmin.problems import neohooke_problem, plaplace_problem
 from hpmin.quadrature import rule_for_degree
-from oracles import free_index, gradient_central, physical_derivatives
+from oracles import free_index, gradient_central, make_rect, physical_derivatives
 
 RNG = np.random.default_rng(20240514)
 
@@ -205,7 +205,7 @@ def test_hessian_fd_recovers_quadratic():
     colored = greedy_coloring(sp.csr_matrix(A != 0))
     grad = lambda v: A @ v
     v = RNG.standard_normal(n)
-    H = hessian_fd(grad, v, colored).toarray()
+    H = hessian_fd(grad, v, colored, g0=grad(v)).toarray()
     assert np.max(np.abs(H - A)) / np.max(np.abs(A)) < 1e-6
     np.testing.assert_allclose(H, H.T, atol=0)
     np.linalg.cholesky(H)  # SPD preserved
@@ -234,7 +234,7 @@ def test_hessian_fd_matches_assembled_stiffness():
 
     colored = greedy_coloring(sparsity_pattern(dm))
     v = RNG.standard_normal(n)
-    H = hessian_fd(grad_free, v, colored).toarray()
+    H = hessian_fd(grad_free, v, colored, g0=grad_free(v)).toarray()
     assert np.max(np.abs(H - K)) / np.max(np.abs(K)) < 1e-5
 
 
@@ -245,7 +245,9 @@ def test_hessian_fd_discards_outside_pattern():
     A = _quadratic_with_pattern(n)
     tri = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= 1
     colored = greedy_coloring(sp.csr_matrix(tri))
-    H = hessian_fd(lambda v: A @ v, np.zeros(n), colored).toarray()
+    grad = lambda v: A @ v
+    v = np.zeros(n)
+    H = hessian_fd(grad, v, colored, g0=grad(v)).toarray()
     assert np.all(H[~tri] == 0.0)
     np.testing.assert_allclose(H, H.T, atol=0)
 
@@ -278,7 +280,7 @@ def test_hessian_fd_csr_assembly_matches_coo_oracle(problem):
         fe, model = plaplace_problem(make_lshape(2), p=2, alpha=3.0, f=-10.0)
         v = RNG.standard_normal(fe.x0.size)
     colored = greedy_coloring(fe.pattern)
-    H = hessian_fd(fe.gradient, v, colored)
+    H = hessian_fd(fe.gradient, v, colored, g0=fe.gradient(v))
     oracle = _hessian_fd_coo_oracle(fe.gradient, v, colored)
     assert H.has_sorted_indices
     assert (H != H.T).nnz == 0
@@ -410,8 +412,9 @@ def test_hessian_fd_bits_do_not_depend_on_the_coloring(problem, p):
     _assert_valid_distance2(natural)
     grads = [fe.gradient] + ([fe.gradient_fd] if problem == "plaplace" else [])
     for grad in grads:
-        np.testing.assert_array_equal(hessian_fd(grad, v, colored).data,
-                                      hessian_fd(grad, v, natural).data)
+        g0 = grad(v)
+        np.testing.assert_array_equal(hessian_fd(grad, v, colored, g0=g0).data,
+                                      hessian_fd(grad, v, natural, g0=g0).data)
 
 
 def test_hessian_shares_a_read_only_structure():
@@ -424,7 +427,9 @@ def test_hessian_shares_a_read_only_structure():
     np.testing.assert_array_equal(pattern.indices, [0, 1, 0, 1, 2, 1, 2, 3, 2, 3])
     np.testing.assert_array_equal(pattern.indptr, [0, 2, 5, 8, 10])
     d = np.arange(1.0, 5.0)
-    H = hessian_fd(lambda v: d * v, np.zeros(4), greedy_coloring(pattern))
+    grad = lambda v: d * v
+    v = np.zeros(4)
+    H = hessian_fd(grad, v, greedy_coloring(pattern), g0=grad(v))
     np.testing.assert_allclose(H.toarray(), np.diag(d), rtol=1e-9, atol=0)
     with pytest.raises(ValueError):
         H.eliminate_zeros()

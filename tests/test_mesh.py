@@ -6,15 +6,19 @@ import pytest
 from hpmin.basis import tabulate
 from hpmin.mesh import (
     build_mesh,
-    element_areas,
     geometry_factors,
     make_lshape,
     make_perforated_square,
-    make_rect,
     refine_uniform,
 )
 from hpmin.quadrature import rule_for_degree
-from oracles import grid_cells, perforated_square_cells, physical_derivatives
+from oracles import (
+    element_areas,
+    grid_cells,
+    make_rect,
+    perforated_square_cells,
+    physical_derivatives,
+)
 
 HOLE_AREA_EXACT = 4.0 - np.pi / 9.0
 
