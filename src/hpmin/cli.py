@@ -100,18 +100,18 @@ class ProblemSpec:
     build: Callable  # (mesh, BenchConfig) -> (EnergyProblem, model)
     initial_radius: Callable  # mesh -> trust radius of the first step
     max_iters: int  # iteration cap unless the config sets one
-    export_vtk: Callable  # (path, BenchConfig, level, model, v_full) -> None
+    # (path, level, model, v_full) -> None; the degree is model.dofmap.p
+    export_vtk: Callable
 
 
-def _plaplace_vtk(path, config: BenchConfig, level: int, model, v_full):
+def _plaplace_vtk(path, level: int, model, v_full):
     """Per-element sampling grids of the scalar solution, point field u."""
-    points, cells, values = solution_grid(model.dofmap, v_full,
-                                          n_sub=config.p + 1)
+    points, cells, values = solution_grid(model.dofmap, v_full)
     write_vtk(path, points, cells, point_data={"u": values},
-              title=f"p-Laplace level {level}, p={config.p}")
+              title=f"p-Laplace level {level}, p={model.dofmap.p}")
 
 
-def _hyper_vtk(path, config: BenchConfig, level: int, model, v_full):
+def _hyper_vtk(path, level: int, model, v_full):
     """Nodes displaced by the bilinear part of the deformation, with the
     per-element mean stored-energy density as cell field W (the element
     area is the sum of w|J|, exact for bilinear cells)."""
@@ -120,7 +120,7 @@ def _hyper_vtk(path, config: BenchConfig, level: int, model, v_full):
     deformed = v_full.reshape(2, dm.n_p)[:, :mesh.n_nodes].T
     dens = model.element_energies(v_full) / model.geometry.wdetj.sum(axis=1)
     write_vtk(path, deformed, mesh.elems2nodes, cell_data={"W": dens},
-              title=f"hyperelasticity level {level}, p={config.p}")
+              title=f"hyperelasticity level {level}, p={dm.p}")
 
 
 PROBLEMS = {
@@ -185,8 +185,7 @@ def run(config: BenchConfig):
                   file=sys.stderr)
         if config.out_dir is not None and config.export_vtk:
             spec.export_vtk(config.out_dir / f"{config.problem}_level{level}.vtk",
-                            config, level, model,
-                            expand_solution(model.dofmap, sol.v_free))
+                            level, model, expand_solution(model.dofmap, sol.v_free))
         rows.append(ConvergenceRow(level=level, nelems=mesh.n_elems,
                                    dofs=problem.x0.size, time_s=elapsed,
                                    iters=sol.iterations, energy=sol.energy))

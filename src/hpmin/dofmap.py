@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import EdgeMode, Nodal, ShapeTable, n_bubbles, shape_kinds
+from .basis import EdgeMode, ShapeTable, n_bubbles, shape_kinds
 from .mesh import QuadMesh
 
 __all__ = [
@@ -135,37 +135,39 @@ def _selected_boundary(mesh: QuadMesh, on) -> tuple[np.ndarray, np.ndarray]:
 
 def build_dofmap(mesh: QuadMesh, p: int, components: int = 1,
                  dirichlet: DirichletSpec | None = None) -> DofMap:
-    """Enumerate global DOFs and constraints for uniform degree p."""
+    """Enumerate global DOFs and constraints for uniform degree p.
+
+    ``elems2dofs`` and ``signs`` are built as three blocks of columns: the
+    element's corner nodes; its edge modes, each addressed by local side
+    and degree, with sign -1 for an odd degree on a side whose local
+    direction runs against the global one; and its bubbles.  A vector
+    problem repeats the blocks once per component.
+    """
     if p < 1:
         raise ValueError(f"degree must be >= 1, got {p}")
     if components not in (1, 2):
         raise ValueError(f"components must be 1 or 2, got {components}")
 
-    kinds = shape_kinds(p)
     nb = n_bubbles(p)
     n_nodes, n_edges, n_elems = mesh.n_nodes, mesh.n_edges, mesh.n_elems
     edge_base = n_nodes
     bubble_base = n_nodes + (p - 1) * n_edges
     n_p = bubble_base + n_elems * nb
 
-    elems2dofs = np.empty((n_elems, len(kinds)), dtype=np.int64)
-    signs = np.ones((n_elems, len(kinds)))
-    nxt = np.roll(mesh.elems2nodes, -1, axis=1)
-    bubble_count = 0
-    for m, kind in enumerate(kinds):
-        if isinstance(kind, Nodal):
-            elems2dofs[:, m] = mesh.elems2nodes[:, kind.node]
-        elif isinstance(kind, EdgeMode):
-            s, k = kind.edge, kind.degree
-            elems2dofs[:, m] = (edge_base
-                                + mesh.elems2edges[:, s] * (p - 1) + (k - 2))
-            if k % 2 == 1:
-                against = mesh.elems2nodes[:, s] > nxt[:, s]
-                signs[against, m] = -1.0
-        else:
-            elems2dofs[:, m] = (bubble_base + np.arange(n_elems) * nb
-                                + bubble_count)
-            bubble_count += 1
+    # shape_kinds(p) orders the local functions as the 4 corners, the edge
+    # modes, then the nb bubbles: one block of columns each
+    side, degree = np.array([(k.edge, k.degree) for k in shape_kinds(p)
+                             if isinstance(k, EdgeMode)],
+                            dtype=np.int64).reshape(-1, 2).T
+    against = mesh.elems2nodes > np.roll(mesh.elems2nodes, -1, axis=1)
+    flip = (degree % 2 == 1) & against[:, side]
+    elems2dofs = np.hstack([
+        mesh.elems2nodes,
+        edge_base + mesh.elems2edges[:, side] * (p - 1) + (degree - 2),
+        bubble_base + nb * np.arange(n_elems)[:, None] + np.arange(nb),
+    ])
+    signs = np.hstack([np.ones((n_elems, 4)), np.where(flip, -1.0, 1.0),
+                       np.ones((n_elems, nb))])
     elems2dofs = np.concatenate(
         [elems2dofs + c * n_p for c in range(components)], axis=1)
     signs = np.tile(signs, (1, components))

@@ -71,6 +71,8 @@ def assemble_load(geometry: GeometryFactors, dofmap: DofMap, f) -> np.ndarray:
     f = np.atleast_1d(np.asarray(f, dtype=float))
     if f.shape != (dofmap.components,):
         raise ValueError(f"expected {dofmap.components} load components, got {f.shape}")
+    if not np.all(np.isfinite(f)):
+        raise ValueError(f"load f must be finite, got {f.tolist()}")
     # integral of each local shape function over each element
     cell = np.einsum("tq,mq->tm", geometry.wdetj, geometry.table.values)
     return dofmap.scatter(np.repeat(f, cell.shape[1])
@@ -82,9 +84,8 @@ def identity_deformation(dofmap: DofMap) -> np.ndarray:
     if dofmap.components != 2:
         raise ValueError("identity deformation needs a 2-component DofMap")
     v = np.zeros(dofmap.n_dofs)
-    nodes = dofmap.mesh.nodes
-    for c in range(2):
-        v[c * dofmap.n_p: c * dofmap.n_p + nodes.shape[0]] = nodes[:, c]
+    # component c's nodal DOFs are ids c * n_p + node: row c of the view
+    v.reshape(2, dofmap.n_p)[:, :dofmap.mesh.n_nodes] = dofmap.mesh.nodes.T
     return v
 
 
@@ -164,8 +165,9 @@ class PLaplaceModel(_ModelBase):
 
     def __init__(self, geometry: GeometryFactors, dofmap: DofMap,
                  alpha: float, f: float):
-        if not alpha > 1.0:
-            raise ValueError(f"alpha must be > 1 for a unique minimizer, got {alpha}")
+        if not 1.0 < alpha < np.inf:
+            raise ValueError(f"alpha must be finite and > 1 for a unique "
+                             f"minimizer, got {alpha}")
         if dofmap.components != 1:
             raise ValueError("scalar model needs a 1-component DofMap")
         super().__init__(geometry, dofmap, f)
@@ -192,8 +194,9 @@ class NeoHookeModel(_ModelBase):
 
     def __init__(self, geometry: GeometryFactors, dofmap: DofMap,
                  c1: float, d1: float, f):
-        if c1 <= 0.0 or d1 <= 0.0:
-            raise ValueError(f"material constants must be positive, got {c1}, {d1}")
+        if not (0.0 < c1 < np.inf and 0.0 < d1 < np.inf):
+            raise ValueError(f"material constants c1, d1 must be positive and "
+                             f"finite, got {c1}, {d1}")
         if dofmap.components != 2:
             raise ValueError("elasticity model needs a 2-component DofMap")
         super().__init__(geometry, dofmap, f)
@@ -203,8 +206,9 @@ class NeoHookeModel(_ModelBase):
     @classmethod
     def from_young_poisson(cls, geometry, dofmap, young: float, poisson: float, f):
         """Standard identification C1 = mu/2, D1 = K/2 from (E, nu)."""
-        if not young > 0.0:
-            raise ValueError(f"Young's modulus must be positive, got {young}")
+        if not 0.0 < young < np.inf:
+            raise ValueError(f"Young's modulus E must be positive and finite, "
+                             f"got {young}")
         if not -1.0 < poisson < 0.5:
             raise ValueError(f"Poisson ratio must lie in (-1, 0.5), got {poisson}")
         mu = young / (2.0 * (1.0 + poisson))

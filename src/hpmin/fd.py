@@ -32,34 +32,30 @@ __all__ = [
 FD_STEP = 1e-6
 
 
-def _steps(values: np.ndarray, h: float) -> np.ndarray:
-    """Per-coordinate step h * max(1, |v_i|)."""
-    return h * np.maximum(1.0, np.abs(values))
+def _steps(values: np.ndarray) -> np.ndarray:
+    """Per-coordinate step FD_STEP * max(1, |v_i|)."""
+    return FD_STEP * np.maximum(1.0, np.abs(values))
 
 
-def gradient_central_local(model, v_full: np.ndarray, h: float = FD_STEP,
-                           dofs=None) -> np.ndarray:
-    """Central differences one local slot at a time.
+def gradient_central_local(model, v_full: np.ndarray) -> np.ndarray:
+    """Central differences one local slot at a time, one entry per DOF.
 
     A probe of DOF i changes only the elements holding it, and each element
     holds it in one local slot.  So for each slot s all elements are probed
-    together: slot s of every element moves by its DOF's step, up and down,
-    and the energy differences are accumulated onto the DOFs in slot s.
-    DOFs outside ``dofs`` take a zero step.  The signed local coefficients
+    together: slot s of every element moves by its DOF's step
+    ``FD_STEP * max(1, |v_i|)``, up and down, and element e's energy
+    difference is credited to ``elems2dofs[e, s]`` alone.  So each DOF's
+    bin gets the same terms in the same order whatever else is probed, and
+    fixed DOFs are probed like free ones.  The signed local coefficients
     and steps are gathered once, through ``model.dofmap.gather``, before
     the slot loop.  ``model`` provides ``dofmap``,
-    ``element_energies_local`` and ``b_full``; the result equals central
-    differences of the full energy up to summation order.  ``dofs`` must
-    not repeat an id.
+    ``element_energies_local`` and ``b_full``; the result has the layout of
+    ``model.gradient`` and equals central differences of the full energy
+    up to summation order.
     """
     v_full = np.asarray(v_full, dtype=float)
     dm = model.dofmap
-    dofs = np.arange(dm.n_dofs) if dofs is None else np.asarray(dofs)
-    requested = np.zeros(dm.n_dofs, dtype=bool)
-    requested[dofs] = True
-    if np.count_nonzero(requested) != dofs.size:
-        raise ValueError("dofs contains repeated ids")
-    steps = np.where(requested, _steps(v_full, h), 0.0)
+    steps = _steps(v_full)
 
     probe = dm.gather(v_full)
     deltas = dm.gather(steps)
@@ -74,7 +70,7 @@ def gradient_central_local(model, v_full: np.ndarray, h: float = FD_STEP,
         if not (np.all(np.isfinite(e_up)) and np.all(np.isfinite(e_dn))):
             raise BarrierError("energy not finite at a finite-difference probe")
         diff += np.bincount(slot_dofs, weights=e_up - e_dn, minlength=dm.n_dofs)
-    return diff[dofs] / (2.0 * steps[dofs]) - model.b_full[dofs]
+    return diff / (2.0 * steps) - model.b_full
 
 
 @dataclass(frozen=True)
@@ -204,7 +200,7 @@ def hessian_fd(grad, v: np.ndarray, colored: ColoredPattern,
     pattern = colored.pattern
     if v.size != pattern.shape[0]:
         raise ValueError(f"expected vector of length {pattern.shape[0]}, got {v.size}")
-    steps = _steps(v, FD_STEP)
+    steps = _steps(v)
     diffs = np.empty((colored.n_groups, v.size))
     probe = v.copy()
     for group, members in enumerate(colored.members):

@@ -21,26 +21,24 @@ def _problem(mesh: QuadMesh, p: int, components: int, dirichlet: DirichletSpec,
     ``EnergyProblem`` over its free DOFs.
 
     ``make_model(geo, dofmap)`` builds the energy model and
-    ``make_x0(dofmap)`` the free-DOF starting vector.
+    ``make_x0(dofmap)`` the free-DOF starting vector.  Both gradients,
+    ``model.gradient`` and :func:`hpmin.fd.gradient_central_local`, give
+    one entry per DOF of the full vector; one helper inserts the fixed
+    values and keeps the free entries of either.
     """
     rule = rule_for_degree(p)
     geo = geometry_factors(mesh, rule, tabulate(p, rule.points))
     dm = build_dofmap(mesh, p, components=components, dirichlet=dirichlet)
     model = make_model(geo, dm)
 
-    def energy(v_free):
-        return model.energy(expand_solution(dm, v_free))
+    def on_free(full_gradient):
+        return lambda v_free: full_gradient(expand_solution(dm, v_free))[dm.free_dofs]
 
-    def gradient(v_free):
-        return model.gradient(expand_solution(dm, v_free))[dm.free_dofs]
-
-    def gradient_fd(v_free):
-        return gradient_central_local(model, expand_solution(dm, v_free),
-                                      dofs=dm.free_dofs)
-
-    problem = EnergyProblem(energy=energy, gradient=gradient,
-                            gradient_fd=gradient_fd,
-                            pattern=sparsity_pattern(dm), x0=make_x0(dm))
+    problem = EnergyProblem(
+        energy=lambda v_free: model.energy(expand_solution(dm, v_free)),
+        gradient=on_free(model.gradient),
+        gradient_fd=on_free(lambda v_full: gradient_central_local(model, v_full)),
+        pattern=sparsity_pattern(dm), x0=make_x0(dm))
     return problem, model
 
 

@@ -60,9 +60,10 @@ class TrOptions:
     first radius and gradient source.
 
     ``grad_tol=None`` resolves to 1e-6 * max(1, |J(x0)|), which adapts the
-    stopping test to the energy scale of the problem.  The radius policy
-    and the CG tolerance are the module constants above; the Hessian's
-    difference step is :data:`hpmin.fd.FD_STEP`.
+    stopping test to the energy scale of the problem.  ``initial_radius``,
+    and ``grad_tol`` when given, must be positive and finite.  The radius
+    policy and the CG tolerance are the module constants above; the
+    Hessian's difference step is :data:`hpmin.fd.FD_STEP`.
     """
 
     grad_tol: float | None = None
@@ -73,6 +74,13 @@ class TrOptions:
     def __post_init__(self):
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
+        # written as 0 < x < inf so that a NaN fails too
+        if not 0.0 < self.initial_radius < np.inf:
+            raise ValueError(f"initial_radius must be positive and finite, "
+                             f"got {self.initial_radius}")
+        if self.grad_tol is not None and not 0.0 < self.grad_tol < np.inf:
+            raise ValueError(f"grad_tol must be positive and finite, "
+                             f"got {self.grad_tol}")
         if self.gradient_mode not in ("explicit", "central_diff"):
             raise ValueError(f"unknown gradient mode {self.gradient_mode!r}")
 

@@ -45,15 +45,15 @@ def write_vtk(path, points, cells, point_data=None, cell_data=None,
         fh.write("\n".join(lines) + "\n")
 
 
-def solution_grid(dofmap: DofMap, v_full: np.ndarray, n_sub: int):
+def solution_grid(dofmap: DofMap, v_full: np.ndarray):
     """Sample the scalar expansion on per-element display subgrids.
 
-    Each element contributes an independent (n_sub x n_sub)-point patch of
-    QUAD cells, so the high-order field content survives in a format that
-    only knows bilinear cells.  Returns (points, cells, values).
+    Each element contributes an independent patch of QUAD cells on
+    p + 1 equispaced points per direction, p the degree of ``dofmap``, so
+    the high-order field content survives in a format that only knows
+    bilinear cells.  Returns (points, cells, values).
     """
-    if n_sub < 2:
-        raise ValueError("need at least a 2 x 2 sampling grid")
+    n_sub = dofmap.p + 1
     t = np.linspace(-1.0, 1.0, n_sub)
     xi, eta = np.meshgrid(t, t, indexing="ij")
     ref = np.column_stack([xi.ravel(), eta.ravel()])

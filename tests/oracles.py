@@ -2,12 +2,13 @@
 
 Each one is the plain form of a fast path in ``hpmin``: whole-energy
 central differences, per-element physical shape derivatives, the
-full-to-free DOF index, Legendre polynomials and kernels one degree at a
-time, shape functions evaluated one at a time from the geometry of the
-reference square, shoelace element areas, and structured grids built cell
-by cell.  It also holds what only the tests use: the unit-square mesh
-generator, the local basis count, and the reader of the convergence-table
-CSV that ``hpmin.cli`` writes.
+full-to-free DOF index, the element DOF tables one local slot at a time,
+Legendre polynomials and kernels one degree at a time, shape functions
+evaluated one at a time from the geometry of the reference square,
+shoelace element areas, and structured grids built cell by cell.  It also
+holds what only the tests use: the unit-square mesh generator, the local
+basis count, and the reader of the convergence-table CSV that
+``hpmin.cli`` writes.
 """
 
 import csv
@@ -96,6 +97,39 @@ def n_basis_functions(p: int) -> int:
     if p < 1:
         raise ValueError(f"degree must be >= 1, got {p}")
     return 4 + 4 * (p - 1) + n_bubbles(p)
+
+
+def dofmap_tables(mesh, p: int, components: int):
+    """``elems2dofs``, ``signs`` and ``n_p`` of ``build_dofmap``, built one
+    local slot at a time from the kind of its shape function."""
+    kinds = shape_kinds(p)
+    nb = n_bubbles(p)
+    n_nodes, n_edges, n_elems = mesh.n_nodes, mesh.n_edges, mesh.n_elems
+    edge_base = n_nodes
+    bubble_base = n_nodes + (p - 1) * n_edges
+    n_p = bubble_base + n_elems * nb
+
+    elems2dofs = np.empty((n_elems, len(kinds)), dtype=np.int64)
+    signs = np.ones((n_elems, len(kinds)))
+    nxt = np.roll(mesh.elems2nodes, -1, axis=1)
+    bubble_count = 0
+    for m, kind in enumerate(kinds):
+        if isinstance(kind, Nodal):
+            elems2dofs[:, m] = mesh.elems2nodes[:, kind.node]
+        elif isinstance(kind, EdgeMode):
+            s, k = kind.edge, kind.degree
+            elems2dofs[:, m] = (edge_base
+                                + mesh.elems2edges[:, s] * (p - 1) + (k - 2))
+            if k % 2 == 1:
+                against = mesh.elems2nodes[:, s] > nxt[:, s]
+                signs[against, m] = -1.0
+        else:
+            elems2dofs[:, m] = (bubble_base + np.arange(n_elems) * nb
+                                + bubble_count)
+            bubble_count += 1
+    elems2dofs = np.concatenate(
+        [elems2dofs + c * n_p for c in range(components)], axis=1)
+    return elems2dofs, np.tile(signs, (1, components)), n_p
 
 
 # Corner s of the reference square, counterclockwise from (-1, -1).

@@ -5,6 +5,7 @@ import importlib
 import json
 import re
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +107,22 @@ def test_cli_exit_code_on_bad_config(capsys):
 def test_cli_hyper_rejects_bad_poisson_ratio(nu, capsys):
     assert main(["hyper", "--level", "0", "--nu", nu]) == 3
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["plaplace", "--levels", "1", "--alpha", "inf"], "alpha"),
+    (["plaplace", "--levels", "1", "--f", "inf"], "load f"),
+    (["hyper", "--level", "0", "--fx=inf"], "load f"),
+    (["hyper", "--level", "0", "--E", "inf"], "Young's modulus E"),
+    (["hyper", "--level", "0", "--fy=nan"], "load f"),
+])
+def test_cli_nonfinite_parameter_is_config_error(argv, name, capsys):
+    # rejected where the value enters, before any arithmetic on it warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and name in err
 
 
 def test_cli_hyper_stdout_without_load(capsys):
@@ -342,6 +359,44 @@ def test_every_exported_name_is_used_outside_tests():
     assert not unused, f"exported names only the tests use: {sorted(unused)}"
 
 
+def test_every_parameter_default_is_passed_outside_tests():
+    # a default that no call in src/hpmin or bench/*.py overrides is a knob
+    # only the tests turn: each parameter with a default, on a function or
+    # method in src/hpmin, must be passed by some call there, by keyword or
+    # positionally past its index (a method's self or cls not counted).
+    # main's argv is exempt: the console script calls main(), and the
+    # tests drive the CLI through argv
+    root = Path(__file__).parents[1]
+    sources = [*(root / "src" / "hpmin").glob("*.py"), *(root / "bench").glob("*.py")]
+    passed = set()  # (callee name, keyword or position)
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                passed.update((callee, kw.arg) for kw in node.keywords)
+                passed.update((callee, i) for i in range(len(node.args)))
+    unused = []
+    for path in (root / "src" / "hpmin").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        init_of = {fn: cls.name for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) for fn in cls.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            name = init_of.get(fn, fn.name) if fn.name == "__init__" else fn.name
+            args = fn.args
+            pos = args.posonlyargs + args.args
+            skip = int(bool(pos) and pos[0].arg in ("self", "cls"))
+            with_default = [(a, i - skip) for i, a in enumerate(pos)
+                            if i >= len(pos) - len(args.defaults)]
+            with_default += [(a, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                             if d is not None]
+            unused += [f"{path.stem}.{name}({a.arg})" for a, i in with_default
+                       if (name, a.arg) not in passed and (name, i) not in passed]
+    unused = sorted(set(unused) - {"cli.main(argv)"})
+    assert not unused, f"parameter defaults no call overrides: {unused}"
+
+
 def test_vtk_mesh_export(tmp_path):
     mesh = make_lshape(0)
     path = tmp_path / "mesh.vtk"
@@ -359,7 +414,7 @@ def test_solution_grid_reproduces_linear_field():
     dm = build_dofmap(mesh, p=2)
     v = np.zeros(dm.n_dofs)
     v[:mesh.n_nodes] = 2.0 * mesh.nodes[:, 0] - mesh.nodes[:, 1]
-    points, cells, values = solution_grid(dm, v, n_sub=3)
+    points, cells, values = solution_grid(dm, v)
     np.testing.assert_allclose(values, 2.0 * points[:, 0] - points[:, 1],
                                atol=1e-12)
     assert cells.shape == (mesh.n_elems * 4, 4)

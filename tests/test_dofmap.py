@@ -14,7 +14,7 @@ from hpmin.dofmap import (
 from hpmin.fd import greedy_coloring
 from hpmin.mesh import make_lshape, make_perforated_square
 from hpmin.problems import neohooke_problem
-from oracles import free_index, make_rect, n_basis_functions
+from oracles import dofmap_tables, free_index, make_rect, n_basis_functions
 
 RNG = np.random.default_rng(20240512)
 
@@ -53,6 +53,18 @@ def test_p1_reduces_to_nodal_incidence():
     dm = build_dofmap(mesh, p=1)
     np.testing.assert_array_equal(dm.elems2dofs, mesh.elems2nodes)
     assert np.all(dm.signs == 1.0)
+
+
+@pytest.mark.parametrize("components", [1, 2])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_tables_match_slot_by_slot_oracle(p, components):
+    for mesh in (make_lshape(1), make_perforated_square(1)):
+        dm = build_dofmap(mesh, p, components=components)
+        elems2dofs, signs, n_p = dofmap_tables(mesh, p, components)
+        assert dm.n_p == n_p
+        assert dm.elems2dofs.dtype == elems2dofs.dtype
+        np.testing.assert_array_equal(dm.elems2dofs, elems2dofs)
+        np.testing.assert_array_equal(dm.signs, signs)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])

@@ -156,8 +156,16 @@ def test_plaplace_energy_quadratic_case():
 
 def test_plaplace_rejects_bad_alpha():
     geo, dm = _setup(make_rect(1, 1), p=1)
-    with pytest.raises(ValueError, match="alpha"):
-        PLaplaceModel(geo, dm, alpha=1.0, f=0.0)
+    for alpha in (1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="alpha"):
+            PLaplaceModel(geo, dm, alpha=alpha, f=0.0)
+
+
+@pytest.mark.parametrize("f", [np.inf, -np.inf, np.nan])
+def test_load_must_be_finite(f):
+    geo, dm = _setup(make_rect(1, 1), p=1, components=2)
+    with pytest.raises(ValueError, match="load f must be finite"):
+        assemble_load(geo, dm, (1.0, f))
 
 
 @pytest.mark.parametrize("alpha", [2.0, 3.0])
@@ -273,6 +281,22 @@ def test_young_poisson_mapping():
                                              f=(0.0, 0.0))
     assert model.c1 == pytest.approx(2e8 / (2 * 1.3) / 2)
     assert model.d1 == pytest.approx(2e8 / (3 * 0.4) / 2)
+
+
+@pytest.mark.parametrize("c1, d1", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0),
+                                    (1.0, np.inf), (0.0, 1.0), (1.0, -1.0)])
+def test_neohooke_rejects_bad_material_constants(c1, d1):
+    geo, dm = _setup(make_rect(1, 1), p=1, components=2)
+    with pytest.raises(ValueError, match="c1, d1"):
+        NeoHookeModel(geo, dm, c1=c1, d1=d1, f=(0.0, 0.0))
+
+
+@pytest.mark.parametrize("young", [np.inf, np.nan, 0.0])
+def test_young_poisson_rejects_bad_modulus(young):
+    geo, dm = _setup(make_rect(1, 1), p=1, components=2)
+    with pytest.raises(ValueError, match="Young's modulus E"):
+        NeoHookeModel.from_young_poisson(geo, dm, young=young, poisson=0.3,
+                                         f=(0.0, 0.0))
 
 
 def test_length_mismatch_raises():

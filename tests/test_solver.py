@@ -148,6 +148,12 @@ def test_hyperelastic_barrier_robustness():
 def test_options_validation():
     with pytest.raises(ValueError):
         TrOptions(gradient_mode="magic")
+    for radius in (np.nan, np.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="initial_radius"):
+            TrOptions(initial_radius=radius)
+    for tol in (np.nan, np.inf, 0.0, -1e-6):
+        with pytest.raises(ValueError, match="grad_tol"):
+            TrOptions(grad_tol=tol)
 
 
 def test_rejects_nonfinite_start():
