@@ -180,13 +180,9 @@ class PLaplaceModel(_ModelBase):
     def stress(self, G: np.ndarray) -> np.ndarray:
         """|grad v|^(alpha-2) grad v."""
         norm2 = _frobenius2(G)
-        if self.alpha < 2.0 and np.any(norm2 == 0.0):
-            raise ValueError(
-                "singular gradient: |grad v| = 0 at a quadrature point with alpha < 2"
-            )
-        # the analytic limit at grad v = 0: 0 ** positive is 0, and the 1
-        # that 0 ** 0 gives at alpha = 2 multiplies G = 0
-        return norm2 ** ((self.alpha - 2.0) / 2.0) * G
+        # the analytic limit at grad v = 0 is 0 for every alpha > 1: the
+        # base 1 put there multiplies G = 0, so no 0 ** negative is taken
+        return np.where(norm2 > 0.0, norm2, 1.0) ** ((self.alpha - 2.0) / 2.0) * G
 
 
 class NeoHookeModel(_ModelBase):

@@ -176,6 +176,11 @@ def make_perforated_square(level: int = 0) -> QuadMesh:
     return build_mesh(nodes, elems)
 
 
+# counterclockwise children as rows of the local node table of a quad:
+# corners 0-3, midpoints 4-7 of local edges 0-3, then the center 8
+_CHILDREN = np.array([[0, 4, 8, 7], [4, 1, 5, 8], [8, 5, 2, 6], [7, 8, 6, 3]])
+
+
 def refine_uniform(mesh: QuadMesh) -> QuadMesh:
     """Split every quad into 4 via edge midpoints and the bilinear centroid.
 
@@ -189,15 +194,9 @@ def refine_uniform(mesh: QuadMesh) -> QuadMesh:
     centers = mesh.nodes[mesh.elems2nodes].mean(axis=1)
     nodes = np.vstack([mesh.nodes, midpoints, centers])
 
-    mid = n_nodes + mesh.elems2edges  # (T, 4) midpoint node per local edge
-    ctr = n_nodes + n_edges + np.arange(mesh.n_elems)
-    c = mesh.elems2nodes
-    children = np.empty((mesh.n_elems, 4, 4), dtype=np.int64)
-    children[:, 0] = np.stack([c[:, 0], mid[:, 0], ctr, mid[:, 3]], axis=1)
-    children[:, 1] = np.stack([mid[:, 0], c[:, 1], mid[:, 1], ctr], axis=1)
-    children[:, 2] = np.stack([ctr, mid[:, 1], c[:, 2], mid[:, 2]], axis=1)
-    children[:, 3] = np.stack([mid[:, 3], ctr, mid[:, 2], c[:, 3]], axis=1)
-    return build_mesh(nodes, children.reshape(-1, 4))
+    local = np.column_stack([mesh.elems2nodes, n_nodes + mesh.elems2edges,
+                             n_nodes + n_edges + np.arange(mesh.n_elems)])
+    return build_mesh(nodes, local[:, _CHILDREN].reshape(-1, 4))
 
 
 @dataclass

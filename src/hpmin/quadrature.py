@@ -1,4 +1,5 @@
-"""Gauss-Legendre quadrature on [-1, 1] and its tensor product on the square."""
+"""Gauss-Legendre quadrature on the square: tensor products of numpy's
+``leggauss`` rule on [-1, 1]."""
 
 from __future__ import annotations
 
@@ -6,9 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import legendre_table
-
-__all__ = ["QuadRule", "gauss_1d", "rule_for_degree"]
+__all__ = ["QuadRule", "rule_for_degree"]
 
 
 @dataclass(frozen=True)
@@ -27,34 +26,6 @@ class QuadRule:
         return self.weights.shape[0]
 
 
-def gauss_1d(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss-Legendre rule on [-1, 1], exact to degree 2n - 1.
-
-    Nodes are the roots of L_n, found by Newton iteration from the
-    Chebyshev-like initial guesses cos(pi (i - 1/4) / (n + 1/2)) and
-    converged to 1e-15.  Weights follow from w = 2 / ((1 - x^2) L_n'(x)^2).
-    Each Newton step and the weights read L_n and L_{n-1} from one
-    Legendre table.
-    """
-    if n < 1:
-        raise ValueError(f"point count must be >= 1, got {n}")
-    i = np.arange(1, n + 1)
-    x = np.cos(np.pi * (i - 0.25) / (n + 0.5))
-    for _ in range(100):
-        legendre = legendre_table(n, x)
-        # (1 - x^2) L_n' = n (L_{n-1} - x L_n)
-        dval = n * (legendre[n - 1] - x * legendre[n]) / (1.0 - x * x)
-        dx = legendre[n] / dval
-        x -= dx
-        if np.max(np.abs(dx)) < 1e-15:
-            break
-    legendre = legendre_table(n, x)
-    dval = n * (legendre[n - 1] - x * legendre[n]) / (1.0 - x * x)
-    w = 2.0 / ((1.0 - x * x) * dval * dval)
-    order = np.argsort(x)
-    return x[order], w[order]
-
-
 def rule_for_degree(p: int) -> QuadRule:
     """Tensor product of the (p+1)-point rule with itself; n_ip = (p+1)^2.
 
@@ -65,7 +36,7 @@ def rule_for_degree(p: int) -> QuadRule:
     """
     if p < 1:
         raise ValueError(f"element degree must be >= 1, got {p}")
-    x, w = gauss_1d(p + 1)
+    x, w = np.polynomial.legendre.leggauss(p + 1)
     xi, eta = np.meshgrid(x, x, indexing="ij")
     points = np.column_stack([xi.ravel(), eta.ravel()])
     weights = np.outer(w, w).ravel()

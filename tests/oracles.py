@@ -5,7 +5,8 @@ central differences, per-element physical shape derivatives, the
 full-to-free DOF index, the element DOF tables one local slot at a time,
 Legendre polynomials and kernels one degree at a time, shape functions
 evaluated one at a time from the geometry of the reference square,
-shoelace element areas, and structured grids built cell by cell.  It also
+shoelace element areas, structured grids built cell by cell, and uniform
+refinement with each child stacked by hand.  It also
 holds what only the tests use: the unit-square mesh generator, the local
 basis count, and the reader of the convergence-table CSV that
 ``hpmin.cli`` writes.
@@ -203,6 +204,25 @@ def make_rect(nx: int, ny: int) -> QuadMesh:
     return build_mesh(*_grid(np.linspace(0.0, 1.0, nx + 1),
                              np.linspace(0.0, 1.0, ny + 1),
                              np.ones((ny, nx), dtype=bool)))
+
+
+def refine_by_stacks(mesh: QuadMesh) -> QuadMesh:
+    """Uniform refinement with the four children written out one by one:
+    original nodes, then edge midpoints, then element centers."""
+    n_nodes, n_edges = mesh.n_nodes, mesh.n_edges
+    midpoints = 0.5 * (mesh.nodes[mesh.edges2nodes[:, 0]]
+                       + mesh.nodes[mesh.edges2nodes[:, 1]])
+    centers = mesh.nodes[mesh.elems2nodes].mean(axis=1)
+    nodes = np.vstack([mesh.nodes, midpoints, centers])
+    mid = n_nodes + mesh.elems2edges  # (T, 4) midpoint node per local edge
+    ctr = n_nodes + n_edges + np.arange(mesh.n_elems)
+    c = mesh.elems2nodes
+    children = np.empty((mesh.n_elems, 4, 4), dtype=np.int64)
+    children[:, 0] = np.stack([c[:, 0], mid[:, 0], ctr, mid[:, 3]], axis=1)
+    children[:, 1] = np.stack([mid[:, 0], c[:, 1], mid[:, 1], ctr], axis=1)
+    children[:, 2] = np.stack([ctr, mid[:, 1], c[:, 2], mid[:, 2]], axis=1)
+    children[:, 3] = np.stack([mid[:, 3], ctr, mid[:, 2], c[:, 3]], axis=1)
+    return build_mesh(nodes, children.reshape(-1, 4))
 
 
 def element_areas(mesh: QuadMesh) -> np.ndarray:

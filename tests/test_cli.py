@@ -15,7 +15,7 @@ import hpmin.cli
 from hpmin.cli import BenchConfig, _build_parser, main, parse_levels, run
 from hpmin.dofmap import build_dofmap
 from hpmin.mesh import make_lshape
-from hpmin.solver import minimize
+from hpmin.solver import TrOptions, minimize
 from hpmin.vtk import solution_grid, write_vtk
 from oracles import read_rows
 
@@ -101,6 +101,13 @@ def test_cli_exit_code_on_bad_config(capsys):
     assert main(["plaplace", "--alpha", "0.5", "--levels", "1"]) == 3
     err = capsys.readouterr().err
     assert "configuration error" in err
+
+
+def test_cli_plaplace_alpha_below_two_solves(capsys):
+    # the start v = 0 has grad v = 0 everywhere, where the stress of
+    # 1 < alpha < 2 is its limit 0 rather than an error
+    assert main(["plaplace", "--levels", "1", "--alpha", "1.5"]) == 0
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("nu", ["0.5", "-1"])
@@ -304,6 +311,28 @@ def test_barrier_probe_exits_with_solver_failure(grad, capsys):
     err = capsys.readouterr().err
     assert "level 0: no convergence" in err
     assert "Traceback" not in err
+
+
+# the --grad choice of the hpmin command each benchmark workload repeats
+BENCH_GRAD = {"plaplace_sweep": "explicit", "hyper_p2": "explicit",
+              "plaplace_fdgrad": "fd"}
+
+
+def test_bench_workloads_use_cli_options(monkeypatch):
+    # each benchmark level solves with the TrOptions the CLI builds for the
+    # same problem, mesh and --grad choice
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+    workloads = importlib.import_module("workloads")
+    assert set(workloads.WORKLOADS) == set(BENCH_GRAD)
+    for w in workloads.WORKLOADS.values():
+        spec = hpmin.cli.PROBLEMS[w.problem]
+        args = _build_parser().parse_args([w.problem, "--grad", BENCH_GRAD[w.name]])
+        for level in w.levels:
+            case = workloads.build(w, level, 0, 0)
+            assert case.opts == TrOptions(
+                initial_radius=spec.initial_radius(case.mesh),
+                max_iters=spec.max_iters,
+                gradient_mode=args.gradient_mode), (w.name, level)
 
 
 def test_hyper_level_defaults_to_bench_config():

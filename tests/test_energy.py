@@ -168,15 +168,16 @@ def test_load_must_be_finite(f):
         assemble_load(geo, dm, (1.0, f))
 
 
-@pytest.mark.parametrize("alpha", [2.0, 3.0])
+@pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
 def test_plaplace_gradient_zero_point(alpha):
-    # |grad v|^(alpha-2) at grad v = 0 is 0 above alpha = 2 and 1 at it
+    # the stress |grad v|^(alpha-2) grad v tends to 0 as grad v -> 0 for
+    # every alpha > 1, also below 2 where the power itself blows up
     geo, dm = _setup(make_lshape(0), p=2)
     model = PLaplaceModel(geo, dm, alpha=alpha, f=0.0)
     np.testing.assert_array_equal(model.gradient(np.zeros(dm.n_dofs)), 0.0)
 
 
-@pytest.mark.parametrize("alpha", [2.0, 3.0])
+@pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
 def test_plaplace_gradient_matches_fd(alpha):
     geo, dm = _setup(make_lshape(0), p=2)
     model = PLaplaceModel(geo, dm, alpha=alpha, f=-10.0)
@@ -185,13 +186,6 @@ def test_plaplace_gradient_matches_fd(alpha):
         g = model.gradient(v)
         g_fd = _fd_gradient(model.energy, v)
         assert np.max(np.abs(g - g_fd)) / np.max(np.abs(g)) < 1e-6
-
-
-def test_plaplace_singular_gradient_below_two():
-    geo, dm = _setup(make_rect(1, 1), p=1)
-    model = PLaplaceModel(geo, dm, alpha=1.5, f=0.0)
-    with pytest.raises(ValueError, match="singular gradient"):
-        model.gradient(np.zeros(dm.n_dofs))
 
 
 def test_plaplace_constant_shift_invariance():

@@ -18,6 +18,7 @@ from oracles import (
     make_rect,
     perforated_square_cells,
     physical_derivatives,
+    refine_by_stacks,
 )
 
 HOLE_AREA_EXACT = 4.0 - np.pi / 9.0
@@ -136,6 +137,20 @@ def test_refine_quadruples_and_preserves_orientation():
     assert element_areas(fine).sum() == pytest.approx(
         element_areas(mesh).sum(), abs=1e-12
     )
+
+
+@pytest.mark.parametrize("make, args", [
+    *((make_lshape, (level,)) for level in range(4)),
+    *((make_perforated_square, (level,)) for level in range(2)),
+    (make_rect, (3, 2)),
+])
+def test_refine_matches_child_stacks(make, args):
+    mesh = make(*args)
+    fine, ref = refine_uniform(mesh), refine_by_stacks(mesh)
+    for name in ("nodes", "elems2nodes", "edges2nodes", "elems2edges",
+                 "boundary_nodes", "boundary_edges"):
+        assert np.array_equal(getattr(fine, name), getattr(ref, name)), name
+        assert getattr(fine, name).dtype == getattr(ref, name).dtype, name
 
 
 def test_refine_unit_square_twice():

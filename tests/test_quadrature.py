@@ -1,41 +1,57 @@
-"""Quadrature oracles: closed forms, numpy's leggauss, and exactness checks."""
+"""Quadrature oracles: closed forms, Legendre roots and exactness checks."""
 
 import numpy as np
 import pytest
 
-from hpmin.basis import tabulate
-from hpmin.quadrature import gauss_1d, rule_for_degree
-
-
-def test_one_point_rule_is_midpoint():
-    x, w = gauss_1d(1)
-    np.testing.assert_allclose(x, [0.0], atol=1e-15)
-    np.testing.assert_allclose(w, [2.0], atol=1e-15)
+from hpmin.basis import legendre_table, tabulate
+from hpmin.quadrature import rule_for_degree
 
 
 def test_two_point_rule_closed_form():
-    # nodes solve L_2(x) = 0  =>  x = +-1/sqrt(3)
-    x, w = gauss_1d(2)
-    np.testing.assert_allclose(x, [-1 / np.sqrt(3), 1 / np.sqrt(3)], atol=1e-15)
-    np.testing.assert_allclose(w, [1.0, 1.0], atol=1e-15)
+    # p = 1: the nodes solve L_2(x) = 0, x = +-1/sqrt(3), with unit weights
+    rule = rule_for_degree(1)
+    s = 1 / np.sqrt(3)
+    np.testing.assert_allclose(rule.points, [[-s, -s], [-s, s], [s, -s], [s, s]],
+                               atol=1e-15)
+    np.testing.assert_allclose(rule.weights, 1.0, atol=1e-15)
 
 
 def test_three_point_rule_integrates_quartic():
-    x, w = gauss_1d(3)
-    assert np.dot(w, x**4) == pytest.approx(2.0 / 5.0, abs=1e-14)
+    # p = 2 is exact to degree 5 per direction: x^4 over [-1, 1]^2 is 4/5
+    rule = rule_for_degree(2)
+    assert np.dot(rule.weights, rule.points[:, 0]**4) == pytest.approx(0.8, abs=1e-14)
+    assert np.dot(rule.weights, rule.points[:, 1]**4) == pytest.approx(0.8, abs=1e-14)
 
 
-@pytest.mark.parametrize("n", range(1, 17))
-def test_against_numpy_leggauss(n):
-    x, w = gauss_1d(n)
-    x_ref, w_ref = np.polynomial.legendre.leggauss(n)
-    np.testing.assert_allclose(x, x_ref, atol=2e-15)
-    np.testing.assert_allclose(w, w_ref, atol=2e-15)
+@pytest.mark.parametrize("p", range(1, 9))
+def test_exact_for_monomials(p):
+    # closed form: int_{-1}^{1} x^a dx = 2 / (a + 1) for even a, 0 for odd a
+    rule = rule_for_degree(p)
+    x, y = rule.points.T
+    exact = lambda a: 2.0 / (a + 1) if a % 2 == 0 else 0.0
+    for a in range(2 * p + 2):
+        for b in range(2 * p + 2):
+            integral = np.dot(rule.weights, x**a * y**b)
+            assert abs(integral - exact(a) * exact(b)) < 1e-14, (a, b)
+
+
+@pytest.mark.parametrize("p", range(1, 17))
+def test_against_numpy_leggauss(p):
+    # the 1D rule under the tensor product (numpy's leggauss) checked
+    # against hpmin's own Legendre recurrence: its nodes are the roots of
+    # L_n, n = p + 1, and its weights are 2 / ((1 - x^2) L_n'(x)^2), with
+    # (1 - x^2) L_n' = n (L_{n-1} - x L_n)
+    n = p + 1
+    rule = rule_for_degree(p)
+    x = rule.points[::n, 0]
+    w = np.sqrt(np.diag(rule.weights.reshape(n, n)))
+    legendre = legendre_table(n, x)
+    dval = n * (legendre[n - 1] - x * legendre[n]) / (1.0 - x * x)
+    assert np.max(np.abs(legendre[n])) < 1e-14
+    np.testing.assert_allclose(w, 2.0 / ((1.0 - x * x) * dval * dval), atol=2e-15)
 
 
 def test_rejects_nonpositive_count():
-    with pytest.raises(ValueError):
-        gauss_1d(0)
     with pytest.raises(ValueError):
         rule_for_degree(0)
 
