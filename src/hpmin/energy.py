@@ -21,8 +21,10 @@ is formed.  Outside these kernels G is exposed only as
 * vector compressible Neo-Hookean elasticity with stored density
   W(F) = C1 (|F|^2 - 2 - 2 log det F) + D1 (det F - 1)^2, where v holds
   deformation coefficients and F is its gradient.  det F <= 0 anywhere
-  turns the energy into +inf, so step rejection in the minimizer handles
-  the orientation barrier automatically.
+  turns the energy into +inf.  F is linear in v, so det F along a step is
+  a quadratic at each point, and ``NeoHookeModel.max_step`` gives the
+  minimizer the first t at which it reaches 0, so that a step can be cut
+  short of the barrier.
 """
 
 from __future__ import annotations
@@ -165,9 +167,11 @@ class PLaplaceModel(_ModelBase):
 
     def __init__(self, geometry: GeometryFactors, dofmap: DofMap,
                  alpha: float, f: float):
-        if not 1.0 < alpha < np.inf:
-            raise ValueError(f"alpha must be finite and > 1 for a unique "
-                             f"minimizer, got {alpha}")
+        # alpha > 1 for a unique minimizer; from alpha = 1024 on, 2 ** alpha
+        # overflows, so a gradient of size 2 would have no finite density
+        if not 1.0 < alpha < 1024.0:
+            raise ValueError(f"alpha must lie in (1, 1024) for a unique "
+                             f"minimizer with a finite density, got {alpha}")
         if dofmap.components != 1:
             raise ValueError("scalar model needs a 1-component DofMap")
         super().__init__(geometry, dofmap, f)
@@ -225,6 +229,33 @@ class NeoHookeModel(_ModelBase):
         dens[ok] = (self.c1 * (_frobenius2(G)[ok] - 2.0 - 2.0 * np.log(det_ok))
                     + self.d1 * (det_ok - 1.0) ** 2)
         return dens
+
+    def max_step(self, v_full: np.ndarray, s_full: np.ndarray) -> float:
+        """Smallest t > 0 with det F(v + t s) = 0 at some quadrature point,
+        or inf if there is none.
+
+        At each point det F(v + t s) = det F + t b + t^2 det S with
+        b = F00 S11 + F11 S00 - F01 S10 - F10 S01, and det F > 0 at an
+        admissible v.  With q = -(b + sign(b) sqrt(b^2 - 4 det S det F)) / 2
+        the roots are q / det S and det F / q, free of cancellation: for
+        b < 0 the smaller positive root is det F / q (also when det S = 0),
+        for b >= 0 a positive root exists only when det S < 0, and it is
+        q / det S.  A negative discriminant leaves no real root.
+        """
+        F = self._gather(self.dofmap.gather(v_full))
+        S = self._gather(self.dofmap.gather(s_full))
+        a, c = _det(S), _det(F)
+        b = (F[0, 0] * S[1, 1] + F[1, 1] * S[0, 0]
+             - F[0, 1] * S[1, 0] - F[1, 0] * S[0, 1])
+        disc = b * b - 4.0 * a * c
+        root = np.sqrt(np.maximum(disc, 0.0))
+        q = -0.5 * (b + np.where(b < 0.0, -root, root))
+        t = np.full(c.shape, np.inf)
+        down = (b < 0.0) & (disc >= 0.0)
+        t[down] = c[down] / q[down]
+        flip = (b >= 0.0) & (a < 0.0)
+        t[flip] = q[flip] / a[flip]
+        return float(t.min(initial=np.inf))
 
     def stress(self, G: np.ndarray) -> np.ndarray:
         """First Piola stress P = 2 C1 (F - F^{-T}) + 2 D1 (det F - 1) det F F^{-T}."""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .basis import tabulate
@@ -55,10 +57,20 @@ def neohooke_problem(mesh: QuadMesh, p: int, young: float, poisson: float,
                      f) -> tuple[EnergyProblem, NeoHookeModel]:
     """Compressible Neo-Hookean elasticity, deformation pinned to the
     identity on the left and bottom sides (x = 0 or y = 0, to 1e-9),
-    starting from the identity map."""
-    return _problem(mesh, p, 2,
-                    DirichletSpec(on=lambda x, y: (abs(x) < 1e-9) | (abs(y) < 1e-9),
-                                  g=lambda x, y: (x, y)),
-                    lambda geo, dm: NeoHookeModel.from_young_poisson(
-                        geo, dm, young=young, poisson=poisson, f=f),
-                    lambda dm: identity_deformation(dm)[dm.free_dofs])
+    starting from the identity map.  The problem's ``max_step`` is the
+    model's, with the step zero on the fixed DOFs."""
+    problem, model = _problem(
+        mesh, p, 2,
+        DirichletSpec(on=lambda x, y: (abs(x) < 1e-9) | (abs(y) < 1e-9),
+                      g=lambda x, y: (x, y)),
+        lambda geo, dm: NeoHookeModel.from_young_poisson(
+            geo, dm, young=young, poisson=poisson, f=f),
+        lambda dm: identity_deformation(dm)[dm.free_dofs])
+    dm = model.dofmap
+
+    def max_step(v_free, step_free):
+        s_full = np.zeros(dm.n_dofs)
+        s_full[dm.free_dofs] = step_free
+        return model.max_step(expand_solution(dm, v_free), s_full)
+
+    return replace(problem, max_step=max_step), model

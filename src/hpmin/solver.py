@@ -4,13 +4,15 @@ Each iteration builds a sparse finite-difference Hessian on the problem's
 sparsity pattern (one gradient difference per color group), solves the
 trust-region subproblem with Steihaug-Toint truncated CG, and accepts or
 rejects the step by the ratio of actual to predicted energy reduction.
-A +inf trial energy (the elastic orientation barrier) simply rejects the
-step and shrinks the radius.  So does a ``BarrierError`` from the gradient
-of a trial that would be accepted, raised when a difference probe of a
-central-difference gradient crosses det F <= 0; the same error while the
-Hessian is built ends the solve unconverged at the current point.
-``TrSolution.history`` is the one per-iteration record; such a rejected
-trial records ``rho`` as None.
+A problem with a ``max_step`` (the elastic orientation barrier) has a
+step that would reach det F = 0 cut to the fraction ``BOUNDARY_FRACTION``
+of the way there before its trial energy is evaluated.  A +inf trial
+energy still rejects the step and shrinks the radius.  So does a
+``BarrierError`` from the gradient of a trial that would be accepted,
+raised when a difference probe of a central-difference gradient crosses
+det F <= 0; the same error while the Hessian is built ends the solve
+unconverged at the current point.  ``TrSolution.history`` is the one
+per-iteration record; such a rejected trial records ``rho`` as None.
 """
 
 from __future__ import annotations
@@ -27,11 +29,13 @@ from .fd import greedy_coloring, hessian_fd
 __all__ = ["EnergyProblem", "TrOptions", "TrSolution", "minimize", "steihaug_cg"]
 
 # Constants of the method: the acceptance and radius rule of the
-# trust-region loop, and the relative residual at which CG stops.
+# trust-region loop, the share of the way to a problem's max_step that a
+# cut step goes, and the relative residual at which CG stops.
 ETA_ACCEPT = 0.05
 SHRINK_THRESHOLD, SHRINK_FACTOR = 0.25, 0.25
 EXPAND_THRESHOLD, EXPAND_FACTOR = 0.75, 2.0
 MAX_RADIUS = 1e8
+BOUNDARY_FRACTION = 0.5
 CG_TOL = 1e-8
 
 
@@ -45,6 +49,9 @@ class EnergyProblem:
     nonzeros as a square, symmetric CSR matrix with sorted indices and no
     repeated entry, as :func:`hpmin.dofmap.sparsity_pattern` builds it
     (bool data); :func:`hpmin.fd.greedy_coloring` rejects anything else.
+    ``max_step(v, step)``, when given, is the first t > 0 at which
+    v + t step leaves the admissible set (inf if it never does); None means
+    steps are never cut.
     """
 
     energy: Callable[[np.ndarray], float]
@@ -52,6 +59,7 @@ class EnergyProblem:
     pattern: sp.csr_matrix
     x0: np.ndarray
     gradient_fd: Callable[[np.ndarray], np.ndarray] | None = None
+    max_step: Callable[[np.ndarray, np.ndarray], float] | None = None
 
 
 @dataclass
@@ -92,10 +100,12 @@ class TrSolution:
     ``history`` holds one record per iteration, plain Python values that
     strict JSON can carry: ``iteration``; ``grad_norm``, the max-norm of
     the gradient the step was computed from; ``energy`` and ``radius``
-    after the step was accepted or rejected; ``accepted``; and ``rho``,
+    after the step was accepted or rejected; ``accepted``; ``rho``,
     the ratio of actual to predicted decrease, or None when the trial has
     no ratio (a +inf trial energy, a non-positive predicted decrease, or a
-    ``BarrierError`` from the trial's gradient).
+    ``BarrierError`` from the trial's gradient); and ``step_fraction``,
+    the factor ``BOUNDARY_FRACTION * max_step`` that cut the CG step, or
+    1.0 when the step was not cut.
     """
 
     v_free: np.ndarray
@@ -159,7 +169,8 @@ def minimize(problem: EnergyProblem, opts: TrOptions | None = None) -> TrSolutio
 
     A radius that shrinks below the rounding of v, eps * max(1, |v|),
     ends the loop unconverged, as does a ``BarrierError`` while the Hessian
-    is built.
+    is built.  A step cut short of the problem's ``max_step`` does not end
+    on the trust-region boundary, so it never grows the radius.
     """
     opts = opts or TrOptions()
     if opts.gradient_mode == "central_diff":
@@ -195,6 +206,14 @@ def minimize(problem: EnergyProblem, opts: TrOptions | None = None) -> TrSolutio
             except BarrierError:
                 break  # a difference probe crossed det F <= 0
         step, hit_boundary = steihaug_cg(H, g, radius)
+        step_fraction = 1.0
+        if problem.max_step is not None:
+            t_max = problem.max_step(v, step)
+            if t_max <= 1.0:
+                # a CG step descends the model, so any cut of it does too
+                step_fraction = BOUNDARY_FRACTION * t_max
+                step = step_fraction * step
+                hit_boundary = False
         predicted = -(g @ step + 0.5 * (step @ (H @ step)))
         trial = problem.energy(v + step)
         if np.isfinite(trial) and predicted > 0.0:
@@ -223,7 +242,7 @@ def minimize(problem: EnergyProblem, opts: TrOptions | None = None) -> TrSolutio
             "iteration": iteration, "energy": float(energy_now),
             "grad_norm": grad_norm, "radius": float(radius),
             "rho": None if rho == -np.inf else float(rho),
-            "accepted": bool(accept),
+            "accepted": bool(accept), "step_fraction": float(step_fraction),
         })
         if radius < np.finfo(float).eps * max(1.0, np.linalg.norm(v)):
             break  # a step this short can no longer move v

@@ -6,6 +6,7 @@ import json
 import re
 import shlex
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,11 +16,13 @@ import hpmin.cli
 from hpmin.cli import BenchConfig, _build_parser, main, parse_levels, run
 from hpmin.dofmap import build_dofmap
 from hpmin.mesh import make_lshape
+from hpmin.problems import neohooke_problem
 from hpmin.solver import TrOptions, minimize
 from hpmin.vtk import solution_grid, write_vtk
 from oracles import read_rows
 
-RECORD_KEYS = {"iteration", "energy", "grad_norm", "radius", "rho", "accepted"}
+RECORD_KEYS = {"iteration", "energy", "grad_norm", "radius", "rho", "accepted",
+               "step_fraction"}
 
 
 def test_parse_levels():
@@ -132,6 +135,16 @@ def test_cli_nonfinite_parameter_is_config_error(argv, name, capsys):
     assert err.startswith("configuration error") and name in err
 
 
+def test_cli_huge_alpha_is_config_error(capsys):
+    # a finite alpha whose powers overflow is rejected before the solve,
+    # not reported as a solver failure after overflow warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["plaplace", "--levels", "0", "--alpha", "1e308"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and "alpha" in err
+
+
 def test_cli_hyper_stdout_without_load(capsys):
     # with no load the identity start is the minimizer: the material and
     # load flags reach the model, and the solve stops before any step
@@ -171,9 +184,15 @@ def _not_json(constant):
     raise ValueError(f"{constant} is not JSON")
 
 
-def test_verbose_emits_json_log(capsys):
-    # one strict-JSON line per iteration; this solve rejects trials with a
-    # +inf energy, whose rho is null, not -Infinity
+def test_verbose_emits_json_log(capsys, monkeypatch):
+    # one strict-JSON line per iteration; with steps no longer cut short of
+    # det F = 0, this solve rejects trials with a +inf energy, whose rho is
+    # null, not -Infinity
+    def uncut(*args, **kwargs):
+        problem, model = neohooke_problem(*args, **kwargs)
+        return replace(problem, max_step=None), model
+
+    monkeypatch.setattr(hpmin.cli, "neohooke_problem", uncut)
     code = main(["hyper", "--level", "0", "--verbose"])
     assert code == 0
     captured = capsys.readouterr()

@@ -156,7 +156,7 @@ def test_plaplace_energy_quadratic_case():
 
 def test_plaplace_rejects_bad_alpha():
     geo, dm = _setup(make_rect(1, 1), p=1)
-    for alpha in (1.0, np.inf, np.nan):
+    for alpha in (1.0, 1024.0, 1e308, np.inf, np.nan):
         with pytest.raises(ValueError, match="alpha"):
             PLaplaceModel(geo, dm, alpha=alpha, f=0.0)
 
@@ -241,6 +241,67 @@ def test_neohooke_barrier():
     assert model.energy(v) == np.inf
     with pytest.raises(BarrierError):
         model.gradient(v)
+
+
+def _first_inversion(model, v, s, t_hi, n_grid=1000):
+    """Smallest t in (0, t_hi] with min det F(v + t s) <= 0: the first cell
+    of a uniform grid where it turns non-positive, then bisection."""
+    def min_det(t):
+        return model.gradfield(v + t * s).det.min()
+
+    grid = np.linspace(0.0, t_hi, n_grid + 1)
+    crossed = [t for t in grid[1:] if min_det(t) <= 0.0]
+    assert crossed, "min det F stays positive on (0, t_hi]"
+    lo, hi = crossed[0] - grid[1], crossed[0]
+    while hi - lo > 1e-13 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if min_det(mid) <= 0.0 else (mid, hi)
+    return hi
+
+
+@pytest.mark.parametrize("linear", [False, True])
+def test_neohooke_max_step_matches_bisection(linear):
+    # at random admissible points along random steps, the first zero of
+    # det F is found by a grid scan and bisection on min det F(v + t s);
+    # a step with no y-component has det S = 0, so det F is linear in t
+    geo, dm = _setup(make_perforated_square(0), p=2, components=2)
+    model = NeoHookeModel(geo, dm, c1=1.0, d1=1.0, f=(0.0, 0.0))
+    v_id = identity_deformation(dm)
+    for _ in range(4):
+        v = v_id + 0.005 * RNG.standard_normal(dm.n_dofs)
+        assert model.gradfield(v).det.min() > 0.0
+        s = RNG.standard_normal(dm.n_dofs)
+        if linear:
+            s[dm.n_p:] = 0.0
+        t_max = model.max_step(v, s)
+        assert 0.0 < t_max < np.inf
+        oracle = _first_inversion(model, v, s, 1.5 * t_max)
+        assert t_max == pytest.approx(oracle, rel=1e-10)
+
+
+def _nodal_field(dm, fx, fy):
+    """Coefficients whose nodal values are (fx, fy)(x, y), higher modes 0;
+    exact for fields linear in x and y."""
+    x, y = dm.mesh.nodes.T
+    s = np.zeros(dm.n_dofs)
+    s.reshape(2, dm.n_p)[:, :dm.mesh.n_nodes] = fx(x, y), fy(x, y)
+    return s
+
+
+@pytest.mark.parametrize("fx, fy, expected", [
+    (lambda x, y: 0.0 * x, lambda x, y: 0.0 * y, np.inf),  # S = 0
+    (lambda x, y: -x, lambda x, y: 0.0 * y, 1.0),  # linear: 1 - t
+    (lambda x, y: y, lambda x, y: 0.0 * y, np.inf),  # shear: det F = 1
+    (lambda x, y: -y, lambda x, y: x, np.inf),  # rotation: 1 + t^2, no real root
+    (lambda x, y: x, lambda x, y: -y, 1.0),  # det S < 0: 1 - t^2
+    (lambda x, y: -x, lambda x, y: -2.0 * y, 0.5),  # (1 - t)(1 - 2t)
+])
+def test_neohooke_max_step_closed_forms(fx, fy, expected):
+    # from the identity, F(t) = I + t S with S constant
+    geo, dm = _setup(make_perforated_square(0), p=2, components=2)
+    model = NeoHookeModel(geo, dm, c1=1.0, d1=1.0, f=(0.0, 0.0))
+    t_max = model.max_step(identity_deformation(dm), _nodal_field(dm, fx, fy))
+    assert t_max == pytest.approx(expected, rel=1e-12)
 
 
 def test_neohooke_gradient_matches_fd():

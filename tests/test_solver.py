@@ -10,7 +10,13 @@ from hpmin.dofmap import expand_solution
 from hpmin.energy import BarrierError
 from hpmin.mesh import make_lshape, make_perforated_square
 from hpmin.problems import neohooke_problem, plaplace_problem
-from hpmin.solver import EnergyProblem, TrOptions, minimize, steihaug_cg
+from hpmin.solver import (
+    BOUNDARY_FRACTION,
+    EnergyProblem,
+    TrOptions,
+    minimize,
+    steihaug_cg,
+)
 from oracles import make_rect
 
 RNG = np.random.default_rng(20240515)
@@ -145,6 +151,43 @@ def test_hyperelastic_barrier_robustness():
     assert field.det.min() > 0.0
 
 
+def test_hyperelastic_steps_are_cut_before_inversion():
+    # the benchmark's level-1 p = 2 solve: every step that would reach
+    # det F = 0 is cut short of it, so no trial energy is +inf
+    mesh = make_perforated_square(1)
+    problem, _ = neohooke_problem(mesh, p=2, young=2e8, poisson=0.3,
+                                  f=(-3.5e7, -3.5e7))
+    energies = []
+
+    def energy(v):
+        energies.append(problem.energy(v))
+        return energies[-1]
+
+    diameter = float(np.ptp(mesh.nodes, axis=0).max())
+    sol = minimize(replace(problem, energy=energy),
+                   TrOptions(initial_radius=0.1 * np.sqrt(2.0) * diameter,
+                             max_iters=3000))
+    assert sol.converged
+    assert len(energies) == sol.iterations + 1  # the start, then one per trial
+    assert all(np.isfinite(energies))
+    cut = [r["step_fraction"] for r in sol.history if r["step_fraction"] != 1.0]
+    assert cut and all(0.0 < f <= BOUNDARY_FRACTION for f in cut)
+
+
+@pytest.mark.parametrize("mode", ["explicit", "central_diff"])
+def test_plaplace_has_no_step_cut(mode):
+    # plaplace sets no max_step, and one that never cuts changes no bit of
+    # the 7-iteration solve
+    problem, _ = plaplace_problem(make_lshape(1), p=2, alpha=3.0, f=-10.0)
+    assert problem.max_step is None
+    opts = TrOptions(gradient_mode=mode)
+    sol = minimize(problem, opts)
+    never = minimize(replace(problem, max_step=lambda v, s: np.inf), opts)
+    assert sol.converged and sol.iterations == never.iterations == 7
+    np.testing.assert_array_equal(sol.v_free, never.v_free)
+    assert all(r["step_fraction"] == 1.0 for r in sol.history)
+
+
 def test_options_validation():
     with pytest.raises(ValueError):
         TrOptions(gradient_mode="magic")
@@ -185,9 +228,10 @@ def test_no_free_dofs_converges_at_once():
 
 
 def test_radius_collapse_stops_unconverged():
-    # repeated barrier rejections shrink the radius below the rounding of v;
-    # the solve must stop within a few iterations of the last accepted step
-    # (iteration 105) and report no convergence instead of raising from CG
+    # grad_tol = 1e-6 is below what rounding of an energy of 1.8e8 resolves:
+    # rejected trials (rho 0 or negative) shrink the radius below the
+    # rounding of v; the solve must then stop (after 94 iterations, the last
+    # accepted one 68) and report no convergence instead of raising from CG
     problem, _ = neohooke_problem(make_perforated_square(1), p=1, young=2e8,
                                   poisson=0.3, f=(-3.5e7, -3.5e7))
     sol = minimize(problem, TrOptions(grad_tol=1e-6, max_iters=3000,
@@ -204,7 +248,9 @@ def test_barrier_probe_ends_or_rejects(mode):
     # a load of 1e30 drives det F towards 0, where a difference probe
     # crosses det F <= 0: in the Hessian build (both modes), which ends the
     # solve at the current point, and in the central-difference gradient of
-    # a trial that would be accepted, which rejects that trial
+    # a trial that would be accepted, which rejects that trial.  Steps are
+    # not cut short of det F = 0 here (max_step=None): with the cut, no
+    # trial's gradient probe crosses and only the Hessian build raises
     problem, _ = neohooke_problem(make_perforated_square(0), p=2, young=2e8,
                                   poisson=0.3, f=(1e30, -3.5e7))
     # every iteration evaluates one trial energy, after its Hessian build
@@ -230,7 +276,7 @@ def test_barrier_probe_ends_or_rejects(mode):
 
     counted = replace(problem, energy=energy,
                       gradient=counting(problem.gradient),
-                      gradient_fd=counting(problem.gradient_fd))
+                      gradient_fd=counting(problem.gradient_fd), max_step=None)
     sol = minimize(counted, TrOptions(initial_radius=0.2 * np.sqrt(2.0),
                                       max_iters=3000, gradient_mode=mode))
     assert not sol.converged
