@@ -6,7 +6,8 @@ minimal energies, `hyper` solves the perforated-square elasticity
 problem, and `compare` runs one of them at several element degrees and
 reports energies against the best achieved value for external
 accuracy-vs-dofs plots.  Both problems share one run path and one set of
-flags; what differs between them lives in the ``PROBLEMS`` table.
+flags; what differs between them lives in the ``PROBLEMS`` table.  Every
+table goes through one CSV writer, to stdout and to files alike.
 
 Exit codes: 0 success, 2 solver failure, 3 configuration error.
 """
@@ -28,7 +29,7 @@ from .dofmap import expand_solution
 from .mesh import make_lshape, make_perforated_square
 from .problems import neohooke_problem, plaplace_problem
 from .solver import TrOptions, minimize
-from .vtk import solution_grid, write_vtk
+from .vtk import write_solution
 
 __all__ = [
     "BenchConfig",
@@ -40,6 +41,7 @@ __all__ = [
 ]
 
 CSV_HEADER = ["level", "nelems", "dofs", "time_s", "iters", "energy"]
+COMPARE_HEADER = ["p", *CSV_HEADER, "energy_minus_ref"]
 EXIT_OK = 0
 EXIT_SOLVER_FAILURE = 2
 EXIT_CONFIG_ERROR = 3
@@ -74,6 +76,9 @@ class BenchConfig:
         if self.problem not in PROBLEMS:
             raise ValueError(f"unknown problem {self.problem!r}; "
                              f"known: {sorted(PROBLEMS)}")
+        if self.export_vtk and self.out_dir is None:
+            raise ValueError("--vtk needs --out: VTK files are written "
+                             "to the output directory")
 
 
 @dataclass
@@ -100,27 +105,6 @@ class ProblemSpec:
     build: Callable  # (mesh, BenchConfig) -> (EnergyProblem, model)
     initial_radius: Callable  # mesh -> trust radius of the first step
     max_iters: int  # iteration cap unless the config sets one
-    # (path, level, model, v_full) -> None; the degree is model.dofmap.p
-    export_vtk: Callable
-
-
-def _plaplace_vtk(path, level: int, model, v_full):
-    """Per-element sampling grids of the scalar solution, point field u."""
-    points, cells, values = solution_grid(model.dofmap, v_full)
-    write_vtk(path, points, cells, point_data={"u": values},
-              title=f"p-Laplace level {level}, p={model.dofmap.p}")
-
-
-def _hyper_vtk(path, level: int, model, v_full):
-    """Nodes displaced by the bilinear part of the deformation, with the
-    per-element mean stored-energy density as cell field W (the element
-    area is the sum of w|J|, exact for bilinear cells)."""
-    dm = model.dofmap
-    mesh = dm.mesh
-    deformed = v_full.reshape(2, dm.n_p)[:, :mesh.n_nodes].T
-    dens = model.element_energies(v_full) / model.geometry.wdetj.sum(axis=1)
-    write_vtk(path, deformed, mesh.elems2nodes, cell_data={"W": dens},
-              title=f"hyperelasticity level {level}, p={dm.p}")
 
 
 PROBLEMS = {
@@ -130,7 +114,6 @@ PROBLEMS = {
                                                f=c.f),
         initial_radius=lambda mesh: 1.0,
         max_iters=200,
-        export_vtk=_plaplace_vtk,
     ),
     "hyper": ProblemSpec(
         make_mesh=make_perforated_square,
@@ -140,7 +123,6 @@ PROBLEMS = {
         initial_radius=lambda mesh: 0.1 * np.sqrt(2) * float(
             np.ptp(mesh.nodes, axis=0).max()),
         max_iters=3000,
-        export_vtk=_hyper_vtk,
     ),
 }
 
@@ -149,11 +131,11 @@ def _format(row) -> list[str]:
     return [f"{v:.10g}" if isinstance(v, float) else str(v) for v in row]
 
 
-def write_rows(rows, path, header=CSV_HEADER):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(_format(row) for row in rows)
+def write_rows(rows, fh, header) -> None:
+    """Write a header and rows as LF-terminated CSV to an open text file."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(_format(row) for row in rows)
 
 
 def run(config: BenchConfig):
@@ -183,14 +165,16 @@ def run(config: BenchConfig):
             failures += 1
             print(f"level {level}: no convergence (grad norm {sol.grad_norm:.3e})",
                   file=sys.stderr)
-        if config.out_dir is not None and config.export_vtk:
-            spec.export_vtk(config.out_dir / f"{config.problem}_level{level}.vtk",
-                            level, model, expand_solution(model.dofmap, sol.v_free))
+        if config.export_vtk:
+            write_solution(config.out_dir / f"{config.problem}_level{level}.vtk",
+                           model, expand_solution(model.dofmap, sol.v_free),
+                           f"{config.problem} level {level}, p={config.p}")
         rows.append(ConvergenceRow(level=level, nelems=mesh.n_elems,
                                    dofs=problem.x0.size, time_s=elapsed,
                                    iters=sol.iterations, energy=sol.energy))
     if config.out_dir is not None:
-        write_rows(map(astuple, rows), config.out_dir / f"{config.problem}.csv")
+        with open(config.out_dir / f"{config.problem}.csv", "w", newline="") as fh:
+            write_rows(map(astuple, rows), fh, CSV_HEADER)
     return rows, EXIT_SOLVER_FAILURE if failures else EXIT_OK
 
 
@@ -216,8 +200,8 @@ def compare_elements(config: BenchConfig, degrees):
              for p, r in all_rows]
     if config.out_dir is not None:
         config.out_dir.mkdir(parents=True, exist_ok=True)
-        write_rows(table, config.out_dir / "compare.csv",
-                   header=["p", *CSV_HEADER, "energy_minus_ref"])
+        with open(config.out_dir / "compare.csv", "w", newline="") as fh:
+            write_rows(table, fh, COMPARE_HEADER)
     return table, code
 
 
@@ -304,16 +288,13 @@ def main(argv=None) -> int:
         if fields.pop("command") == "compare":
             degrees = fields.pop("degrees")
             table, code = compare_elements(BenchConfig(**fields), degrees)
-            for row in table:
-                print(" ".join(_format(row)))
+            write_rows(table, sys.stdout, COMPARE_HEADER)
             return code
         rows, code = run(BenchConfig(**fields))
     except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    print(",".join(CSV_HEADER))
-    for row in rows:
-        print(",".join(_format(astuple(row))))
+    write_rows(map(astuple, rows), sys.stdout, CSV_HEADER)
     return code
 
 

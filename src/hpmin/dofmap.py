@@ -11,10 +11,10 @@ function j: that function's scalar DOF id plus c * n_p.
 
 Global numbering is blocked: nodal DOFs by node index, then edge DOFs by
 edge index and degree, then bubbles by element; vector problems repeat
-the whole layout per component (all x-DOFs, then all y-DOFs).  The kind
-of a DOF follows from its scalar id and the two block offsets kept in
-``DofMap``: ids below ``edge_base`` are nodal, ids below ``bubble_base``
-are edge modes, the rest are bubbles.
+the whole layout per component (all x-DOFs, then all y-DOFs).  So the
+kind of a DOF follows from its scalar id and the mesh counts: ids below
+the number of nodes are nodal, the next (p - 1) per edge are edge modes,
+the rest are bubbles.
 """
 
 from __future__ import annotations
@@ -65,8 +65,6 @@ class DofMap:
     p: int
     components: int
     n_p: int                  # scalar global basis count
-    edge_base: int            # first scalar edge-mode id (= number of nodes)
-    bubble_base: int          # first scalar bubble id
     # (T, components * m) for m local shape functions: slot c * m + j holds
     # the scalar id of local function j (ShapeTable order) plus c * n_p
     elems2dofs: np.ndarray
@@ -189,8 +187,8 @@ def build_dofmap(mesh: QuadMesh, p: int, components: int = 1,
     fixed_dofs = np.where(fixed_mask)[0]
     free_dofs = np.where(~fixed_mask)[0]
     return DofMap(
-        mesh=mesh, p=p, components=components, n_p=n_p, edge_base=edge_base,
-        bubble_base=bubble_base, elems2dofs=elems2dofs, signs=signs,
+        mesh=mesh, p=p, components=components, n_p=n_p,
+        elems2dofs=elems2dofs, signs=signs,
         free_dofs=free_dofs, fixed_dofs=fixed_dofs,
         fixed_values=fixed_values_full[fixed_dofs],
     )
@@ -237,8 +235,10 @@ def sample_field(dofmap: DofMap, v_full: np.ndarray, table: ShapeTable) -> np.nd
     """Evaluate the expansion on every element at the points of ``table``.
 
     ``table`` is the degree-p shape table at the reference points.
-    Returns (n_elems, n_points) values of the first component.
+    Returns (components, n_elems, n_points) values.
     """
     if table.p != dofmap.p:
         raise ValueError(f"shape table has degree {table.p}, expected {dofmap.p}")
-    return dofmap.gather(v_full)[:, :table.values.shape[0]] @ table.values
+    n_elems, m = dofmap.mesh.n_elems, table.values.shape[0]
+    values = dofmap.gather(v_full).reshape(-1, m) @ table.values
+    return values.reshape(n_elems, dofmap.components, -1).transpose(1, 0, 2)

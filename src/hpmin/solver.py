@@ -30,13 +30,15 @@ __all__ = ["EnergyProblem", "TrOptions", "TrSolution", "minimize", "steihaug_cg"
 
 # Constants of the method: the acceptance and radius rule of the
 # trust-region loop, the share of the way to a problem's max_step that a
-# cut step goes, and the relative residual at which CG stops.
+# cut step goes, the relative residual at which CG stops, and the
+# stopping test's gradient max-norm relative to max(1, |J(x0)|).
 ETA_ACCEPT = 0.05
 SHRINK_THRESHOLD, SHRINK_FACTOR = 0.25, 0.25
 EXPAND_THRESHOLD, EXPAND_FACTOR = 0.75, 2.0
 MAX_RADIUS = 1e8
 BOUNDARY_FRACTION = 0.5
 CG_TOL = 1e-8
+GRAD_RTOL = 1e-6
 
 
 @dataclass
@@ -64,17 +66,16 @@ class EnergyProblem:
 
 @dataclass
 class TrOptions:
-    """What a caller chooses per solve: stopping test, iteration cap,
-    first radius and gradient source.
+    """What a caller chooses per solve: iteration cap, first radius and
+    gradient source.
 
-    ``grad_tol=None`` resolves to 1e-6 * max(1, |J(x0)|), which adapts the
-    stopping test to the energy scale of the problem.  ``initial_radius``,
-    and ``grad_tol`` when given, must be positive and finite.  The radius
-    policy and the CG tolerance are the module constants above; the
-    Hessian's difference step is :data:`hpmin.fd.FD_STEP`.
+    ``initial_radius`` must be positive and finite.  The stopping test,
+    gradient max-norm below ``GRAD_RTOL * max(1, |J(x0)|)``, adapts to the
+    energy scale of the problem; it, the radius policy and the CG
+    tolerance are the module constants above; the Hessian's difference
+    step is :data:`hpmin.fd.FD_STEP`.
     """
 
-    grad_tol: float | None = None
     max_iters: int = 200
     initial_radius: float = 1.0
     gradient_mode: str = "explicit"  # "explicit" | "central_diff"
@@ -86,9 +87,6 @@ class TrOptions:
         if not 0.0 < self.initial_radius < np.inf:
             raise ValueError(f"initial_radius must be positive and finite, "
                              f"got {self.initial_radius}")
-        if self.grad_tol is not None and not 0.0 < self.grad_tol < np.inf:
-            raise ValueError(f"grad_tol must be positive and finite, "
-                             f"got {self.grad_tol}")
         if self.gradient_mode not in ("explicit", "central_diff"):
             raise ValueError(f"unknown gradient mode {self.gradient_mode!r}")
 
@@ -187,8 +185,7 @@ def minimize(problem: EnergyProblem, opts: TrOptions | None = None) -> TrSolutio
     g = grad_fn(v)
     if not np.all(np.isfinite(g)):
         raise ValueError("initial gradient is not finite")
-    grad_tol = (opts.grad_tol if opts.grad_tol is not None
-                else 1e-6 * max(1.0, abs(energy_now)))
+    grad_tol = GRAD_RTOL * max(1.0, abs(energy_now))
 
     colored = greedy_coloring(problem.pattern)
     radius = opts.initial_radius

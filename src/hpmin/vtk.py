@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from .basis import tabulate
-from .dofmap import DofMap, sample_field
+from .dofmap import sample_field
 
-__all__ = ["write_vtk", "solution_grid"]
+__all__ = ["write_vtk", "write_solution"]
 
 QUAD_CELL_TYPE = 9
 
@@ -45,28 +45,37 @@ def write_vtk(path, points, cells, point_data=None, cell_data=None,
         fh.write("\n".join(lines) + "\n")
 
 
-def solution_grid(dofmap: DofMap, v_full: np.ndarray):
-    """Sample the scalar expansion on per-element display subgrids.
+def write_solution(path, model, v_full: np.ndarray, title: str) -> None:
+    """Write a solved model as per-element display grids of QUAD cells.
 
-    Each element contributes an independent patch of QUAD cells on
-    p + 1 equispaced points per direction, p the degree of ``dofmap``, so
-    the high-order field content survives in a format that only knows
-    bilinear cells.  Returns (points, cells, values).
+    Each element contributes an independent patch on p + 1 equispaced
+    points per direction, p the degree of ``model.dofmap``, where every
+    component of the expansion is sampled, so the high-order content
+    survives in a format that only knows bilinear cells.  A scalar field
+    becomes point field ``u`` on the element's image under its bilinear
+    map; a deformation (two components) becomes the points themselves.
+    Cell field ``W`` is the element's mean energy density, its density
+    integral over its area (the sum of w |J|), on each of its p^2 cells.
     """
+    dofmap = model.dofmap
     n_sub = dofmap.p + 1
     t = np.linspace(-1.0, 1.0, n_sub)
     xi, eta = np.meshgrid(t, t, indexing="ij")
-    ref = np.column_stack([xi.ravel(), eta.ravel()])
-    table = tabulate(dofmap.p, ref)
-    values = sample_field(dofmap, v_full, table)  # (T, n_sub^2)
-
-    # the four nodal hats lead every degree's table: they are the bilinear map
-    corners = dofmap.mesh.nodes[dofmap.mesh.elems2nodes]  # (T, 4, 2)
-    phys = np.einsum("mq,tmd->tqd", table.values[:4], corners)  # (T, n_sub^2, 2)
+    table = tabulate(dofmap.p, np.column_stack([xi.ravel(), eta.ravel()]))
+    values = sample_field(dofmap, v_full, table)  # (components, T, n_sub^2)
+    if dofmap.components == 1:
+        # the four nodal hats lead every degree's table: they are the bilinear map
+        corners = dofmap.mesh.nodes[dofmap.mesh.elems2nodes]  # (T, 4, 2)
+        points = np.einsum("mq,tmd->tqd", table.values[:4], corners)
+        point_data = {"u": values.ravel()}
+    else:
+        points, point_data = values.transpose(1, 2, 0), None
 
     base = np.arange(dofmap.mesh.n_elems)[:, None] * (n_sub * n_sub)
     i, j = np.meshgrid(np.arange(n_sub - 1), np.arange(n_sub - 1), indexing="ij")
     ll = (i * n_sub + j).ravel()
     patch = np.stack([ll, ll + n_sub, ll + n_sub + 1, ll + 1], axis=1)
     cells = (base[:, :, None] + patch[None, :, :]).reshape(-1, 4)
-    return phys.reshape(-1, 2), cells, values.ravel()
+    density = model.element_energies(v_full) / model.geometry.wdetj.sum(axis=1)
+    write_vtk(path, points.reshape(-1, 2), cells, point_data=point_data,
+              cell_data={"W": np.repeat(density, patch.shape[0])}, title=title)

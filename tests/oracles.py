@@ -8,11 +8,12 @@ evaluated one at a time from the geometry of the reference square,
 shoelace element areas, structured grids built cell by cell, and uniform
 refinement with each child stacked by hand.  It also
 holds what only the tests use: the unit-square mesh generator, the local
-basis count, and the reader of the convergence-table CSV that
-``hpmin.cli`` writes.
+basis count, and readers of the convergence-table CSV that ``hpmin.cli``
+writes and of the legacy VTK files that ``hpmin.vtk`` writes.
 """
 
 import csv
+from pathlib import Path
 
 import numpy as np
 
@@ -270,3 +271,27 @@ def read_rows(path) -> list[ConvergenceRow]:
             )
             for r in reader
         ]
+
+
+def read_vtk(path) -> dict:
+    """The blocks of a legacy ASCII VTK file written by ``hpmin.vtk``.
+
+    Returns a dict with ``points`` (n, 2), ``cells`` (n_cells, 4) and one
+    flat array per SCALARS field, keyed by its name.
+    """
+    lines = iter(Path(path).read_text().splitlines())
+    out = {}
+    for line in lines:
+        head = line.split()
+        if head[:1] == ["POINTS"]:
+            rows = [next(lines).split() for _ in range(int(head[1]))]
+            out["points"] = np.array(rows, dtype=float)[:, :2]
+        elif head[:1] == ["CELLS"]:
+            rows = [next(lines).split() for _ in range(int(head[1]))]
+            out["cells"] = np.array(rows, dtype=np.int64)[:, 1:]
+        elif head[:1] in (["POINT_DATA"], ["CELL_DATA"]):
+            count = int(head[1])
+        elif head[:1] == ["SCALARS"]:
+            next(lines)  # LOOKUP_TABLE default
+            out[head[1]] = np.array([next(lines) for _ in range(count)], dtype=float)
+    return out

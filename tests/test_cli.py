@@ -14,12 +14,12 @@ import pytest
 
 import hpmin.cli
 from hpmin.cli import BenchConfig, _build_parser, main, parse_levels, run
-from hpmin.dofmap import build_dofmap
-from hpmin.mesh import make_lshape
-from hpmin.problems import neohooke_problem
+from hpmin.energy import identity_deformation
+from hpmin.mesh import make_lshape, make_perforated_square
+from hpmin.problems import neohooke_problem, plaplace_problem
 from hpmin.solver import TrOptions, minimize
-from hpmin.vtk import solution_grid, write_vtk
-from oracles import read_rows
+from hpmin.vtk import write_solution, write_vtk
+from oracles import read_rows, read_vtk
 
 RECORD_KEYS = {"iteration", "energy", "grad_norm", "radius", "rho", "accepted",
                "step_fraction"}
@@ -60,6 +60,29 @@ def test_run_plaplace_vtk_export(tmp_path):
     assert f"POINTS {n_points} double" in text
     assert f"POINT_DATA {n_points}" in text
     assert "SCALARS u double 1" in text
+    assert f"CELL_DATA {mesh.n_elems * 4}" in text
+    assert "SCALARS W double 1" in text
+
+
+def test_vtk_without_out_is_config_error(tmp_path, monkeypatch, capsys):
+    # VTK files go to the output directory: without one, --vtk is an
+    # error, not silently ignored
+    monkeypatch.chdir(tmp_path)
+    assert main(["plaplace", "--levels", "0", "--vtk"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error")
+    assert "--vtk" in err and "--out" in err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["plaplace", "--levels", "0,1"], "plaplace.csv"),
+    (["compare", "plaplace", "--p", "1,2", "--levels", "0"], "compare.csv"),
+])
+def test_stdout_is_the_csv_file(argv, name, tmp_path, capsys):
+    # one writer for every table: stdout carries the bytes of the file
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.encode() == (tmp_path / name).read_bytes()
 
 
 def test_run_plaplace_determinism():
@@ -412,20 +435,40 @@ def test_every_parameter_default_is_passed_outside_tests():
     # only the tests turn: each parameter with a default, on a function or
     # method in src/hpmin, must be passed by some call there, by keyword or
     # positionally past its index (a method's self or cls not counted).
+    # So must each dataclass field with a default: passed to its class by
+    # keyword or position, passed to dataclasses.replace by keyword, or
+    # stored by argparse (an add_argument dest, a set_defaults keyword).
     # main's argv is exempt: the console script calls main(), and the
     # tests drive the CLI through argv
     root = Path(__file__).parents[1]
     sources = [*(root / "src" / "hpmin").glob("*.py"), *(root / "bench").glob("*.py")]
     passed = set()  # (callee name, keyword or position)
+    stored = set()  # argparse destinations
     for path in sources:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call):
                 callee = getattr(node.func, "id", getattr(node.func, "attr", None))
                 passed.update((callee, kw.arg) for kw in node.keywords)
                 passed.update((callee, i) for i in range(len(node.args)))
+                if callee == "set_defaults":
+                    stored.update(kw.arg for kw in node.keywords)
+                elif callee == "add_argument":
+                    flags = [a.value for a in node.args if isinstance(a, ast.Constant)]
+                    dest = [kw.value.value for kw in node.keywords if kw.arg == "dest"]
+                    stored.update(dest or [flags[0].lstrip("-").replace("-", "_")])
     unused = []
     for path in (root / "src" / "hpmin").glob("*.py"):
         tree = ast.parse(path.read_text())
+        for cls in ast.walk(tree):
+            if not (isinstance(cls, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d) for d in cls.decorator_list)):
+                continue
+            fields = [f for f in cls.body if isinstance(f, ast.AnnAssign)]
+            unused += [f"{path.stem}.{cls.name}.{f.target.id}"
+                       for i, f in enumerate(fields) if f.value is not None
+                       and not {(cls.name, f.target.id), (cls.name, i),
+                                ("replace", f.target.id)} & passed
+                       and f.target.id not in stored]
         init_of = {fn: cls.name for cls in ast.walk(tree)
                    if isinstance(cls, ast.ClassDef) for fn in cls.body}
         for fn in ast.walk(tree):
@@ -457,13 +500,44 @@ def test_vtk_mesh_export(tmp_path):
     assert set(text[types_at + 1: types_at + 1 + mesh.n_elems]) == {"9"}
 
 
-def test_solution_grid_reproduces_linear_field():
+def test_solution_file_reproduces_linear_field(tmp_path):
     mesh = make_lshape(0)
-    dm = build_dofmap(mesh, p=2)
-    v = np.zeros(dm.n_dofs)
+    _, model = plaplace_problem(mesh, p=2, alpha=3.0, f=-10.0)
+    v = np.zeros(model.dofmap.n_dofs)
     v[:mesh.n_nodes] = 2.0 * mesh.nodes[:, 0] - mesh.nodes[:, 1]
-    points, cells, values = solution_grid(dm, v)
-    np.testing.assert_allclose(values, 2.0 * points[:, 0] - points[:, 1],
+    write_solution(tmp_path / "u.vtk", model, v, "linear field")
+    vtk = read_vtk(tmp_path / "u.vtk")
+    points = vtk["points"]
+    np.testing.assert_allclose(vtk["u"], 2.0 * points[:, 0] - points[:, 1],
                                atol=1e-12)
-    assert cells.shape == (mesh.n_elems * 4, 4)
+    assert vtk["cells"].shape == (mesh.n_elems * 4, 4)
     assert points.shape == (mesh.n_elems * 9, 2)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_deformation_file_points_are_the_deformation(p, tmp_path):
+    # each element's grid corners are its deformed corner nodes, the nodal
+    # DOFs, whatever its edge and bubble modes hold; at p = 1 the grid is
+    # just those 4 points; W is each element's mean energy density
+    mesh = make_perforated_square(0)
+    _, model = neohooke_problem(mesh, p=p, young=2e8, poisson=0.3,
+                                f=(0.0, 0.0))
+    dm = model.dofmap
+    rng = np.random.default_rng(p)
+    v = identity_deformation(dm) + 1e-3 * rng.standard_normal(dm.n_dofs)
+    write_solution(tmp_path / "x.vtk", model, v, "deformation")
+    vtk = read_vtk(tmp_path / "x.vtk")
+    n = (p + 1) ** 2
+    assert vtk["points"].shape == (mesh.n_elems * n, 2)
+    assert vtk["cells"].shape == (mesh.n_elems * p * p, 4)
+    grid = vtk["points"].reshape(mesh.n_elems, n, 2)
+    # grid corners in (xi, eta) order (-1,-1), (-1,1), (1,-1), (1,1) are
+    # the local corners 0, 3, 1, 2
+    deformed = v.reshape(2, dm.n_p)[:, :mesh.n_nodes].T
+    np.testing.assert_allclose(grid[:, [0, p, n - 1 - p, n - 1]],
+                               deformed[mesh.elems2nodes[:, [0, 3, 1, 2]]],
+                               rtol=1e-11)
+    area = model.geometry.wdetj.sum(axis=1)
+    np.testing.assert_allclose(vtk["W"].reshape(mesh.n_elems, p * p),
+                               np.outer(model.element_energies(v) / area,
+                                        np.ones(p * p)), rtol=1e-11)

@@ -28,9 +28,10 @@ _CORNERS = np.array([(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)])
 def _kind(dm, dof):
     """Kind of a global DOF, read off the blocked numbering."""
     base = dof % dm.n_p
-    if base < dm.edge_base:
+    n_nodes, n_edges = dm.mesh.n_nodes, dm.mesh.n_edges
+    if base < n_nodes:
         return "node"
-    return "edge" if base < dm.bubble_base else "bubble"
+    return "edge" if base < n_nodes + (dm.p - 1) * n_edges else "bubble"
 
 
 def test_lshape_p2_global_count():
@@ -85,7 +86,7 @@ def _trace_on_edge(dm, v_full, t, s, lam):
     tau = 2.0 * lam - 1.0 if mesh.elems2nodes[t, s] == a else 1.0 - 2.0 * lam
     ref = (np.outer((1.0 - tau) / 2.0, _CORNERS[s])
            + np.outer((1.0 + tau) / 2.0, _CORNERS[(s + 1) % 4]))
-    return sample_field(dm, v_full, tabulate(dm.p, ref))[t]
+    return sample_field(dm, v_full, tabulate(dm.p, ref))[0, t]
 
 
 def _interior_edge_pairs(mesh):
@@ -118,7 +119,7 @@ def test_single_odd_edge_mode_is_globally_consistent():
     dm = build_dofmap(mesh, p=3)
     pairs = _interior_edge_pairs(mesh)
     e = next(iter(pairs))
-    dof = dm.edge_base + e * (dm.p - 1) + (3 - 2)  # degree-3 mode of edge e
+    dof = mesh.n_nodes + e * (dm.p - 1) + (3 - 2)  # degree-3 mode of edge e
     v = np.zeros(dm.n_dofs)
     v[dof] = 1.0
     lam = np.linspace(0.1, 0.9, 10)
@@ -156,7 +157,7 @@ def test_dirichlet_tag_subsets():
 def test_dirichlet_scalar_callable():
     mesh = make_lshape(0)
     dm = build_dofmap(mesh, p=2, dirichlet=DirichletSpec(g=lambda x, y: x + 2 * y))
-    nodal = dm.fixed_dofs < dm.edge_base
+    nodal = dm.fixed_dofs < mesh.n_nodes
     x, y = mesh.nodes[dm.fixed_dofs[nodal]].T
     np.testing.assert_array_equal(dm.fixed_values[nodal], x + 2 * y)
     assert np.all(dm.fixed_values[~nodal] == 0.0)
@@ -189,7 +190,7 @@ def test_neohooke_fixes_left_and_bottom_sides(level, p):
     n = 8 * 2**level
     assert dm.fixed_dofs.size == 2 * ((2 * n + 1) + 2 * n * (p - 1))
     comp, base = np.divmod(dm.fixed_dofs, dm.n_p)
-    nodal = base < dm.edge_base
+    nodal = base < dm.mesh.n_nodes
     x, y = nodes[base[nodal]].T
     assert np.all((x == 0.0) | (y == 0.0))
     np.testing.assert_array_equal(dm.fixed_values[nodal],
