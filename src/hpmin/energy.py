@@ -17,6 +17,16 @@ product against the transposed table; no per-element derivative tensor
 is formed.  Outside these kernels G is exposed only as
 ``NeoHookeModel.gradfield``, the named entries of F for det F checks.
 
+``element_rows`` keeps per-element results of the last evaluation that
+covered most elements and recomputes only the elements whose inputs
+moved bitwise since; the central-difference gradient of ``hpmin.fd``
+reads its per-slot energy differences through it.  The batched products
+still run over every element, since BLAS may round a row differently
+when the row count changes, so a reused result has the bits of a full
+evaluation.  The explicit gradient does not use it: with both products
+kept at full size, the pointwise work it would skip costs less than the
+bookkeeping.
+
 * scalar power-law diffusion: (1/alpha) integral |grad v|^alpha - integral f v
 * vector compressible Neo-Hookean elasticity with stored density
   W(F) = C1 (|F|^2 - 2 - 2 log det F) + D1 (det F - 1)^2, where v holds
@@ -30,6 +40,8 @@ is formed.  Outside these kernels G is exposed only as
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -91,6 +103,27 @@ def identity_deformation(dofmap: DofMap) -> np.ndarray:
     return v
 
 
+@dataclass(frozen=True)
+class _Elements:
+    """Some elements of a model: their ids in increasing order, None for
+    all, and their rows of J^{-T} and w |J|."""
+
+    ids: np.ndarray | None
+    jinv_t: np.ndarray  # (2, 2, elems, n_ip)
+    wdetj: np.ndarray   # (elems, n_ip)
+
+
+@dataclass(frozen=True)
+class _ElementMemo:
+    """One evaluation of ``_ModelBase.element_rows`` that recomputed more
+    than half of the elements: the function evaluated, the bits of its
+    full input vectors and its per-element results."""
+
+    evaluate: Callable
+    keys: tuple[np.ndarray, ...]
+    rows: np.ndarray
+
+
 class _ModelBase:
     """Gather -> pointwise -> contract -> scatter over one geometry and DOF map.
 
@@ -110,24 +143,77 @@ class _ModelBase:
         self._ref = np.stack([table.dxi, table.deta])  # (2, m, n_ip)
         self._ref_t = np.ascontiguousarray(self._ref.transpose(0, 2, 1))  # (2, n_ip, m)
         self._w_jinv_t = geometry.wdetj * geometry.jinv_t  # (2, 2, T, n_ip)
+        self._all = _Elements(None, geometry.jinv_t, geometry.wdetj)
+        self._memo: _ElementMemo | None = None
 
-    def _gather(self, v_loc: np.ndarray) -> np.ndarray:
-        """Gradient array G of all elements, (components, 2, T, n_ip).
+    @cached_property
+    def _slot_dofs(self) -> np.ndarray:
+        """The element DOFs slot by slot, (slots, T), so that the elements
+        holding some DOF of a mask are one gather and one reduction over
+        long rows."""
+        return np.ascontiguousarray(self.dofmap.elems2dofs.T)
+
+    def element_rows(self, vectors, evaluate) -> np.ndarray:
+        """``evaluate(model, local, elems)`` at the full vectors ``vectors``,
+        recomputed only on the elements whose inputs moved.
+
+        ``evaluate`` receives this model, the gathered local arrays of all
+        ``vectors`` and the elements to evaluate, and returns one row of
+        results per element evaluated.  An element's row must depend on its
+        own rows of ``local`` alone.  The model keeps one memo: the last
+        evaluation that recomputed more than half of the elements and did
+        not raise.  A call with the same ``evaluate`` evaluates only the
+        elements holding a DOF whose value in some vector differs bitwise
+        from the memo's, and splices their rows into a copy of the memo's.
+        ``local`` always holds every element, so that a batched product
+        over it runs with the shape of a full evaluation: BLAS may round a
+        row differently when the row count changes.  So the result has the
+        bits of a full evaluation.
+        """
+        vectors = [np.ascontiguousarray(v, dtype=float) for v in vectors]
+        local = tuple(self.dofmap.gather(v) for v in vectors)
+        keys = [v.view(np.int64) for v in vectors]
+        memo = self._memo
+        if memo is not None and memo.evaluate is evaluate:
+            moved = keys[0] != memo.keys[0]
+            for key, old in zip(keys[1:], memo.keys[1:]):
+                moved |= key != old
+            ids = np.flatnonzero(moved.take(self._slot_dofs).any(axis=0))
+            if 2 * ids.size <= self.dofmap.mesh.n_elems:
+                rows = memo.rows.copy()
+                if ids.size:
+                    rows[ids] = evaluate(self, local, _Elements(
+                        ids, self.geometry.jinv_t.take(ids, axis=2),
+                        self.geometry.wdetj[ids]))
+                return rows
+        rows = evaluate(self, local, self._all)
+        self._memo = _ElementMemo(evaluate, tuple(k.copy() for k in keys), rows)
+        return rows
+
+    def _gather(self, v_loc: np.ndarray, elems: _Elements | None = None) -> np.ndarray:
+        """Gradient array G, (components, 2, elems, n_ip), of all elements
+        or of the elements ``elems`` of a ``v_loc`` of all elements.
 
         The reference derivatives of all components come from one batched
         product with the shared table; J^{-T} then maps them to physical
         directions: G[c, a] = sum_b J^{-T}[a, b] R[c, b].
         """
+        elems = self._all if elems is None else elems
         n_elems = v_loc.shape[0]
         v_c = v_loc.reshape(n_elems, self.dofmap.components, 1, -1)
         R = v_c.transpose(1, 2, 0, 3) @ self._ref  # (components, 2, T, n_ip)
-        return np.einsum("abpq,cbpq->capq", self.geometry.jinv_t, R)
+        if elems.ids is not None:
+            R = R.take(elems.ids, axis=2)
+        return np.einsum("abpq,cbpq->capq", elems.jinv_t, R)
 
-    def element_energies_local(self, v_loc: np.ndarray) -> np.ndarray:
-        """Per-element density integrals for given local coefficients, (T,)."""
-        dens = self.density(self._gather(v_loc))
+    def element_energies_local(self, v_loc: np.ndarray,
+                               elems: _Elements | None = None) -> np.ndarray:
+        """Per-element density integrals for given local coefficients, (T,),
+        or for the elements ``elems`` of a ``v_loc`` of all elements."""
+        elems = self._all if elems is None else elems
+        dens = self.density(self._gather(v_loc, elems))
         # w |J| > 0 on valid meshes, so a +inf density gives a +inf element
-        return np.einsum("pq,pq->p", self.geometry.wdetj, dens)
+        return np.einsum("pq,pq->p", elems.wdetj, dens)
 
     def element_energies(self, v_full: np.ndarray) -> np.ndarray:
         """Per-element density integrals (no load term), (T,)."""
@@ -149,8 +235,12 @@ class _ModelBase:
 
 
 def _frobenius2(G: np.ndarray) -> np.ndarray:
-    """Squared Frobenius norm of G at every quadrature point."""
-    return sum(g * g for g in G.reshape(-1, *G.shape[2:]))
+    """Squared Frobenius norm of G at every quadrature point.
+
+    A reduction over the leading axis adds the entries' squares one after
+    the other, in the order of G's entries.
+    """
+    return np.add.reduce((G * G).reshape(-1, *G.shape[2:]), axis=0)
 
 
 # signs that turn G[::-1, ::-1] into the cofactor matrix of a 2x2 G

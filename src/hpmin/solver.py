@@ -132,19 +132,28 @@ def steihaug_cg(H, g: np.ndarray, radius: float) -> tuple[np.ndarray, bool]:
     otherwise iterates to relative residual ``CG_TOL``, for at most 2n
     iterations.  The returned step never increases the quadratic model
     (Cauchy point or better).
+
+    g and every product H @ d are scaled by one power of two that brings
+    max |g| into [0.5, 1), so the squared norms and inner products scale
+    with H, not with |g|^2: a finite g past 1e154 no longer overflows them.
+    Short of underflow the scaling is exact and leaves the step's bits as
+    they are: steihaug_cg(c H, c g, radius) gives the step of
+    steihaug_cg(H, g, radius) for any power of two c.
     """
     if radius <= 0.0:
         raise ValueError(f"radius must be positive, got {radius}")
     g = np.asarray(g, dtype=float)
     s = np.zeros_like(g)
-    r = g.copy()
-    g_norm = np.linalg.norm(g)
-    if g_norm == 0.0:
+    g_max = np.max(np.abs(g), initial=0.0)
+    if g_max == 0.0:
         return s, False
+    scale = np.ldexp(1.0, -np.frexp(g_max)[1])
+    r = g * scale
+    g_norm = np.linalg.norm(r)
     d = -r
     rr = g_norm * g_norm
     for _ in range(2 * g.size):
-        Hd = H @ d
+        Hd = (H @ d) * scale
         kappa = d @ Hd
         if kappa <= 0.0:
             return s + _boundary_tau(s, d, radius) * d, True

@@ -168,6 +168,17 @@ def test_cli_huge_alpha_is_config_error(capsys):
     assert err.startswith("configuration error") and "alpha" in err
 
 
+@pytest.mark.parametrize("argv", [["plaplace", "--levels", "0", "--f", "1e160"],
+                                  ["hyper", "--level", "0", "--E", "1e300"]])
+def test_cli_huge_finite_data_ends_unconverged(argv, capsys):
+    # a gradient past 1e154 is finite but its squared norm is not; the
+    # solve must still run, without overflow warnings, and report exit 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    assert "no convergence" in capsys.readouterr().err
+
+
 def test_cli_hyper_stdout_without_load(capsys):
     # with no load the identity start is the minimizer: the material and
     # load flags reach the model, and the solve stops before any step

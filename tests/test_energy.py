@@ -1,5 +1,7 @@
 """Energy models: load assembly, gradient fields, energies, explicit gradients."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -384,3 +386,98 @@ def test_energy_quadrature_offset_below_benchmark_precision():
         refined.append(fine.energy(v_full))
     assert abs(refined[0] - sol.energy) < 2e-4
     assert abs(refined[1] - refined[0]) < 1e-6  # refined rules agree
+
+
+class _RowSpy:
+    """An ``element_rows`` evaluation that records the elements it is asked
+    for: row e is the sum of element e's local arrays, a function of its
+    own rows alone.  With ``fail`` set it raises instead."""
+
+    def __init__(self):
+        self.calls = []
+        self.fail = False
+
+    def __call__(self, model, local, elems):
+        self.calls.append(elems.ids)
+        if self.fail:
+            raise BarrierError("evaluation failed")
+        rows = functools.reduce(np.add, local)
+        return rows if elems.ids is None else rows[elems.ids]
+
+
+def _holding(dm, dofs):
+    """The elements holding any of ``dofs``, in increasing order."""
+    return np.flatnonzero(np.isin(dm.elems2dofs, dofs).any(axis=1))
+
+
+def test_element_rows_recomputes_only_the_elements_of_moved_dofs():
+    model, v = _kernel_case("plaplace", 2)
+    dm, spy = model.dofmap, _RowSpy()
+    i = dm.elems2dofs[5, 0]
+    v[i] = 0.0
+    np.testing.assert_array_equal(model.element_rows((v,), spy), dm.gather(v))
+    assert spy.calls == [None]
+    # the same bits: nothing is evaluated
+    np.testing.assert_array_equal(model.element_rows((v.copy(),), spy), dm.gather(v))
+    assert len(spy.calls) == 1
+    # -0.0 == 0.0, but its bits differ: the elements holding i are redone
+    for value in (-0.0, 1.5):
+        w = v.copy()
+        w[i] = value
+        rows = model.element_rows((w,), spy)
+        np.testing.assert_array_equal(spy.calls[-1], _holding(dm, [i]))
+        np.testing.assert_array_equal(rows, dm.gather(w))
+        assert np.array_equal(np.signbit(rows), np.signbit(dm.gather(w)))
+
+
+def test_element_rows_keys_on_every_vector():
+    model, v = _kernel_case("neohooke", 1)
+    dm, spy = model.dofmap, _RowSpy()
+    s = RNG.standard_normal(dm.n_dofs)
+    model.element_rows((v, s), spy)
+    t = s.copy()
+    t[dm.free_dofs[3]] *= 2.0
+    rows = model.element_rows((v, t), spy)
+    np.testing.assert_array_equal(spy.calls[-1], _holding(dm, [dm.free_dofs[3]]))
+    np.testing.assert_array_equal(rows, dm.gather(v) + dm.gather(t))
+
+
+def test_element_rows_memo_is_the_last_evaluation_of_most_elements():
+    model, v = _kernel_case("plaplace", 2)
+    dm, spy = model.dofmap, _RowSpy()
+    a, b = dm.elems2dofs[0, 0], dm.elems2dofs[-1, 0]
+    model.element_rows((v,), spy)
+    # a move of few elements leaves the memo where it was: a second move
+    # from the first point redoes only its own elements
+    for i in (a, b):
+        w = v.copy()
+        w[i] += 1.0
+        model.element_rows((w,), spy)
+        np.testing.assert_array_equal(spy.calls[-1], _holding(dm, [i]))
+    # a move of most elements is evaluated in full and becomes the memo
+    u = v + 1.0
+    model.element_rows((u,), spy)
+    assert spy.calls[-1] is None
+    w = u.copy()
+    w[a] += 1.0
+    np.testing.assert_array_equal(model.element_rows((w,), spy), dm.gather(w))
+    np.testing.assert_array_equal(spy.calls[-1], _holding(dm, [a]))
+    # another evaluation function does not read this memo
+    other = _RowSpy()
+    model.element_rows((w,), other)
+    assert other.calls == [None]
+
+
+def test_element_rows_memo_survives_a_failed_evaluation():
+    model, v = _kernel_case("neohooke", 2)
+    dm, spy = model.dofmap, _RowSpy()
+    model.element_rows((v,), spy)
+    spy.fail = True
+    with pytest.raises(BarrierError):
+        model.element_rows((v + 1.0,), spy)
+    assert spy.calls[-1] is None
+    spy.fail = False
+    w = v.copy()
+    w[dm.free_dofs[0]] += 1.0
+    np.testing.assert_array_equal(model.element_rows((w,), spy), dm.gather(w))
+    np.testing.assert_array_equal(spy.calls[-1], _holding(dm, [dm.free_dofs[0]]))

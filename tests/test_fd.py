@@ -442,3 +442,71 @@ def test_coloring_empty_pattern():
     colored = greedy_coloring(sp.csr_matrix((0, 0), dtype=bool))
     assert colored.n_groups == 0
     assert colored.groups.size == 0
+
+
+def _memo_case(problem, p):
+    """A problem's model, a fresh-model factory, a random admissible full
+    vector, and the full DOF ids of one color group of its pattern."""
+    rng = np.random.default_rng(p)
+    if problem == "hyper":
+        def build():
+            return neohooke_problem(make_perforated_square(0), p=p, young=2e8,
+                                    poisson=0.3, f=(-3.5e7, -3.5e7))
+        scale = 1e-3
+    else:
+        def build():
+            return plaplace_problem(make_lshape(1), p=p, alpha=3.0, f=-10.0)
+        scale = 1.0
+    fe, model = build()
+    dm = model.dofmap
+    v = expand_solution(dm, fe.x0 + scale * rng.standard_normal(fe.x0.size))
+    group = dm.free_dofs[greedy_coloring(fe.pattern).members[0]]
+    return model, lambda: build()[1], v, group
+
+
+_GRADIENTS = {"explicit": lambda model, v: model.gradient(v),
+              "central": gradient_central_local}
+
+
+@pytest.mark.parametrize("gradient", ["explicit", "central"])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("problem", ["hyper", "plaplace"])
+def test_repeated_gradients_have_the_bits_of_a_fresh_model(problem, p, gradient,
+                                                           monkeypatch):
+    # a model that reuses its element memo must give, call after call, the
+    # bits of a model that evaluates every element
+    model, fresh, v, group = _memo_case(problem, p)
+    grad = _GRADIENTS[gradient]
+    dm = model.dofmap
+    base = grad(model, v)
+    one, moved_group = v.copy(), v.copy()
+    one[dm.free_dofs[dm.n_free // 2]] += 1e-4
+    moved_group[group] += 1e-4
+    every = v + 1e-5 * np.random.default_rng(0).standard_normal(v.size)
+    for w in (v.copy(), one, moved_group, every, v):
+        np.testing.assert_array_equal(grad(model, w), grad(fresh(), w))
+    np.testing.assert_array_equal(grad(model, v), base)
+    # a new step at the same v: the steps are part of the memo's key
+    monkeypatch.setattr(hpmin.fd, "FD_STEP", 1e-5)
+    np.testing.assert_array_equal(grad(model, v), grad(fresh(), v))
+
+
+@pytest.mark.parametrize("gradient", ["explicit", "central"])
+def test_barrier_probe_leaves_the_base_bits(gradient):
+    model, fresh, v, group = _memo_case("hyper", 2)
+    grad = _GRADIENTS[gradient]
+    dm = model.dofmap
+    base = grad(model, v)
+    # one free node pushed through its neighbours, and the mirror image
+    inverted_one = v.copy()
+    inverted_one[dm.free_dofs[0]] += 10.0
+    mirrored = v.copy()
+    mirrored[:dm.n_p] *= -1.0
+    for w in (inverted_one, mirrored):
+        with pytest.raises(BarrierError):
+            grad(model, w)
+        np.testing.assert_array_equal(grad(model, v), base)
+    moved_group = v.copy()
+    moved_group[group] += 1e-4
+    np.testing.assert_array_equal(grad(model, moved_group),
+                                  grad(fresh(), moved_group))

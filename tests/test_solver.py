@@ -76,6 +76,24 @@ def test_steihaug_model_reduction_positive():
             assert model < 0.0
 
 
+@pytest.mark.parametrize("radius", [0.01, 1.0, 100.0])
+@pytest.mark.parametrize("definite", [True, False])
+def test_steihaug_step_is_invariant_under_power_of_two_scaling(definite, radius):
+    # g and H @ d are scaled by a power of two inside the loop, so scaling
+    # both inputs by another one changes no bit; at the parent the norm of
+    # c * g overflowed
+    n = 9
+    M = RNG.standard_normal((n, n))
+    H = sp.csr_matrix(M @ M.T + n * np.eye(n) if definite else 0.5 * (M + M.T))
+    g = RNG.standard_normal(n)
+    c = 2.0 ** 600
+    step, hit = steihaug_cg(H, g, radius)
+    step_c, hit_c = steihaug_cg(c * H, c * g, radius)
+    np.testing.assert_array_equal(step_c, step)
+    assert hit_c == hit
+    assert g @ step + 0.5 * step @ (H @ step) < 0.0
+
+
 def test_spd_quadratic_oracle(monkeypatch):
     n = 10
     M = RNG.standard_normal((n, n))
