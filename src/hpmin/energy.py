@@ -17,15 +17,16 @@ product against the transposed table; no per-element derivative tensor
 is formed.  Outside these kernels G is exposed only as
 ``NeoHookeModel.gradfield``, the named entries of F for det F checks.
 
-``element_rows`` keeps per-element results of the last evaluation that
-covered most elements and recomputes only the elements whose inputs
-moved bitwise since; the central-difference gradient of ``hpmin.fd``
-reads its per-slot energy differences through it.  The batched products
-still run over every element, since BLAS may round a row differently
-when the row count changes, so a reused result has the bits of a full
-evaluation.  The explicit gradient does not use it: with both products
-kept at full size, the pointwise work it would skip costs less than the
-bookkeeping.
+``slot_differences`` gives the per-element energy differences of
+central-difference probes that move one local slot of every element up
+and down.  It keeps the result of the last call that covered most
+elements and recomputes only the elements whose local coefficients or
+steps moved bitwise since; ``hpmin.fd`` sums these differences into a
+gradient.  The batched products still run over every element, since
+BLAS may round a row differently when the row count changes, so a reused
+result has the bits of a full evaluation.  The explicit gradient keeps
+no memo: with both products kept at full size, the pointwise work it
+would skip costs less than the bookkeeping.
 
 * scalar power-law diffusion: (1/alpha) integral |grad v|^alpha - integral f v
 * vector compressible Neo-Hookean elasticity with stored density
@@ -40,8 +41,6 @@ bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -113,17 +112,6 @@ class _Elements:
     wdetj: np.ndarray   # (elems, n_ip)
 
 
-@dataclass(frozen=True)
-class _ElementMemo:
-    """One evaluation of ``_ModelBase.element_rows`` that recomputed more
-    than half of the elements: the function evaluated, the bits of its
-    full input vectors and its per-element results."""
-
-    evaluate: Callable
-    keys: tuple[np.ndarray, ...]
-    rows: np.ndarray
-
-
 class _ModelBase:
     """Gather -> pointwise -> contract -> scatter over one geometry and DOF map.
 
@@ -144,51 +132,52 @@ class _ModelBase:
         self._ref_t = np.ascontiguousarray(self._ref.transpose(0, 2, 1))  # (2, n_ip, m)
         self._w_jinv_t = geometry.wdetj * geometry.jinv_t  # (2, 2, T, n_ip)
         self._all = _Elements(None, geometry.jinv_t, geometry.wdetj)
-        self._memo: _ElementMemo | None = None
+        # (local coefficients, local steps, rows) of slot_differences
+        self._memo: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
-    @cached_property
-    def _slot_dofs(self) -> np.ndarray:
-        """The element DOFs slot by slot, (slots, T), so that the elements
-        holding some DOF of a mask are one gather and one reduction over
-        long rows."""
-        return np.ascontiguousarray(self.dofmap.elems2dofs.T)
+    def slot_differences(self, v_full: np.ndarray, steps: np.ndarray) -> np.ndarray:
+        """e_up - e_dn of every element and local slot, (T, slots): slot s of
+        every element moves by its DOF's step up and down, one slot at a time.
 
-    def element_rows(self, vectors, evaluate) -> np.ndarray:
-        """``evaluate(model, local, elems)`` at the full vectors ``vectors``,
-        recomputed only on the elements whose inputs moved.
-
-        ``evaluate`` receives this model, the gathered local arrays of all
-        ``vectors`` and the elements to evaluate, and returns one row of
-        results per element evaluated.  An element's row must depend on its
-        own rows of ``local`` alone.  The model keeps one memo: the last
-        evaluation that recomputed more than half of the elements and did
-        not raise.  A call with the same ``evaluate`` evaluates only the
-        elements holding a DOF whose value in some vector differs bitwise
-        from the memo's, and splices their rows into a copy of the memo's.
-        ``local`` always holds every element, so that a batched product
-        over it runs with the shape of a full evaluation: BLAS may round a
-        row differently when the row count changes.  So the result has the
-        bits of a full evaluation.
+        The model keeps one memo: the last call that recomputed more than
+        half of the elements and did not raise.  A later call recomputes
+        only the elements whose rows of the signed local coefficients or
+        steps differ bitwise from the memo's, and splices them into a copy
+        of its rows.  Every batched product still runs over all elements,
+        as in a full evaluation: BLAS may round a row differently when the
+        row count changes.  So the result has the bits of a full
+        evaluation.  A non-finite probe energy raises ``BarrierError``.
         """
-        vectors = [np.ascontiguousarray(v, dtype=float) for v in vectors]
-        local = tuple(self.dofmap.gather(v) for v in vectors)
-        keys = [v.view(np.int64) for v in vectors]
-        memo = self._memo
-        if memo is not None and memo.evaluate is evaluate:
-            moved = keys[0] != memo.keys[0]
-            for key, old in zip(keys[1:], memo.keys[1:]):
-                moved |= key != old
-            ids = np.flatnonzero(moved.take(self._slot_dofs).any(axis=0))
+        probe = self.dofmap.gather(v_full)
+        deltas = self.dofmap.gather(steps)
+        elems, memo = self._all, self._memo
+        if memo is not None:
+            moved = ((probe.view(np.int64) != memo[0].view(np.int64))
+                     | (deltas.view(np.int64) != memo[1].view(np.int64)))
+            ids = np.flatnonzero(moved.any(axis=1))
+            if not ids.size:
+                return memo[2].copy()
             if 2 * ids.size <= self.dofmap.mesh.n_elems:
-                rows = memo.rows.copy()
-                if ids.size:
-                    rows[ids] = evaluate(self, local, _Elements(
-                        ids, self.geometry.jinv_t.take(ids, axis=2),
-                        self.geometry.wdetj[ids]))
-                return rows
-        rows = evaluate(self, local, self._all)
-        self._memo = _ElementMemo(evaluate, tuple(k.copy() for k in keys), rows)
-        return rows
+                elems = _Elements(ids, self.geometry.jinv_t.take(ids, axis=2),
+                                  self.geometry.wdetj[ids])
+        diffs = []
+        for slot in range(probe.shape[1]):
+            center = probe[:, slot].copy()
+            probe[:, slot] = center + deltas[:, slot]
+            e_up = self._element_energies(probe, elems)
+            probe[:, slot] = center - deltas[:, slot]
+            e_dn = self._element_energies(probe, elems)
+            probe[:, slot] = center
+            if not (np.all(np.isfinite(e_up)) and np.all(np.isfinite(e_dn))):
+                raise BarrierError("energy not finite at a finite-difference probe")
+            diffs.append(e_up - e_dn)
+        rows = np.column_stack(diffs)
+        if elems.ids is None:
+            self._memo = (probe, deltas, rows)
+            return rows.copy()
+        spliced = memo[2].copy()
+        spliced[elems.ids] = rows
+        return spliced
 
     def _gather(self, v_loc: np.ndarray, elems: _Elements | None = None) -> np.ndarray:
         """Gradient array G, (components, 2, elems, n_ip), of all elements
@@ -206,8 +195,8 @@ class _ModelBase:
             R = R.take(elems.ids, axis=2)
         return np.einsum("abpq,cbpq->capq", elems.jinv_t, R)
 
-    def element_energies_local(self, v_loc: np.ndarray,
-                               elems: _Elements | None = None) -> np.ndarray:
+    def _element_energies(self, v_loc: np.ndarray,
+                          elems: _Elements | None = None) -> np.ndarray:
         """Per-element density integrals for given local coefficients, (T,),
         or for the elements ``elems`` of a ``v_loc`` of all elements."""
         elems = self._all if elems is None else elems
@@ -217,7 +206,7 @@ class _ModelBase:
 
     def element_energies(self, v_full: np.ndarray) -> np.ndarray:
         """Per-element density integrals (no load term), (T,)."""
-        return self.element_energies_local(self.dofmap.gather(v_full))
+        return self._element_energies(self.dofmap.gather(v_full))
 
     def energy(self, v_full: np.ndarray) -> float:
         dens = self.element_energies(v_full)

@@ -4,11 +4,11 @@ finite-difference Hessians driven by a distance-2 coloring of the pattern.
 The gradient path exploits element locality: perturbing one DOF changes
 the energy density only on the elements containing it, in one local slot
 of each.  So the central differences probe one local slot at a time, all
-elements at once, and no probe of the full energy is made here.  The
-per-element differences go through the model's element memo, so a call
-integrates only the elements whose local coefficients or steps moved
-since the last call that covered most of them: a Hessian probe moves one
-color group, which touches about a third of the elements.  The Hessian
+elements at once, and no probe of the full energy is made here: the
+model's ``slot_differences`` gives the per-element differences, and it
+recomputes only the elements whose local coefficients or steps moved
+since its last call that covered most of them.  A Hessian probe moves
+one color group, which touches about a third of the elements.  The Hessian
 needs one forward gradient difference per color group; group members
 share no structurally-coupled row, so every pattern column can be read
 off directly.  The groups come from a greedy coloring in smallest-last
@@ -21,8 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-
-from .energy import BarrierError
 
 __all__ = [
     "FD_STEP",
@@ -48,48 +46,21 @@ def gradient_central_local(model, v_full: np.ndarray) -> np.ndarray:
     holds it in one local slot.  So for each slot s all elements are probed
     together: slot s of every element moves by its DOF's step
     ``FD_STEP * max(1, |v_i|)``, up and down, and element e's energy
-    difference is credited to ``elems2dofs[e, s]`` alone.  So each DOF's
-    bin gets the same terms in the same order whatever else is probed, and
-    fixed DOFs are probed like free ones.  The per-element differences come
-    from ``model.element_rows``, keyed on the coefficients and the steps:
-    only the elements whose local coefficients or steps moved since the
-    model's memo are probed again, with the bits of a full evaluation.
-    ``model`` provides ``dofmap``, ``element_rows``,
-    ``element_energies_local`` and ``b_full``; the result has the layout of
-    ``model.gradient`` and equals central differences of the full energy
-    up to summation order.
+    difference is credited to ``elems2dofs[e, s]`` alone.  One ``bincount``
+    adds the differences up slot by slot, so each DOF's bin gets the same
+    terms in the same order whatever else is probed, and fixed DOFs are
+    probed like free ones.  ``model`` provides ``dofmap``, ``b_full`` and
+    ``slot_differences(v_full, steps)``, the (elements, slots) array of
+    e_up - e_dn; the result has the layout of ``model.gradient`` and equals
+    central differences of the full energy up to summation order.
     """
     v_full = np.asarray(v_full, dtype=float)
     dm = model.dofmap
     steps = _steps(v_full)
-    rows = model.element_rows((v_full, steps), _slot_differences)
-    diff = np.zeros(dm.n_dofs)
-    for slot, slot_dofs in enumerate(dm.elems2dofs.T):
-        diff += np.bincount(slot_dofs, weights=rows[:, slot], minlength=dm.n_dofs)
+    rows = model.slot_differences(v_full, steps)
+    diff = np.bincount(dm.elems2dofs.T.ravel(), weights=rows.T.ravel(),
+                       minlength=dm.n_dofs)
     return diff / (2.0 * steps) - model.b_full
-
-
-def _slot_differences(model, local, elems) -> np.ndarray:
-    """e_up - e_dn of every local slot on the elements ``elems``,
-    (elements, slots).
-
-    ``local`` holds the signed local coefficients and steps of all
-    elements.  Slot s of every element moves by its step and back, as in a
-    full evaluation, but only ``elems`` are integrated.
-    """
-    probe, deltas = local
-    diffs = []
-    for slot in range(probe.shape[1]):
-        center = probe[:, slot].copy()
-        probe[:, slot] = center + deltas[:, slot]
-        e_up = model.element_energies_local(probe, elems)
-        probe[:, slot] = center - deltas[:, slot]
-        e_dn = model.element_energies_local(probe, elems)
-        probe[:, slot] = center
-        if not (np.all(np.isfinite(e_up)) and np.all(np.isfinite(e_dn))):
-            raise BarrierError("energy not finite at a finite-difference probe")
-        diffs.append(e_up - e_dn)
-    return np.column_stack(diffs)
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,12 @@ A problem with a ``max_step`` (the elastic orientation barrier) has a
 step that would reach det F = 0 cut to the fraction ``BOUNDARY_FRACTION``
 of the way there before its trial energy is evaluated.  A +inf trial
 energy still rejects the step and shrinks the radius.  So does a
-``BarrierError`` from the gradient of a trial that would be accepted,
-raised when a difference probe of a central-difference gradient crosses
-det F <= 0; the same error while the Hessian is built ends the solve
-unconverged at the current point.  ``TrSolution.history`` is the one
+non-finite gradient of a trial that would be accepted, or a
+``BarrierError`` from it, raised when a difference probe of a
+central-difference gradient crosses det F <= 0.  Either one while the
+Hessian is built (a ``BarrierError`` or a non-finite Hessian entry) ends
+the solve unconverged at the current point, and either one at the
+initial gradient is a ``ValueError``.  ``TrSolution.history`` is the one
 per-iteration record; such a rejected trial records ``rho`` as None.
 """
 
@@ -101,9 +103,9 @@ class TrSolution:
     after the step was accepted or rejected; ``accepted``; ``rho``,
     the ratio of actual to predicted decrease, or None when the trial has
     no ratio (a +inf trial energy, a non-positive predicted decrease, or a
-    ``BarrierError`` from the trial's gradient); and ``step_fraction``,
-    the factor ``BOUNDARY_FRACTION * max_step`` that cut the CG step, or
-    1.0 when the step was not cut.
+    ``BarrierError`` from or a non-finite entry in the trial's gradient);
+    and ``step_fraction``, the factor ``BOUNDARY_FRACTION * max_step`` that
+    cut the CG step, or 1.0 when the step was not cut.
     """
 
     v_free: np.ndarray
@@ -175,9 +177,10 @@ def minimize(problem: EnergyProblem, opts: TrOptions | None = None) -> TrSolutio
     """Classic trust-region loop with a rebuilt FD Hessian per accepted step.
 
     A radius that shrinks below the rounding of v, eps * max(1, |v|),
-    ends the loop unconverged, as does a ``BarrierError`` while the Hessian
-    is built.  A step cut short of the problem's ``max_step`` does not end
-    on the trust-region boundary, so it never grows the radius.
+    ends the loop unconverged, as does a ``BarrierError`` or a non-finite
+    entry while the Hessian is built.  A step cut short of the problem's
+    ``max_step`` does not end on the trust-region boundary, so it never
+    grows the radius.
     """
     opts = opts or TrOptions()
     if opts.gradient_mode == "central_diff":
@@ -191,7 +194,11 @@ def minimize(problem: EnergyProblem, opts: TrOptions | None = None) -> TrSolutio
     energy_now = problem.energy(v)
     if not np.isfinite(energy_now):
         raise ValueError("initial point has non-finite energy")
-    g = grad_fn(v)
+    try:
+        g = grad_fn(v)
+    except BarrierError as err:
+        raise ValueError("initial gradient is not finite: a difference probe "
+                         "crossed det F <= 0") from err
     if not np.all(np.isfinite(g)):
         raise ValueError("initial gradient is not finite")
     grad_tol = GRAD_RTOL * max(1.0, abs(energy_now))
@@ -211,6 +218,8 @@ def minimize(problem: EnergyProblem, opts: TrOptions | None = None) -> TrSolutio
                 H = hessian_fd(grad_fn, v, colored, g0=g)
             except BarrierError:
                 break  # a difference probe crossed det F <= 0
+            if not np.all(np.isfinite(H.data)):
+                break  # a probe's gradient was not finite
         step, hit_boundary = steihaug_cg(H, g, radius)
         step_fraction = 1.0
         if problem.max_step is not None:
@@ -230,6 +239,8 @@ def minimize(problem: EnergyProblem, opts: TrOptions | None = None) -> TrSolutio
             try:
                 g_trial = grad_fn(v + step)
             except BarrierError:
+                g_trial = None
+            if g_trial is None or not np.all(np.isfinite(g_trial)):
                 rho = -np.inf
         accept = rho > ETA_ACCEPT
         if accept:

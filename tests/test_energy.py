@@ -1,7 +1,5 @@
 """Energy models: load assembly, gradient fields, energies, explicit gradients."""
 
-import functools
-
 import numpy as np
 import pytest
 
@@ -388,21 +386,31 @@ def test_energy_quadrature_offset_below_benchmark_precision():
     assert abs(refined[1] - refined[0]) < 1e-6  # refined rules agree
 
 
-class _RowSpy:
-    """An ``element_rows`` evaluation that records the elements it is asked
-    for: row e is the sum of element e's local arrays, a function of its
-    own rows alone.  With ``fail`` set it raises instead."""
+def _spy_elements(model):
+    """Record the elements of every element-energy integral of ``model``:
+    their ids, or None for all elements."""
+    calls = []
+    integrate = model._element_energies
 
-    def __init__(self):
-        self.calls = []
-        self.fail = False
+    def spy(v_loc, elems=None):
+        calls.append(None if elems is None else elems.ids)
+        return integrate(v_loc, elems)
 
-    def __call__(self, model, local, elems):
-        self.calls.append(elems.ids)
-        if self.fail:
-            raise BarrierError("evaluation failed")
-        rows = functools.reduce(np.add, local)
-        return rows if elems.ids is None else rows[elems.ids]
+    model._element_energies = spy
+    return calls
+
+
+def _fresh(model):
+    """A model of the same energy density with no memo."""
+    if isinstance(model, PLaplaceModel):
+        return PLaplaceModel(model.geometry, model.dofmap, alpha=model.alpha,
+                             f=0.0)
+    return NeoHookeModel(model.geometry, model.dofmap, c1=model.c1,
+                         d1=model.d1, f=(0.0, 0.0))
+
+
+def _steps(v):
+    return 1e-6 * np.maximum(1.0, np.abs(v))
 
 
 def _holding(dm, dofs):
@@ -410,74 +418,78 @@ def _holding(dm, dofs):
     return np.flatnonzero(np.isin(dm.elems2dofs, dofs).any(axis=1))
 
 
-def test_element_rows_recomputes_only_the_elements_of_moved_dofs():
+def test_slot_differences_recompute_only_the_elements_of_moved_dofs():
     model, v = _kernel_case("plaplace", 2)
-    dm, spy = model.dofmap, _RowSpy()
+    dm, calls = model.dofmap, _spy_elements(model)
     i = dm.elems2dofs[5, 0]
     v[i] = 0.0
-    np.testing.assert_array_equal(model.element_rows((v,), spy), dm.gather(v))
-    assert spy.calls == [None]
-    # the same bits: nothing is evaluated
-    np.testing.assert_array_equal(model.element_rows((v.copy(),), spy), dm.gather(v))
-    assert len(spy.calls) == 1
+    steps = _steps(v)
+    full = model.slot_differences(v, steps)
+    assert calls and all(ids is None for ids in calls)
+    np.testing.assert_array_equal(full, _fresh(model).slot_differences(v, steps))
+    # the same bits: nothing is integrated
+    n_calls = len(calls)
+    np.testing.assert_array_equal(model.slot_differences(v.copy(), steps.copy()),
+                                  full)
+    assert len(calls) == n_calls
     # -0.0 == 0.0, but its bits differ: the elements holding i are redone
     for value in (-0.0, 1.5):
         w = v.copy()
         w[i] = value
-        rows = model.element_rows((w,), spy)
-        np.testing.assert_array_equal(spy.calls[-1], _holding(dm, [i]))
-        np.testing.assert_array_equal(rows, dm.gather(w))
-        assert np.array_equal(np.signbit(rows), np.signbit(dm.gather(w)))
+        rows = model.slot_differences(w, steps)
+        np.testing.assert_array_equal(calls[-1], _holding(dm, [i]))
+        np.testing.assert_array_equal(rows, _fresh(model).slot_differences(w, steps))
 
 
-def test_element_rows_keys_on_every_vector():
+def test_slot_differences_key_on_the_steps_too():
     model, v = _kernel_case("neohooke", 1)
-    dm, spy = model.dofmap, _RowSpy()
-    s = RNG.standard_normal(dm.n_dofs)
-    model.element_rows((v, s), spy)
-    t = s.copy()
+    dm, calls = model.dofmap, _spy_elements(model)
+    steps = _steps(v)
+    model.slot_differences(v, steps)
+    t = steps.copy()
     t[dm.free_dofs[3]] *= 2.0
-    rows = model.element_rows((v, t), spy)
-    np.testing.assert_array_equal(spy.calls[-1], _holding(dm, [dm.free_dofs[3]]))
-    np.testing.assert_array_equal(rows, dm.gather(v) + dm.gather(t))
+    rows = model.slot_differences(v, t)
+    np.testing.assert_array_equal(calls[-1], _holding(dm, [dm.free_dofs[3]]))
+    np.testing.assert_array_equal(rows, _fresh(model).slot_differences(v, t))
 
 
-def test_element_rows_memo_is_the_last_evaluation_of_most_elements():
+def test_slot_differences_memo_is_the_last_evaluation_of_most_elements():
     model, v = _kernel_case("plaplace", 2)
-    dm, spy = model.dofmap, _RowSpy()
+    dm, calls = model.dofmap, _spy_elements(model)
+    steps = _steps(v)
     a, b = dm.elems2dofs[0, 0], dm.elems2dofs[-1, 0]
-    model.element_rows((v,), spy)
+    model.slot_differences(v, steps)
     # a move of few elements leaves the memo where it was: a second move
     # from the first point redoes only its own elements
     for i in (a, b):
         w = v.copy()
         w[i] += 1.0
-        model.element_rows((w,), spy)
-        np.testing.assert_array_equal(spy.calls[-1], _holding(dm, [i]))
+        model.slot_differences(w, steps)
+        np.testing.assert_array_equal(calls[-1], _holding(dm, [i]))
     # a move of most elements is evaluated in full and becomes the memo
     u = v + 1.0
-    model.element_rows((u,), spy)
-    assert spy.calls[-1] is None
+    model.slot_differences(u, steps)
+    assert calls[-1] is None
     w = u.copy()
     w[a] += 1.0
-    np.testing.assert_array_equal(model.element_rows((w,), spy), dm.gather(w))
-    np.testing.assert_array_equal(spy.calls[-1], _holding(dm, [a]))
-    # another evaluation function does not read this memo
-    other = _RowSpy()
-    model.element_rows((w,), other)
-    assert other.calls == [None]
+    np.testing.assert_array_equal(model.slot_differences(w, steps),
+                                  _fresh(model).slot_differences(w, steps))
+    np.testing.assert_array_equal(calls[-1], _holding(dm, [a]))
 
 
-def test_element_rows_memo_survives_a_failed_evaluation():
+def test_slot_differences_memo_survives_a_barrier_error():
     model, v = _kernel_case("neohooke", 2)
-    dm, spy = model.dofmap, _RowSpy()
-    model.element_rows((v,), spy)
-    spy.fail = True
+    dm, calls = model.dofmap, _spy_elements(model)
+    steps = _steps(v)
+    model.slot_differences(v, steps)
+    # the mirror image inverts every element
+    mirrored = v.copy()
+    mirrored[:dm.n_p] *= -1.0
     with pytest.raises(BarrierError):
-        model.element_rows((v + 1.0,), spy)
-    assert spy.calls[-1] is None
-    spy.fail = False
+        model.slot_differences(mirrored, steps)
+    assert calls[-1] is None
     w = v.copy()
-    w[dm.free_dofs[0]] += 1.0
-    np.testing.assert_array_equal(model.element_rows((w,), spy), dm.gather(w))
-    np.testing.assert_array_equal(spy.calls[-1], _holding(dm, [dm.free_dofs[0]]))
+    w[dm.free_dofs[0]] += 1e-4
+    np.testing.assert_array_equal(model.slot_differences(w, steps),
+                                  _fresh(model).slot_differences(w, steps))
+    np.testing.assert_array_equal(calls[-1], _holding(dm, [dm.free_dofs[0]]))

@@ -1,5 +1,6 @@
 """Trust-region solver: subproblem oracles, convergence, and robustness."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -309,3 +310,48 @@ def test_barrier_probe_ends_or_rejects(mode):
         assert not record["accepted"] and record["rho"] is None
     if mode == "central_diff":
         assert len(raised_at) > 1
+
+
+def test_nonfinite_gradient_rejects_the_trial_or_ends_the_solve(monkeypatch):
+    # J = |v|^2 / 2 - sum(v), whose gradient has a NaN entry once
+    # max |v| > 0.5: a trial past that is rejected like a barrier trial, and
+    # once v sits just short of 0.5 a Hessian probe crosses it, which ends
+    # the solve unconverged.  CG never sees a NaN, and the history stays
+    # strict JSON
+    def gradient(v):
+        g = v - 1.0
+        if np.max(np.abs(v)) > 0.5:
+            g[0] = np.nan
+        return g
+
+    def finite_cg(H, g, radius):
+        assert np.all(np.isfinite(H.data)) and np.all(np.isfinite(g))
+        return steihaug_cg(H, g, radius)
+
+    monkeypatch.setattr(hpmin.solver, "steihaug_cg", finite_cg)
+    n = 200
+    problem = EnergyProblem(
+        energy=lambda v: 0.5 * (v @ v) - v.sum(), gradient=gradient,
+        pattern=sp.identity(n, dtype=bool, format="csr"), x0=np.zeros(n))
+    sol = minimize(problem, TrOptions(max_iters=50, initial_radius=100.0))
+    assert not sol.converged
+    assert len(sol.history) == sol.iterations < 50
+    assert sol.history[-1]["accepted"]  # the next Hessian ended the solve
+    assert 0.5 - 1e-6 < np.max(sol.v_free) <= 0.5
+    assert any(not r["accepted"] and r["rho"] is None for r in sol.history)
+    json.dumps(sol.history, allow_nan=False)
+
+
+def test_barrier_at_the_initial_gradient_is_a_configuration_error():
+    # det F = 1e-9 > 0 and a finite energy at the start, but a
+    # central-difference probe of the x-coefficients crosses det F <= 0
+    problem, model = neohooke_problem(make_perforated_square(0), p=1,
+                                      young=2e8, poisson=0.3,
+                                      f=(-3.5e7, -3.5e7))
+    x0 = problem.x0.copy()
+    x0[model.dofmap.free_dofs < model.dofmap.n_p] *= 1e-9
+    with pytest.raises(ValueError, match="initial gradient") as err:
+        minimize(replace(problem, x0=x0), TrOptions(gradient_mode="central_diff"))
+    assert isinstance(err.value.__cause__, BarrierError)
+    # the explicit gradient is finite there
+    minimize(replace(problem, x0=x0), TrOptions(max_iters=0))
