@@ -17,6 +17,11 @@ product against the transposed table; no per-element derivative tensor
 is formed.  Outside these kernels G is exposed only as
 ``NeoHookeModel.gradfield``, the named entries of F for det F checks.
 
+``element_hessians`` gives the forward differences of the element
+residuals, the explicit gradient before its scatter, when one local slot
+of every element moves by its DOF's step: the element blocks of a
+finite-difference Hessian, one slot at a time, with no memo.
+
 ``slot_differences`` gives the per-element energy differences of
 central-difference probes that move one local slot of every element up
 and down.  It keeps the result of the last call that covered most
@@ -214,13 +219,44 @@ class _ModelBase:
             return np.inf
         return float(dens.sum() - self.b_full @ v_full)
 
-    def gradient(self, v_full: np.ndarray) -> np.ndarray:
-        G = self._gather(self.dofmap.gather(v_full))
+    def _residuals(self, v_loc: np.ndarray) -> np.ndarray:
+        """Derivatives of every element's density integral with respect to
+        its signed local coefficients, in the layout of ``v_loc``."""
+        G = self._gather(v_loc)
         # w |J| P J^{-T}: the stress against the reference directions
         Q = np.einsum("catq,abtq->cbtq", self.stress(G), self._w_jinv_t)
-        g_loc = (Q @ self._ref_t).sum(axis=1)  # (components, T, m)
-        g_loc = g_loc.transpose(1, 0, 2).reshape(G.shape[2], -1)
-        return self.dofmap.scatter(g_loc) - self.b_full
+        r_loc = (Q @ self._ref_t).sum(axis=1)  # (components, T, m)
+        return r_loc.transpose(1, 0, 2).reshape(G.shape[2], -1)
+
+    def gradient(self, v_full: np.ndarray) -> np.ndarray:
+        residuals = self._residuals(self.dofmap.gather(v_full))
+        return self.dofmap.scatter(residuals) - self.b_full
+
+    def element_hessians(self, v_full: np.ndarray, steps: np.ndarray) -> np.ndarray:
+        """Forward differences of the element residuals, (slots, T, slots).
+
+        Slot b of every element moves by its DOF's signed step, one slot at
+        a time, and entry [b, e, a] is sign_a (r_a(moved) - r_a(v)) / h_b
+        for the residual r of element e and the step h_b of its slot-b DOF:
+        element e's share of the Hessian entry coupling the DOFs of its
+        slots a (row) and b (column).  The load term is linear and drops
+        out.  Every batched product runs over all elements.  A probe at an
+        inverted configuration raises ``BarrierError`` from ``stress``.
+        """
+        dm = self.dofmap
+        v_loc = dm.gather(v_full)
+        deltas = dm.gather(steps)
+        base = self._residuals(v_loc)
+        blocks = np.empty((v_loc.shape[1], *v_loc.shape))
+        for slot in range(v_loc.shape[1]):
+            center = v_loc[:, slot].copy()
+            v_loc[:, slot] = center + deltas[:, slot]
+            blocks[slot] = self._residuals(v_loc)
+            v_loc[:, slot] = center
+        blocks -= base
+        blocks *= dm.signs
+        blocks /= steps[dm.elems2dofs].T[:, :, None]
+        return blocks
 
 
 def _frobenius2(G: np.ndarray) -> np.ndarray:

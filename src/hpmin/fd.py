@@ -1,5 +1,5 @@
 """Derivative-free machinery: central-difference gradients and sparse
-finite-difference Hessians driven by a distance-2 coloring of the pattern.
+finite-difference Hessians, from element slots or a distance-2 coloring.
 
 The gradient path exploits element locality: perturbing one DOF changes
 the energy density only on the elements containing it, in one local slot
@@ -7,12 +7,21 @@ of each.  So the central differences probe one local slot at a time, all
 elements at once, and no probe of the full energy is made here: the
 model's ``slot_differences`` gives the per-element differences, and it
 recomputes only the elements whose local coefficients or steps moved
-since its last call that covered most of them.  A Hessian probe moves
-one color group, which touches about a third of the elements.  The Hessian
-needs one forward gradient difference per color group; group members
-share no structurally-coupled row, so every pattern column can be read
-off directly.  The groups come from a greedy coloring in smallest-last
-order, which needs fewer of them than the natural order.
+since its last call that covered most of them.
+
+The energy is a sum of element energies, so its Hessian is a sum of
+element blocks.  With the explicit gradient, the model differences its
+element residuals once per local slot, with that slot of every element
+moved at once, and one ``bincount`` scatters the blocks into the pattern
+through a position map built once (``SlotPattern``).  A slot costs about
+one gradient.  With the central-difference gradient, or any gradient
+without element kernels, the Hessian needs one forward gradient
+difference per color group; group members share no structurally-coupled
+row, so every pattern column can be read off directly.  A probe moves one
+color group, which touches about a third of the elements.  The groups
+come from a greedy coloring in smallest-last order, which needs fewer of
+them than the natural order.  At p = 2 that is still 25 colors against 9
+slots on the L-shape, and 47 against 18 on the elastic problem.
 """
 
 from __future__ import annotations
@@ -25,9 +34,12 @@ import scipy.sparse as sp
 __all__ = [
     "FD_STEP",
     "ColoredPattern",
+    "SlotPattern",
     "gradient_central_local",
     "greedy_coloring",
+    "hessian_blocks",
     "hessian_fd",
+    "slot_pattern",
 ]
 
 # Relative difference step: coordinate i moves by FD_STEP * max(1, |v_i|).
@@ -168,35 +180,100 @@ def greedy_coloring(pattern: sp.csr_matrix) -> ColoredPattern:
     return _colored(pattern, groups, mirror.data)
 
 
-def hessian_fd(grad, v: np.ndarray, colored: ColoredPattern,
-               g0: np.ndarray) -> sp.csr_matrix:
-    """Sparse symmetric Hessian estimate from grouped forward differences.
+@dataclass(frozen=True)
+class SlotPattern:
+    """Where the element-slot Hessian terms land in the data of a pattern.
 
-    For each color group one evaluates grad(v + steps on the group), with
-    step FD_STEP * max(1, |v_i|) on coordinate i, in one probe vector that
-    is restored after each call; each pattern entry then reads its group's
-    difference, so entries outside the pattern are discarded.  The result
-    is symmetrized, (H + H^T) / 2, directly in the pattern's CSR layout and
-    shares the pattern's ``indices`` and ``indptr`` arrays.
-    ``grad`` acts on vectors of the same layout as ``v``, and ``g0`` is
-    grad(v), which the caller already holds, so the estimate costs exactly
-    one gradient call per color group.
+    Term [b, e, a] of the (slots, T, slots) blocks that ``hessian_fd``
+    scatters couples the DOFs of slots a (row) and b (column) of element e.
+    ``positions`` holds, flat in that order, the index of the term's entry
+    in the pattern's CSR data, or ``nnz`` when either DOF is fixed, and
+    ``transpose`` the position of each entry's mirror, as in
+    ``ColoredPattern``.
+    """
 
-    Row i of a probe's difference sees at most one member of the group,
-    the one coupled to i, so every entry, and the whole H, has the same
-    bits under any valid distance-2 coloring.
+    pattern: sp.csr_matrix
+    positions: np.ndarray
+    transpose: np.ndarray
+
+
+def slot_pattern(pattern: sp.csr_matrix, element_dofs: np.ndarray) -> SlotPattern:
+    """The ``SlotPattern`` of a pattern that holds every pair of DOFs
+    sharing an element.
+
+    ``element_dofs`` (T, slots) gives the pattern row of the DOF in every
+    element slot, -1 where it is fixed.  Slot by slot, one sparse lookup
+    reads the entry numbers of the pairs (slot a, slot b) of all elements;
+    a pair of free DOFs outside the pattern raises.
+    """
+    nnz = pattern.nnz
+    fixed = element_dofs < 0
+    dofs = np.maximum(element_dofs, 0)
+    # 1-based entry numbers, so that a pair outside the pattern reads 0
+    entry = sp.csr_matrix((np.arange(1, nnz + 1), pattern.indices,
+                           pattern.indptr), shape=pattern.shape)
+    positions = np.empty((dofs.shape[1], *dofs.shape), dtype=np.int64)
+    for slot, cols in enumerate(dofs.T):
+        found = entry[dofs.ravel(), np.repeat(cols, dofs.shape[1])]
+        positions[slot] = np.asarray(found).reshape(dofs.shape) - 1
+    dropped = fixed[None, :, :] | fixed.T[:, :, None]
+    if np.any((positions < 0) & ~dropped):
+        raise ValueError("pattern does not hold every pair of DOFs that "
+                         "share an element")
+    positions[dropped] = nnz
+    # term [a, e, b] mirrors term [b, e, a]; dropped terms write the last
+    # bin, and an entry no term reaches stays its own mirror
+    transpose = np.arange(nnz + 1)
+    transpose[positions] = positions.transpose(2, 1, 0)
+    return SlotPattern(pattern, positions.ravel(), transpose[:nnz])
+
+
+def hessian_blocks(model, v_full: np.ndarray) -> np.ndarray:
+    """``model.element_hessians`` at the steps of ``hessian_fd``,
+    FD_STEP * max(1, |v_i|), with fixed DOFs stepped like free ones."""
+    v_full = np.asarray(v_full, dtype=float)
+    return model.element_hessians(v_full, _steps(v_full))
+
+
+def hessian_fd(grad, v: np.ndarray, layout: ColoredPattern | SlotPattern,
+               g0: np.ndarray | None) -> sp.csr_matrix:
+    """Sparse symmetric Hessian estimate from forward differences.
+
+    With a ``ColoredPattern``, for each color group one evaluates
+    grad(v + steps on the group), with step FD_STEP * max(1, |v_i|) on
+    coordinate i, in one probe vector that is restored after each call;
+    each pattern entry then reads its group's difference, so entries
+    outside the pattern are discarded.  ``grad`` acts on vectors of the
+    same layout as ``v``, and ``g0`` is grad(v), which the caller already
+    holds, so the estimate costs exactly one gradient call per color
+    group.  Row i of a probe's difference sees at most one member of the
+    group, the one coupled to i, so every entry, and the whole H, has the
+    same bits under any valid distance-2 coloring.
+
+    With a ``SlotPattern``, ``grad(v)`` gives the (slots, T, slots) element
+    blocks of ``hessian_blocks`` instead, and ``g0`` is not read.  One
+    ``bincount`` adds them into the pattern's data; terms of fixed DOFs go
+    to a bin past the end, which is dropped.
+
+    Either way the result is symmetrized, (H + H^T) / 2, directly in the
+    pattern's CSR layout and shares the pattern's ``indices`` and
+    ``indptr`` arrays.
     """
     v = np.asarray(v, dtype=float)
-    pattern = colored.pattern
+    pattern = layout.pattern
     if v.size != pattern.shape[0]:
         raise ValueError(f"expected vector of length {pattern.shape[0]}, got {v.size}")
-    steps = _steps(v)
-    diffs = np.empty((colored.n_groups, v.size))
-    probe = v.copy()
-    for group, members in enumerate(colored.members):
-        probe[members] = v[members] + steps[members]
-        diffs[group] = grad(probe) - g0
-        probe[members] = v[members]
-    data = diffs.take(colored.source) / steps.take(colored.cols)
-    return sp.csr_matrix(((data + data[colored.transpose]) * 0.5,
+    if isinstance(layout, SlotPattern):
+        data = np.bincount(layout.positions, weights=grad(v).ravel(),
+                           minlength=pattern.nnz + 1)[:pattern.nnz]
+    else:
+        steps = _steps(v)
+        diffs = np.empty((layout.n_groups, v.size))
+        probe = v.copy()
+        for group, members in enumerate(layout.members):
+            probe[members] = v[members] + steps[members]
+            diffs[group] = grad(probe) - g0
+            probe[members] = v[members]
+        data = diffs.take(layout.source) / steps.take(layout.cols)
+    return sp.csr_matrix(((data + data[layout.transpose]) * 0.5,
                           pattern.indices, pattern.indptr), shape=pattern.shape)

@@ -9,7 +9,7 @@ import numpy as np
 from .basis import tabulate
 from .dofmap import DirichletSpec, build_dofmap, expand_solution, sparsity_pattern
 from .energy import NeoHookeModel, PLaplaceModel, identity_deformation
-from .fd import gradient_central_local
+from .fd import gradient_central_local, hessian_blocks
 from .mesh import QuadMesh, geometry_factors
 from .quadrature import rule_for_degree
 from .solver import EnergyProblem
@@ -26,7 +26,9 @@ def _problem(mesh: QuadMesh, p: int, components: int, dirichlet: DirichletSpec,
     ``make_x0(dofmap)`` the free-DOF starting vector.  Both gradients,
     ``model.gradient`` and :func:`hpmin.fd.gradient_central_local`, give
     one entry per DOF of the full vector; one helper inserts the fixed
-    values and keeps the free entries of either.
+    values and keeps the free entries of either.  The element-slot Hessian
+    blocks act on the full vector too, and ``element_dofs`` maps the
+    element slots to free DOFs only when the solver first asks.
     """
     rule = rule_for_degree(p)
     geo = geometry_factors(mesh, rule, tabulate(p, rule.points))
@@ -36,11 +38,18 @@ def _problem(mesh: QuadMesh, p: int, components: int, dirichlet: DirichletSpec,
     def on_free(full_gradient):
         return lambda v_free: full_gradient(expand_solution(dm, v_free))[dm.free_dofs]
 
+    def element_dofs():
+        free_index = np.full(dm.n_dofs, -1)
+        free_index[dm.free_dofs] = np.arange(dm.n_free)
+        return free_index[dm.elems2dofs]
+
     problem = EnergyProblem(
         energy=lambda v_free: model.energy(expand_solution(dm, v_free)),
         gradient=on_free(model.gradient),
         gradient_fd=on_free(lambda v_full: gradient_central_local(model, v_full)),
-        pattern=sparsity_pattern(dm), x0=make_x0(dm))
+        pattern=sparsity_pattern(dm), x0=make_x0(dm),
+        element_hessians=lambda v: hessian_blocks(model, expand_solution(dm, v)),
+        element_dofs=element_dofs)
     return problem, model
 
 

@@ -1,9 +1,12 @@
 """Trust-region Newton minimization over free DOFs.
 
-Each iteration builds a sparse finite-difference Hessian on the problem's
-sparsity pattern (one gradient difference per color group), solves the
-trust-region subproblem with Steihaug-Toint truncated CG, and accepts or
-rejects the step by the ratio of actual to predicted energy reduction.
+Each accepted step builds a sparse finite-difference Hessian on the
+problem's sparsity pattern: in ``explicit`` mode, for a problem that gives
+its element residuals, from forward differences of those residuals one
+local slot at a time; otherwise from one gradient difference per color
+group.  Each iteration solves the trust-region subproblem with
+Steihaug-Toint truncated CG, and accepts or rejects the step by the ratio
+of actual to predicted energy reduction.
 A problem with a ``max_step`` (the elastic orientation barrier) has a
 step that would reach det F = 0 cut to the fraction ``BOUNDARY_FRACTION``
 of the way there before its trial energy is evaluated.  A +inf trial
@@ -26,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .energy import BarrierError
-from .fd import greedy_coloring, hessian_fd
+from .fd import greedy_coloring, hessian_fd, slot_pattern
 
 __all__ = ["EnergyProblem", "TrOptions", "TrSolution", "minimize", "steihaug_cg"]
 
@@ -56,6 +59,14 @@ class EnergyProblem:
     ``max_step(v, step)``, when given, is the first t > 0 at which
     v + t step leaves the admissible set (inf if it never does); None means
     steps are never cut.
+
+    An energy that is a sum of element energies may give its explicit-mode
+    Hessian one local slot at a time: ``element_hessians(v)`` returns the
+    (slots, T, slots) blocks of :func:`hpmin.fd.hessian_blocks`, and
+    ``element_dofs()`` the (T, slots) pattern row of the DOF in every
+    element slot, -1 where it is fixed.  The solver calls ``element_dofs``
+    once, on the first Hessian.  With None, the Hessian is colored forward
+    differences of the gradient.
     """
 
     energy: Callable[[np.ndarray], float]
@@ -64,6 +75,8 @@ class EnergyProblem:
     x0: np.ndarray
     gradient_fd: Callable[[np.ndarray], np.ndarray] | None = None
     max_step: Callable[[np.ndarray, np.ndarray], float] | None = None
+    element_hessians: Callable[[np.ndarray], np.ndarray] | None = None
+    element_dofs: Callable[[], np.ndarray] | None = None
 
 
 @dataclass
@@ -118,12 +131,25 @@ class TrSolution:
     history: list = field(default_factory=list)
 
 
+def _unit_scale(x: float) -> float:
+    """The power of two c with c * x in [0.5, 1), for x > 0 finite."""
+    return np.ldexp(1.0, -np.frexp(x)[1])
+
+
 def _boundary_tau(s: np.ndarray, d: np.ndarray, radius: float) -> float:
-    """Positive root of |s + tau d| = radius (exists for |s| < radius)."""
+    """Positive root of |s + tau d| = radius (exists for |s| < radius).
+
+    s and the radius are scaled by one power of two, and d by another, so
+    that the radius and max |d| lie in [0.5, 1): no square overflows
+    however far apart their sizes are, and the root scales back exactly.
+    """
+    c = _unit_scale(radius)
+    e = _unit_scale(np.max(np.abs(d)))
+    s, d, radius = s * c, d * e, radius * c
     dd = d @ d
     sd = s @ d
     ss = s @ s
-    return (-sd + np.sqrt(sd * sd + dd * (radius * radius - ss))) / dd
+    return (-sd + np.sqrt(sd * sd + dd * (radius * radius - ss))) / dd * e / c
 
 
 def steihaug_cg(H, g: np.ndarray, radius: float) -> tuple[np.ndarray, bool]:
@@ -140,7 +166,10 @@ def steihaug_cg(H, g: np.ndarray, radius: float) -> tuple[np.ndarray, bool]:
     with H, not with |g|^2: a finite g past 1e154 no longer overflows them.
     Short of underflow the scaling is exact and leaves the step's bits as
     they are: steihaug_cg(c H, c g, radius) gives the step of
-    steihaug_cg(H, g, radius) for any power of two c.
+    steihaug_cg(H, g, radius) for any power of two c.  The step's length
+    is compared with the radius, and the boundary root taken, in units of
+    the radius, so a curvature tiny next to g, which sends the CG
+    iterate far past the radius, overflows nothing either.
     """
     if radius <= 0.0:
         raise ValueError(f"radius must be positive, got {radius}")
@@ -149,7 +178,8 @@ def steihaug_cg(H, g: np.ndarray, radius: float) -> tuple[np.ndarray, bool]:
     g_max = np.max(np.abs(g), initial=0.0)
     if g_max == 0.0:
         return s, False
-    scale = np.ldexp(1.0, -np.frexp(g_max)[1])
+    scale = _unit_scale(g_max)
+    unit = _unit_scale(radius)
     r = g * scale
     g_norm = np.linalg.norm(r)
     d = -r
@@ -157,11 +187,15 @@ def steihaug_cg(H, g: np.ndarray, radius: float) -> tuple[np.ndarray, bool]:
     for _ in range(2 * g.size):
         Hd = (H @ d) * scale
         kappa = d @ Hd
-        if kappa <= 0.0:
+        # no curvature, or so little that rr / kappa would overflow
+        if kappa <= rr / np.finfo(float).max:
             return s + _boundary_tau(s, d, radius) * d, True
         alpha = rr / kappa
         s_trial = s + alpha * d
-        if np.linalg.norm(s_trial) >= radius:
+        # |s_trial| >= radius; past the max test every entry is inside
+        # the radius, so the norm in units of it cannot overflow
+        if (np.max(np.abs(s_trial)) >= radius
+                or np.linalg.norm(s_trial * unit) >= radius * unit):
             return s + _boundary_tau(s, d, radius) * d, True
         s = s_trial
         r = r + alpha * Hd
@@ -203,7 +237,12 @@ def minimize(problem: EnergyProblem, opts: TrOptions | None = None) -> TrSolutio
         raise ValueError("initial gradient is not finite")
     grad_tol = GRAD_RTOL * max(1.0, abs(energy_now))
 
-    colored = greedy_coloring(problem.pattern)
+    # the per-pattern bookkeeping of the Hessian: a coloring up front, or
+    # the slot positions on the first Hessian
+    if opts.gradient_mode == "central_diff" or problem.element_hessians is None:
+        probe, layout = grad_fn, greedy_coloring(problem.pattern)
+    else:
+        probe, layout = problem.element_hessians, None
     radius = opts.initial_radius
     H = None
     history: list[dict] = []
@@ -214,8 +253,10 @@ def minimize(problem: EnergyProblem, opts: TrOptions | None = None) -> TrSolutio
         if grad_norm < grad_tol:
             break
         if H is None:
+            if layout is None:
+                layout = slot_pattern(problem.pattern, problem.element_dofs())
             try:
-                H = hessian_fd(grad_fn, v, colored, g0=g)
+                H = hessian_fd(probe, v, layout, g0=g)
             except BarrierError:
                 break  # a difference probe crossed det F <= 0
             if not np.all(np.isfinite(H.data)):

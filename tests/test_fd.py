@@ -19,6 +19,7 @@ from hpmin.fd import (
     gradient_central_local,
     greedy_coloring,
     hessian_fd,
+    slot_pattern,
 )
 from hpmin.mesh import geometry_factors, make_lshape, make_perforated_square
 from hpmin.problems import neohooke_problem, plaplace_problem
@@ -234,6 +235,11 @@ def test_hessian_fd_matches_assembled_stiffness():
     v = RNG.standard_normal(n)
     H = hessian_fd(grad_free, v, colored, g0=grad_free(v)).toarray()
     assert np.max(np.abs(H - K)) / np.max(np.abs(K)) < 1e-5
+    # the element-slot path, on the problem's own callbacks
+    fe, _ = plaplace_problem(dm.mesh, p=1, alpha=2.0, f=-10.0)
+    H = hessian_fd(fe.element_hessians, v,
+                   slot_pattern(fe.pattern, fe.element_dofs()), g0=None).toarray()
+    assert np.max(np.abs(H - K)) / np.max(np.abs(K)) < 1e-5
 
 
 def test_hessian_fd_discards_outside_pattern():
@@ -285,6 +291,57 @@ def test_hessian_fd_csr_assembly_matches_coo_oracle(problem):
     np.testing.assert_array_equal(H.toarray(), oracle.toarray())
     x = RNG.standard_normal(v.size)
     np.testing.assert_array_equal(H @ x, oracle @ x)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("problem", ["hyper", "plaplace"])
+def test_slot_hessian_matches_colored_hessian(problem, p):
+    # the element-slot Hessian against colored forward differences of the
+    # problem's gradient, at a random admissible point
+    fe = _fem_problem(problem, p, level=1)
+    rng = np.random.default_rng(10 + p)
+    scale = 1e-3 if problem == "hyper" else 1.0
+    v = fe.x0 + scale * rng.standard_normal(fe.x0.size)
+    colored = hessian_fd(fe.gradient, v, greedy_coloring(fe.pattern),
+                         g0=fe.gradient(v))
+    H = hessian_fd(fe.element_hessians, v,
+                   slot_pattern(fe.pattern, fe.element_dofs()), g0=None)
+    for name in ("indices", "indptr"):
+        structure = getattr(fe.pattern, name)
+        np.testing.assert_array_equal(getattr(H, name), getattr(colored, name))
+        assert np.shares_memory(getattr(H, name), structure)
+    assert (H != H.T).nnz == 0
+    rel = np.max(np.abs(H.data - colored.data)) / np.max(np.abs(colored.data))
+    assert rel <= 1e-7
+
+
+def test_slot_pattern_of_fixed_dofs_and_foreign_patterns():
+    # the top row of a 3 x 1 strip with the bottom fixed: every term of a
+    # bottom node is dropped, and a pattern missing a coupled pair raises
+    dm = build_dofmap(make_rect(3, 1), p=1,
+                      dirichlet=DirichletSpec(on=lambda x, y: y == 0.0, g=0.0))
+    pattern = sparsity_pattern(dm)
+    fi = free_index(dm)
+    dofs = fi[dm.elems2dofs]
+    layout = slot_pattern(pattern, dofs)
+    slots = dofs.shape[1]
+    positions = layout.positions.reshape(slots, -1, slots)
+    dropped = (dofs < 0)[None, :, :] | (dofs < 0).T[:, :, None]
+    assert dropped.any() and not dropped.all()
+    assert np.all(positions[dropped] == pattern.nnz)
+    # term [b, e, a] lands on the entry (row dofs[e, a], column dofs[e, b])
+    rows = np.repeat(np.arange(pattern.shape[0]), np.diff(pattern.indptr))
+    kept = positions[~dropped]
+    np.testing.assert_array_equal(
+        rows[kept], np.broadcast_to(dofs[None, :, :], positions.shape)[~dropped])
+    np.testing.assert_array_equal(
+        pattern.indices[kept],
+        np.broadcast_to(dofs.T[:, :, None], positions.shape)[~dropped])
+    mirror = layout.transpose
+    np.testing.assert_array_equal(rows[mirror], pattern.indices)
+    np.testing.assert_array_equal(pattern.indices[mirror], rows)
+    with pytest.raises(ValueError, match="pair of DOFs"):
+        slot_pattern(sp.identity(pattern.shape[0], dtype=bool, format="csr"), dofs)
 
 
 def test_coloring_rejects_asymmetric_pattern():

@@ -1,6 +1,7 @@
 """Trust-region solver: subproblem oracles, convergence, and robustness."""
 
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -93,6 +94,20 @@ def test_steihaug_step_is_invariant_under_power_of_two_scaling(definite, radius)
     np.testing.assert_array_equal(step_c, step)
     assert hit_c == hit
     assert g @ step + 0.5 * step @ (H @ step) < 0.0
+
+
+@pytest.mark.parametrize("curvature", [1e-200, 1e-310])
+@pytest.mark.parametrize("radius", [1e-200, 1.0, 1e200])
+def test_steihaug_tiny_curvature_goes_to_the_boundary(curvature, radius):
+    # a curvature tiny next to g sends the CG iterate far past the radius:
+    # its norm, the boundary root and rr / kappa must not overflow (at the
+    # parent, |s_trial| overflowed at curvature 1e-200 and radius 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        step, hit = steihaug_cg(sp.identity(3, format="csr") * curvature,
+                                np.ones(3), radius)
+    assert hit
+    np.testing.assert_allclose(step, -radius / np.sqrt(3.0), rtol=1e-15)
 
 
 def test_spd_quadratic_oracle(monkeypatch):
@@ -268,11 +283,14 @@ def test_radius_collapse_stops_unconverged(monkeypatch):
 @pytest.mark.parametrize("mode", ["explicit", "central_diff"])
 def test_barrier_probe_ends_or_rejects(mode):
     # a load of 1e30 drives det F towards 0, where a difference probe
-    # crosses det F <= 0: in the Hessian build (both modes), which ends the
-    # solve at the current point, and in the central-difference gradient of
-    # a trial that would be accepted, which rejects that trial.  Steps are
-    # not cut short of det F = 0 here (max_step=None): with the cut, no
-    # trial's gradient probe crosses and only the Hessian build raises
+    # crosses det F <= 0: in the Hessian build, which ends the solve at the
+    # current point, and in the central-difference gradient of a trial that
+    # would be accepted, which rejects that trial.  The explicit Hessian
+    # probes the element residuals one local slot at a time
+    # (element_hessians); the central-difference one probes the gradient
+    # per color group.  Steps are not cut short of det F = 0 here
+    # (max_step=None): with the cut, no trial's gradient probe crosses and
+    # only the Hessian build raises
     problem, _ = neohooke_problem(make_perforated_square(0), p=2, young=2e8,
                                   poisson=0.3, f=(1e30, -3.5e7))
     # every iteration evaluates one trial energy, after its Hessian build
@@ -288,28 +306,73 @@ def test_barrier_probe_ends_or_rejects(mode):
         return problem.energy(v)
 
     def counting(fn):
-        def grad(v):
+        def probe(v):
             try:
                 return fn(v)
             except BarrierError:
-                raised_at.append(trials)
+                raised_at.append((trials, fn))
                 raise
-        return grad
+        return probe
 
     counted = replace(problem, energy=energy,
                       gradient=counting(problem.gradient),
-                      gradient_fd=counting(problem.gradient_fd), max_step=None)
+                      gradient_fd=counting(problem.gradient_fd),
+                      element_hessians=counting(problem.element_hessians),
+                      max_step=None)
     sol = minimize(counted, TrOptions(initial_radius=0.2 * np.sqrt(2.0),
                                       max_iters=3000, gradient_mode=mode))
     assert not sol.converged
     assert np.isfinite(sol.energy)
     assert len(sol.history) == sol.iterations < 3000
-    assert raised_at[-1] == sol.iterations  # the Hessian build ended the solve
-    for i in raised_at[:-1]:
+    # the Hessian build ended the solve
+    hessian_source = (problem.gradient_fd if mode == "central_diff"
+                      else problem.element_hessians)
+    assert raised_at[-1] == (sol.iterations, hessian_source)
+    for i, _ in raised_at[:-1]:
         record = sol.history[i - 1]
         assert not record["accepted"] and record["rho"] is None
     if mode == "central_diff":
         assert len(raised_at) > 1
+
+
+@pytest.mark.parametrize("mode", ["explicit", "central_diff"])
+def test_gradient_and_coloring_calls_per_hessian(mode, monkeypatch):
+    # the benchmark's trace identities: an explicit-mode model problem
+    # builds its Hessian from the element slots, with no coloring and no
+    # gradient call beyond the start and one per accepted step; a
+    # central-difference Hessian takes one gradient per color group
+    problem, _ = plaplace_problem(make_lshape(1), p=2, alpha=3.0, f=-10.0)
+    calls = dict.fromkeys(["gradient", "gradient_fd", "coloring", "hessian"], 0)
+    n_groups = []
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    def coloring(pattern, greedy_coloring=hpmin.solver.greedy_coloring):
+        colored = greedy_coloring(pattern)
+        n_groups.append(colored.n_groups)
+        return colored
+
+    monkeypatch.setattr(hpmin.solver, "greedy_coloring",
+                        counting("coloring", coloring))
+    monkeypatch.setattr(hpmin.solver, "hessian_fd",
+                        counting("hessian", hpmin.solver.hessian_fd))
+    counted = replace(problem,
+                      gradient=counting("gradient", problem.gradient),
+                      gradient_fd=counting("gradient_fd", problem.gradient_fd))
+    sol = minimize(counted, TrOptions(gradient_mode=mode))
+    assert sol.converged and sol.accepted > 1
+    assert calls["hessian"] == sol.accepted
+    if mode == "explicit":
+        assert calls == {"gradient": sol.accepted + 1, "gradient_fd": 0,
+                         "coloring": 0, "hessian": sol.accepted}
+    else:
+        assert calls["coloring"] == 1 and calls["gradient"] == 0
+        assert calls["gradient_fd"] == (n_groups[0] * calls["hessian"]
+                                        + sol.accepted + 1)
 
 
 def test_nonfinite_gradient_rejects_the_trial_or_ends_the_solve(monkeypatch):
