@@ -20,18 +20,14 @@ is formed.  Outside these kernels G is exposed only as
 ``element_hessians`` gives the forward differences of the element
 residuals, the explicit gradient before its scatter, when one local slot
 of every element moves by its DOF's step: the element blocks of a
-finite-difference Hessian, one slot at a time, with no memo.
+finite-difference Hessian, one slot at a time.
 
 ``slot_differences`` gives the per-element energy differences of
 central-difference probes that move one local slot of every element up
-and down.  It keeps the result of the last call that covered most
-elements and recomputes only the elements whose local coefficients or
-steps moved bitwise since; ``hpmin.fd`` sums these differences into a
-gradient.  The batched products still run over every element, since
-BLAS may round a row differently when the row count changes, so a reused
-result has the bits of a full evaluation.  The explicit gradient keeps
-no memo: with both products kept at full size, the pointwise work it
-would skip costs less than the bookkeeping.
+and down; ``hpmin.fd`` sums these differences into a gradient.
+``element_hessians_fd`` differences them once more, one moved slot at a
+time, for the same blocks from the element energies alone.  Every
+batched product runs over all elements.
 
 * scalar power-law diffusion: (1/alpha) integral |grad v|^alpha - integral f v
 * vector compressible Neo-Hookean elasticity with stored density
@@ -107,16 +103,6 @@ def identity_deformation(dofmap: DofMap) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
-class _Elements:
-    """Some elements of a model: their ids in increasing order, None for
-    all, and their rows of J^{-T} and w |J|."""
-
-    ids: np.ndarray | None
-    jinv_t: np.ndarray  # (2, 2, elems, n_ip)
-    wdetj: np.ndarray   # (elems, n_ip)
-
-
 class _ModelBase:
     """Gather -> pointwise -> contract -> scatter over one geometry and DOF map.
 
@@ -136,78 +122,49 @@ class _ModelBase:
         self._ref = np.stack([table.dxi, table.deta])  # (2, m, n_ip)
         self._ref_t = np.ascontiguousarray(self._ref.transpose(0, 2, 1))  # (2, n_ip, m)
         self._w_jinv_t = geometry.wdetj * geometry.jinv_t  # (2, 2, T, n_ip)
-        self._all = _Elements(None, geometry.jinv_t, geometry.wdetj)
-        # (local coefficients, local steps, rows) of slot_differences
-        self._memo: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def slot_differences(self, v_full: np.ndarray, steps: np.ndarray) -> np.ndarray:
         """e_up - e_dn of every element and local slot, (T, slots): slot s of
         every element moves by its DOF's step up and down, one slot at a time.
 
-        The model keeps one memo: the last call that recomputed more than
-        half of the elements and did not raise.  A later call recomputes
-        only the elements whose rows of the signed local coefficients or
-        steps differ bitwise from the memo's, and splices them into a copy
-        of its rows.  Every batched product still runs over all elements,
-        as in a full evaluation: BLAS may round a row differently when the
-        row count changes.  So the result has the bits of a full
-        evaluation.  A non-finite probe energy raises ``BarrierError``.
+        Every batched product runs over all elements.  A non-finite probe
+        energy raises ``BarrierError``.
         """
-        probe = self.dofmap.gather(v_full)
-        deltas = self.dofmap.gather(steps)
-        elems, memo = self._all, self._memo
-        if memo is not None:
-            moved = ((probe.view(np.int64) != memo[0].view(np.int64))
-                     | (deltas.view(np.int64) != memo[1].view(np.int64)))
-            ids = np.flatnonzero(moved.any(axis=1))
-            if not ids.size:
-                return memo[2].copy()
-            if 2 * ids.size <= self.dofmap.mesh.n_elems:
-                elems = _Elements(ids, self.geometry.jinv_t.take(ids, axis=2),
-                                  self.geometry.wdetj[ids])
+        return self._slot_differences(self.dofmap.gather(v_full),
+                                      self.dofmap.gather(steps))
+
+    def _slot_differences(self, v_loc: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+        """``slot_differences`` of signed local coefficients and steps;
+        ``v_loc`` is probed in place and left with its bits."""
         diffs = []
-        for slot in range(probe.shape[1]):
-            center = probe[:, slot].copy()
-            probe[:, slot] = center + deltas[:, slot]
-            e_up = self._element_energies(probe, elems)
-            probe[:, slot] = center - deltas[:, slot]
-            e_dn = self._element_energies(probe, elems)
-            probe[:, slot] = center
+        for slot in range(v_loc.shape[1]):
+            center = v_loc[:, slot].copy()
+            v_loc[:, slot] = center + deltas[:, slot]
+            e_up = self._element_energies(v_loc)
+            v_loc[:, slot] = center - deltas[:, slot]
+            e_dn = self._element_energies(v_loc)
+            v_loc[:, slot] = center
             if not (np.all(np.isfinite(e_up)) and np.all(np.isfinite(e_dn))):
                 raise BarrierError("energy not finite at a finite-difference probe")
             diffs.append(e_up - e_dn)
-        rows = np.column_stack(diffs)
-        if elems.ids is None:
-            self._memo = (probe, deltas, rows)
-            return rows.copy()
-        spliced = memo[2].copy()
-        spliced[elems.ids] = rows
-        return spliced
+        return np.column_stack(diffs)
 
-    def _gather(self, v_loc: np.ndarray, elems: _Elements | None = None) -> np.ndarray:
-        """Gradient array G, (components, 2, elems, n_ip), of all elements
-        or of the elements ``elems`` of a ``v_loc`` of all elements.
+    def _gather(self, v_loc: np.ndarray) -> np.ndarray:
+        """Gradient array G, (components, 2, T, n_ip), of local coefficients.
 
         The reference derivatives of all components come from one batched
         product with the shared table; J^{-T} then maps them to physical
         directions: G[c, a] = sum_b J^{-T}[a, b] R[c, b].
         """
-        elems = self._all if elems is None else elems
-        n_elems = v_loc.shape[0]
-        v_c = v_loc.reshape(n_elems, self.dofmap.components, 1, -1)
+        v_c = v_loc.reshape(v_loc.shape[0], self.dofmap.components, 1, -1)
         R = v_c.transpose(1, 2, 0, 3) @ self._ref  # (components, 2, T, n_ip)
-        if elems.ids is not None:
-            R = R.take(elems.ids, axis=2)
-        return np.einsum("abpq,cbpq->capq", elems.jinv_t, R)
+        return np.einsum("abpq,cbpq->capq", self.geometry.jinv_t, R)
 
-    def _element_energies(self, v_loc: np.ndarray,
-                          elems: _Elements | None = None) -> np.ndarray:
-        """Per-element density integrals for given local coefficients, (T,),
-        or for the elements ``elems`` of a ``v_loc`` of all elements."""
-        elems = self._all if elems is None else elems
-        dens = self.density(self._gather(v_loc, elems))
+    def _element_energies(self, v_loc: np.ndarray) -> np.ndarray:
+        """Per-element density integrals for given local coefficients, (T,)."""
+        dens = self.density(self._gather(v_loc))
         # w |J| > 0 on valid meshes, so a +inf density gives a +inf element
-        return np.einsum("pq,pq->p", elems.wdetj, dens)
+        return np.einsum("pq,pq->p", self.geometry.wdetj, dens)
 
     def element_energies(self, v_full: np.ndarray) -> np.ndarray:
         """Per-element density integrals (no load term), (T,)."""
@@ -232,6 +189,25 @@ class _ModelBase:
         residuals = self._residuals(self.dofmap.gather(v_full))
         return self.dofmap.scatter(residuals) - self.b_full
 
+    def _slot_blocks(self, v_full: np.ndarray, steps: np.ndarray,
+                     evaluate) -> tuple[np.ndarray, np.ndarray]:
+        """Differences of ``evaluate(v_loc, deltas)``, a (T, slots) array,
+        when slot b of every element moves by its DOF's signed step, one
+        slot at a time: the (slots, T, slots) array of moved minus base,
+        and the (T, slots) steps of the element slots' DOFs."""
+        dm = self.dofmap
+        v_loc = dm.gather(v_full)
+        deltas = dm.gather(steps)
+        base = evaluate(v_loc, deltas)
+        blocks = np.empty((v_loc.shape[1], *v_loc.shape))
+        for slot in range(v_loc.shape[1]):
+            center = v_loc[:, slot].copy()
+            v_loc[:, slot] = center + deltas[:, slot]
+            blocks[slot] = evaluate(v_loc, deltas)
+            v_loc[:, slot] = center
+        blocks -= base
+        return blocks, steps[dm.elems2dofs]
+
     def element_hessians(self, v_full: np.ndarray, steps: np.ndarray) -> np.ndarray:
         """Forward differences of the element residuals, (slots, T, slots).
 
@@ -243,19 +219,23 @@ class _ModelBase:
         out.  Every batched product runs over all elements.  A probe at an
         inverted configuration raises ``BarrierError`` from ``stress``.
         """
-        dm = self.dofmap
-        v_loc = dm.gather(v_full)
-        deltas = dm.gather(steps)
-        base = self._residuals(v_loc)
-        blocks = np.empty((v_loc.shape[1], *v_loc.shape))
-        for slot in range(v_loc.shape[1]):
-            center = v_loc[:, slot].copy()
-            v_loc[:, slot] = center + deltas[:, slot]
-            blocks[slot] = self._residuals(v_loc)
-            v_loc[:, slot] = center
-        blocks -= base
-        blocks *= dm.signs
-        blocks /= steps[dm.elems2dofs].T[:, :, None]
+        blocks, h = self._slot_blocks(v_full, steps,
+                                      lambda v_loc, _: self._residuals(v_loc))
+        blocks *= self.dofmap.signs
+        blocks /= h.T[:, :, None]
+        return blocks
+
+    def element_hessians_fd(self, v_full: np.ndarray, steps: np.ndarray) -> np.ndarray:
+        """``element_hessians`` from the element energies alone.
+
+        With slot b of every element moved as there, entry [b, e, a] is
+        (D_a(moved) - D_a(v)) / (2 h_a h_b) for element e's central
+        difference D_a of ``slot_differences``.  Both moves are the signed
+        steps of the DOFs, so no sign is left to apply.  A non-finite probe
+        energy raises ``BarrierError``.
+        """
+        blocks, h = self._slot_blocks(v_full, steps, self._slot_differences)
+        blocks /= 2.0 * h.T[:, :, None] * h
         return blocks
 
 

@@ -5,23 +5,20 @@ The gradient path exploits element locality: perturbing one DOF changes
 the energy density only on the elements containing it, in one local slot
 of each.  So the central differences probe one local slot at a time, all
 elements at once, and no probe of the full energy is made here: the
-model's ``slot_differences`` gives the per-element differences, and it
-recomputes only the elements whose local coefficients or steps moved
-since its last call that covered most of them.
+model's ``slot_differences`` gives the per-element differences.
 
 The energy is a sum of element energies, so its Hessian is a sum of
-element blocks.  With the explicit gradient, the model differences its
-element residuals once per local slot, with that slot of every element
-moved at once, and one ``bincount`` scatters the blocks into the pattern
-through a position map built once (``SlotPattern``).  A slot costs about
-one gradient.  With the central-difference gradient, or any gradient
-without element kernels, the Hessian needs one forward gradient
-difference per color group; group members share no structurally-coupled
-row, so every pattern column can be read off directly.  A probe moves one
-color group, which touches about a third of the elements.  The groups
-come from a greedy coloring in smallest-last order, which needs fewer of
-them than the natural order.  At p = 2 that is still 25 colors against 9
-slots on the L-shape, and 47 against 18 on the elastic problem.
+element blocks (a partially separable function, Griewank & Toint 1982).
+The model differences its element residuals (explicit gradient) or its
+per-element central differences (central-difference gradient) once per
+local slot, with that slot of every element moved at once, and one
+``bincount`` scatters the blocks into the pattern through a position map
+built once (``SlotPattern``).  A problem without element kernels takes
+one forward gradient difference per color group instead; group members
+share no structurally-coupled row, so every pattern column can be read
+off directly (Coleman & More 1983).  The groups come from a greedy
+coloring in smallest-last order, which needs fewer of them than the
+natural order.
 """
 
 from __future__ import annotations
@@ -228,11 +225,12 @@ def slot_pattern(pattern: sp.csr_matrix, element_dofs: np.ndarray) -> SlotPatter
     return SlotPattern(pattern, positions.ravel(), transpose[:nnz])
 
 
-def hessian_blocks(model, v_full: np.ndarray) -> np.ndarray:
-    """``model.element_hessians`` at the steps of ``hessian_fd``,
+def hessian_blocks(element_hessians, v_full: np.ndarray) -> np.ndarray:
+    """``element_hessians(v_full, steps)``, a model's ``element_hessians``
+    or ``element_hessians_fd``, at the steps of ``hessian_fd``,
     FD_STEP * max(1, |v_i|), with fixed DOFs stepped like free ones."""
     v_full = np.asarray(v_full, dtype=float)
-    return model.element_hessians(v_full, _steps(v_full))
+    return element_hessians(v_full, _steps(v_full))
 
 
 def hessian_fd(grad, v: np.ndarray, layout: ColoredPattern | SlotPattern,

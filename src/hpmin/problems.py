@@ -27,8 +27,9 @@ def _problem(mesh: QuadMesh, p: int, components: int, dirichlet: DirichletSpec,
     ``model.gradient`` and :func:`hpmin.fd.gradient_central_local`, give
     one entry per DOF of the full vector; one helper inserts the fixed
     values and keeps the free entries of either.  The element-slot Hessian
-    blocks act on the full vector too, and ``element_dofs`` maps the
-    element slots to free DOFs only when the solver first asks.
+    blocks of either gradient act on the full vector too, and
+    ``element_dofs`` maps the element slots to free DOFs only when the
+    solver first asks.
     """
     rule = rule_for_degree(p)
     geo = geometry_factors(mesh, rule, tabulate(p, rule.points))
@@ -37,6 +38,10 @@ def _problem(mesh: QuadMesh, p: int, components: int, dirichlet: DirichletSpec,
 
     def on_free(full_gradient):
         return lambda v_free: full_gradient(expand_solution(dm, v_free))[dm.free_dofs]
+
+    def blocks(element_hessians):
+        return lambda v_free: hessian_blocks(element_hessians,
+                                             expand_solution(dm, v_free))
 
     def element_dofs():
         free_index = np.full(dm.n_dofs, -1)
@@ -48,7 +53,8 @@ def _problem(mesh: QuadMesh, p: int, components: int, dirichlet: DirichletSpec,
         gradient=on_free(model.gradient),
         gradient_fd=on_free(lambda v_full: gradient_central_local(model, v_full)),
         pattern=sparsity_pattern(dm), x0=make_x0(dm),
-        element_hessians=lambda v: hessian_blocks(model, expand_solution(dm, v)),
+        element_hessians=blocks(model.element_hessians),
+        element_hessians_fd=blocks(model.element_hessians_fd),
         element_dofs=element_dofs)
     return problem, model
 

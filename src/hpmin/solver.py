@@ -1,12 +1,13 @@
 """Trust-region Newton minimization over free DOFs.
 
 Each accepted step builds a sparse finite-difference Hessian on the
-problem's sparsity pattern: in ``explicit`` mode, for a problem that gives
-its element residuals, from forward differences of those residuals one
-local slot at a time; otherwise from one gradient difference per color
-group.  Each iteration solves the trust-region subproblem with
-Steihaug-Toint truncated CG, and accepts or rejects the step by the ratio
-of actual to predicted energy reduction.
+problem's sparsity pattern.  A problem that gives its element blocks has
+them built one local slot at a time, from forward differences of its
+element residuals in ``explicit`` mode and from second differences of its
+element energies in ``central_diff`` mode; any other problem differences
+its gradient once per color group.  Each iteration solves the
+trust-region subproblem with Steihaug-Toint truncated CG, and accepts or
+rejects the step by the ratio of actual to predicted energy reduction.
 A problem with a ``max_step`` (the elastic orientation barrier) has a
 step that would reach det F = 0 cut to the fraction ``BOUNDARY_FRACTION``
 of the way there before its trial energy is evaluated.  A +inf trial
@@ -60,13 +61,14 @@ class EnergyProblem:
     v + t step leaves the admissible set (inf if it never does); None means
     steps are never cut.
 
-    An energy that is a sum of element energies may give its explicit-mode
-    Hessian one local slot at a time: ``element_hessians(v)`` returns the
+    An energy that is a sum of element energies may give its Hessian one
+    local slot at a time: ``element_hessians(v)`` (explicit mode) and
+    ``element_hessians_fd(v)`` (central_diff mode) return the
     (slots, T, slots) blocks of :func:`hpmin.fd.hessian_blocks`, and
     ``element_dofs()`` the (T, slots) pattern row of the DOF in every
     element slot, -1 where it is fixed.  The solver calls ``element_dofs``
-    once, on the first Hessian.  With None, the Hessian is colored forward
-    differences of the gradient.
+    once, on the first Hessian.  When the mode's blocks are None, the
+    Hessian is colored forward differences of the mode's gradient.
     """
 
     energy: Callable[[np.ndarray], float]
@@ -76,6 +78,7 @@ class EnergyProblem:
     gradient_fd: Callable[[np.ndarray], np.ndarray] | None = None
     max_step: Callable[[np.ndarray, np.ndarray], float] | None = None
     element_hessians: Callable[[np.ndarray], np.ndarray] | None = None
+    element_hessians_fd: Callable[[np.ndarray], np.ndarray] | None = None
     element_dofs: Callable[[], np.ndarray] | None = None
 
 
@@ -218,11 +221,11 @@ def minimize(problem: EnergyProblem, opts: TrOptions | None = None) -> TrSolutio
     """
     opts = opts or TrOptions()
     if opts.gradient_mode == "central_diff":
-        grad_fn = problem.gradient_fd
+        grad_fn, blocks = problem.gradient_fd, problem.element_hessians_fd
         if grad_fn is None:
             raise ValueError("problem provides no central-difference gradient")
     else:
-        grad_fn = problem.gradient
+        grad_fn, blocks = problem.gradient, problem.element_hessians
 
     v = np.asarray(problem.x0, dtype=float).copy()
     energy_now = problem.energy(v)
@@ -237,12 +240,12 @@ def minimize(problem: EnergyProblem, opts: TrOptions | None = None) -> TrSolutio
         raise ValueError("initial gradient is not finite")
     grad_tol = GRAD_RTOL * max(1.0, abs(energy_now))
 
-    # the per-pattern bookkeeping of the Hessian: a coloring up front, or
-    # the slot positions on the first Hessian
-    if opts.gradient_mode == "central_diff" or problem.element_hessians is None:
+    # the per-pattern bookkeeping of the Hessian: the slot positions on the
+    # first Hessian, or a coloring up front for a problem without blocks
+    if blocks is None:
         probe, layout = grad_fn, greedy_coloring(problem.pattern)
     else:
-        probe, layout = problem.element_hessians, None
+        probe, layout = blocks, None
     radius = opts.initial_radius
     H = None
     history: list[dict] = []

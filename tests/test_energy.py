@@ -385,111 +385,3 @@ def test_energy_quadrature_offset_below_benchmark_precision():
     assert abs(refined[0] - sol.energy) < 2e-4
     assert abs(refined[1] - refined[0]) < 1e-6  # refined rules agree
 
-
-def _spy_elements(model):
-    """Record the elements of every element-energy integral of ``model``:
-    their ids, or None for all elements."""
-    calls = []
-    integrate = model._element_energies
-
-    def spy(v_loc, elems=None):
-        calls.append(None if elems is None else elems.ids)
-        return integrate(v_loc, elems)
-
-    model._element_energies = spy
-    return calls
-
-
-def _fresh(model):
-    """A model of the same energy density with no memo."""
-    if isinstance(model, PLaplaceModel):
-        return PLaplaceModel(model.geometry, model.dofmap, alpha=model.alpha,
-                             f=0.0)
-    return NeoHookeModel(model.geometry, model.dofmap, c1=model.c1,
-                         d1=model.d1, f=(0.0, 0.0))
-
-
-def _steps(v):
-    return 1e-6 * np.maximum(1.0, np.abs(v))
-
-
-def _holding(dm, dofs):
-    """The elements holding any of ``dofs``, in increasing order."""
-    return np.flatnonzero(np.isin(dm.elems2dofs, dofs).any(axis=1))
-
-
-def test_slot_differences_recompute_only_the_elements_of_moved_dofs():
-    model, v = _kernel_case("plaplace", 2)
-    dm, calls = model.dofmap, _spy_elements(model)
-    i = dm.elems2dofs[5, 0]
-    v[i] = 0.0
-    steps = _steps(v)
-    full = model.slot_differences(v, steps)
-    assert calls and all(ids is None for ids in calls)
-    np.testing.assert_array_equal(full, _fresh(model).slot_differences(v, steps))
-    # the same bits: nothing is integrated
-    n_calls = len(calls)
-    np.testing.assert_array_equal(model.slot_differences(v.copy(), steps.copy()),
-                                  full)
-    assert len(calls) == n_calls
-    # -0.0 == 0.0, but its bits differ: the elements holding i are redone
-    for value in (-0.0, 1.5):
-        w = v.copy()
-        w[i] = value
-        rows = model.slot_differences(w, steps)
-        np.testing.assert_array_equal(calls[-1], _holding(dm, [i]))
-        np.testing.assert_array_equal(rows, _fresh(model).slot_differences(w, steps))
-
-
-def test_slot_differences_key_on_the_steps_too():
-    model, v = _kernel_case("neohooke", 1)
-    dm, calls = model.dofmap, _spy_elements(model)
-    steps = _steps(v)
-    model.slot_differences(v, steps)
-    t = steps.copy()
-    t[dm.free_dofs[3]] *= 2.0
-    rows = model.slot_differences(v, t)
-    np.testing.assert_array_equal(calls[-1], _holding(dm, [dm.free_dofs[3]]))
-    np.testing.assert_array_equal(rows, _fresh(model).slot_differences(v, t))
-
-
-def test_slot_differences_memo_is_the_last_evaluation_of_most_elements():
-    model, v = _kernel_case("plaplace", 2)
-    dm, calls = model.dofmap, _spy_elements(model)
-    steps = _steps(v)
-    a, b = dm.elems2dofs[0, 0], dm.elems2dofs[-1, 0]
-    model.slot_differences(v, steps)
-    # a move of few elements leaves the memo where it was: a second move
-    # from the first point redoes only its own elements
-    for i in (a, b):
-        w = v.copy()
-        w[i] += 1.0
-        model.slot_differences(w, steps)
-        np.testing.assert_array_equal(calls[-1], _holding(dm, [i]))
-    # a move of most elements is evaluated in full and becomes the memo
-    u = v + 1.0
-    model.slot_differences(u, steps)
-    assert calls[-1] is None
-    w = u.copy()
-    w[a] += 1.0
-    np.testing.assert_array_equal(model.slot_differences(w, steps),
-                                  _fresh(model).slot_differences(w, steps))
-    np.testing.assert_array_equal(calls[-1], _holding(dm, [a]))
-
-
-def test_slot_differences_memo_survives_a_barrier_error():
-    model, v = _kernel_case("neohooke", 2)
-    dm, calls = model.dofmap, _spy_elements(model)
-    steps = _steps(v)
-    model.slot_differences(v, steps)
-    # the mirror image inverts every element
-    mirrored = v.copy()
-    mirrored[:dm.n_p] *= -1.0
-    with pytest.raises(BarrierError):
-        model.slot_differences(mirrored, steps)
-    assert calls[-1] is None
-    w = v.copy()
-    w[dm.free_dofs[0]] += 1e-4
-    np.testing.assert_array_equal(model.slot_differences(w, steps),
-                                  _fresh(model).slot_differences(w, steps))
-    np.testing.assert_array_equal(calls[-1], _holding(dm, [dm.free_dofs[0]]))

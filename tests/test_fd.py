@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 import hpmin.fd
+import hpmin.solver
 from hpmin.basis import tabulate
 from hpmin.dofmap import (
     DirichletSpec,
@@ -24,6 +25,7 @@ from hpmin.fd import (
 from hpmin.mesh import geometry_factors, make_lshape, make_perforated_square
 from hpmin.problems import neohooke_problem, plaplace_problem
 from hpmin.quadrature import rule_for_degree
+from hpmin.solver import TrOptions, minimize
 from oracles import free_index, gradient_central, make_rect, physical_derivatives
 
 RNG = np.random.default_rng(20240514)
@@ -315,6 +317,57 @@ def test_slot_hessian_matches_colored_hessian(problem, p):
     assert rel <= 1e-7
 
 
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("problem", ["hyper", "plaplace"])
+def test_slot_hessian_fd_matches_colored_hessian(problem, p):
+    # second differences of the element energies against colored forward
+    # differences of the central-difference gradient.  The plaplace point
+    # keeps |v| < 1: past it a colored probe recomputes its steps
+    # FD_STEP * max(1, |v_j|) at the moved point, which the element slots
+    # do not, and at standard-normal points (max |v| 2.2 ... 3.9) the two
+    # differ by 1.3e-4 ... 5.3e-4 relative
+    fe = _fem_problem(problem, p, level=1)
+    rng = np.random.default_rng(20 + p)
+    if problem == "hyper":
+        v, bound = fe.x0 + 1e-3 * rng.standard_normal(fe.x0.size), 5e-6
+    else:
+        v, bound = rng.uniform(-0.9, 0.9, fe.x0.size), 1e-9
+    colored = hessian_fd(fe.gradient_fd, v, greedy_coloring(fe.pattern),
+                         g0=fe.gradient_fd(v))
+    H = hessian_fd(fe.element_hessians_fd, v,
+                   slot_pattern(fe.pattern, fe.element_dofs()), g0=None)
+    for name in ("indices", "indptr"):
+        structure = getattr(fe.pattern, name)
+        np.testing.assert_array_equal(getattr(H, name), structure)
+        assert np.shares_memory(getattr(H, name), structure)
+    assert (H != H.T).nnz == 0
+    rel = np.max(np.abs(H.data - colored.data)) / np.max(np.abs(colored.data))
+    assert rel <= bound
+
+
+def test_central_diff_hessian_does_not_see_the_load(monkeypatch):
+    # the colored Hessian differences two gradients that both carry -b, so
+    # a load of 1e160 swamps every curvature and leaves it exactly 0; the
+    # element energies carry no load, so the Hessian minimize builds at
+    # the zero start is the one of f = -10, bit for bit
+    built = []
+
+    def recording(*args, **kwargs):
+        built.append(hessian_fd(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(hpmin.solver, "hessian_fd", recording)
+    for f in (-10.0, 1e160):
+        fe, _ = plaplace_problem(make_lshape(0), p=2, alpha=3.0, f=f)
+        minimize(fe, TrOptions(max_iters=1, gradient_mode="central_diff"))
+    small, huge = built
+    np.testing.assert_array_equal(huge.data, small.data)
+    assert np.max(np.abs(small.data)) > 1e-6
+    colored = hessian_fd(fe.gradient_fd, fe.x0, greedy_coloring(fe.pattern),
+                         g0=fe.gradient_fd(fe.x0))
+    assert not np.any(colored.data)
+
+
 def test_slot_pattern_of_fixed_dofs_and_foreign_patterns():
     # the top row of a 3 x 1 strip with the bottom fixed: every term of a
     # bottom node is dropped, and a pattern missing a coupled pair raises
@@ -501,7 +554,7 @@ def test_coloring_empty_pattern():
     assert colored.groups.size == 0
 
 
-def _memo_case(problem, p):
+def _gradient_case(problem, p):
     """A problem's model, a fresh-model factory, a random admissible full
     vector, and the full DOF ids of one color group of its pattern."""
     rng = np.random.default_rng(p)
@@ -530,9 +583,9 @@ _GRADIENTS = {"explicit": lambda model, v: model.gradient(v),
 @pytest.mark.parametrize("problem", ["hyper", "plaplace"])
 def test_repeated_gradients_have_the_bits_of_a_fresh_model(problem, p, gradient,
                                                            monkeypatch):
-    # a model that reuses its element memo must give, call after call, the
-    # bits of a model that evaluates every element
-    model, fresh, v, group = _memo_case(problem, p)
+    # a model keeps no state between calls: call after call, it gives the
+    # bits of a fresh model
+    model, fresh, v, group = _gradient_case(problem, p)
     grad = _GRADIENTS[gradient]
     dm = model.dofmap
     base = grad(model, v)
@@ -543,14 +596,14 @@ def test_repeated_gradients_have_the_bits_of_a_fresh_model(problem, p, gradient,
     for w in (v.copy(), one, moved_group, every, v):
         np.testing.assert_array_equal(grad(model, w), grad(fresh(), w))
     np.testing.assert_array_equal(grad(model, v), base)
-    # a new step at the same v: the steps are part of the memo's key
+    # a new step at the same v
     monkeypatch.setattr(hpmin.fd, "FD_STEP", 1e-5)
     np.testing.assert_array_equal(grad(model, v), grad(fresh(), v))
 
 
 @pytest.mark.parametrize("gradient", ["explicit", "central"])
 def test_barrier_probe_leaves_the_base_bits(gradient):
-    model, fresh, v, group = _memo_case("hyper", 2)
+    model, fresh, v, group = _gradient_case("hyper", 2)
     grad = _GRADIENTS[gradient]
     dm = model.dofmap
     base = grad(model, v)

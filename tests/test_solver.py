@@ -285,10 +285,10 @@ def test_barrier_probe_ends_or_rejects(mode):
     # a load of 1e30 drives det F towards 0, where a difference probe
     # crosses det F <= 0: in the Hessian build, which ends the solve at the
     # current point, and in the central-difference gradient of a trial that
-    # would be accepted, which rejects that trial.  The explicit Hessian
-    # probes the element residuals one local slot at a time
-    # (element_hessians); the central-difference one probes the gradient
-    # per color group.  Steps are not cut short of det F = 0 here
+    # would be accepted, which rejects that trial.  The Hessian probes the
+    # element residuals (element_hessians) or the element energies
+    # (element_hessians_fd) one local slot at a time, so it raises from
+    # its own source.  Steps are not cut short of det F = 0 here
     # (max_step=None): with the cut, no trial's gradient probe crosses and
     # only the Hessian build raises
     problem, _ = neohooke_problem(make_perforated_square(0), p=2, young=2e8,
@@ -318,6 +318,7 @@ def test_barrier_probe_ends_or_rejects(mode):
                       gradient=counting(problem.gradient),
                       gradient_fd=counting(problem.gradient_fd),
                       element_hessians=counting(problem.element_hessians),
+                      element_hessians_fd=counting(problem.element_hessians_fd),
                       max_step=None)
     sol = minimize(counted, TrOptions(initial_radius=0.2 * np.sqrt(2.0),
                                       max_iters=3000, gradient_mode=mode))
@@ -325,7 +326,7 @@ def test_barrier_probe_ends_or_rejects(mode):
     assert np.isfinite(sol.energy)
     assert len(sol.history) == sol.iterations < 3000
     # the Hessian build ended the solve
-    hessian_source = (problem.gradient_fd if mode == "central_diff"
+    hessian_source = (problem.element_hessians_fd if mode == "central_diff"
                       else problem.element_hessians)
     assert raised_at[-1] == (sol.iterations, hessian_source)
     for i, _ in raised_at[:-1]:
@@ -335,21 +336,19 @@ def test_barrier_probe_ends_or_rejects(mode):
         assert len(raised_at) > 1
 
 
-@pytest.mark.parametrize("mode", ["explicit", "central_diff"])
-def test_gradient_and_coloring_calls_per_hessian(mode, monkeypatch):
-    # the benchmark's trace identities: an explicit-mode model problem
-    # builds its Hessian from the element slots, with no coloring and no
-    # gradient call beyond the start and one per accepted step; a
-    # central-difference Hessian takes one gradient per color group
-    problem, _ = plaplace_problem(make_lshape(1), p=2, alpha=3.0, f=-10.0)
-    calls = dict.fromkeys(["gradient", "gradient_fd", "coloring", "hessian"], 0)
+def _count_hessian_sources(problem, monkeypatch):
+    """The problem with its gradients and element blocks counted, the call
+    counts (also of ``greedy_coloring`` and ``hessian_fd`` as bound in
+    hpmin.solver) and the group count of every coloring made."""
+    calls = dict.fromkeys(["gradient", "gradient_fd", "element_hessians",
+                           "element_hessians_fd", "coloring", "hessian"], 0)
     n_groups = []
 
     def counting(name, fn):
         def counted(*args, **kwargs):
             calls[name] += 1
             return fn(*args, **kwargs)
-        return counted
+        return None if fn is None else counted
 
     def coloring(pattern, greedy_coloring=hpmin.solver.greedy_coloring):
         colored = greedy_coloring(pattern)
@@ -360,19 +359,42 @@ def test_gradient_and_coloring_calls_per_hessian(mode, monkeypatch):
                         counting("coloring", coloring))
     monkeypatch.setattr(hpmin.solver, "hessian_fd",
                         counting("hessian", hpmin.solver.hessian_fd))
-    counted = replace(problem,
-                      gradient=counting("gradient", problem.gradient),
-                      gradient_fd=counting("gradient_fd", problem.gradient_fd))
+    names = ("gradient", "gradient_fd", "element_hessians", "element_hessians_fd")
+    counted = replace(problem, **{name: counting(name, getattr(problem, name))
+                                  for name in names})
+    return counted, calls, n_groups
+
+
+@pytest.mark.parametrize("mode", ["explicit", "central_diff"])
+def test_gradient_and_coloring_calls_per_hessian(mode, monkeypatch):
+    # the benchmark's trace identities: a model problem builds its Hessian
+    # from the element slots in either mode, with no coloring and no
+    # gradient call beyond the start and one per accepted step
+    problem, _ = plaplace_problem(make_lshape(1), p=2, alpha=3.0, f=-10.0)
+    counted, calls, _ = _count_hessian_sources(problem, monkeypatch)
     sol = minimize(counted, TrOptions(gradient_mode=mode))
     assert sol.converged and sol.accepted > 1
-    assert calls["hessian"] == sol.accepted
-    if mode == "explicit":
-        assert calls == {"gradient": sol.accepted + 1, "gradient_fd": 0,
-                         "coloring": 0, "hessian": sol.accepted}
-    else:
-        assert calls["coloring"] == 1 and calls["gradient"] == 0
-        assert calls["gradient_fd"] == (n_groups[0] * calls["hessian"]
-                                        + sol.accepted + 1)
+    gradient, blocks = (("gradient_fd", "element_hessians_fd")
+                        if mode == "central_diff"
+                        else ("gradient", "element_hessians"))
+    expected = dict.fromkeys(calls, 0)
+    expected.update({gradient: sol.accepted + 1, blocks: sol.accepted,
+                     "hessian": sol.accepted})
+    assert calls == expected
+
+
+def test_central_diff_colors_a_problem_without_element_kernels(monkeypatch):
+    # with no element_hessians_fd, the central-difference Hessian takes one
+    # gradient per color group, from one coloring made up front
+    problem, _ = plaplace_problem(make_lshape(1), p=2, alpha=3.0, f=-10.0)
+    counted, calls, n_groups = _count_hessian_sources(
+        replace(problem, element_hessians_fd=None), monkeypatch)
+    sol = minimize(counted, TrOptions(gradient_mode="central_diff"))
+    assert sol.converged and sol.accepted > 1
+    assert len(n_groups) == 1 and n_groups[0] > 1
+    assert calls == {"gradient": 0, "gradient_fd": (n_groups[0] + 1) * sol.accepted + 1,
+                     "element_hessians": 0, "element_hessians_fd": 0,
+                     "coloring": 1, "hessian": sol.accepted}
 
 
 def test_nonfinite_gradient_rejects_the_trial_or_ends_the_solve(monkeypatch):
