@@ -134,20 +134,27 @@ class _ModelBase:
                                       self.dofmap.gather(steps))
 
     def _slot_differences(self, v_loc: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-        """``slot_differences`` of signed local coefficients and steps;
-        ``v_loc`` is probed in place and left with its bits."""
-        diffs = []
-        for slot in range(v_loc.shape[1]):
-            center = v_loc[:, slot].copy()
-            v_loc[:, slot] = center + deltas[:, slot]
-            e_up = self._element_energies(v_loc)
-            v_loc[:, slot] = center - deltas[:, slot]
-            e_dn = self._element_energies(v_loc)
+        """``slot_differences`` of signed local coefficients and steps."""
+        return np.column_stack([
+            self._probe(v_loc, slot, deltas[:, slot])
+            - self._probe(v_loc, slot, -deltas[:, slot])
+            for slot in range(v_loc.shape[1])])
+
+    def _probe(self, v_loc: np.ndarray, slot: int, shift: np.ndarray) -> np.ndarray:
+        """Element energies with ``slot`` of every element moved by ``shift``.
+
+        ``v_loc`` is moved in place and left with its bits.  A non-finite
+        energy raises ``BarrierError``.
+        """
+        center = v_loc[:, slot].copy()
+        v_loc[:, slot] = center + shift
+        try:
+            energies = self._element_energies(v_loc)
+        finally:
             v_loc[:, slot] = center
-            if not (np.all(np.isfinite(e_up)) and np.all(np.isfinite(e_dn))):
-                raise BarrierError("energy not finite at a finite-difference probe")
-            diffs.append(e_up - e_dn)
-        return np.column_stack(diffs)
+        if not np.all(np.isfinite(energies)):
+            raise BarrierError("energy not finite at a finite-difference probe")
+        return energies
 
     def _gather(self, v_loc: np.ndarray) -> np.ndarray:
         """Gradient array G, (components, 2, T, n_ip), of local coefficients.
@@ -189,25 +196,6 @@ class _ModelBase:
         residuals = self._residuals(self.dofmap.gather(v_full))
         return self.dofmap.scatter(residuals) - self.b_full
 
-    def _slot_blocks(self, v_full: np.ndarray, steps: np.ndarray,
-                     evaluate) -> tuple[np.ndarray, np.ndarray]:
-        """Differences of ``evaluate(v_loc, deltas)``, a (T, slots) array,
-        when slot b of every element moves by its DOF's signed step, one
-        slot at a time: the (slots, T, slots) array of moved minus base,
-        and the (T, slots) steps of the element slots' DOFs."""
-        dm = self.dofmap
-        v_loc = dm.gather(v_full)
-        deltas = dm.gather(steps)
-        base = evaluate(v_loc, deltas)
-        blocks = np.empty((v_loc.shape[1], *v_loc.shape))
-        for slot in range(v_loc.shape[1]):
-            center = v_loc[:, slot].copy()
-            v_loc[:, slot] = center + deltas[:, slot]
-            blocks[slot] = evaluate(v_loc, deltas)
-            v_loc[:, slot] = center
-        blocks -= base
-        return blocks, steps[dm.elems2dofs]
-
     def element_hessians(self, v_full: np.ndarray, steps: np.ndarray) -> np.ndarray:
         """Forward differences of the element residuals, (slots, T, slots).
 
@@ -219,10 +207,19 @@ class _ModelBase:
         out.  Every batched product runs over all elements.  A probe at an
         inverted configuration raises ``BarrierError`` from ``stress``.
         """
-        blocks, h = self._slot_blocks(v_full, steps,
-                                      lambda v_loc, _: self._residuals(v_loc))
-        blocks *= self.dofmap.signs
-        blocks /= h.T[:, :, None]
+        dm = self.dofmap
+        v_loc = dm.gather(v_full)
+        deltas = dm.gather(steps)
+        base = self._residuals(v_loc)
+        blocks = np.empty((v_loc.shape[1], *v_loc.shape))
+        for slot in range(v_loc.shape[1]):
+            center = v_loc[:, slot].copy()
+            v_loc[:, slot] = center + deltas[:, slot]
+            blocks[slot] = self._residuals(v_loc)
+            v_loc[:, slot] = center
+        blocks -= base
+        blocks *= dm.signs
+        blocks /= steps[dm.elems2dofs].T[:, :, None]
         return blocks
 
     def element_hessians_fd(self, v_full: np.ndarray, steps: np.ndarray) -> np.ndarray:
@@ -233,8 +230,29 @@ class _ModelBase:
         difference D_a of ``slot_differences``.  Both moves are the signed
         steps of the DOFs, so no sign is left to apply.  A non-finite probe
         energy raises ``BarrierError``.
+
+        The probe that moves slots a and b up is one array of coefficients
+        whichever of them moves first, so it is evaluated once, for a >= b,
+        and stored in both blocks: 2 S + S^2 + S (S + 1) / 2 batched energy
+        evaluations for S slots, where every ordered pair would take
+        2 S (S + 1), with the same bits.
         """
-        blocks, h = self._slot_blocks(v_full, steps, self._slot_differences)
+        dm = self.dofmap
+        v_loc = dm.gather(v_full)
+        deltas = dm.gather(steps)
+        n_slots = v_loc.shape[1]
+        blocks = np.empty((n_slots, *v_loc.shape))
+        for b in range(n_slots):
+            center_b = v_loc[:, b].copy()
+            v_loc[:, b] = center_b + deltas[:, b]
+            for a in range(n_slots):
+                if a >= b:  # for a < b, the move of slot a stored this probe
+                    up = self._probe(v_loc, a, deltas[:, a])
+                    blocks[b, :, a] = blocks[a, :, b] = up
+                blocks[b, :, a] -= self._probe(v_loc, a, -deltas[:, a])
+            v_loc[:, b] = center_b
+        blocks -= self._slot_differences(v_loc, deltas)
+        h = steps[dm.elems2dofs]
         blocks /= 2.0 * h.T[:, :, None] * h
         return blocks
 

@@ -6,8 +6,12 @@ them built one local slot at a time, from forward differences of its
 element residuals in ``explicit`` mode and from second differences of its
 element energies in ``central_diff`` mode; any other problem differences
 its gradient once per color group.  Each iteration solves the
-trust-region subproblem with Steihaug-Toint truncated CG, and accepts or
-rejects the step by the ratio of actual to predicted energy reduction.
+trust-region subproblem with Steihaug-Toint truncated CG, stopped at a
+forcing tolerance that falls with the gradient (an inexact Newton step),
+and accepts or rejects the step by the ratio of actual to predicted
+energy reduction.  A predicted reduction below the energy's rounding
+takes its actual reduction from the trapezoid rule on the gradients at
+both ends of the step instead of from the energies.
 A problem with a ``max_step`` (the elastic orientation barrier) has a
 step that would reach det F = 0 cut to the fraction ``BOUNDARY_FRACTION``
 of the way there before its trial energy is evaluated.  A +inf trial
@@ -36,14 +40,19 @@ __all__ = ["EnergyProblem", "TrOptions", "TrSolution", "minimize", "steihaug_cg"
 
 # Constants of the method: the acceptance and radius rule of the
 # trust-region loop, the share of the way to a problem's max_step that a
-# cut step goes, the relative residual at which CG stops, and the
-# stopping test's gradient max-norm relative to max(1, |J(x0)|).
+# cut step goes, the relative residual at which CG stops on a step that
+# should end the solve and the largest one it stops at before, the
+# predicted decrease, in units of eps * max(1, |J|), below which the ratio
+# is taken from the gradients, and the stopping test's gradient max-norm
+# relative to max(1, |J(x0)|).
 ETA_ACCEPT = 0.05
 SHRINK_THRESHOLD, SHRINK_FACTOR = 0.25, 0.25
 EXPAND_THRESHOLD, EXPAND_FACTOR = 0.75, 2.0
 MAX_RADIUS = 1e8
 BOUNDARY_FRACTION = 0.5
 CG_TOL = 1e-8
+FORCING_MAX = 0.1
+ROUNDOFF_DECREASE = 10.0
 GRAD_RTOL = 1e-6
 
 
@@ -90,7 +99,7 @@ class TrOptions:
     ``initial_radius`` must be positive and finite.  The stopping test,
     gradient max-norm below ``GRAD_RTOL * max(1, |J(x0)|)``, adapts to the
     energy scale of the problem; it, the radius policy and the CG
-    tolerance are the module constants above; the Hessian's difference
+    stopping rule are the module constants above; the Hessian's difference
     step is :data:`hpmin.fd.FD_STEP`.
     """
 
@@ -117,7 +126,9 @@ class TrSolution:
     strict JSON can carry: ``iteration``; ``grad_norm``, the max-norm of
     the gradient the step was computed from; ``energy`` and ``radius``
     after the step was accepted or rejected; ``accepted``; ``rho``,
-    the ratio of actual to predicted decrease, or None when the trial has
+    the ratio of actual to predicted decrease (the actual one from the
+    gradients when the predicted one is below the energy's rounding; see
+    :func:`minimize`), or None when the trial has
     no ratio (a +inf trial energy, a non-positive predicted decrease, or a
     ``BarrierError`` from or a non-finite entry in the trial's gradient);
     and ``step_fraction``, the factor ``BOUNDARY_FRACTION * max_step`` that
@@ -155,14 +166,17 @@ def _boundary_tau(s: np.ndarray, d: np.ndarray, radius: float) -> float:
     return (-sd + np.sqrt(sd * sd + dd * (radius * radius - ss))) / dd * e / c
 
 
-def steihaug_cg(H, g: np.ndarray, radius: float) -> tuple[np.ndarray, bool]:
+def steihaug_cg(H, g: np.ndarray, radius: float,
+                rtol: float = CG_TOL) -> tuple[np.ndarray, bool]:
     """Truncated CG on H s = -g inside the trust region.
 
     Returns (step, hit_boundary).  Stops at the boundary along the current
     direction on negative curvature or when the iterate leaves the region;
-    otherwise iterates to relative residual ``CG_TOL``, for at most 2n
-    iterations.  The returned step never increases the quadratic model
-    (Cauchy point or better).
+    otherwise iterates until the residual H s + g has a 2-norm of at most
+    ``rtol`` |g|, for at most 2n iterations.  The returned step never
+    increases the quadratic model, and whatever ``rtol`` is, it decreases
+    it at least as much as the Cauchy point, the model's minimizer along -g
+    inside the region, where CG starts.
 
     g and every product H @ d are scaled by one power of two that brings
     max |g| into [0.5, 1), so the squared norms and inner products scale
@@ -203,15 +217,36 @@ def steihaug_cg(H, g: np.ndarray, radius: float) -> tuple[np.ndarray, bool]:
         s = s_trial
         r = r + alpha * Hd
         rr_new = r @ r
-        if np.sqrt(rr_new) <= CG_TOL * g_norm:
+        if np.sqrt(rr_new) <= rtol * g_norm:
             break
         d = -r + (rr_new / rr) * d
         rr = rr_new
     return s, False
 
 
+def _finite_gradient(grad_fn, v: np.ndarray) -> np.ndarray | None:
+    """grad_fn(v), or None when it raises ``BarrierError`` or has a
+    non-finite entry."""
+    try:
+        g = grad_fn(v)
+    except BarrierError:
+        return None
+    return g if np.all(np.isfinite(g)) else None
+
+
 def minimize(problem: EnergyProblem, opts: TrOptions | None = None) -> TrSolution:
     """Classic trust-region loop with a rebuilt FD Hessian per accepted step.
+
+    Each iteration's CG stops at the relative residual
+    eta_k = min(``FORCING_MAX``, |g_k| / |g_0|) in max-norms (Dembo,
+    Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982), or at ``CG_TOL``
+    once eta_k |g_k| is below the stopping test's tolerance, so that a
+    step expected to end the solve is an exact Newton step.  When the
+    predicted decrease is below ``ROUNDOFF_DECREASE`` * eps * max(1, |J|),
+    rounding hides the actual one, and the ratio's numerator is
+    -(g + g_trial) . s / 2 (Conn, Gould & Toint, *Trust-Region Methods*,
+    2000, section 17.4), exact for a quadratic; an accepted energy can
+    then exceed the last one by that rounding.
 
     A radius that shrinks below the rounding of v, eps * max(1, |v|),
     ends the loop unconverged, as does a ``BarrierError`` or a non-finite
@@ -239,6 +274,7 @@ def minimize(problem: EnergyProblem, opts: TrOptions | None = None) -> TrSolutio
     if not np.all(np.isfinite(g)):
         raise ValueError("initial gradient is not finite")
     grad_tol = GRAD_RTOL * max(1.0, abs(energy_now))
+    first_norm = float(np.max(np.abs(g), initial=0.0))
 
     # the per-pattern bookkeeping of the Hessian: the slot positions on the
     # first Hessian, or a coloring up front for a problem without blocks
@@ -264,7 +300,10 @@ def minimize(problem: EnergyProblem, opts: TrOptions | None = None) -> TrSolutio
                 break  # a difference probe crossed det F <= 0
             if not np.all(np.isfinite(H.data)):
                 break  # a probe's gradient was not finite
-        step, hit_boundary = steihaug_cg(H, g, radius)
+        rtol = min(FORCING_MAX, grad_norm / first_norm)
+        if rtol * grad_norm <= grad_tol:
+            rtol = CG_TOL
+        step, hit_boundary = steihaug_cg(H, g, radius, rtol=rtol)
         step_fraction = 1.0
         if problem.max_step is not None:
             t_max = problem.max_step(v, step)
@@ -275,16 +314,18 @@ def minimize(problem: EnergyProblem, opts: TrOptions | None = None) -> TrSolutio
                 hit_boundary = False
         predicted = -(g @ step + 0.5 * (step @ (H @ step)))
         trial = problem.energy(v + step)
+        g_trial, rho = None, -np.inf
         if np.isfinite(trial) and predicted > 0.0:
-            rho = (energy_now - trial) / predicted
-        else:
-            rho = -np.inf
-        if rho > ETA_ACCEPT:
-            try:
-                g_trial = grad_fn(v + step)
-            except BarrierError:
-                g_trial = None
-            if g_trial is None or not np.all(np.isfinite(g_trial)):
+            rounding = np.finfo(float).eps * max(1.0, abs(energy_now))
+            if predicted >= ROUNDOFF_DECREASE * rounding:
+                rho = (energy_now - trial) / predicted
+            else:
+                g_trial = _finite_gradient(grad_fn, v + step)
+                if g_trial is not None:
+                    rho = -0.5 * ((g + g_trial) @ step) / predicted
+        if rho > ETA_ACCEPT and g_trial is None:
+            g_trial = _finite_gradient(grad_fn, v + step)
+            if g_trial is None:
                 rho = -np.inf
         accept = rho > ETA_ACCEPT
         if accept:

@@ -345,6 +345,57 @@ def test_slot_hessian_fd_matches_colored_hessian(problem, p):
     assert rel <= bound
 
 
+def _ordered_pair_blocks_fd(model, v_full, steps):
+    """``element_hessians_fd`` with every ordered pair of slots probed: slot
+    b of every element moved up, the central differences of every slot
+    there, minus those at v, over 2 h_a h_b."""
+    v_loc = model.dofmap.gather(v_full)
+    deltas = model.dofmap.gather(steps)
+
+    def central_differences():
+        columns = []
+        for a in range(v_loc.shape[1]):
+            center = v_loc[:, a].copy()
+            v_loc[:, a] = center + deltas[:, a]
+            up = model._element_energies(v_loc)
+            v_loc[:, a] = center - deltas[:, a]
+            columns.append(up - model._element_energies(v_loc))
+            v_loc[:, a] = center
+        return np.column_stack(columns)
+
+    base = central_differences()
+    blocks = np.empty((v_loc.shape[1], *v_loc.shape))
+    for b in range(v_loc.shape[1]):
+        center = v_loc[:, b].copy()
+        v_loc[:, b] = center + deltas[:, b]
+        blocks[b] = central_differences()
+        v_loc[:, b] = center
+    h = steps[model.dofmap.elems2dofs]
+    return (blocks - base) / (2.0 * h.T[:, :, None] * h)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("problem", ["hyper", "plaplace"])
+def test_slot_hessian_fd_probes_each_pair_once(problem, p, monkeypatch):
+    # the probe that moves slots a and b up is one array of coefficients
+    # whichever moves first, so element_hessians_fd evaluates it once, in
+    # 2 S + S^2 + S (S + 1) / 2 batched energy evaluations for S slots
+    # instead of 2 S (S + 1), and keeps the bits of the ordered-pair loop
+    model, _, v, _ = _gradient_case(problem, p)
+    steps = hpmin.fd.FD_STEP * np.maximum(1.0, np.abs(v))
+    oracle = _ordered_pair_blocks_fd(model, v, steps)
+    evaluations = []
+
+    def counted(v_loc, energies=model._element_energies):
+        evaluations.append(v_loc.shape)
+        return energies(v_loc)
+
+    monkeypatch.setattr(model, "_element_energies", counted)
+    np.testing.assert_array_equal(model.element_hessians_fd(v, steps), oracle)
+    n_slots = model.dofmap.elems2dofs.shape[1]
+    assert len(evaluations) == 2 * n_slots + n_slots ** 2 + n_slots * (n_slots + 1) // 2
+
+
 def test_central_diff_hessian_does_not_see_the_load(monkeypatch):
     # the colored Hessian differences two gradients that both carry -b, so
     # a load of 1e160 swamps every curvature and leaves it exactly 0; the

@@ -15,6 +15,8 @@ from hpmin.mesh import make_lshape, make_perforated_square
 from hpmin.problems import neohooke_problem, plaplace_problem
 from hpmin.solver import (
     BOUNDARY_FRACTION,
+    CG_TOL,
+    FORCING_MAX,
     EnergyProblem,
     TrOptions,
     minimize,
@@ -110,11 +112,40 @@ def test_steihaug_tiny_curvature_goes_to_the_boundary(curvature, radius):
     np.testing.assert_allclose(step, -radius / np.sqrt(3.0), rtol=1e-15)
 
 
-def test_spd_quadratic_oracle(monkeypatch):
+@pytest.mark.parametrize("definite", [True, False])
+@pytest.mark.parametrize("radius", [0.01, 1.0, 100.0])
+def test_steihaug_forcing_tolerance_keeps_the_cauchy_decrease(definite, radius):
+    # rtol = 0.1 stops CG long before CG_TOL, with the residual below
+    # rtol |g| on an interior exit, and never gives less model decrease
+    # than the Cauchy point, the model's minimizer along -g in the region
+    rng = np.random.default_rng(7)
+    n = 30
+    M = rng.standard_normal((n, n))
+    H = M @ M.T + 0.1 * np.eye(n) if definite else 0.5 * (M + M.T)
+    g = rng.standard_normal(n)
+    step, hit = steihaug_cg(sp.csr_matrix(H), g, radius, rtol=0.1)
+
+    def model(s):
+        return g @ s + 0.5 * s @ (H @ s)
+
+    curvature, g_norm = g @ H @ g, np.linalg.norm(g)
+    tau = radius / g_norm
+    if curvature > 0.0:
+        tau = min(tau, g_norm ** 2 / curvature)
+    assert model(step) <= model(-tau * g) * (1.0 - 1e-12)
+    assert np.linalg.norm(step) <= radius * (1.0 + 1e-12)
+    if not hit:
+        residual = np.linalg.norm(H @ step + g)
+        assert 1e-4 * g_norm < residual <= 0.1 * g_norm * (1.0 + 1e-10)
+    if definite and radius == 100.0:
+        assert not hit  # the interior exit is exercised
+
+
+def _spd_quadratic_oracle(rng, monkeypatch):
     n = 10
-    M = RNG.standard_normal((n, n))
+    M = rng.standard_normal((n, n))
     A = M @ M.T + n * np.eye(n)
-    b = RNG.standard_normal(n)
+    b = rng.standard_normal(n)
     problem = EnergyProblem(
         energy=lambda v: 0.5 * v @ A @ v - b @ v,
         gradient=lambda v: A @ v - b,
@@ -128,6 +159,19 @@ def test_spd_quadratic_oracle(monkeypatch):
     assert sol.iterations <= 10
     assert sol.grad_norm < 1e-10
     np.testing.assert_allclose(sol.v_free, np.linalg.solve(A, b), atol=1e-9)
+
+
+def test_spd_quadratic_oracle(monkeypatch):
+    _spd_quadratic_oracle(RNG, monkeypatch)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_spd_quadratic_oracle_on_seeds(seed, monkeypatch):
+    # near the minimizer the predicted decrease falls below the rounding of
+    # J, and the ratio comes from the gradients: at a ratio of energies
+    # alone, seed 39 stalled at a gradient of 1e-8 while its radius
+    # collapsed, and with the forcing tolerance 6 of these seeds did
+    _spd_quadratic_oracle(np.random.default_rng(seed), monkeypatch)
 
 
 def test_rosenbrock(monkeypatch):
@@ -263,21 +307,59 @@ def test_no_free_dofs_converges_at_once():
     assert sol.v_free.size == 0
 
 
-def test_radius_collapse_stops_unconverged(monkeypatch):
+def test_radius_collapse_stops_unconverged():
+    # J = |v - 0.3| has a gradient of max-norm 1 everywhere, so it never
+    # converges: every trial that crosses the kink is rejected (rho <= 0)
+    # and shrinks the radius below the rounding of v; the solve must then
+    # stop (after 65 iterations) and report no convergence instead of
+    # raising from CG
+    problem = EnergyProblem(
+        energy=lambda v: abs(v[0] - 0.3),
+        gradient=lambda v: np.where(v < 0.3, -1.0, 1.0),
+        pattern=_dense_pattern(1), x0=np.zeros(1))
+    sol = minimize(problem, TrOptions(max_iters=3000))
+    assert not sol.converged
+    assert sol.iterations <= 80
+    assert sol.history[-1]["radius"] < 1e-15 * np.linalg.norm(sol.v_free)
+    assert len(sol.history) == sol.iterations
+    assert np.isfinite(sol.energy)
+
+
+def test_gradient_ratio_converges_below_the_energy_rounding(monkeypatch):
     # J(x0) = 2.52e8, so the stopping test is grad_norm < 2.5e-7, below
-    # what rounding of an energy of 1.8e8 resolves:
-    # rejected trials (rho 0 or negative) shrink the radius below the
-    # rounding of v; the solve must then stop (after 94 iterations, the last
-    # accepted one 68) and report no convergence instead of raising from CG
+    # what rounding of an energy of 1.9e8 resolves.  Trials whose predicted
+    # decrease is that small are judged by their gradients, so the solve
+    # converges (in 67 iterations); judged by their energies, rho 0 or
+    # negative collapsed the radius at a gradient of 2.1e-2
     problem, _ = neohooke_problem(make_perforated_square(1), p=1, young=2e8,
                                   poisson=0.3, f=(-3.5e7, -3.5e7))
     monkeypatch.setattr(hpmin.solver, "GRAD_RTOL", 1e-15)
     sol = minimize(problem, TrOptions(max_iters=3000, initial_radius=0.28))
-    assert not sol.converged
-    assert sol.iterations <= 110
-    assert sol.history[-1]["radius"] < 1e-15 * np.linalg.norm(sol.v_free)
+    assert sol.converged
+    assert sol.grad_norm < 2.6e-7
+    assert sol.iterations <= 80
     assert len(sol.history) == sol.iterations
     assert np.isfinite(sol.energy)
+
+
+def test_forcing_tolerance_per_iteration(monkeypatch):
+    # CG stops at min(FORCING_MAX, |g_k| / |g_0|) until a step is expected
+    # to end the solve; that last accepted step is an exact Newton step
+    rtols = []
+
+    def recording(H, g, radius, rtol):
+        rtols.append(rtol)
+        return steihaug_cg(H, g, radius, rtol=rtol)
+
+    monkeypatch.setattr(hpmin.solver, "steihaug_cg", recording)
+    problem, _ = plaplace_problem(make_lshape(2), p=2, alpha=3.0, f=-10.0)
+    sol = minimize(problem, TrOptions())
+    assert sol.converged and len(rtols) == sol.iterations
+    assert sol.history[-1]["accepted"]
+    assert rtols[-1] == CG_TOL
+    norms = [r["grad_norm"] for r in sol.history]
+    assert rtols[:-1] == [min(FORCING_MAX, n / norms[0]) for n in norms[:-1]]
+    assert FORCING_MAX in rtols and min(rtols[:-1]) < FORCING_MAX
 
 
 @pytest.mark.parametrize("mode", ["explicit", "central_diff"])
@@ -409,9 +491,9 @@ def test_nonfinite_gradient_rejects_the_trial_or_ends_the_solve(monkeypatch):
             g[0] = np.nan
         return g
 
-    def finite_cg(H, g, radius):
+    def finite_cg(H, g, radius, rtol):
         assert np.all(np.isfinite(H.data)) and np.all(np.isfinite(g))
-        return steihaug_cg(H, g, radius)
+        return steihaug_cg(H, g, radius, rtol=rtol)
 
     monkeypatch.setattr(hpmin.solver, "steihaug_cg", finite_cg)
     n = 200
