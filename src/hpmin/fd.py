@@ -16,9 +16,10 @@ local slot, with that slot of every element moved at once, and one
 built once (``SlotPattern``).  A problem without element kernels takes
 one forward gradient difference per color group instead; group members
 share no structurally-coupled row, so every pattern column can be read
-off directly (Coleman & More 1983).  The groups come from a greedy
-coloring in smallest-last order, which needs fewer of them than the
-natural order.
+off directly (Coleman & More 1983).  The groups come from a plain greedy
+coloring in natural order: the model problems never take this path, which
+serves generic problems and is the reference the element slots are
+checked against.
 """
 
 from __future__ import annotations
@@ -74,80 +75,30 @@ def gradient_central_local(model, v_full: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ColoredPattern:
-    """Distance-2 coloring of a sparsity pattern, with its probe bookkeeping.
+    """Distance-2 coloring of a sparsity pattern.
 
     DOFs in one group share no structurally-nonzero row, so a single
     gradient difference recovers all of their Hessian columns.
-    ``members[g]`` lists the DOFs of group g in increasing order.  For the
-    pattern's stored entries (row, col) in CSR order, ``cols`` holds col,
-    ``source`` the flat index ``groups[col] * n + row`` of the entry's
-    estimate in the (n_groups, n) array of gradient differences, and
-    ``transpose`` the position of the mirror entry (col, row).
+    ``groups[i]`` is the group of DOF i, one of ``n_groups``, and
+    ``transpose`` holds, for the pattern's stored entries in CSR order,
+    the position of each entry's mirror (col, row).
     """
 
     pattern: sp.csr_matrix
     groups: np.ndarray
     n_groups: int
-    members: tuple[np.ndarray, ...]
-    source: np.ndarray
-    cols: np.ndarray
     transpose: np.ndarray
 
 
-def _colored(pattern: sp.csr_matrix, groups: np.ndarray,
-             transpose: np.ndarray) -> ColoredPattern:
-    """The ``ColoredPattern`` of a valid distance-2 coloring ``groups``."""
-    n = pattern.shape[0]
-    n_groups = int(groups.max(initial=-1)) + 1
-    by_group = np.argsort(groups, kind="stable")
-    bounds = np.cumsum(np.bincount(groups, minlength=n_groups))[:-1]
-    # int64 ids: int32 ones slow down every gather of the Hessian assembly
-    cols = pattern.indices.astype(np.int64)
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(pattern.indptr))
-    return ColoredPattern(
-        pattern=pattern, groups=groups, n_groups=n_groups,
-        members=tuple(np.split(by_group, bounds)),
-        source=groups[cols] * n + rows, cols=cols, transpose=transpose)
-
-
-def _smallest_last_order(reach: sp.csr_matrix) -> np.ndarray:
-    """Vertices of the symmetric graph ``reach`` in smallest-last order.
-
-    A vertex's degree is its count of stored entries among the vertices
-    left.  Each round peels every vertex of least degree and takes its
-    entries out of the degrees of its neighbours, with one row gather and
-    one ``bincount``.  The order is the reverse of the peel:
-    the last round first, each round in increasing vertex id.
-    """
-    n = reach.shape[0]
-    starts, nbrs = reach.indptr, reach.indices
-    degree = np.diff(starts).astype(np.int64)
-    order = np.empty(n, dtype=np.int64)
-    left = np.arange(n)
-    end = n
-    while left.size:
-        left_degree = degree[left]
-        least = left_degree == left_degree.min()
-        peel, left = left[least], left[~least]
-        order[end - peel.size:end] = peel
-        end -= peel.size
-        lengths = starts[peel + 1] - starts[peel]
-        # positions in nbrs of the peeled rows, concatenated
-        shift = np.repeat(starts[peel] - np.cumsum(lengths) + lengths, lengths)
-        degree -= np.bincount(nbrs[shift + np.arange(shift.size)], minlength=n)
-    return order
-
-
 def greedy_coloring(pattern: sp.csr_matrix) -> ColoredPattern:
-    """Sequential greedy distance-2 coloring in smallest-last order.
+    """Sequential greedy distance-2 coloring in natural order.
 
     ``pattern`` is a square CSR matrix with sorted indices and no repeated
     entry; every stored entry is a coupling, whatever its value.  It must
     be symmetric, as a Hessian pattern is.  Two DOFs conflict when they
     are within two hops, i.e. share a row of the pattern: a stored entry of
-    its boolean square.  DOFs are visited in smallest-last order on that
-    square (Coleman & More 1983), and each takes the smallest color not
-    yet used among its conflicts.
+    its boolean square.  DOFs are visited in increasing id, and each takes
+    the smallest color not yet used among its conflicts.
     """
     if not (sp.issparse(pattern) and pattern.format == "csr"
             and pattern.shape[0] == pattern.shape[1]
@@ -168,13 +119,14 @@ def greedy_coloring(pattern: sp.csr_matrix) -> ColoredPattern:
     reach = reach @ reach
     starts, two_hop = reach.indptr, reach.indices
     groups = -np.ones(n, dtype=np.int64)
-    for i in _smallest_last_order(reach).tolist():
+    for i in range(n):
         used = set(groups[two_hop[starts[i]:starts[i + 1]]].tolist())
         color = 0
         while color in used:
             color += 1
         groups[i] = color
-    return _colored(pattern, groups, mirror.data)
+    return ColoredPattern(pattern, groups, int(groups.max(initial=-1)) + 1,
+                          mirror.data)
 
 
 @dataclass(frozen=True)
@@ -201,14 +153,18 @@ def slot_pattern(pattern: sp.csr_matrix, element_dofs: np.ndarray) -> SlotPatter
     ``element_dofs`` (T, slots) gives the pattern row of the DOF in every
     element slot, -1 where it is fixed.  Slot by slot, one sparse lookup
     reads the entry numbers of the pairs (slot a, slot b) of all elements;
-    a pair of free DOFs outside the pattern raises.
+    a pair of free DOFs outside the pattern raises.  Fixed slots read an
+    empty row and column appended to the pattern, so a pattern with no
+    row at all maps every term to the dropped bin.
     """
-    nnz = pattern.nnz
+    n, nnz = pattern.shape[0], pattern.nnz
     fixed = element_dofs < 0
-    dofs = np.maximum(element_dofs, 0)
-    # 1-based entry numbers, so that a pair outside the pattern reads 0
+    dofs = np.where(fixed, n, element_dofs)
+    # 1-based entry numbers, so that a pair outside the pattern reads 0,
+    # and an empty row and column n for the fixed slots
     entry = sp.csr_matrix((np.arange(1, nnz + 1), pattern.indices,
-                           pattern.indptr), shape=pattern.shape)
+                           np.append(pattern.indptr, pattern.indptr[-1])),
+                          shape=(n + 1, n + 1))
     positions = np.empty((dofs.shape[1], *dofs.shape), dtype=np.int64)
     for slot, cols in enumerate(dofs.T):
         found = entry[dofs.ravel(), np.repeat(cols, dofs.shape[1])]
@@ -237,16 +193,16 @@ def hessian_fd(grad, v: np.ndarray, layout: ColoredPattern | SlotPattern,
                g0: np.ndarray | None) -> sp.csr_matrix:
     """Sparse symmetric Hessian estimate from forward differences.
 
-    With a ``ColoredPattern``, for each color group one evaluates
+    With a ``ColoredPattern``, for each color group g one evaluates
     grad(v + steps on the group), with step FD_STEP * max(1, |v_i|) on
-    coordinate i, in one probe vector that is restored after each call;
-    each pattern entry then reads its group's difference, so entries
-    outside the pattern are discarded.  ``grad`` acts on vectors of the
-    same layout as ``v``, and ``g0`` is grad(v), which the caller already
-    holds, so the estimate costs exactly one gradient call per color
-    group.  Row i of a probe's difference sees at most one member of the
-    group, the one coupled to i, so every entry, and the whole H, has the
-    same bits under any valid distance-2 coloring.
+    coordinate i, on a new probe vector; each pattern entry (i, j) then
+    reads entry i of the difference of j's group, over j's step, so
+    entries outside the pattern are discarded.
+    ``grad`` acts on vectors of the same layout as ``v``, and ``g0`` is
+    grad(v), which the caller already holds, so the estimate costs exactly
+    one gradient call per color group.  Row i of a probe's difference sees
+    at most one member of the group, the one coupled to i, so every entry,
+    and the whole H, has the same bits under any valid distance-2 coloring.
 
     With a ``SlotPattern``, ``grad(v)`` gives the (slots, T, slots) element
     blocks of ``hessian_blocks`` instead, and ``g0`` is not read.  One
@@ -265,13 +221,12 @@ def hessian_fd(grad, v: np.ndarray, layout: ColoredPattern | SlotPattern,
         data = np.bincount(layout.positions, weights=grad(v).ravel(),
                            minlength=pattern.nnz + 1)[:pattern.nnz]
     else:
-        steps = _steps(v)
+        steps, groups = _steps(v), layout.groups
         diffs = np.empty((layout.n_groups, v.size))
-        probe = v.copy()
-        for group, members in enumerate(layout.members):
-            probe[members] = v[members] + steps[members]
-            diffs[group] = grad(probe) - g0
-            probe[members] = v[members]
-        data = diffs.take(layout.source) / steps.take(layout.cols)
+        for g in range(layout.n_groups):
+            diffs[g] = grad(np.where(groups == g, v + steps, v)) - g0
+        rows = np.repeat(np.arange(v.size), np.diff(pattern.indptr))
+        cols = pattern.indices
+        data = diffs[groups[cols], rows] / steps[cols]
     return sp.csr_matrix(((data + data[layout.transpose]) * 0.5,
                           pattern.indices, pattern.indptr), shape=pattern.shape)

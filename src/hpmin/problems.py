@@ -28,8 +28,7 @@ def _problem(mesh: QuadMesh, p: int, components: int, dirichlet: DirichletSpec,
     one entry per DOF of the full vector; one helper inserts the fixed
     values and keeps the free entries of either.  The element-slot Hessian
     blocks of either gradient act on the full vector too, and
-    ``element_dofs`` maps the element slots to free DOFs only when the
-    solver first asks.
+    ``element_dofs`` maps the element slots to free DOFs.
     """
     rule = rule_for_degree(p)
     geo = geometry_factors(mesh, rule, tabulate(p, rule.points))
@@ -43,11 +42,8 @@ def _problem(mesh: QuadMesh, p: int, components: int, dirichlet: DirichletSpec,
         return lambda v_free: hessian_blocks(element_hessians,
                                              expand_solution(dm, v_free))
 
-    def element_dofs():
-        free_index = np.full(dm.n_dofs, -1)
-        free_index[dm.free_dofs] = np.arange(dm.n_free)
-        return free_index[dm.elems2dofs]
-
+    free_index = np.full(dm.n_dofs, -1)
+    free_index[dm.free_dofs] = np.arange(dm.n_free)
     problem = EnergyProblem(
         energy=lambda v_free: model.energy(expand_solution(dm, v_free)),
         gradient=on_free(model.gradient),
@@ -55,7 +51,7 @@ def _problem(mesh: QuadMesh, p: int, components: int, dirichlet: DirichletSpec,
         pattern=sparsity_pattern(dm), x0=make_x0(dm),
         element_hessians=blocks(model.element_hessians),
         element_hessians_fd=blocks(model.element_hessians_fd),
-        element_dofs=element_dofs)
+        element_dofs=free_index[dm.elems2dofs])
     return problem, model
 
 

@@ -73,11 +73,11 @@ class EnergyProblem:
     An energy that is a sum of element energies may give its Hessian one
     local slot at a time: ``element_hessians(v)`` (explicit mode) and
     ``element_hessians_fd(v)`` (central_diff mode) return the
-    (slots, T, slots) blocks of :func:`hpmin.fd.hessian_blocks`, and
-    ``element_dofs()`` the (T, slots) pattern row of the DOF in every
-    element slot, -1 where it is fixed.  The solver calls ``element_dofs``
-    once, on the first Hessian.  When the mode's blocks are None, the
-    Hessian is colored forward differences of the mode's gradient.
+    (slots, T, slots) blocks of :func:`hpmin.fd.hessian_blocks`, and the
+    array ``element_dofs`` holds the (T, slots) pattern row of the DOF in
+    every element slot, -1 where it is fixed; :func:`minimize` raises
+    ``ValueError`` on blocks without it.  When the mode's blocks are None,
+    the Hessian is colored forward differences of the mode's gradient.
     """
 
     energy: Callable[[np.ndarray], float]
@@ -88,7 +88,7 @@ class EnergyProblem:
     max_step: Callable[[np.ndarray, np.ndarray], float] | None = None
     element_hessians: Callable[[np.ndarray], np.ndarray] | None = None
     element_hessians_fd: Callable[[np.ndarray], np.ndarray] | None = None
-    element_dofs: Callable[[], np.ndarray] | None = None
+    element_dofs: np.ndarray | None = None
 
 
 @dataclass
@@ -261,6 +261,8 @@ def minimize(problem: EnergyProblem, opts: TrOptions | None = None) -> TrSolutio
             raise ValueError("problem provides no central-difference gradient")
     else:
         grad_fn, blocks = problem.gradient, problem.element_hessians
+    if blocks is not None and problem.element_dofs is None:
+        raise ValueError("problem provides element Hessians but no element_dofs")
 
     v = np.asarray(problem.x0, dtype=float).copy()
     energy_now = problem.energy(v)
@@ -276,12 +278,11 @@ def minimize(problem: EnergyProblem, opts: TrOptions | None = None) -> TrSolutio
     grad_tol = GRAD_RTOL * max(1.0, abs(energy_now))
     first_norm = float(np.max(np.abs(g), initial=0.0))
 
-    # the per-pattern bookkeeping of the Hessian: the slot positions on the
-    # first Hessian, or a coloring up front for a problem without blocks
-    if blocks is None:
-        probe, layout = grad_fn, greedy_coloring(problem.pattern)
-    else:
-        probe, layout = blocks, None
+    # the per-pattern bookkeeping of the Hessian: a coloring for a problem
+    # without blocks, the slot positions for one with them
+    probe = grad_fn if blocks is None else blocks
+    layout = (greedy_coloring(problem.pattern) if blocks is None
+              else slot_pattern(problem.pattern, problem.element_dofs))
     radius = opts.initial_radius
     H = None
     history: list[dict] = []
@@ -292,8 +293,6 @@ def minimize(problem: EnergyProblem, opts: TrOptions | None = None) -> TrSolutio
         if grad_norm < grad_tol:
             break
         if H is None:
-            if layout is None:
-                layout = slot_pattern(problem.pattern, problem.element_dofs())
             try:
                 H = hessian_fd(probe, v, layout, g0=g)
             except BarrierError:

@@ -15,8 +15,7 @@ from hpmin.dofmap import (
 )
 from hpmin.energy import BarrierError, NeoHookeModel, PLaplaceModel, identity_deformation
 from hpmin.fd import (
-    _colored,
-    _smallest_last_order,
+    ColoredPattern,
     gradient_central_local,
     greedy_coloring,
     hessian_fd,
@@ -240,7 +239,7 @@ def test_hessian_fd_matches_assembled_stiffness():
     # the element-slot path, on the problem's own callbacks
     fe, _ = plaplace_problem(dm.mesh, p=1, alpha=2.0, f=-10.0)
     H = hessian_fd(fe.element_hessians, v,
-                   slot_pattern(fe.pattern, fe.element_dofs()), g0=None).toarray()
+                   slot_pattern(fe.pattern, fe.element_dofs), g0=None).toarray()
     assert np.max(np.abs(H - K)) / np.max(np.abs(K)) < 1e-5
 
 
@@ -307,7 +306,7 @@ def test_slot_hessian_matches_colored_hessian(problem, p):
     colored = hessian_fd(fe.gradient, v, greedy_coloring(fe.pattern),
                          g0=fe.gradient(v))
     H = hessian_fd(fe.element_hessians, v,
-                   slot_pattern(fe.pattern, fe.element_dofs()), g0=None)
+                   slot_pattern(fe.pattern, fe.element_dofs), g0=None)
     for name in ("indices", "indptr"):
         structure = getattr(fe.pattern, name)
         np.testing.assert_array_equal(getattr(H, name), getattr(colored, name))
@@ -335,7 +334,7 @@ def test_slot_hessian_fd_matches_colored_hessian(problem, p):
     colored = hessian_fd(fe.gradient_fd, v, greedy_coloring(fe.pattern),
                          g0=fe.gradient_fd(v))
     H = hessian_fd(fe.element_hessians_fd, v,
-                   slot_pattern(fe.pattern, fe.element_dofs()), g0=None)
+                   slot_pattern(fe.pattern, fe.element_dofs), g0=None)
     for name in ("indices", "indptr"):
         structure = getattr(fe.pattern, name)
         np.testing.assert_array_equal(getattr(H, name), structure)
@@ -448,6 +447,20 @@ def test_slot_pattern_of_fixed_dofs_and_foreign_patterns():
         slot_pattern(sp.identity(pattern.shape[0], dtype=bool, format="csr"), dofs)
 
 
+def test_slot_pattern_with_no_free_dof():
+    # one p = 1 element with its whole boundary fixed: a 0 x 0 pattern has
+    # no row for a fixed slot to read, and every term goes to the dropped bin
+    dm = build_dofmap(make_rect(1, 1), p=1, dirichlet=DirichletSpec(g=0.0))
+    pattern = sparsity_pattern(dm)
+    dofs = free_index(dm)[dm.elems2dofs]
+    assert pattern.shape == (0, 0) and np.all(dofs < 0)
+    layout = slot_pattern(pattern, dofs)
+    np.testing.assert_array_equal(layout.positions, np.zeros(dofs.size * 4))
+    assert layout.transpose.size == 0
+    H = hessian_fd(lambda v: np.ones((4, 1, 4)), np.zeros(0), layout, g0=None)
+    assert H.shape == (0, 0) and H.nnz == 0
+
+
 def test_coloring_rejects_asymmetric_pattern():
     upper = np.triu(np.ones((5, 5), dtype=bool))
     with pytest.raises(ValueError, match="symmetric"):
@@ -483,32 +496,6 @@ def test_coloring_counts_stored_zero_entries():
     np.testing.assert_array_equal(greedy_coloring(ones).groups, [0, 1, 2])
 
 
-def _smallest_last_oracle(pattern):
-    """Smallest-last order on the two-hop graph, one vertex at a time.
-
-    Each round peels every vertex whose count of unpeeled vertices within
-    two hops (itself included) is least; the order is the rounds reversed,
-    each in increasing id.
-    """
-    indptr, indices = pattern.indptr, pattern.indices
-    n = pattern.shape[0]
-    nbrs = [indices[indptr[i]:indptr[i + 1]].tolist() for i in range(n)]
-    two_hop = [set().union(*(nbrs[k] for k in nbrs[i])) for i in range(n)]
-    degree = {i: len(two_hop[i]) for i in range(n)}
-    rounds = []
-    while degree:
-        least = min(degree.values())
-        peel = sorted(i for i, d in degree.items() if d == least)
-        for i in peel:
-            del degree[i]
-        for i in peel:
-            for k in two_hop[i]:
-                if k in degree:
-                    degree[k] -= 1
-        rounds.append(peel)
-    return np.array([i for peel in reversed(rounds) for i in peel], dtype=np.int64)
-
-
 def _coloring_oracle(pattern, order):
     """Greedy distance-2 coloring in ``order``, one neighbour list at a time."""
     indptr, indices = pattern.indptr, pattern.indices
@@ -538,20 +525,10 @@ def _fem_problem(problem, p, level):
 def test_coloring_matches_neighbour_loop_oracle(problem, p):
     fe = _fem_problem(problem, p, level=1 if problem == "hyper" else 2)
     colored = greedy_coloring(fe.pattern)
-    reach = fe.pattern.astype(bool) @ fe.pattern.astype(bool)
-    order = _smallest_last_oracle(fe.pattern)
-    np.testing.assert_array_equal(_smallest_last_order(reach), order)
-    oracle = _coloring_oracle(fe.pattern, order)
+    oracle = _coloring_oracle(fe.pattern, np.arange(fe.x0.size))
     np.testing.assert_array_equal(colored.groups, oracle)
     assert colored.n_groups == oracle.max() + 1
     _assert_valid_distance2(colored)
-
-
-@pytest.mark.parametrize("problem, level, most", [("plaplace", 4, 25),
-                                                  ("hyper", 1, 47)])
-def test_smallest_last_color_count(problem, level, most):
-    # natural order takes 34 and 46 colors; the row-length bound is 21 and 42
-    assert greedy_coloring(_fem_problem(problem, 2, level).pattern).n_groups <= most
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -564,16 +541,21 @@ def test_hessian_fd_bits_do_not_depend_on_the_coloring(problem, p):
     scale = 1e-3 if problem == "hyper" else 1.0
     v = fe.x0 + scale * rng.standard_normal(fe.x0.size)
     colored = greedy_coloring(fe.pattern)
-    natural = _colored(fe.pattern,
-                       _coloring_oracle(fe.pattern, np.arange(fe.x0.size)),
-                       colored.transpose)
-    assert not np.array_equal(natural.groups, colored.groups)
-    _assert_valid_distance2(natural)
+    n = fe.x0.size
+    others = []
+    # one DOF per group, and a greedy coloring in reversed order
+    for groups in (np.arange(n), _coloring_oracle(fe.pattern, np.arange(n)[::-1])):
+        other = ColoredPattern(fe.pattern, groups, int(groups.max()) + 1,
+                               colored.transpose)
+        assert not np.array_equal(other.groups, colored.groups)
+        _assert_valid_distance2(other)
+        others.append(other)
     grads = [fe.gradient] + ([fe.gradient_fd] if problem == "plaplace" else [])
     for grad in grads:
         g0 = grad(v)
-        np.testing.assert_array_equal(hessian_fd(grad, v, colored, g0=g0).data,
-                                      hessian_fd(grad, v, natural, g0=g0).data)
+        H = hessian_fd(grad, v, colored, g0=g0).data
+        for other in others:
+            np.testing.assert_array_equal(hessian_fd(grad, v, other, g0=g0).data, H)
 
 
 def test_hessian_shares_a_read_only_structure():
@@ -621,7 +603,7 @@ def _gradient_case(problem, p):
     fe, model = build()
     dm = model.dofmap
     v = expand_solution(dm, fe.x0 + scale * rng.standard_normal(fe.x0.size))
-    group = dm.free_dofs[greedy_coloring(fe.pattern).members[0]]
+    group = dm.free_dofs[np.flatnonzero(greedy_coloring(fe.pattern).groups == 0)]
     return model, lambda: build()[1], v, group
 
 

@@ -297,6 +297,25 @@ def test_central_diff_requires_callback():
         minimize(problem, TrOptions(gradient_mode="central_diff"))
 
 
+def test_element_blocks_require_element_dofs():
+    # blocks without their slot map are refused before any energy call;
+    # with no blocks for the mode none is needed
+    problem, _ = plaplace_problem(make_lshape(0), p=1, alpha=3.0, f=-10.0)
+    energies = []
+
+    def energy(v):
+        energies.append(v)
+        return problem.energy(v)
+
+    broken = replace(problem, energy=energy, element_dofs=None)
+    for mode in ("explicit", "central_diff"):
+        with pytest.raises(ValueError, match="element_dofs"):
+            minimize(broken, TrOptions(gradient_mode=mode))
+    assert not energies
+    colored = replace(broken, element_hessians=None)
+    assert minimize(colored, TrOptions()).converged
+
+
 def test_no_free_dofs_converges_at_once():
     # one p = 1 element with its whole boundary fixed has nothing to solve
     problem, _ = plaplace_problem(make_rect(1, 1), p=1, alpha=3.0, f=-10.0)
