@@ -163,8 +163,8 @@ def run(config: BenchConfig):
                 print(json.dumps(rec, allow_nan=False), file=sys.stderr)
         if not sol.converged:
             failures += 1
-            print(f"level {level}: no convergence (grad norm {sol.grad_norm:.3e})",
-                  file=sys.stderr)
+            print(f"level {level}: no convergence ({sol.status}, "
+                  f"grad norm {sol.grad_norm:.3e})", file=sys.stderr)
         if config.export_vtk:
             write_solution(config.out_dir / f"{config.problem}_level{level}.vtk",
                            model, expand_solution(model.dofmap, sol.v_free),

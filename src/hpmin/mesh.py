@@ -72,26 +72,44 @@ def _corner_cross(nodes: np.ndarray, elems2nodes: np.ndarray) -> np.ndarray:
 def build_mesh(nodes, elems2nodes) -> QuadMesh:
     """Assemble a QuadMesh from coordinates and counterclockwise elements.
 
-    Derives the edge tables (numbered lexicographically, so the edge set
-    and numbering do not depend on element order) and the boundary sets:
-    the edges of one element and the nodes on them.
+    Derives the edge tables and the boundary sets: the edges of one
+    element and the nodes on them.  Each edge is numbered through one
+    integer key, low * N + high for its ascending node ids and the node
+    count N, so the numbering is lexicographic in (low, high), the order
+    of a row-wise unique of the sorted node pairs, and the edge set and
+    numbering do not depend on element order.  The key needs N^2 < 2^63.
+    Raises ``ValueError`` unless ``elems2nodes`` is a non-empty (T, 4)
+    table of integral node ids in [0, N) and every element is
+    counterclockwise.
     """
     nodes = np.asarray(nodes, dtype=float)
-    elems2nodes = np.asarray(elems2nodes, dtype=np.int64)
+    n = nodes.shape[0]
+    if n * n >= 2**63:
+        raise ValueError(f"{n} nodes: the edge key needs N^2 < 2^63")
+    ids = np.asarray(elems2nodes)
+    if ids.ndim != 2 or ids.shape[1] != 4 or ids.shape[0] == 0:
+        raise ValueError(f"elems2nodes must be a non-empty (T, 4) array, "
+                         f"got shape {ids.shape}")
+    if ids.dtype.kind not in "iu" and not (
+            np.all(np.isfinite(ids)) and np.all(np.trunc(ids) == ids)):
+        raise ValueError("elems2nodes holds a non-integral node id")
+    if ids.min() < 0 or ids.max() >= n:
+        raise ValueError(f"elems2nodes holds a node id outside [0, {n})")
+    elems2nodes = ids.astype(np.int64, copy=False)
     cross = _corner_cross(nodes, elems2nodes)
     bad = np.where(cross.min(axis=1) <= 0.0)[0]
     if bad.size:
         raise ValueError(f"element {bad[0]} is not counterclockwise")
 
-    pairs = np.stack(
-        [elems2nodes, np.roll(elems2nodes, -1, axis=1)], axis=2
-    ).reshape(-1, 2)  # (4T, 2) local edges in traversal order
-    pairs_sorted = np.sort(pairs, axis=1)
-    edges2nodes, inverse, counts = np.unique(
-        pairs_sorted, axis=0, return_inverse=True, return_counts=True
-    )
+    # local edges in traversal order, as low * n + high
+    ends = np.roll(elems2nodes, -1, axis=1)
+    keys = (np.minimum(elems2nodes, ends) * n
+            + np.maximum(elems2nodes, ends)).ravel()
+    keys, inverse, counts = np.unique(keys, return_inverse=True,
+                                      return_counts=True)
     if counts.max() > 2:
         raise ValueError("non-manifold edge (shared by more than 2 elements)")
+    edges2nodes = np.column_stack(np.divmod(keys, n))
     elems2edges = inverse.reshape(-1, 4)
     boundary_edges = np.where(counts == 1)[0]
     boundary_nodes = np.unique(edges2nodes[boundary_edges])
@@ -226,7 +244,9 @@ def geometry_factors(mesh: QuadMesh, rule: QuadRule, table: ShapeTable) -> Geome
     """Invert the bilinear Jacobian of each element at the quadrature points.
 
     Requires ``table`` tabulated at ``rule.points``.  Raises on
-    non-positive Jacobian determinants.
+    non-positive Jacobian determinants.  Each of the four entries of
+    J^{-T} is one cofactor divided by det J, written straight into the
+    (2, 2, T, n_ip) result.
     """
     if table.n_points != rule.n_ip or not np.array_equal(table.points, rule.points):
         raise ValueError("shape table is not tabulated at the quadrature points")
@@ -243,6 +263,10 @@ def geometry_factors(mesh: QuadMesh, rule: QuadRule, table: ShapeTable) -> Geome
         raise ValueError(f"degenerate element {t}: nonpositive Jacobian")
 
     # J^{-T} = [[j22, -j21], [-j12, j11]] / det
-    jinv_t = np.stack([np.stack([j22, -j21]), np.stack([-j12, j11])]) / det
+    jinv_t = np.empty((2, 2, *det.shape))
+    np.divide(j22, det, out=jinv_t[0, 0])
+    np.divide(-j21, det, out=jinv_t[0, 1])
+    np.divide(-j12, det, out=jinv_t[1, 0])
+    np.divide(j11, det, out=jinv_t[1, 1])
     wdetj = rule.weights[None, :] * det
     return GeometryFactors(jinv_t=jinv_t, wdetj=wdetj, table=table)

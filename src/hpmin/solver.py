@@ -120,7 +120,14 @@ class TrOptions:
 
 @dataclass
 class TrSolution:
-    """Minimizer, final energy, and per-iteration statistics.
+    """Minimizer, final energy, why the solve stopped, and per-iteration
+    statistics.
+
+    ``status`` is ``converged`` when the gradient passed the stopping test,
+    and otherwise the cause of the stop: ``max_iters`` (the iteration cap
+    was reached), ``radius_collapse`` (the radius fell below the rounding
+    of v) or ``hessian_failed`` (a ``BarrierError`` or a non-finite entry
+    while the Hessian was built).
 
     ``history`` holds one record per iteration, plain Python values that
     strict JSON can carry: ``iteration``; ``grad_norm``, the max-norm of
@@ -137,12 +144,16 @@ class TrSolution:
 
     v_free: np.ndarray
     energy: float
-    converged: bool
+    status: str
     iterations: int
     accepted: int
     rejected: int
     grad_norm: float
     history: list = field(default_factory=list)
+
+    @property
+    def converged(self) -> bool:
+        return self.status == "converged"
 
 
 def _unit_scale(x: float) -> float:
@@ -287,6 +298,7 @@ def minimize(problem: EnergyProblem, opts: TrOptions | None = None) -> TrSolutio
     H = None
     history: list[dict] = []
     accepted = rejected = 0
+    status = "max_iters"
 
     for iteration in range(opts.max_iters):
         grad_norm = float(np.max(np.abs(g), initial=0.0))
@@ -296,9 +308,11 @@ def minimize(problem: EnergyProblem, opts: TrOptions | None = None) -> TrSolutio
             try:
                 H = hessian_fd(probe, v, layout, g0=g)
             except BarrierError:
-                break  # a difference probe crossed det F <= 0
+                status = "hessian_failed"  # a probe crossed det F <= 0
+                break
             if not np.all(np.isfinite(H.data)):
-                break  # a probe's gradient was not finite
+                status = "hessian_failed"  # a probe's gradient was not finite
+                break
         rtol = min(FORCING_MAX, grad_norm / first_norm)
         if rtol * grad_norm <= grad_tol:
             rtol = CG_TOL
@@ -346,11 +360,14 @@ def minimize(problem: EnergyProblem, opts: TrOptions | None = None) -> TrSolutio
             "accepted": bool(accept), "step_fraction": float(step_fraction),
         })
         if radius < np.finfo(float).eps * max(1.0, np.linalg.norm(v)):
-            break  # a step this short can no longer move v
+            status = "radius_collapse"  # a step this short cannot move v
+            break
 
     grad_norm = float(np.max(np.abs(g), initial=0.0))
+    if grad_norm < grad_tol:
+        status = "converged"
     return TrSolution(
-        v_free=v, energy=energy_now, converged=grad_norm < grad_tol,
+        v_free=v, energy=energy_now, status=status,
         iterations=accepted + rejected, accepted=accepted, rejected=rejected,
         grad_norm=grad_norm, history=history,
     )

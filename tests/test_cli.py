@@ -173,10 +173,22 @@ def test_cli_huge_alpha_is_config_error(capsys):
 def test_cli_huge_finite_data_ends_unconverged(argv, capsys):
     # a gradient past 1e154 is finite but its squared norm is not; the
     # solve must still run, without overflow warnings, and report exit 2
+    # with its cause: the plaplace solve runs out of iterations, the
+    # elastic one collapses its radius
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(argv) == 2
-    assert "no convergence" in capsys.readouterr().err
+    status = "max_iters" if argv[0] == "plaplace" else "radius_collapse"
+    assert f"level 0: no convergence ({status}, " in capsys.readouterr().err
+
+
+def test_cli_large_alpha_names_the_iteration_cap(capsys):
+    # alpha = 1000 is accepted but does not converge in 200 iterations; the
+    # exit-2 message says so, and stdout keeps its table
+    assert main(["plaplace", "--levels", "0", "--alpha", "1000"]) == 2
+    captured = capsys.readouterr()
+    assert "level 0: no convergence (max_iters, grad norm" in captured.err
+    assert captured.out.splitlines()[0] == "level,nelems,dofs,time_s,iters,energy"
 
 
 def test_cli_hyper_stdout_without_load(capsys):
@@ -362,7 +374,7 @@ def test_barrier_probe_exits_with_solver_failure(grad, capsys):
     code = main(["hyper", "--level", "0", "--grad", grad, "--fx=1e30"])
     assert code == 2
     err = capsys.readouterr().err
-    assert "level 0: no convergence" in err
+    assert "level 0: no convergence (hessian_failed, " in err
     assert "Traceback" not in err
 
 

@@ -181,6 +181,104 @@ def test_edge_set_independent_of_element_order():
     np.testing.assert_array_equal(shuffled.boundary_edges, mesh.boundary_edges)
 
 
+def _shuffled_elements():
+    mesh = make_lshape(2)
+    perm = np.random.default_rng(5).permutation(mesh.n_elems)
+    return build_mesh(mesh.nodes, mesh.elems2nodes[perm])
+
+
+def _unused_nodes():
+    # 7 far-away nodes no element uses, mixed among the others by a random
+    # renumbering of all ids
+    mesh = make_lshape(1)
+    nodes = np.vstack([mesh.nodes, np.full((7, 2), 9.0)])
+    perm = np.random.default_rng(6).permutation(len(nodes))
+    renumbered = np.empty_like(nodes)
+    renumbered[perm] = nodes
+    return build_mesh(renumbered, perm[mesh.elems2nodes])
+
+
+EDGE_MESHES = {
+    **{f"lshape_L{k}": lambda k=k: make_lshape(k) for k in range(6)},
+    **{f"perforated_L{k}": lambda k=k: make_perforated_square(k)
+       for k in range(3)},
+    "shuffled_elements": _shuffled_elements,
+    "unused_nodes": _unused_nodes,
+}
+
+
+@pytest.mark.parametrize("name", EDGE_MESHES)
+def test_edge_tables_equal_rowwise_unique(name):
+    # oracle: MATLAB's unique(sort(E, 2), 'rows') as numpy spells it, a
+    # row-wise unique of the sorted node pairs of every local edge
+    mesh = EDGE_MESHES[name]()
+    pairs = np.stack([mesh.elems2nodes, np.roll(mesh.elems2nodes, -1, axis=1)],
+                     axis=2).reshape(-1, 2)
+    edges2nodes, inverse, counts = np.unique(
+        np.sort(pairs, axis=1), axis=0, return_inverse=True, return_counts=True)
+    boundary_edges = np.where(counts == 1)[0]
+    expected = {
+        "edges2nodes": edges2nodes,
+        "elems2edges": inverse.reshape(-1, 4),
+        "boundary_edges": boundary_edges,
+        "boundary_nodes": np.unique(edges2nodes[boundary_edges]),
+    }
+    for key, want in expected.items():
+        got = getattr(mesh, key)
+        assert got.dtype == want.dtype, key
+        np.testing.assert_array_equal(got, want, err_msg=key)
+
+
+@pytest.mark.parametrize("name", EDGE_MESHES)
+def test_inverse_transposed_jacobian_keeps_the_stacked_bits(name):
+    # oracle: the four cofactors stacked into one (2, 2, T, n_ip) array,
+    # then divided by det J as a whole
+    mesh = EDGE_MESHES[name]()
+    rule = rule_for_degree(2)
+    table = tabulate(2, rule.points)
+    geo = geometry_factors(mesh, rule, table)
+    x = mesh.nodes[mesh.elems2nodes]
+    j11, j12, j21, j22 = (np.einsum("mq,tm->tq", d[:4], x[:, :, c])
+                          for c in (0, 1) for d in (table.dxi, table.deta))
+    det = j11 * j22 - j12 * j21
+    stacked = np.stack([np.stack([j22, -j21]), np.stack([-j12, j11])]) / det
+    assert geo.jinv_t.dtype == stacked.dtype
+    assert geo.jinv_t.shape == stacked.shape
+    assert geo.jinv_t.tobytes() == stacked.tobytes()  # -0.0 included
+
+
+UNIT_SQUARES = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0],
+                         [0.0, 1.0], [1.0, 1.0], [2.0, 1.0]])
+
+
+@pytest.mark.parametrize("elems, match", [
+    ([[0, 1, 4, -3]], "outside"),  # -3 would wrap to node 3
+    ([[0, 1, 4, 6]], "outside"),
+    (np.zeros((0, 4), dtype=np.int64), "non-empty"),
+    ([[0, 1, 4], [1, 2, 5]], "non-empty"),
+    ([0, 1, 4, 3], "non-empty"),
+    ([[0, 1.5, 4, 3]], "non-integral"),
+    ([[0, 1, 4, np.nan]], "non-integral"),
+])
+def test_rejects_malformed_elements(elems, match):
+    with pytest.raises(ValueError, match=match):
+        build_mesh(UNIT_SQUARES, elems)
+
+
+def test_accepts_integral_float_ids():
+    mesh = build_mesh(UNIT_SQUARES, [[0.0, 1.0, 4.0, 3.0], [1.0, 2.0, 5.0, 4.0]])
+    assert mesh.elems2nodes.dtype == np.int64
+    np.testing.assert_array_equal(mesh.elems2nodes, [[0, 1, 4, 3], [1, 2, 5, 4]])
+    assert mesh.n_edges == 7
+
+
+def test_rejects_a_node_count_past_the_edge_key():
+    # 3 037 000 500^2 > 2^63; a broadcast view holds the nodes in 16 bytes
+    nodes = np.broadcast_to(np.zeros(2), (3_037_000_500, 2))
+    with pytest.raises(ValueError, match="2\\^63"):
+        build_mesh(nodes, [[0, 1, 4, 3]])
+
+
 def test_interior_edges_shared_by_two_elements():
     mesh = make_lshape(1)
     counts = np.bincount(mesh.elems2edges.ravel(), minlength=mesh.n_edges)

@@ -321,9 +321,17 @@ def test_no_free_dofs_converges_at_once():
     problem, _ = plaplace_problem(make_rect(1, 1), p=1, alpha=3.0, f=-10.0)
     assert problem.x0.size == 0
     sol = minimize(problem, TrOptions())
-    assert sol.converged
+    assert sol.converged and sol.status == "converged"
     assert sol.iterations == 0
     assert sol.v_free.size == 0
+
+
+@pytest.mark.parametrize("max_iters", [0, 1])
+def test_iteration_cap_stops_with_status_max_iters(max_iters):
+    problem, _ = plaplace_problem(make_lshape(1), p=2, alpha=3.0, f=-10.0)
+    sol = minimize(problem, TrOptions(max_iters=max_iters))
+    assert not sol.converged and sol.status == "max_iters"
+    assert sol.iterations == len(sol.history) == max_iters
 
 
 def test_radius_collapse_stops_unconverged():
@@ -337,7 +345,7 @@ def test_radius_collapse_stops_unconverged():
         gradient=lambda v: np.where(v < 0.3, -1.0, 1.0),
         pattern=_dense_pattern(1), x0=np.zeros(1))
     sol = minimize(problem, TrOptions(max_iters=3000))
-    assert not sol.converged
+    assert not sol.converged and sol.status == "radius_collapse"
     assert sol.iterations <= 80
     assert sol.history[-1]["radius"] < 1e-15 * np.linalg.norm(sol.v_free)
     assert len(sol.history) == sol.iterations
@@ -423,7 +431,7 @@ def test_barrier_probe_ends_or_rejects(mode):
                       max_step=None)
     sol = minimize(counted, TrOptions(initial_radius=0.2 * np.sqrt(2.0),
                                       max_iters=3000, gradient_mode=mode))
-    assert not sol.converged
+    assert not sol.converged and sol.status == "hessian_failed"
     assert np.isfinite(sol.energy)
     assert len(sol.history) == sol.iterations < 3000
     # the Hessian build ended the solve
@@ -520,7 +528,7 @@ def test_nonfinite_gradient_rejects_the_trial_or_ends_the_solve(monkeypatch):
         energy=lambda v: 0.5 * (v @ v) - v.sum(), gradient=gradient,
         pattern=sp.identity(n, dtype=bool, format="csr"), x0=np.zeros(n))
     sol = minimize(problem, TrOptions(max_iters=50, initial_radius=100.0))
-    assert not sol.converged
+    assert not sol.converged and sol.status == "hessian_failed"
     assert len(sol.history) == sol.iterations < 50
     assert sol.history[-1]["accepted"]  # the next Hessian ended the solve
     assert 0.5 - 1e-6 < np.max(sol.v_free) <= 0.5
