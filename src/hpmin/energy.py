@@ -17,8 +17,9 @@ product against the transposed table; no per-element derivative tensor
 is formed.  Outside these kernels G is exposed only as
 ``NeoHookeModel.gradfield``, the named entries of F for det F checks.
 
-``element_hessians`` gives the forward differences of the element
-residuals, the explicit gradient before its scatter, when one local slot
+``residuals`` gives the element residuals, the explicit gradient before
+its scatter, and ``assemble_gradient`` scatters them.
+``element_hessians`` gives their forward differences when one local slot
 of every element moves by its DOF's step: the element blocks of a
 finite-difference Hessian, one slot at a time.
 
@@ -26,8 +27,12 @@ finite-difference Hessian, one slot at a time.
 central-difference probes that move one local slot of every element up
 and down; ``hpmin.fd`` sums these differences into a gradient.
 ``element_hessians_fd`` differences them once more, one moved slot at a
-time, for the same blocks from the element energies alone.  Every
-batched product runs over all elements.
+time, for the same blocks from the element energies alone.  Both block
+kernels take the evaluation at the unmoved point, the residuals or the
+slot differences, as an optional base, so that a caller that computed
+it for the gradient at the same point does not compute it again; a
+model keeps no state between calls.  Every batched product runs over
+all elements.
 
 * scalar power-law diffusion: (1/alpha) integral |grad v|^alpha - integral f v
 * vector compressible Neo-Hookean elasticity with stored density
@@ -192,11 +197,21 @@ class _ModelBase:
         r_loc = (Q @ self._ref_t).sum(axis=1)  # (components, T, m)
         return r_loc.transpose(1, 0, 2).reshape(G.shape[2], -1)
 
-    def gradient(self, v_full: np.ndarray) -> np.ndarray:
-        residuals = self._residuals(self.dofmap.gather(v_full))
+    def residuals(self, v_full: np.ndarray) -> np.ndarray:
+        """Element residuals, (T, slots): the explicit gradient before its
+        scatter.  At an inverted configuration ``stress`` raises
+        ``BarrierError``."""
+        return self._residuals(self.dofmap.gather(v_full))
+
+    def assemble_gradient(self, residuals: np.ndarray) -> np.ndarray:
+        """The explicit gradient of element residuals, one entry per DOF."""
         return self.dofmap.scatter(residuals) - self.b_full
 
-    def element_hessians(self, v_full: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    def gradient(self, v_full: np.ndarray) -> np.ndarray:
+        return self.assemble_gradient(self.residuals(v_full))
+
+    def element_hessians(self, v_full: np.ndarray, steps: np.ndarray,
+                         base: np.ndarray | None = None) -> np.ndarray:
         """Forward differences of the element residuals, (slots, T, slots).
 
         Slot b of every element moves by its DOF's signed step, one slot at
@@ -204,13 +219,17 @@ class _ModelBase:
         for the residual r of element e and the step h_b of its slot-b DOF:
         element e's share of the Hessian entry coupling the DOFs of its
         slots a (row) and b (column).  The load term is linear and drops
-        out.  Every batched product runs over all elements.  A probe at an
-        inverted configuration raises ``BarrierError`` from ``stress``.
+        out.  ``base`` is ``residuals(v_full)`` when the caller holds it,
+        else it is computed here: S or S + 1 batched residual evaluations
+        for S slots.  Every batched product runs over all elements.  A
+        probe at an inverted configuration raises ``BarrierError`` from
+        ``stress``.
         """
         dm = self.dofmap
         v_loc = dm.gather(v_full)
         deltas = dm.gather(steps)
-        base = self._residuals(v_loc)
+        if base is None:
+            base = self._residuals(v_loc)
         blocks = np.empty((v_loc.shape[1], *v_loc.shape))
         for slot in range(v_loc.shape[1]):
             center = v_loc[:, slot].copy()
@@ -222,20 +241,23 @@ class _ModelBase:
         blocks /= steps[dm.elems2dofs].T[:, :, None]
         return blocks
 
-    def element_hessians_fd(self, v_full: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    def element_hessians_fd(self, v_full: np.ndarray, steps: np.ndarray,
+                            base: np.ndarray | None = None) -> np.ndarray:
         """``element_hessians`` from the element energies alone.
 
         With slot b of every element moved as there, entry [b, e, a] is
         (D_a(moved) - D_a(v)) / (2 h_a h_b) for element e's central
         difference D_a of ``slot_differences``.  Both moves are the signed
-        steps of the DOFs, so no sign is left to apply.  A non-finite probe
-        energy raises ``BarrierError``.
+        steps of the DOFs, so no sign is left to apply.  ``base`` is
+        ``slot_differences(v_full, steps)`` when the caller holds it, else
+        it is computed here.  A non-finite probe energy raises
+        ``BarrierError``.
 
         The probe that moves slots a and b up is one array of coefficients
         whichever of them moves first, so it is evaluated once, for a >= b,
-        and stored in both blocks: 2 S + S^2 + S (S + 1) / 2 batched energy
-        evaluations for S slots, where every ordered pair would take
-        2 S (S + 1), with the same bits.
+        and stored in both blocks: S^2 + S (S + 1) / 2 batched energy
+        evaluations for S slots with a base, 2 S more without, where every
+        ordered pair would take 2 S (S + 1), with the same bits.
         """
         dm = self.dofmap
         v_loc = dm.gather(v_full)
@@ -251,7 +273,9 @@ class _ModelBase:
                     blocks[b, :, a] = blocks[a, :, b] = up
                 blocks[b, :, a] -= self._probe(v_loc, a, -deltas[:, a])
             v_loc[:, b] = center_b
-        blocks -= self._slot_differences(v_loc, deltas)
+        if base is None:
+            base = self._slot_differences(v_loc, deltas)
+        blocks -= base
         h = steps[dm.elems2dofs]
         blocks /= 2.0 * h.T[:, :, None] * h
         return blocks

@@ -33,9 +33,9 @@ __all__ = [
     "FD_STEP",
     "ColoredPattern",
     "SlotPattern",
+    "difference_steps",
     "gradient_central_local",
     "greedy_coloring",
-    "hessian_blocks",
     "hessian_fd",
     "slot_pattern",
 ]
@@ -44,30 +44,28 @@ __all__ = [
 FD_STEP = 1e-6
 
 
-def _steps(values: np.ndarray) -> np.ndarray:
+def difference_steps(values: np.ndarray) -> np.ndarray:
     """Per-coordinate step FD_STEP * max(1, |v_i|)."""
     return FD_STEP * np.maximum(1.0, np.abs(values))
 
 
-def gradient_central_local(model, v_full: np.ndarray) -> np.ndarray:
+def gradient_central_local(model, rows: np.ndarray, steps: np.ndarray) -> np.ndarray:
     """Central differences one local slot at a time, one entry per DOF.
 
     A probe of DOF i changes only the elements holding it, and each element
     holds it in one local slot.  So for each slot s all elements are probed
-    together: slot s of every element moves by its DOF's step
-    ``FD_STEP * max(1, |v_i|)``, up and down, and element e's energy
-    difference is credited to ``elems2dofs[e, s]`` alone.  One ``bincount``
-    adds the differences up slot by slot, so each DOF's bin gets the same
-    terms in the same order whatever else is probed, and fixed DOFs are
-    probed like free ones.  ``model`` provides ``dofmap``, ``b_full`` and
-    ``slot_differences(v_full, steps)``, the (elements, slots) array of
-    e_up - e_dn; the result has the layout of ``model.gradient`` and equals
-    central differences of the full energy up to summation order.
+    together: slot s of every element moves by its DOF's step, up and down,
+    and element e's energy difference is credited to ``elems2dofs[e, s]``
+    alone.  ``rows`` is ``model.slot_differences(v_full, steps)``, the
+    (elements, slots) array of e_up - e_dn at the steps of
+    :func:`difference_steps`; ``model`` also provides ``dofmap`` and
+    ``b_full``.  One ``bincount`` adds the differences up slot by slot, so
+    each DOF's bin gets the same terms in the same order whatever else is
+    probed, and fixed DOFs are probed like free ones.  The result has the
+    layout of ``model.gradient`` and equals central differences of the full
+    energy up to summation order.
     """
-    v_full = np.asarray(v_full, dtype=float)
     dm = model.dofmap
-    steps = _steps(v_full)
-    rows = model.slot_differences(v_full, steps)
     diff = np.bincount(dm.elems2dofs.T.ravel(), weights=rows.T.ravel(),
                        minlength=dm.n_dofs)
     return diff / (2.0 * steps) - model.b_full
@@ -181,14 +179,6 @@ def slot_pattern(pattern: sp.csr_matrix, element_dofs: np.ndarray) -> SlotPatter
     return SlotPattern(pattern, positions.ravel(), transpose[:nnz])
 
 
-def hessian_blocks(element_hessians, v_full: np.ndarray) -> np.ndarray:
-    """``element_hessians(v_full, steps)``, a model's ``element_hessians``
-    or ``element_hessians_fd``, at the steps of ``hessian_fd``,
-    FD_STEP * max(1, |v_i|), with fixed DOFs stepped like free ones."""
-    v_full = np.asarray(v_full, dtype=float)
-    return element_hessians(v_full, _steps(v_full))
-
-
 def hessian_fd(grad, v: np.ndarray, layout: ColoredPattern | SlotPattern,
                g0: np.ndarray | None) -> sp.csr_matrix:
     """Sparse symmetric Hessian estimate from forward differences.
@@ -205,7 +195,9 @@ def hessian_fd(grad, v: np.ndarray, layout: ColoredPattern | SlotPattern,
     and the whole H, has the same bits under any valid distance-2 coloring.
 
     With a ``SlotPattern``, ``grad(v)`` gives the (slots, T, slots) element
-    blocks of ``hessian_blocks`` instead, and ``g0`` is not read.  One
+    blocks instead, a model's ``element_hessians`` or
+    ``element_hessians_fd`` at the steps ``difference_steps`` gives, with
+    fixed DOFs stepped like free ones, and ``g0`` is not read.  One
     ``bincount`` adds them into the pattern's data; terms of fixed DOFs go
     to a bin past the end, which is dropped.
 
@@ -221,7 +213,7 @@ def hessian_fd(grad, v: np.ndarray, layout: ColoredPattern | SlotPattern,
         data = np.bincount(layout.positions, weights=grad(v).ravel(),
                            minlength=pattern.nnz + 1)[:pattern.nnz]
     else:
-        steps, groups = _steps(v), layout.groups
+        steps, groups = difference_steps(v), layout.groups
         diffs = np.empty((layout.n_groups, v.size))
         for g in range(layout.n_groups):
             diffs[g] = grad(np.where(groups == g, v + steps, v)) - g0

@@ -73,11 +73,16 @@ class EnergyProblem:
     An energy that is a sum of element energies may give its Hessian one
     local slot at a time: ``element_hessians(v)`` (explicit mode) and
     ``element_hessians_fd(v)`` (central_diff mode) return the
-    (slots, T, slots) blocks of :func:`hpmin.fd.hessian_blocks`, and the
-    array ``element_dofs`` holds the (T, slots) pattern row of the DOF in
-    every element slot, -1 where it is fixed; :func:`minimize` raises
+    (slots, T, slots) blocks that :func:`hpmin.fd.hessian_fd` adds up, and
+    the array ``element_dofs`` holds the (T, slots) pattern row of the DOF
+    in every element slot, -1 where it is fixed; :func:`minimize` raises
     ``ValueError`` on blocks without it.  When the mode's blocks are None,
     the Hessian is colored forward differences of the mode's gradient.
+    :func:`minimize` evaluates the mode's gradient at every point before it
+    builds the Hessian there, so the model problems of
+    :mod:`hpmin.problems` keep the element evaluation of their last
+    gradient call and build the blocks at the same point on it; their
+    models keep no state.
     """
 
     energy: Callable[[np.ndarray], float]

@@ -7,7 +7,8 @@ Legendre polynomials and kernels one degree at a time, shape functions
 evaluated one at a time from the geometry of the reference square,
 shoelace element areas, structured grids built cell by cell, and uniform
 refinement with each child stacked by hand.  It also
-holds what only the tests use: the unit-square mesh generator, the local
+holds what only the tests use: a model's central-difference gradient at
+a full vector, the unit-square mesh generator, the local
 basis count, and readers of the convergence-table CSV that ``hpmin.cli``
 writes and of the legacy VTK files that ``hpmin.vtk`` writes.
 """
@@ -20,8 +21,19 @@ import numpy as np
 from hpmin.basis import EdgeMode, Nodal, n_bubbles, shape_kinds
 from hpmin.cli import ConvergenceRow
 from hpmin.energy import BarrierError
-from hpmin.fd import FD_STEP
+from hpmin.fd import FD_STEP, difference_steps, gradient_central_local
 from hpmin.mesh import HOLE_RADIUS, QuadMesh, _corner_cross, _grid, build_mesh
+
+
+def central_gradient(model, v_full: np.ndarray) -> np.ndarray:
+    """The element-local central-difference gradient of a model at a full
+    vector: its slot differences at the steps of
+    :func:`hpmin.fd.difference_steps`, summed by
+    :func:`hpmin.fd.gradient_central_local`, as a problem's
+    ``gradient_fd`` sums them before it keeps the free entries."""
+    v_full = np.asarray(v_full, dtype=float)
+    steps = difference_steps(v_full)
+    return gradient_central_local(model, model.slot_differences(v_full, steps), steps)
 
 
 def gradient_central(energy, v: np.ndarray, h: float = FD_STEP,

@@ -16,7 +16,6 @@ from hpmin.dofmap import (
 from hpmin.energy import BarrierError, NeoHookeModel, PLaplaceModel, identity_deformation
 from hpmin.fd import (
     ColoredPattern,
-    gradient_central_local,
     greedy_coloring,
     hessian_fd,
     slot_pattern,
@@ -25,7 +24,13 @@ from hpmin.mesh import geometry_factors, make_lshape, make_perforated_square
 from hpmin.problems import neohooke_problem, plaplace_problem
 from hpmin.quadrature import rule_for_degree
 from hpmin.solver import TrOptions, minimize
-from oracles import free_index, gradient_central, make_rect, physical_derivatives
+from oracles import (
+    central_gradient,
+    free_index,
+    gradient_central,
+    make_rect,
+    physical_derivatives,
+)
 
 RNG = np.random.default_rng(20240514)
 
@@ -58,7 +63,7 @@ def test_gradient_central_constant_energy():
 def test_local_gradient_matches_explicit(p):
     model = _plaplace_model(p=p)
     v = RNG.standard_normal(model.dofmap.n_dofs)
-    g_fd = gradient_central_local(model, v)
+    g_fd = central_gradient(model, v)
     g = model.gradient(v)
     assert np.max(np.abs(g_fd - g)) / np.max(np.abs(g)) < 1e-6
 
@@ -69,7 +74,7 @@ def test_local_gradient_equals_naive_path():
     model = _plaplace_model()
     v = RNG.standard_normal(model.dofmap.n_dofs)
     dofs = model.dofmap.free_dofs
-    fast = gradient_central_local(model, v)[dofs]
+    fast = central_gradient(model, v)[dofs]
     naive = np.empty(dofs.size)
     for out, i in enumerate(dofs):
         hi = 1e-6 * max(1.0, abs(v[i]))
@@ -86,7 +91,7 @@ def test_local_gradient_close_to_full_energy_differencing():
     model = _plaplace_model()
     v = RNG.standard_normal(model.dofmap.n_dofs)
     dofs = model.dofmap.free_dofs
-    fast = gradient_central_local(model, v)[dofs]
+    fast = central_gradient(model, v)[dofs]
     naive = gradient_central(model.energy, v, dofs=dofs)
     assert np.max(np.abs(fast - naive)) <= 1e-7 * max(1.0, np.max(np.abs(naive)))
 
@@ -99,7 +104,7 @@ def test_local_gradient_vector_model(p):
     dm = build_dofmap(mesh, p, components=2)
     model = NeoHookeModel(geo, dm, c1=1.0, d1=2.0, f=(-1.0, 0.5))
     v = identity_deformation(dm) + 0.01 * RNG.standard_normal(dm.n_dofs)
-    g_fd = gradient_central_local(model, v)
+    g_fd = central_gradient(model, v)
     g = model.gradient(v)
     assert np.max(np.abs(g_fd - g)) / np.max(np.abs(g)) < 1e-6
 
@@ -113,7 +118,7 @@ def test_barrier_propagates():
     v = identity_deformation(dm)
     v[:dm.n_p] *= -1.0
     with pytest.raises(BarrierError):
-        gradient_central_local(model, v)
+        central_gradient(model, v)
     with pytest.raises(BarrierError):
         gradient_central(model.energy, v)
 
@@ -125,7 +130,7 @@ def test_fd_error_scales_quadratically(monkeypatch):
     errs = []
     for h in (1e-3, 1e-4, 1e-5):
         monkeypatch.setattr(hpmin.fd, "FD_STEP", h)
-        g_fd = gradient_central_local(model, v)
+        g_fd = central_gradient(model, v)
         errs.append(np.max(np.abs(g_fd - g)))
     order = np.log10(errs[0] / errs[1]), np.log10(errs[1] / errs[2])
     assert min(order) >= 1.8
@@ -145,7 +150,7 @@ def test_problem_gradients_are_the_free_part_of_the_full_ones(problem):
     dm = model.dofmap
     v_full = expand_solution(dm, v_free)
     np.testing.assert_array_equal(
-        fe.gradient_fd(v_free), gradient_central_local(model, v_full)[dm.free_dofs])
+        fe.gradient_fd(v_free), central_gradient(model, v_full)[dm.free_dofs])
     np.testing.assert_array_equal(fe.gradient(v_free),
                                   model.gradient(v_full)[dm.free_dofs])
 
@@ -378,8 +383,9 @@ def _ordered_pair_blocks_fd(model, v_full, steps):
 def test_slot_hessian_fd_probes_each_pair_once(problem, p, monkeypatch):
     # the probe that moves slots a and b up is one array of coefficients
     # whichever moves first, so element_hessians_fd evaluates it once, in
-    # 2 S + S^2 + S (S + 1) / 2 batched energy evaluations for S slots
-    # instead of 2 S (S + 1), and keeps the bits of the ordered-pair loop
+    # 2 S + S^2 + S (S + 1) / 2 batched energy evaluations for S slots with
+    # no base given instead of 2 S (S + 1), and keeps the bits of the
+    # ordered-pair loop
     model, _, v, _ = _gradient_case(problem, p)
     steps = hpmin.fd.FD_STEP * np.maximum(1.0, np.abs(v))
     oracle = _ordered_pair_blocks_fd(model, v, steps)
@@ -587,28 +593,33 @@ def test_coloring_empty_pattern():
     assert colored.groups.size == 0
 
 
+def _build(problem, p):
+    """The problem and model of the hyperelastic case (perforated square,
+    level 0) or the plaplace case (L-shape, level 1)."""
+    if problem == "hyper":
+        return neohooke_problem(make_perforated_square(0), p=p, young=2e8,
+                                poisson=0.3, f=(-3.5e7, -3.5e7))
+    return plaplace_problem(make_lshape(1), p=p, alpha=3.0, f=-10.0)
+
+
+def _random_start(problem, fe, rng):
+    """A random admissible free vector near the problem's start."""
+    scale = 1e-3 if problem == "hyper" else 1.0
+    return fe.x0 + scale * rng.standard_normal(fe.x0.size)
+
+
 def _gradient_case(problem, p):
     """A problem's model, a fresh-model factory, a random admissible full
     vector, and the full DOF ids of one color group of its pattern."""
-    rng = np.random.default_rng(p)
-    if problem == "hyper":
-        def build():
-            return neohooke_problem(make_perforated_square(0), p=p, young=2e8,
-                                    poisson=0.3, f=(-3.5e7, -3.5e7))
-        scale = 1e-3
-    else:
-        def build():
-            return plaplace_problem(make_lshape(1), p=p, alpha=3.0, f=-10.0)
-        scale = 1.0
-    fe, model = build()
+    fe, model = _build(problem, p)
     dm = model.dofmap
-    v = expand_solution(dm, fe.x0 + scale * rng.standard_normal(fe.x0.size))
+    v = expand_solution(dm, _random_start(problem, fe, np.random.default_rng(p)))
     group = dm.free_dofs[np.flatnonzero(greedy_coloring(fe.pattern).groups == 0)]
-    return model, lambda: build()[1], v, group
+    return model, lambda: _build(problem, p)[1], v, group
 
 
 _GRADIENTS = {"explicit": lambda model, v: model.gradient(v),
-              "central": gradient_central_local}
+              "central": central_gradient}
 
 
 @pytest.mark.parametrize("gradient", ["explicit", "central"])
@@ -653,3 +664,73 @@ def test_barrier_probe_leaves_the_base_bits(gradient):
     moved_group[group] += 1e-4
     np.testing.assert_array_equal(grad(model, moved_group),
                                   grad(fresh(), moved_group))
+
+
+# per mode: the problem's gradient, its element blocks, and the model kernel
+# that both evaluate one batch at a time
+_KEPT = {"explicit": ("gradient", "element_hessians", "_residuals"),
+         "central": ("gradient_fd", "element_hessians_fd", "_element_energies")}
+
+
+@pytest.mark.parametrize("mode", ["explicit", "central"])
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("problem", ["hyper", "plaplace"])
+def test_hessian_reuses_the_gradients_element_evaluation(problem, p, mode,
+                                                         monkeypatch):
+    # the problem keeps the element evaluation of its last gradient, the
+    # residuals or the slot differences, and its element blocks at the same
+    # point (and steps) take it as their base: S batched evaluations for S
+    # slots in place of S + 1, or S^2 + S (S + 1) / 2 in place of 2 S more,
+    # with the bits of a fresh problem's blocks.  Anywhere else they are
+    # computed cold
+    gradient_name, blocks_name, kernel_name = _KEPT[mode]
+    fe, model = _build(problem, p)
+    gradient, blocks = getattr(fe, gradient_name), getattr(fe, blocks_name)
+    n_slots = model.dofmap.elems2dofs.shape[1]
+    if mode == "explicit":
+        warm, cold = n_slots, n_slots + 1
+    else:
+        warm = n_slots ** 2 + n_slots * (n_slots + 1) // 2
+        cold = warm + 2 * n_slots
+    evaluations = []
+
+    def counted(v_loc, kernel=getattr(model, kernel_name)):
+        evaluations.append(v_loc.shape)
+        return kernel(v_loc)
+
+    monkeypatch.setattr(model, kernel_name, counted)
+
+    def evaluations_of_blocks(v):
+        evaluations.clear()
+        H = blocks(v)
+        n = len(evaluations)
+        np.testing.assert_array_equal(H, getattr(_build(problem, p)[0], blocks_name)(v))
+        return n
+
+    v = _random_start(problem, fe, np.random.default_rng(30 + p))
+    w = v.copy()
+    w[w.size // 2] += 1e-4
+    assert evaluations_of_blocks(v) == cold
+    gradient(v)
+    assert evaluations_of_blocks(v) == warm
+    assert evaluations_of_blocks(v) == warm  # kept until the next gradient
+    assert evaluations_of_blocks(w) == cold
+    gradient(w)
+    assert evaluations_of_blocks(v) == cold
+    assert evaluations_of_blocks(w) == warm
+    # the other mode's evaluation is no base for this mode's blocks
+    getattr(fe, "gradient_fd" if mode == "explicit" else "gradient")(w)
+    assert evaluations_of_blocks(w) == cold
+    if mode == "central":
+        # the base of the old steps does not serve a new step
+        gradient(v)
+        monkeypatch.setattr(hpmin.fd, "FD_STEP", 1e-5)
+        assert evaluations_of_blocks(v) == cold
+    if problem == "hyper":
+        # a gradient that raises keeps nothing, not even the entry before it
+        gradient(v)
+        inverted = v.copy()
+        inverted[0] += 10.0
+        with pytest.raises(BarrierError):
+            gradient(inverted)
+        assert evaluations_of_blocks(v) == cold

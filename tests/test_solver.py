@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import hpmin.fd
 import hpmin.solver
 from hpmin.dofmap import expand_solution
 from hpmin.energy import BarrierError
@@ -255,6 +256,89 @@ def test_hyperelastic_steps_are_cut_before_inversion():
     assert all(np.isfinite(energies))
     cut = [r["step_fraction"] for r in sol.history if r["step_fraction"] != 1.0]
     assert cut and all(0.0 < f <= BOUNDARY_FRACTION for f in cut)
+
+
+def _cold_blocks(model, kernel):
+    """Element blocks of a model kernel over the free DOFs, always computed
+    from scratch: the problem's blocks without the gradient's evaluation."""
+    def blocks(v_free):
+        v_full = expand_solution(model.dofmap, v_free)
+        return kernel(v_full, hpmin.fd.difference_steps(v_full))
+    return blocks
+
+
+def _kept_case(case, mode, monkeypatch):
+    """Problem, model and options of one solve of the kept-evaluation test:
+    the plaplace (L-shape, level 2) and hyperelastic (perforated square,
+    level 0) runs; ``rounding``, whose trials below the energy's rounding
+    are judged by their gradients and some of them rejected; and
+    ``barrier``, whose trial gradients cross det F <= 0."""
+    if case == "plaplace":
+        fe, model = plaplace_problem(make_lshape(2), p=2, alpha=3.0, f=-10.0)
+        return fe, model, TrOptions(gradient_mode=mode)
+    if case == "rounding":
+        monkeypatch.setattr(hpmin.solver, "GRAD_RTOL", 1e-15)
+        fe, model = neohooke_problem(make_perforated_square(1), p=1, young=2e8,
+                                     poisson=0.3, f=(-3.5e7, -3.5e7))
+        return fe, model, TrOptions(max_iters=100, initial_radius=0.28,
+                                    gradient_mode=mode)
+    load = (1e30, -3.5e7) if case == "barrier" else (-3.5e7, -3.5e7)
+    fe, model = neohooke_problem(make_perforated_square(0), p=2, young=2e8,
+                                 poisson=0.3, f=load)
+    if case == "barrier":
+        fe = replace(fe, max_step=None)
+    return fe, model, TrOptions(initial_radius=0.2 * np.sqrt(2.0),
+                                max_iters=3000, gradient_mode=mode)
+
+
+def _cold_blocks(model, kernel):
+    """Element blocks of a model kernel over the free DOFs, always computed
+    from scratch: the problem's blocks without the gradient's evaluation."""
+    def blocks(v_free):
+        v_full = expand_solution(model.dofmap, v_free)
+        return kernel(v_full, hpmin.fd.difference_steps(v_full))
+    return blocks
+
+
+@pytest.mark.parametrize("case, mode", [
+    ("plaplace", "explicit"), ("plaplace", "central_diff"),
+    ("hyper", "explicit"), ("hyper", "central_diff"),
+    ("rounding", "central_diff"), ("barrier", "central_diff")])
+def test_kept_gradient_evaluation_keeps_every_solve_bit(case, mode, monkeypatch):
+    # the Hessian takes the gradient's element evaluation at its point as
+    # its base; a stale base, e.g. of a rejected trial whose gradient was
+    # evaluated, would change the solve.  The whole solve matches one whose
+    # blocks are all computed cold, with fewer batched evaluations
+    fe, model, opts = _kept_case(case, mode, monkeypatch)
+    cold = replace(fe, element_hessians=_cold_blocks(model, model.element_hessians),
+                   element_hessians_fd=_cold_blocks(model, model.element_hessians_fd))
+    kernel = "_element_energies" if mode == "central_diff" else "_residuals"
+    evaluations = []
+
+    def counted(v_loc, evaluate=getattr(model, kernel)):
+        evaluations.append(v_loc.shape)
+        return evaluate(v_loc)
+
+    gradient = "gradient_fd" if mode == "central_diff" else "gradient"
+    gradients = []
+
+    def counted_gradient(v, evaluate=getattr(fe, gradient)):
+        gradients.append(v)
+        return evaluate(v)
+
+    monkeypatch.setattr(model, kernel, counted)
+    kept = minimize(replace(fe, **{gradient: counted_gradient}), opts)
+    n_kept = len(evaluations)
+    evaluations.clear()
+    reference = minimize(cold, opts)
+    assert n_kept < len(evaluations)
+    np.testing.assert_array_equal(kept.v_free, reference.v_free)
+    assert (kept.energy, kept.status) == (reference.energy, reference.status)
+    assert kept.history == reference.history
+    # the start and every accepted step take one gradient; these cases
+    # also evaluate it at a rejected trial
+    if case in ("rounding", "barrier"):
+        assert len(gradients) > kept.accepted + 1
 
 
 @pytest.mark.parametrize("mode", ["explicit", "central_diff"])
