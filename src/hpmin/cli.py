@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import astuple, dataclass, replace
@@ -182,7 +183,9 @@ def compare_elements(config: BenchConfig, degrees):
     """Run several degrees and report energies against the best achieved.
 
     The reference value is the smallest energy over all runs decreased by
-    1e-4, so every reported difference stays positive and log-plottable.
+    1e-4, or by one unit in the last place where 1e-4 is below that
+    energy's rounding, so every reported difference stays positive and
+    log-plottable.
     Returns (rows, exit_code) where each row is
     (p, level, nelems, dofs, time_s, iters, energy, energy_minus_ref).
     """
@@ -195,7 +198,8 @@ def compare_elements(config: BenchConfig, degrees):
         code = max(code, sub_code)
         all_rows.extend((p, r) for r in rows)
 
-    j_ref = min(r.energy for _, r in all_rows) - ENERGY_DROP
+    best = min(r.energy for _, r in all_rows)
+    j_ref = min(best - ENERGY_DROP, math.nextafter(best, -math.inf))
     table = [[p, *astuple(r), float(f"{r.energy - j_ref:.10g}")]
              for p, r in all_rows]
     if config.out_dir is not None:

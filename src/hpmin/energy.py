@@ -29,10 +29,10 @@ and down; ``hpmin.fd`` sums these differences into a gradient.
 ``element_hessians_fd`` differences them once more, one moved slot at a
 time, for the same blocks from the element energies alone.  Both block
 kernels take the evaluation at the unmoved point, the residuals or the
-slot differences, as an optional base, so that a caller that computed
-it for the gradient at the same point does not compute it again; a
-model keeps no state between calls.  Every batched product runs over
-all elements.
+slot differences, as a required base: the gradient at that point has
+already computed it, and a caller without it calls ``residuals`` or
+``slot_differences`` first.  A model keeps no state between calls.
+Every batched product runs over all elements.
 
 * scalar power-law diffusion: (1/alpha) integral |grad v|^alpha - integral f v
 * vector compressible Neo-Hookean elasticity with stored density
@@ -135,28 +135,30 @@ class _ModelBase:
         Every batched product runs over all elements.  A non-finite probe
         energy raises ``BarrierError``.
         """
-        return self._slot_differences(self.dofmap.gather(v_full),
-                                      self.dofmap.gather(steps))
-
-    def _slot_differences(self, v_loc: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-        """``slot_differences`` of signed local coefficients and steps."""
+        v_loc = self.dofmap.gather(v_full)
+        deltas = self.dofmap.gather(steps)
         return np.column_stack([
             self._probe(v_loc, slot, deltas[:, slot])
             - self._probe(v_loc, slot, -deltas[:, slot])
             for slot in range(v_loc.shape[1])])
 
-    def _probe(self, v_loc: np.ndarray, slot: int, shift: np.ndarray) -> np.ndarray:
-        """Element energies with ``slot`` of every element moved by ``shift``.
-
-        ``v_loc`` is moved in place and left with its bits.  A non-finite
-        energy raises ``BarrierError``.
-        """
+    @staticmethod
+    def _moved(v_loc: np.ndarray, slot: int, shift: np.ndarray, evaluate):
+        """``evaluate(v_loc)`` with ``slot`` of every element moved by
+        ``shift``; ``v_loc`` is moved in place and left with its bits."""
         center = v_loc[:, slot].copy()
         v_loc[:, slot] = center + shift
         try:
-            energies = self._element_energies(v_loc)
+            return evaluate(v_loc)
         finally:
             v_loc[:, slot] = center
+
+    def _probe(self, v_loc: np.ndarray, slot: int, shift: np.ndarray) -> np.ndarray:
+        """Element energies with ``slot`` of every element moved by ``shift``.
+
+        A non-finite energy raises ``BarrierError``.
+        """
+        energies = self._moved(v_loc, slot, shift, self._element_energies)
         if not np.all(np.isfinite(energies)):
             raise BarrierError("energy not finite at a finite-difference probe")
         return energies
@@ -211,7 +213,7 @@ class _ModelBase:
         return self.assemble_gradient(self.residuals(v_full))
 
     def element_hessians(self, v_full: np.ndarray, steps: np.ndarray,
-                         base: np.ndarray | None = None) -> np.ndarray:
+                         base: np.ndarray) -> np.ndarray:
         """Forward differences of the element residuals, (slots, T, slots).
 
         Slot b of every element moves by its DOF's signed step, one slot at
@@ -219,45 +221,38 @@ class _ModelBase:
         for the residual r of element e and the step h_b of its slot-b DOF:
         element e's share of the Hessian entry coupling the DOFs of its
         slots a (row) and b (column).  The load term is linear and drops
-        out.  ``base`` is ``residuals(v_full)`` when the caller holds it,
-        else it is computed here: S or S + 1 batched residual evaluations
-        for S slots.  Every batched product runs over all elements.  A
-        probe at an inverted configuration raises ``BarrierError`` from
-        ``stress``.
+        out.  ``base`` is ``residuals(v_full)``: S batched residual
+        evaluations for S slots.  Every batched product runs over all
+        elements.  A probe at an inverted configuration raises
+        ``BarrierError`` from ``stress``.
         """
         dm = self.dofmap
         v_loc = dm.gather(v_full)
         deltas = dm.gather(steps)
-        if base is None:
-            base = self._residuals(v_loc)
         blocks = np.empty((v_loc.shape[1], *v_loc.shape))
         for slot in range(v_loc.shape[1]):
-            center = v_loc[:, slot].copy()
-            v_loc[:, slot] = center + deltas[:, slot]
-            blocks[slot] = self._residuals(v_loc)
-            v_loc[:, slot] = center
+            blocks[slot] = self._moved(v_loc, slot, deltas[:, slot], self._residuals)
         blocks -= base
         blocks *= dm.signs
         blocks /= steps[dm.elems2dofs].T[:, :, None]
         return blocks
 
     def element_hessians_fd(self, v_full: np.ndarray, steps: np.ndarray,
-                            base: np.ndarray | None = None) -> np.ndarray:
+                            base: np.ndarray) -> np.ndarray:
         """``element_hessians`` from the element energies alone.
 
         With slot b of every element moved as there, entry [b, e, a] is
         (D_a(moved) - D_a(v)) / (2 h_a h_b) for element e's central
         difference D_a of ``slot_differences``.  Both moves are the signed
         steps of the DOFs, so no sign is left to apply.  ``base`` is
-        ``slot_differences(v_full, steps)`` when the caller holds it, else
-        it is computed here.  A non-finite probe energy raises
-        ``BarrierError``.
+        ``slot_differences(v_full, steps)``.  A non-finite probe energy
+        raises ``BarrierError``.
 
         The probe that moves slots a and b up is one array of coefficients
         whichever of them moves first, so it is evaluated once, for a >= b,
         and stored in both blocks: S^2 + S (S + 1) / 2 batched energy
-        evaluations for S slots with a base, 2 S more without, where every
-        ordered pair would take 2 S (S + 1), with the same bits.
+        evaluations for S slots, where every ordered pair would take 2 S^2,
+        with the same bits.
         """
         dm = self.dofmap
         v_loc = dm.gather(v_full)
@@ -273,8 +268,6 @@ class _ModelBase:
                     blocks[b, :, a] = blocks[a, :, b] = up
                 blocks[b, :, a] -= self._probe(v_loc, a, -deltas[:, a])
             v_loc[:, b] = center_b
-        if base is None:
-            base = self._slot_differences(v_loc, deltas)
         blocks -= base
         h = steps[dm.elems2dofs]
         blocks /= 2.0 * h.T[:, :, None] * h

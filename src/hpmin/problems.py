@@ -24,9 +24,9 @@ def _problem(mesh: QuadMesh, p: int, components: int, dirichlet: DirichletSpec,
 
     ``make_model(geo, dofmap)`` builds the energy model and
     ``make_x0(dofmap)`` the free-DOF starting vector.  Each gradient first
-    evaluates every element at the point: ``model.residuals`` in explicit
-    mode, ``model.slot_differences`` at the steps of
-    :func:`hpmin.fd.difference_steps` in central_diff mode.  It sums that
+    evaluates every element at the point and the steps of
+    :func:`hpmin.fd.difference_steps`: ``model.residuals`` in explicit
+    mode, ``model.slot_differences`` in central_diff mode.  It sums that
     into one entry per DOF of the full vector, with
     ``model.assemble_gradient`` or :func:`hpmin.fd.gradient_central_local`,
     and keeps the free entries.  The element-slot Hessian blocks of either
@@ -34,57 +34,55 @@ def _problem(mesh: QuadMesh, p: int, components: int, dirichlet: DirichletSpec,
     slots to free DOFs.
 
     ``minimize`` evaluates the gradient at every point before it builds
-    the Hessian there, so the problem keeps the element evaluation of its
-    last gradient call, under the mode, the bits of the full vector and, in
-    central_diff mode, those of the steps.  The blocks at the same key take
-    it as their base and do not evaluate it again: one batched residual
-    evaluation fewer per Hessian in explicit mode, 2 S batched energy
-    evaluations fewer for S slots in central_diff mode.  A gradient that
-    raises keeps nothing.  The model itself keeps no state between calls.
+    the one Hessian there, so each gradient leaves one record: its mode,
+    the bytes of the full vector, the element evaluation and the steps it
+    was taken at.  The blocks of that mode at that point take the
+    evaluation as their base, at the record's steps, and do not evaluate
+    it again: one batched residual evaluation fewer per Hessian in
+    explicit mode, 2 S batched energy evaluations fewer for S slots in
+    central_diff mode.  Any blocks call clears the record, and elsewhere
+    computes the base itself; a gradient that raises leaves none.  The
+    model itself keeps no state between calls.
     """
     rule = rule_for_degree(p)
     geo = geometry_factors(mesh, rule, tabulate(p, rule.points))
     dm = build_dofmap(mesh, p, components=components, dirichlet=dirichlet)
     model = make_model(geo, dm)
-    last_key = last_base = None
+    record = None
 
-    def keep(key, evaluate):
-        """``evaluate()``, kept under ``key`` as the last gradient's."""
-        nonlocal last_key, last_base
-        last_key = last_base = None  # a gradient that raises keeps nothing
-        last_base = evaluate()
-        last_key = key
-        return last_base
+    def wire(mode, evaluate, assemble, kernel):
+        """The gradient and element blocks of one mode: ``evaluate(v_full,
+        steps)`` is the element evaluation, ``assemble(evaluation, steps)``
+        the gradient of the full vector and ``kernel`` the model's blocks."""
+        def gradient(v_free):
+            nonlocal record
+            record = None
+            v_full = expand_solution(dm, v_free)
+            steps = difference_steps(v_full)
+            evaluation = evaluate(v_full, steps)
+            record = (mode, v_full.tobytes(), evaluation, steps)
+            return assemble(evaluation, steps)[dm.free_dofs]
 
-    def kept(key):
-        return last_base if key == last_key else None
+        def blocks(v_free):
+            nonlocal record
+            v_full = expand_solution(dm, v_free)
+            if record is not None and record[:2] == (mode, v_full.tobytes()):
+                base, steps = record[2:]
+            else:
+                steps = difference_steps(v_full)
+                base = evaluate(v_full, steps)
+            record = None
+            return kernel(v_full, steps, base)
+        return gradient, blocks
 
-    def gradient(v_free):
-        v_full = expand_solution(dm, v_free)
-        residuals = keep(("explicit", v_full.tobytes()),
-                         lambda: model.residuals(v_full))
-        return model.assemble_gradient(residuals)[dm.free_dofs]
-
-    def element_hessians(v_free):
-        v_full = expand_solution(dm, v_free)
-        return model.element_hessians(v_full, difference_steps(v_full),
-                                      base=kept(("explicit", v_full.tobytes())))
-
-    def central(v_free):
-        """The full vector, its steps and their key in central_diff mode."""
-        v_full = expand_solution(dm, v_free)
-        steps = difference_steps(v_full)
-        return v_full, steps, ("central_diff", v_full.tobytes(), steps.tobytes())
-
-    def gradient_fd(v_free):
-        v_full, steps, key = central(v_free)
-        rows = keep(key, lambda: model.slot_differences(v_full, steps))
-        return gradient_central_local(model, rows, steps)[dm.free_dofs]
-
-    def element_hessians_fd(v_free):
-        v_full, steps, key = central(v_free)
-        return model.element_hessians_fd(v_full, steps, base=kept(key))
-
+    gradient, element_hessians = wire(
+        "explicit", lambda v_full, steps: model.residuals(v_full),
+        lambda residuals, steps: model.assemble_gradient(residuals),
+        model.element_hessians)
+    gradient_fd, element_hessians_fd = wire(
+        "central_diff", model.slot_differences,
+        lambda rows, steps: gradient_central_local(model, rows, steps),
+        model.element_hessians_fd)
     free_index = np.full(dm.n_dofs, -1)
     free_index[dm.free_dofs] = np.arange(dm.n_free)
     problem = EnergyProblem(

@@ -79,10 +79,8 @@ class EnergyProblem:
     ``ValueError`` on blocks without it.  When the mode's blocks are None,
     the Hessian is colored forward differences of the mode's gradient.
     :func:`minimize` evaluates the mode's gradient at every point before it
-    builds the Hessian there, so the model problems of
-    :mod:`hpmin.problems` keep the element evaluation of their last
-    gradient call and build the blocks at the same point on it; their
-    models keep no state.
+    builds the one Hessian there, so the blocks may reuse what that
+    gradient computed at the same point.
     """
 
     energy: Callable[[np.ndarray], float]

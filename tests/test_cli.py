@@ -320,6 +320,21 @@ def test_compare_hyper(tmp_path, capsys):
     assert lines[1].split(",")[:2] == ["1", "0"]
 
 
+def test_compare_offset_is_positive_past_the_energy_rounding(capsys):
+    # at J ~ 1.8e14 one unit in the last place is 2^-5, so the best energy
+    # minus 1e-4 rounds back to it; the offset is then that unit, and every
+    # row stays positive
+    code = main(["compare", "hyper", "--p", "1,2", "--level", "0",
+                 "--E", "2e14", "--fx=-3.5e13", "--fy=-3.5e13"])
+    assert code == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    energies = [float(r[-2]) for r in rows]
+    diffs = [float(r[-1]) for r in rows]
+    assert len(rows) == 2 and all(d > 0.0 for d in diffs)
+    assert min(diffs) == np.spacing(min(energies)) == 2.0 ** -5
+
+
 def test_compare_unknown_problem_lists_known(capsys):
     assert main(["compare", "heat", "--p", "1", "--levels", "0"]) == 3
     err = capsys.readouterr().err

@@ -383,12 +383,12 @@ def _ordered_pair_blocks_fd(model, v_full, steps):
 def test_slot_hessian_fd_probes_each_pair_once(problem, p, monkeypatch):
     # the probe that moves slots a and b up is one array of coefficients
     # whichever moves first, so element_hessians_fd evaluates it once, in
-    # 2 S + S^2 + S (S + 1) / 2 batched energy evaluations for S slots with
-    # no base given instead of 2 S (S + 1), and keeps the bits of the
-    # ordered-pair loop
+    # S^2 + S (S + 1) / 2 batched energy evaluations for S slots on a given
+    # base instead of 2 S^2, and keeps the bits of the ordered-pair loop
     model, _, v, _ = _gradient_case(problem, p)
     steps = hpmin.fd.FD_STEP * np.maximum(1.0, np.abs(v))
     oracle = _ordered_pair_blocks_fd(model, v, steps)
+    base = model.slot_differences(v, steps)
     evaluations = []
 
     def counted(v_loc, energies=model._element_energies):
@@ -396,9 +396,9 @@ def test_slot_hessian_fd_probes_each_pair_once(problem, p, monkeypatch):
         return energies(v_loc)
 
     monkeypatch.setattr(model, "_element_energies", counted)
-    np.testing.assert_array_equal(model.element_hessians_fd(v, steps), oracle)
+    np.testing.assert_array_equal(model.element_hessians_fd(v, steps, base), oracle)
     n_slots = model.dofmap.elems2dofs.shape[1]
-    assert len(evaluations) == 2 * n_slots + n_slots ** 2 + n_slots * (n_slots + 1) // 2
+    assert len(evaluations) == n_slots ** 2 + n_slots * (n_slots + 1) // 2
 
 
 def test_central_diff_hessian_does_not_see_the_load(monkeypatch):
@@ -677,12 +677,12 @@ _KEPT = {"explicit": ("gradient", "element_hessians", "_residuals"),
 @pytest.mark.parametrize("problem", ["hyper", "plaplace"])
 def test_hessian_reuses_the_gradients_element_evaluation(problem, p, mode,
                                                          monkeypatch):
-    # the problem keeps the element evaluation of its last gradient, the
-    # residuals or the slot differences, and its element blocks at the same
-    # point (and steps) take it as their base: S batched evaluations for S
-    # slots in place of S + 1, or S^2 + S (S + 1) / 2 in place of 2 S more,
-    # with the bits of a fresh problem's blocks.  Anywhere else they are
-    # computed cold
+    # each gradient leaves one record of its element evaluation, the
+    # residuals or the slot differences, and the element blocks at the same
+    # point take it as their base: S batched evaluations for S slots in
+    # place of S + 1, or S^2 + S (S + 1) / 2 in place of 2 S more, with the
+    # bits of a fresh problem's blocks.  Any blocks call spends the record,
+    # so a second one at the same point, and any other, is cold
     gradient_name, blocks_name, kernel_name = _KEPT[mode]
     fe, model = _build(problem, p)
     gradient, blocks = getattr(fe, gradient_name), getattr(fe, blocks_name)
@@ -700,11 +700,15 @@ def test_hessian_reuses_the_gradients_element_evaluation(problem, p, mode,
 
     monkeypatch.setattr(model, kernel_name, counted)
 
-    def evaluations_of_blocks(v):
+    def fresh_blocks(v):
+        return getattr(_build(problem, p)[0], blocks_name)(v)
+
+    def evaluations_of_blocks(v, reference=None):
         evaluations.clear()
         H = blocks(v)
         n = len(evaluations)
-        np.testing.assert_array_equal(H, getattr(_build(problem, p)[0], blocks_name)(v))
+        np.testing.assert_array_equal(
+            H, fresh_blocks(v) if reference is None else reference)
         return n
 
     v = _random_start(problem, fe, np.random.default_rng(30 + p))
@@ -713,18 +717,28 @@ def test_hessian_reuses_the_gradients_element_evaluation(problem, p, mode,
     assert evaluations_of_blocks(v) == cold
     gradient(v)
     assert evaluations_of_blocks(v) == warm
-    assert evaluations_of_blocks(v) == warm  # kept until the next gradient
+    assert evaluations_of_blocks(v) == cold  # the record is spent
+    gradient(v)
     assert evaluations_of_blocks(w) == cold
+    assert evaluations_of_blocks(v) == cold  # spent at w as well
     gradient(w)
-    assert evaluations_of_blocks(v) == cold
     assert evaluations_of_blocks(w) == warm
     # the other mode's evaluation is no base for this mode's blocks
     getattr(fe, "gradient_fd" if mode == "explicit" else "gradient")(w)
     assert evaluations_of_blocks(w) == cold
-    if mode == "central":
-        # the base of the old steps does not serve a new step
+    # after a step change, the blocks take the gradient's own steps
+    at_gradient_steps = fresh_blocks(v)
+    gradient(v)
+    monkeypatch.setattr(hpmin.fd, "FD_STEP", 1e-5)
+    assert evaluations_of_blocks(v, at_gradient_steps) == warm
+    assert not np.array_equal(fresh_blocks(v), at_gradient_steps)
+    if problem == "hyper":
+        # a gradient that raises leaves no record, not even the one before it
         gradient(v)
-        monkeypatch.setattr(hpmin.fd, "FD_STEP", 1e-5)
+        inverted = v.copy()
+        inverted[0] += 10.0
+        with pytest.raises(BarrierError):
+            gradient(inverted)
         assert evaluations_of_blocks(v) == cold
     if problem == "hyper":
         # a gradient that raises keeps nothing, not even the entry before it

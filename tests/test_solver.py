@@ -258,15 +258,6 @@ def test_hyperelastic_steps_are_cut_before_inversion():
     assert cut and all(0.0 < f <= BOUNDARY_FRACTION for f in cut)
 
 
-def _cold_blocks(model, kernel):
-    """Element blocks of a model kernel over the free DOFs, always computed
-    from scratch: the problem's blocks without the gradient's evaluation."""
-    def blocks(v_free):
-        v_full = expand_solution(model.dofmap, v_free)
-        return kernel(v_full, hpmin.fd.difference_steps(v_full))
-    return blocks
-
-
 def _kept_case(case, mode, monkeypatch):
     """Problem, model and options of one solve of the kept-evaluation test:
     the plaplace (L-shape, level 2) and hyperelastic (perforated square,
@@ -291,12 +282,14 @@ def _kept_case(case, mode, monkeypatch):
                                 max_iters=3000, gradient_mode=mode)
 
 
-def _cold_blocks(model, kernel):
-    """Element blocks of a model kernel over the free DOFs, always computed
-    from scratch: the problem's blocks without the gradient's evaluation."""
+def _cold_blocks(model, kernel, evaluate):
+    """Element blocks of a model kernel over the free DOFs on a base always
+    computed from scratch by ``evaluate(v_full, steps)``: the problem's
+    blocks without the gradient's evaluation."""
     def blocks(v_free):
         v_full = expand_solution(model.dofmap, v_free)
-        return kernel(v_full, hpmin.fd.difference_steps(v_full))
+        steps = hpmin.fd.difference_steps(v_full)
+        return kernel(v_full, steps, evaluate(v_full, steps))
     return blocks
 
 
@@ -310,8 +303,11 @@ def test_kept_gradient_evaluation_keeps_every_solve_bit(case, mode, monkeypatch)
     # evaluated, would change the solve.  The whole solve matches one whose
     # blocks are all computed cold, with fewer batched evaluations
     fe, model, opts = _kept_case(case, mode, monkeypatch)
-    cold = replace(fe, element_hessians=_cold_blocks(model, model.element_hessians),
-                   element_hessians_fd=_cold_blocks(model, model.element_hessians_fd))
+    cold = replace(
+        fe, element_hessians=_cold_blocks(model, model.element_hessians,
+                                          lambda v, steps: model.residuals(v)),
+        element_hessians_fd=_cold_blocks(model, model.element_hessians_fd,
+                                         model.slot_differences))
     kernel = "_element_energies" if mode == "central_diff" else "_residuals"
     evaluations = []
 
@@ -339,6 +335,43 @@ def test_kept_gradient_evaluation_keeps_every_solve_bit(case, mode, monkeypatch)
     # also evaluate it at a rejected trial
     if case in ("rounding", "barrier"):
         assert len(gradients) > kept.accepted + 1
+
+
+@pytest.mark.parametrize("case, mode", [
+    ("plaplace", "explicit"), ("plaplace", "central_diff"),
+    ("hyper", "explicit"), ("hyper", "central_diff"),
+    ("rounding", "central_diff"), ("barrier", "central_diff")])
+def test_no_hessian_in_a_solve_is_built_cold(case, mode, monkeypatch):
+    # minimize evaluates the gradient at every point before the one Hessian
+    # there, so every Hessian of a solve takes the gradient's evaluation as
+    # its base: S batched residual evaluations for S slots, or
+    # S^2 + S (S + 1) / 2 batched energy evaluations, and never the cold
+    # S + 1 or 2 S more
+    fe, model, opts = _kept_case(case, mode, monkeypatch)
+    n_slots = model.dofmap.elems2dofs.shape[1]
+    if mode == "explicit":
+        kernel, blocks, warm = "_residuals", "element_hessians", n_slots
+    else:
+        kernel, blocks = "_element_energies", "element_hessians_fd"
+        warm = n_slots ** 2 + n_slots * (n_slots + 1) // 2
+    evaluations = []
+
+    def counted(v_loc, evaluate=getattr(model, kernel)):
+        evaluations.append(v_loc.shape)
+        return evaluate(v_loc)
+
+    per_hessian = []
+
+    def counted_blocks(v, build=getattr(fe, blocks)):
+        evaluations.clear()
+        built = build(v)
+        per_hessian.append(len(evaluations))
+        return built
+
+    monkeypatch.setattr(model, kernel, counted)
+    sol = minimize(replace(fe, **{blocks: counted_blocks}), opts)
+    assert sol.accepted > 0
+    assert per_hessian == [warm] * len(per_hessian)
 
 
 @pytest.mark.parametrize("mode", ["explicit", "central_diff"])
