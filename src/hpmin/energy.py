@@ -18,21 +18,16 @@ is formed.  Outside these kernels G is exposed only as
 ``NeoHookeModel.gradfield``, the named entries of F for det F checks.
 
 ``residuals`` gives the element residuals, the explicit gradient before
-its scatter, and ``assemble_gradient`` scatters them.
-``element_hessians`` gives their forward differences when one local slot
-of every element moves by its DOF's step: the element blocks of a
-finite-difference Hessian, one slot at a time.
-
-``slot_differences`` gives the per-element energy differences of
-central-difference probes that move one local slot of every element up
-and down; ``hpmin.fd`` sums these differences into a gradient.
-``element_hessians_fd`` differences them once more, one moved slot at a
-time, for the same blocks from the element energies alone.  Both block
-kernels take the evaluation at the unmoved point, the residuals or the
-slot differences, as a required base: the gradient at that point has
-already computed it, and a caller without it calls ``residuals`` or
-``slot_differences`` first.  A model keeps no state between calls.
-Every batched product runs over all elements.
+its scatter, and ``residuals_fd`` their central-difference estimate from
+the element energies, in the same signed local layout;
+``assemble_gradient`` scatters either one into a gradient.
+``element_hessians`` and ``element_hessians_fd`` difference them once
+more, one local slot of every element moved by its DOF's step at a time:
+the element blocks of a finite-difference Hessian.  Both block kernels
+take the evaluation at the unmoved point as a required base, since the
+gradient there has already computed it.  The steps are those of
+:func:`hpmin.fd.difference_steps` at the point.  A model keeps no state
+between calls, and every batched product runs over all elements.
 
 * scalar power-law diffusion: (1/alpha) integral |grad v|^alpha - integral f v
 * vector compressible Neo-Hookean elasticity with stored density
@@ -51,6 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dofmap import DofMap
+from .fd import difference_steps
 from .mesh import GeometryFactors
 
 __all__ = [
@@ -128,19 +124,10 @@ class _ModelBase:
         self._ref_t = np.ascontiguousarray(self._ref.transpose(0, 2, 1))  # (2, n_ip, m)
         self._w_jinv_t = geometry.wdetj * geometry.jinv_t  # (2, 2, T, n_ip)
 
-    def slot_differences(self, v_full: np.ndarray, steps: np.ndarray) -> np.ndarray:
-        """e_up - e_dn of every element and local slot, (T, slots): slot s of
-        every element moves by its DOF's step up and down, one slot at a time.
-
-        Every batched product runs over all elements.  A non-finite probe
-        energy raises ``BarrierError``.
-        """
-        v_loc = self.dofmap.gather(v_full)
-        deltas = self.dofmap.gather(steps)
-        return np.column_stack([
-            self._probe(v_loc, slot, deltas[:, slot])
-            - self._probe(v_loc, slot, -deltas[:, slot])
-            for slot in range(v_loc.shape[1])])
+    def _at_steps(self, v_full: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Signed local coefficients of ``v_full`` and the signed local steps
+        of :func:`hpmin.fd.difference_steps` there, both (T, slots)."""
+        return self.dofmap.gather(v_full), self.dofmap.gather(difference_steps(v_full))
 
     @staticmethod
     def _moved(v_loc: np.ndarray, slot: int, shift: np.ndarray, evaluate):
@@ -212,66 +199,70 @@ class _ModelBase:
     def gradient(self, v_full: np.ndarray) -> np.ndarray:
         return self.assemble_gradient(self.residuals(v_full))
 
-    def element_hessians(self, v_full: np.ndarray, steps: np.ndarray,
-                         base: np.ndarray) -> np.ndarray:
+    def residuals_fd(self, v_full: np.ndarray) -> np.ndarray:
+        """Central-difference estimate of ``residuals(v_full)``, (T, slots):
+        (e_up - e_dn) / (2 delta) for the element energies with slot s of
+        every element moved by its signed step delta up and down, one slot
+        at a time.  A non-finite probe energy raises ``BarrierError``."""
+        v_loc, deltas = self._at_steps(v_full)
+        return np.column_stack([
+            self._probe(v_loc, slot, deltas[:, slot])
+            - self._probe(v_loc, slot, -deltas[:, slot])
+            for slot in range(v_loc.shape[1])]) / (2.0 * deltas)
+
+    def _forward_difference(self, moved: np.ndarray, base: np.ndarray,
+                            deltas: np.ndarray) -> np.ndarray:
+        """(moved - base) sign_a / h_b in place, for the (slots, T, slots)
+        residuals ``moved`` with slot b of every element moved and the
+        residuals ``base`` at the unmoved point: entry [b, e, a] is element
+        e's share of the Hessian entry coupling the DOFs of its slots a
+        (row) and b (column), with h_b = |delta_b|."""
+        moved -= base
+        moved *= self.dofmap.signs
+        moved /= np.abs(deltas).T[:, :, None]
+        return moved
+
+    def element_hessians(self, v_full: np.ndarray, base: np.ndarray) -> np.ndarray:
         """Forward differences of the element residuals, (slots, T, slots).
 
         Slot b of every element moves by its DOF's signed step, one slot at
-        a time, and entry [b, e, a] is sign_a (r_a(moved) - r_a(v)) / h_b
-        for the residual r of element e and the step h_b of its slot-b DOF:
-        element e's share of the Hessian entry coupling the DOFs of its
-        slots a (row) and b (column).  The load term is linear and drops
-        out.  ``base`` is ``residuals(v_full)``: S batched residual
-        evaluations for S slots.  Every batched product runs over all
-        elements.  A probe at an inverted configuration raises
-        ``BarrierError`` from ``stress``.
+        a time.  The load term is linear and drops out.  ``base`` is
+        ``residuals(v_full)``: S batched residual evaluations for S slots.
+        A probe at an inverted configuration raises ``BarrierError`` from
+        ``stress``.
         """
-        dm = self.dofmap
-        v_loc = dm.gather(v_full)
-        deltas = dm.gather(steps)
-        blocks = np.empty((v_loc.shape[1], *v_loc.shape))
+        v_loc, deltas = self._at_steps(v_full)
+        moved = np.empty((v_loc.shape[1], *v_loc.shape))
         for slot in range(v_loc.shape[1]):
-            blocks[slot] = self._moved(v_loc, slot, deltas[:, slot], self._residuals)
-        blocks -= base
-        blocks *= dm.signs
-        blocks /= steps[dm.elems2dofs].T[:, :, None]
-        return blocks
+            moved[slot] = self._moved(v_loc, slot, deltas[:, slot], self._residuals)
+        return self._forward_difference(moved, base, deltas)
 
-    def element_hessians_fd(self, v_full: np.ndarray, steps: np.ndarray,
-                            base: np.ndarray) -> np.ndarray:
-        """``element_hessians`` from the element energies alone.
+    def element_hessians_fd(self, v_full: np.ndarray, base: np.ndarray) -> np.ndarray:
+        """``element_hessians`` from the element energies alone: the forward
+        differences of ``residuals_fd``, with ``base`` = ``residuals_fd(v_full)``.
+        A non-finite probe energy raises ``BarrierError``.
 
-        With slot b of every element moved as there, entry [b, e, a] is
-        (D_a(moved) - D_a(v)) / (2 h_a h_b) for element e's central
-        difference D_a of ``slot_differences``.  Both moves are the signed
-        steps of the DOFs, so no sign is left to apply.  ``base`` is
-        ``slot_differences(v_full, steps)``.  A non-finite probe energy
-        raises ``BarrierError``.
-
-        The probe that moves slots a and b up is one array of coefficients
-        whichever of them moves first, so it is evaluated once, for a >= b,
-        and stored in both blocks: S^2 + S (S + 1) / 2 batched energy
-        evaluations for S slots, where every ordered pair would take 2 S^2,
-        with the same bits.
+        With slot b moved up, the probe that also moves slot a up is one
+        array of coefficients whichever of them moves first, so it is
+        evaluated once, for a >= b, and stored in both blocks before each
+        takes its down probe and is divided by 2 delta_a: S^2 + S (S + 1) / 2
+        batched energy evaluations for S slots, where every ordered pair
+        would take 2 S^2, with the same bits.
         """
-        dm = self.dofmap
-        v_loc = dm.gather(v_full)
-        deltas = dm.gather(steps)
+        v_loc, deltas = self._at_steps(v_full)
         n_slots = v_loc.shape[1]
-        blocks = np.empty((n_slots, *v_loc.shape))
+        moved = np.empty((n_slots, *v_loc.shape))
         for b in range(n_slots):
             center_b = v_loc[:, b].copy()
             v_loc[:, b] = center_b + deltas[:, b]
             for a in range(n_slots):
                 if a >= b:  # for a < b, the move of slot a stored this probe
                     up = self._probe(v_loc, a, deltas[:, a])
-                    blocks[b, :, a] = blocks[a, :, b] = up
-                blocks[b, :, a] -= self._probe(v_loc, a, -deltas[:, a])
+                    moved[b, :, a] = moved[a, :, b] = up
+                moved[b, :, a] -= self._probe(v_loc, a, -deltas[:, a])
             v_loc[:, b] = center_b
-        blocks -= base
-        h = steps[dm.elems2dofs]
-        blocks /= 2.0 * h.T[:, :, None] * h
-        return blocks
+        moved /= 2.0 * deltas
+        return self._forward_difference(moved, base, deltas)
 
 
 def _frobenius2(G: np.ndarray) -> np.ndarray:

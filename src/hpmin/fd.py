@@ -1,24 +1,18 @@
-"""Derivative-free machinery: central-difference gradients and sparse
-finite-difference Hessians, from element slots or a distance-2 coloring.
-
-The gradient path exploits element locality: perturbing one DOF changes
-the energy density only on the elements containing it, in one local slot
-of each.  So the central differences probe one local slot at a time, all
-elements at once, and no probe of the full energy is made here: the
-model's ``slot_differences`` gives the per-element differences.
+"""The finite-difference step rule and the sparse Hessian layouts: element
+slots or a distance-2 coloring.
 
 The energy is a sum of element energies, so its Hessian is a sum of
 element blocks (a partially separable function, Griewank & Toint 1982).
-The model differences its element residuals (explicit gradient) or its
-per-element central differences (central-difference gradient) once per
-local slot, with that slot of every element moved at once, and one
-``bincount`` scatters the blocks into the pattern through a position map
-built once (``SlotPattern``).  A problem without element kernels takes
-one forward gradient difference per color group instead; group members
-share no structurally-coupled row, so every pattern column can be read
-off directly (Coleman & More 1983).  The groups come from a plain greedy
-coloring in natural order: the model problems never take this path, which
-serves generic problems and is the reference the element slots are
+A model differences its element residuals, explicit or estimated by
+central differences, once per local slot, with that slot of every element
+moved by its step from :func:`difference_steps`, and one ``bincount``
+scatters the blocks into the pattern through a position map built once
+(``SlotPattern``).  A problem without element kernels takes one forward
+gradient difference per color group instead; group members share no
+structurally-coupled row, so every pattern column can be read off
+directly (Coleman & More 1983).  The groups come from a plain greedy
+coloring in natural order: the model problems never take this path,
+which serves generic problems and is the reference the element slots are
 checked against.
 """
 
@@ -34,7 +28,6 @@ __all__ = [
     "ColoredPattern",
     "SlotPattern",
     "difference_steps",
-    "gradient_central_local",
     "greedy_coloring",
     "hessian_fd",
     "slot_pattern",
@@ -47,28 +40,6 @@ FD_STEP = 1e-6
 def difference_steps(values: np.ndarray) -> np.ndarray:
     """Per-coordinate step FD_STEP * max(1, |v_i|)."""
     return FD_STEP * np.maximum(1.0, np.abs(values))
-
-
-def gradient_central_local(model, rows: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """Central differences one local slot at a time, one entry per DOF.
-
-    A probe of DOF i changes only the elements holding it, and each element
-    holds it in one local slot.  So for each slot s all elements are probed
-    together: slot s of every element moves by its DOF's step, up and down,
-    and element e's energy difference is credited to ``elems2dofs[e, s]``
-    alone.  ``rows`` is ``model.slot_differences(v_full, steps)``, the
-    (elements, slots) array of e_up - e_dn at the steps of
-    :func:`difference_steps`; ``model`` also provides ``dofmap`` and
-    ``b_full``.  One ``bincount`` adds the differences up slot by slot, so
-    each DOF's bin gets the same terms in the same order whatever else is
-    probed, and fixed DOFs are probed like free ones.  The result has the
-    layout of ``model.gradient`` and equals central differences of the full
-    energy up to summation order.
-    """
-    dm = model.dofmap
-    diff = np.bincount(dm.elems2dofs.T.ravel(), weights=rows.T.ravel(),
-                       minlength=dm.n_dofs)
-    return diff / (2.0 * steps) - model.b_full
 
 
 @dataclass(frozen=True)
@@ -196,10 +167,9 @@ def hessian_fd(grad, v: np.ndarray, layout: ColoredPattern | SlotPattern,
 
     With a ``SlotPattern``, ``grad(v)`` gives the (slots, T, slots) element
     blocks instead, a model's ``element_hessians`` or
-    ``element_hessians_fd`` at the steps ``difference_steps`` gives, with
-    fixed DOFs stepped like free ones, and ``g0`` is not read.  One
-    ``bincount`` adds them into the pattern's data; terms of fixed DOFs go
-    to a bin past the end, which is dropped.
+    ``element_hessians_fd``, with fixed DOFs stepped like free ones, and
+    ``g0`` is not read.  One ``bincount`` adds them into the pattern's
+    data; terms of fixed DOFs go to a bin past the end, which is dropped.
 
     Either way the result is symmetrized, (H + H^T) / 2, directly in the
     pattern's CSR layout and shares the pattern's ``indices`` and

@@ -78,14 +78,18 @@ def build_mesh(nodes, elems2nodes) -> QuadMesh:
     count N, so the numbering is lexicographic in (low, high), the order
     of a row-wise unique of the sorted node pairs, and the edge set and
     numbering do not depend on element order.  The key needs N^2 < 2^63.
-    Raises ``ValueError`` unless ``elems2nodes`` is a non-empty (T, 4)
-    table of integral node ids in [0, N) and every element is
-    counterclockwise.
+    Raises ``ValueError`` unless ``nodes`` is a finite (N, 2) array,
+    ``elems2nodes`` is a non-empty (T, 4) table of integral node ids in
+    [0, N) and every element is counterclockwise.
     """
     nodes = np.asarray(nodes, dtype=float)
+    if nodes.ndim != 2 or nodes.shape[1] != 2:
+        raise ValueError(f"nodes must be an (N, 2) array, got shape {nodes.shape}")
     n = nodes.shape[0]
     if n * n >= 2**63:
         raise ValueError(f"{n} nodes: the edge key needs N^2 < 2^63")
+    if not np.all(np.isfinite(nodes)):
+        raise ValueError("nodes holds a non-finite coordinate")
     ids = np.asarray(elems2nodes)
     if ids.ndim != 2 or ids.shape[1] != 4 or ids.shape[0] == 0:
         raise ValueError(f"elems2nodes must be a non-empty (T, 4) array, "
@@ -97,7 +101,7 @@ def build_mesh(nodes, elems2nodes) -> QuadMesh:
         raise ValueError(f"elems2nodes holds a node id outside [0, {n})")
     elems2nodes = ids.astype(np.int64, copy=False)
     cross = _corner_cross(nodes, elems2nodes)
-    bad = np.where(cross.min(axis=1) <= 0.0)[0]
+    bad = np.flatnonzero(~(cross.min(axis=1) > 0.0))  # NaN fails as well
     if bad.size:
         raise ValueError(f"element {bad[0]} is not counterclockwise")
 
@@ -243,10 +247,10 @@ class GeometryFactors:
 def geometry_factors(mesh: QuadMesh, rule: QuadRule, table: ShapeTable) -> GeometryFactors:
     """Invert the bilinear Jacobian of each element at the quadrature points.
 
-    Requires ``table`` tabulated at ``rule.points``.  Raises on
-    non-positive Jacobian determinants.  Each of the four entries of
-    J^{-T} is one cofactor divided by det J, written straight into the
-    (2, 2, T, n_ip) result.
+    Requires ``table`` tabulated at ``rule.points``.  Raises on Jacobian
+    determinants that are not positive, NaN included.  Each of the four
+    entries of J^{-T} is one cofactor divided by det J, written straight
+    into the (2, 2, T, n_ip) result.
     """
     if table.n_points != rule.n_ip or not np.array_equal(table.points, rule.points):
         raise ValueError("shape table is not tabulated at the quadrature points")
@@ -258,8 +262,8 @@ def geometry_factors(mesh: QuadMesh, rule: QuadRule, table: ShapeTable) -> Geome
     j21 = np.einsum("mq,tm->tq", dxi, x[:, :, 1])   # dy/dxi
     j22 = np.einsum("mq,tm->tq", deta, x[:, :, 1])  # dy/deta
     det = j11 * j22 - j12 * j21
-    if det.min() <= 0.0:
-        t = int(np.where(det.min(axis=1) <= 0.0)[0][0])
+    if not det.min() > 0.0:  # NaN fails as well
+        t = int(np.flatnonzero(~(det.min(axis=1) > 0.0))[0])
         raise ValueError(f"degenerate element {t}: nonpositive Jacobian")
 
     # J^{-T} = [[j22, -j21], [-j12, j11]] / det

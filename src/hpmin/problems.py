@@ -9,7 +9,6 @@ import numpy as np
 from .basis import tabulate
 from .dofmap import DirichletSpec, build_dofmap, expand_solution, sparsity_pattern
 from .energy import NeoHookeModel, PLaplaceModel, identity_deformation
-from .fd import difference_steps, gradient_central_local
 from .mesh import QuadMesh, geometry_factors
 from .quadrature import rule_for_degree
 from .solver import EnergyProblem
@@ -23,26 +22,18 @@ def _problem(mesh: QuadMesh, p: int, components: int, dirichlet: DirichletSpec,
     ``EnergyProblem`` over its free DOFs.
 
     ``make_model(geo, dofmap)`` builds the energy model and
-    ``make_x0(dofmap)`` the free-DOF starting vector.  Each gradient first
-    evaluates every element at the point and the steps of
-    :func:`hpmin.fd.difference_steps`: ``model.residuals`` in explicit
-    mode, ``model.slot_differences`` in central_diff mode.  It sums that
-    into one entry per DOF of the full vector, with
-    ``model.assemble_gradient`` or :func:`hpmin.fd.gradient_central_local`,
-    and keeps the free entries.  The element-slot Hessian blocks of either
-    mode act on the full vector too, and ``element_dofs`` maps the element
-    slots to free DOFs.
+    ``make_x0(dofmap)`` the free-DOF starting vector.  Each gradient mode
+    evaluates the element residuals at the full vector, ``model.residuals``
+    in explicit mode and ``model.residuals_fd`` in central_diff mode,
+    assembles them with ``model.assemble_gradient`` and keeps the free
+    entries; ``element_dofs`` maps the element slots to free DOFs.
 
     ``minimize`` evaluates the gradient at every point before it builds
     the one Hessian there, so each gradient leaves one record: its mode,
-    the bytes of the full vector, the element evaluation and the steps it
-    was taken at.  The blocks of that mode at that point take the
-    evaluation as their base, at the record's steps, and do not evaluate
-    it again: one batched residual evaluation fewer per Hessian in
-    explicit mode, 2 S batched energy evaluations fewer for S slots in
-    central_diff mode.  Any blocks call clears the record, and elsewhere
-    computes the base itself; a gradient that raises leaves none.  The
-    model itself keeps no state between calls.
+    the bytes of the full vector and the evaluation.  The blocks of that
+    mode at that point take the evaluation as their base and do not
+    compute it again.  Any blocks call clears the record, and elsewhere
+    computes the base itself; a gradient that raises leaves none.
     """
     rule = rule_for_degree(p)
     geo = geometry_factors(mesh, rule, tabulate(p, rule.points))
@@ -50,39 +41,30 @@ def _problem(mesh: QuadMesh, p: int, components: int, dirichlet: DirichletSpec,
     model = make_model(geo, dm)
     record = None
 
-    def wire(mode, evaluate, assemble, kernel):
-        """The gradient and element blocks of one mode: ``evaluate(v_full,
-        steps)`` is the element evaluation, ``assemble(evaluation, steps)``
-        the gradient of the full vector and ``kernel`` the model's blocks."""
+    def wire(mode, evaluate, kernel):
+        """The gradient and element blocks of one mode from its element
+        evaluation ``evaluate(v_full)`` and the model's blocks ``kernel``."""
         def gradient(v_free):
             nonlocal record
             record = None
             v_full = expand_solution(dm, v_free)
-            steps = difference_steps(v_full)
-            evaluation = evaluate(v_full, steps)
-            record = (mode, v_full.tobytes(), evaluation, steps)
-            return assemble(evaluation, steps)[dm.free_dofs]
+            evaluation = evaluate(v_full)
+            record = (mode, v_full.tobytes(), evaluation)
+            return model.assemble_gradient(evaluation)[dm.free_dofs]
 
         def blocks(v_free):
             nonlocal record
             v_full = expand_solution(dm, v_free)
-            if record is not None and record[:2] == (mode, v_full.tobytes()):
-                base, steps = record[2:]
-            else:
-                steps = difference_steps(v_full)
-                base = evaluate(v_full, steps)
+            kept = record is not None and record[:2] == (mode, v_full.tobytes())
+            base = record[2] if kept else evaluate(v_full)
             record = None
-            return kernel(v_full, steps, base)
+            return kernel(v_full, base)
         return gradient, blocks
 
-    gradient, element_hessians = wire(
-        "explicit", lambda v_full, steps: model.residuals(v_full),
-        lambda residuals, steps: model.assemble_gradient(residuals),
-        model.element_hessians)
-    gradient_fd, element_hessians_fd = wire(
-        "central_diff", model.slot_differences,
-        lambda rows, steps: gradient_central_local(model, rows, steps),
-        model.element_hessians_fd)
+    gradient, element_hessians = wire("explicit", model.residuals,
+                                      model.element_hessians)
+    gradient_fd, element_hessians_fd = wire("central_diff", model.residuals_fd,
+                                            model.element_hessians_fd)
     free_index = np.full(dm.n_dofs, -1)
     free_index[dm.free_dofs] = np.arange(dm.n_free)
     problem = EnergyProblem(

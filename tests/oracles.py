@@ -21,19 +21,16 @@ import numpy as np
 from hpmin.basis import EdgeMode, Nodal, n_bubbles, shape_kinds
 from hpmin.cli import ConvergenceRow
 from hpmin.energy import BarrierError
-from hpmin.fd import FD_STEP, difference_steps, gradient_central_local
+from hpmin.fd import FD_STEP
 from hpmin.mesh import HOLE_RADIUS, QuadMesh, _corner_cross, _grid, build_mesh
 
 
 def central_gradient(model, v_full: np.ndarray) -> np.ndarray:
     """The element-local central-difference gradient of a model at a full
-    vector: its slot differences at the steps of
-    :func:`hpmin.fd.difference_steps`, summed by
-    :func:`hpmin.fd.gradient_central_local`, as a problem's
-    ``gradient_fd`` sums them before it keeps the free entries."""
-    v_full = np.asarray(v_full, dtype=float)
-    steps = difference_steps(v_full)
-    return gradient_central_local(model, model.slot_differences(v_full, steps), steps)
+    vector: its ``residuals_fd`` assembled by ``assemble_gradient``, as a
+    problem's ``gradient_fd`` assembles them before it keeps the free
+    entries."""
+    return model.assemble_gradient(model.residuals_fd(v_full))
 
 
 def gradient_central(energy, v: np.ndarray, h: float = FD_STEP,

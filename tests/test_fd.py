@@ -349,14 +349,15 @@ def test_slot_hessian_fd_matches_colored_hessian(problem, p):
     assert rel <= bound
 
 
-def _ordered_pair_blocks_fd(model, v_full, steps):
+def _ordered_pair_blocks_fd(model, v_full):
     """``element_hessians_fd`` with every ordered pair of slots probed: slot
-    b of every element moved up, the central differences of every slot
-    there, minus those at v, over 2 h_a h_b."""
+    b of every element moved up, the central-difference residuals of every
+    slot there, minus those at v, times sign_a over h_b."""
+    steps = hpmin.fd.difference_steps(v_full)
     v_loc = model.dofmap.gather(v_full)
     deltas = model.dofmap.gather(steps)
 
-    def central_differences():
+    def central_residuals():
         columns = []
         for a in range(v_loc.shape[1]):
             center = v_loc[:, a].copy()
@@ -365,17 +366,17 @@ def _ordered_pair_blocks_fd(model, v_full, steps):
             v_loc[:, a] = center - deltas[:, a]
             columns.append(up - model._element_energies(v_loc))
             v_loc[:, a] = center
-        return np.column_stack(columns)
+        return np.column_stack(columns) / (2.0 * deltas)
 
-    base = central_differences()
+    base = central_residuals()
     blocks = np.empty((v_loc.shape[1], *v_loc.shape))
     for b in range(v_loc.shape[1]):
         center = v_loc[:, b].copy()
         v_loc[:, b] = center + deltas[:, b]
-        blocks[b] = central_differences()
+        blocks[b] = central_residuals()
         v_loc[:, b] = center
     h = steps[model.dofmap.elems2dofs]
-    return (blocks - base) / (2.0 * h.T[:, :, None] * h)
+    return (blocks - base) * model.dofmap.signs / h.T[:, :, None]
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
@@ -386,9 +387,8 @@ def test_slot_hessian_fd_probes_each_pair_once(problem, p, monkeypatch):
     # S^2 + S (S + 1) / 2 batched energy evaluations for S slots on a given
     # base instead of 2 S^2, and keeps the bits of the ordered-pair loop
     model, _, v, _ = _gradient_case(problem, p)
-    steps = hpmin.fd.FD_STEP * np.maximum(1.0, np.abs(v))
-    oracle = _ordered_pair_blocks_fd(model, v, steps)
-    base = model.slot_differences(v, steps)
+    oracle = _ordered_pair_blocks_fd(model, v)
+    base = model.residuals_fd(v)
     evaluations = []
 
     def counted(v_loc, energies=model._element_energies):
@@ -396,7 +396,7 @@ def test_slot_hessian_fd_probes_each_pair_once(problem, p, monkeypatch):
         return energies(v_loc)
 
     monkeypatch.setattr(model, "_element_energies", counted)
-    np.testing.assert_array_equal(model.element_hessians_fd(v, steps, base), oracle)
+    np.testing.assert_array_equal(model.element_hessians_fd(v, base), oracle)
     n_slots = model.dofmap.elems2dofs.shape[1]
     assert len(evaluations) == n_slots ** 2 + n_slots * (n_slots + 1) // 2
 
@@ -618,6 +618,19 @@ def _gradient_case(problem, p):
     return model, lambda: _build(problem, p)[1], v, group
 
 
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("problem", ["hyper", "plaplace"])
+def test_central_residuals_match_the_explicit_ones_slot_by_slot(problem, p):
+    # both gradient modes assemble element residuals in one signed local
+    # layout; the central-difference estimate matches the explicit one
+    # entry by entry before any scatter
+    model, _, v, _ = _gradient_case(problem, p)
+    explicit, central = model.residuals(v), model.residuals_fd(v)
+    assert central.shape == explicit.shape
+    rel = np.max(np.abs(central - explicit)) / np.max(np.abs(explicit))
+    assert rel <= 1e-8
+
+
 _GRADIENTS = {"explicit": lambda model, v: model.gradient(v),
               "central": central_gradient}
 
@@ -678,11 +691,11 @@ _KEPT = {"explicit": ("gradient", "element_hessians", "_residuals"),
 def test_hessian_reuses_the_gradients_element_evaluation(problem, p, mode,
                                                          monkeypatch):
     # each gradient leaves one record of its element evaluation, the
-    # residuals or the slot differences, and the element blocks at the same
-    # point take it as their base: S batched evaluations for S slots in
-    # place of S + 1, or S^2 + S (S + 1) / 2 in place of 2 S more, with the
-    # bits of a fresh problem's blocks.  Any blocks call spends the record,
-    # so a second one at the same point, and any other, is cold
+    # residuals or their central-difference estimate, and the blocks at
+    # the same point take it as their base: S batched evaluations for S
+    # slots in place of S + 1, or S^2 + S (S + 1) / 2 in place of 2 S more,
+    # with the bits of a fresh problem's blocks.  Any blocks call spends
+    # the record, so a second one at the same point, and any other, is cold
     gradient_name, blocks_name, kernel_name = _KEPT[mode]
     fe, model = _build(problem, p)
     gradient, blocks = getattr(fe, gradient_name), getattr(fe, blocks_name)
@@ -726,12 +739,17 @@ def test_hessian_reuses_the_gradients_element_evaluation(problem, p, mode,
     # the other mode's evaluation is no base for this mode's blocks
     getattr(fe, "gradient_fd" if mode == "explicit" else "gradient")(w)
     assert evaluations_of_blocks(w) == cold
-    # after a step change, the blocks take the gradient's own steps
-    at_gradient_steps = fresh_blocks(v)
-    gradient(v)
+    # after a step change, a gradient and the blocks on its evaluation both
+    # take the new step
+    old_gradient, old_blocks = gradient(v), fresh_blocks(v)
     monkeypatch.setattr(hpmin.fd, "FD_STEP", 1e-5)
-    assert evaluations_of_blocks(v, at_gradient_steps) == warm
-    assert not np.array_equal(fresh_blocks(v), at_gradient_steps)
+    new_gradient = gradient(v)
+    assert evaluations_of_blocks(v) == warm
+    assert not np.array_equal(fresh_blocks(v), old_blocks)
+    np.testing.assert_array_equal(
+        new_gradient, getattr(_build(problem, p)[0], gradient_name)(v))
+    if mode == "central":
+        assert not np.array_equal(new_gradient, old_gradient)
     if problem == "hyper":
         # a gradient that raises leaves no record, not even the one before it
         gradient(v)

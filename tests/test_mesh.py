@@ -297,6 +297,20 @@ def test_elems2edges_alignment():
             assert set(edge) == {a, b}
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rejects_non_finite_nodes(bad):
+    nodes = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [bad, 1.0]]
+    with pytest.raises(ValueError, match="non-finite"):
+        build_mesh(nodes, [[0, 1, 2, 3]])
+
+
+@pytest.mark.parametrize("nodes", [
+    np.zeros((4, 3)), np.zeros((4, 1)), np.zeros(8), np.zeros((4, 2, 1))])
+def test_rejects_nodes_that_are_not_n_by_2(nodes):
+    with pytest.raises(ValueError, match=r"\(N, 2\)"):
+        build_mesh(nodes, [[0, 1, 2, 3]])
+
+
 def test_rejects_clockwise_element():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match="counterclockwise"):
@@ -365,6 +379,19 @@ def test_geometry_factors_rejects_degenerate():
     rule = rule_for_degree(1)
     with pytest.raises(ValueError, match="degenerate element 0"):
         geometry_factors(folded, rule, tabulate(1, rule.points))
+
+
+def test_geometry_factors_rejects_a_nan_jacobian():
+    # bypass build_mesh validation; NaN <= 0 is False, so only a sign test
+    # written as not (det > 0) stops a NaN determinant before wdetj
+    import dataclasses
+
+    nan_node = dataclasses.replace(
+        make_rect(1, 1),
+        nodes=np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [np.nan, 1.0]]))
+    rule = rule_for_degree(1)
+    with pytest.raises(ValueError, match="degenerate element 0"):
+        geometry_factors(nan_node, rule, tabulate(1, rule.points))
 
 
 def test_geometry_factors_requires_matching_points():

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-import hpmin.fd
 import hpmin.solver
 from hpmin.dofmap import expand_solution
 from hpmin.energy import BarrierError
@@ -271,7 +270,8 @@ def _kept_case(case, mode, monkeypatch):
         monkeypatch.setattr(hpmin.solver, "GRAD_RTOL", 1e-15)
         fe, model = neohooke_problem(make_perforated_square(1), p=1, young=2e8,
                                      poisson=0.3, f=(-3.5e7, -3.5e7))
-        return fe, model, TrOptions(max_iters=100, initial_radius=0.28,
+        return fe, model, TrOptions(max_iters=100,
+                                    initial_radius=0.2 * np.sqrt(2.0),
                                     gradient_mode=mode)
     load = (1e30, -3.5e7) if case == "barrier" else (-3.5e7, -3.5e7)
     fe, model = neohooke_problem(make_perforated_square(0), p=2, young=2e8,
@@ -284,12 +284,11 @@ def _kept_case(case, mode, monkeypatch):
 
 def _cold_blocks(model, kernel, evaluate):
     """Element blocks of a model kernel over the free DOFs on a base always
-    computed from scratch by ``evaluate(v_full, steps)``: the problem's
-    blocks without the gradient's evaluation."""
+    computed from scratch by ``evaluate(v_full)``: the problem's blocks
+    without the gradient's evaluation."""
     def blocks(v_free):
         v_full = expand_solution(model.dofmap, v_free)
-        steps = hpmin.fd.difference_steps(v_full)
-        return kernel(v_full, steps, evaluate(v_full, steps))
+        return kernel(v_full, evaluate(v_full))
     return blocks
 
 
@@ -305,9 +304,9 @@ def test_kept_gradient_evaluation_keeps_every_solve_bit(case, mode, monkeypatch)
     fe, model, opts = _kept_case(case, mode, monkeypatch)
     cold = replace(
         fe, element_hessians=_cold_blocks(model, model.element_hessians,
-                                          lambda v, steps: model.residuals(v)),
+                                          model.residuals),
         element_hessians_fd=_cold_blocks(model, model.element_hessians_fd,
-                                         model.slot_differences))
+                                         model.residuals_fd))
     kernel = "_element_energies" if mode == "central_diff" else "_residuals"
     evaluations = []
 
