@@ -18,16 +18,20 @@ is formed.  Outside these kernels G is exposed only as
 ``NeoHookeModel.gradfield``, the named entries of F for det F checks.
 
 ``residuals`` gives the element residuals, the explicit gradient before
-its scatter, and ``residuals_fd`` their central-difference estimate from
-the element energies, in the same signed local layout;
-``assemble_gradient`` scatters either one into a gradient.
-``element_hessians`` and ``element_hessians_fd`` difference them once
-more, one local slot of every element moved by its DOF's step at a time:
-the element blocks of a finite-difference Hessian.  Both block kernels
-take the evaluation at the unmoved point as a required base, since the
-gradient there has already computed it.  The steps are those of
-:func:`hpmin.fd.difference_steps` at the point.  A model keeps no state
-between calls, and every batched product runs over all elements.
+its scatter.  ``probe_energies`` gives the element energies with one local
+slot of every element moved by its DOF's step up and down, one slot at a
+time, and ``residuals_fd`` their central differences, an estimate of the
+residuals in the same signed local layout; ``assemble_gradient`` scatters
+either one into a gradient.  The element blocks of a finite-difference
+Hessian come from ``element_hessians``, forward differences of the
+residuals one moved slot at a time, or from ``element_hessians_fd``,
+second differences of the element energies: it reads the probe energies
+and adds one probe per pair of slots.  Both block kernels take the
+evaluation at the unmoved point (the residuals, or the probe energies) as
+a required base, since the gradient there has already computed it.  The
+steps are those of :func:`hpmin.fd.difference_steps` at the point.  A
+model keeps no state between calls, and every batched product runs over
+all elements.
 
 * scalar power-law diffusion: (1/alpha) integral |grad v|^alpha - integral f v
 * vector compressible Neo-Hookean elasticity with stored density
@@ -140,15 +144,19 @@ class _ModelBase:
         finally:
             v_loc[:, slot] = center
 
+    @staticmethod
+    def _finite(energies: np.ndarray) -> np.ndarray:
+        """``energies``; a non-finite one raises ``BarrierError``."""
+        if not np.all(np.isfinite(energies)):
+            raise BarrierError("energy not finite at a finite-difference probe")
+        return energies
+
     def _probe(self, v_loc: np.ndarray, slot: int, shift: np.ndarray) -> np.ndarray:
         """Element energies with ``slot`` of every element moved by ``shift``.
 
         A non-finite energy raises ``BarrierError``.
         """
-        energies = self._moved(v_loc, slot, shift, self._element_energies)
-        if not np.all(np.isfinite(energies)):
-            raise BarrierError("energy not finite at a finite-difference probe")
-        return energies
+        return self._finite(self._moved(v_loc, slot, shift, self._element_energies))
 
     def _gather(self, v_loc: np.ndarray) -> np.ndarray:
         """Gradient array G, (components, 2, T, n_ip), of local coefficients.
@@ -199,71 +207,77 @@ class _ModelBase:
     def gradient(self, v_full: np.ndarray) -> np.ndarray:
         return self.assemble_gradient(self.residuals(v_full))
 
-    def residuals_fd(self, v_full: np.ndarray) -> np.ndarray:
-        """Central-difference estimate of ``residuals(v_full)``, (T, slots):
-        (e_up - e_dn) / (2 delta) for the element energies with slot s of
+    def probe_energies(self, v_full: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Element energies (e_up, e_dn), each (T, slots), with slot s of
         every element moved by its signed step delta up and down, one slot
-        at a time.  A non-finite probe energy raises ``BarrierError``."""
+        at a time: 2 S batched energy evaluations for S slots.  A non-finite
+        probe energy raises ``BarrierError``."""
         v_loc, deltas = self._at_steps(v_full)
-        return np.column_stack([
-            self._probe(v_loc, slot, deltas[:, slot])
-            - self._probe(v_loc, slot, -deltas[:, slot])
-            for slot in range(v_loc.shape[1])]) / (2.0 * deltas)
+        e_up, e_dn = np.empty((2, *v_loc.shape))
+        for slot in range(v_loc.shape[1]):
+            e_up[:, slot] = self._probe(v_loc, slot, deltas[:, slot])
+            e_dn[:, slot] = self._probe(v_loc, slot, -deltas[:, slot])
+        return e_up, e_dn
 
-    def _forward_difference(self, moved: np.ndarray, base: np.ndarray,
-                            deltas: np.ndarray) -> np.ndarray:
-        """(moved - base) sign_a / h_b in place, for the (slots, T, slots)
-        residuals ``moved`` with slot b of every element moved and the
-        residuals ``base`` at the unmoved point: entry [b, e, a] is element
-        e's share of the Hessian entry coupling the DOFs of its slots a
-        (row) and b (column), with h_b = |delta_b|."""
-        moved -= base
-        moved *= self.dofmap.signs
-        moved /= np.abs(deltas).T[:, :, None]
-        return moved
+    def residuals_fd(self, v_full: np.ndarray,
+                     probes: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """Central-difference estimate of ``residuals(v_full)``, (T, slots):
+        (e_up - e_dn) / (2 delta) of ``probes`` = ``probe_energies(v_full)``."""
+        e_up, e_dn = probes
+        return (e_up - e_dn) / (2.0 * self._at_steps(v_full)[1])
 
     def element_hessians(self, v_full: np.ndarray, base: np.ndarray) -> np.ndarray:
         """Forward differences of the element residuals, (slots, T, slots).
 
         Slot b of every element moves by its DOF's signed step, one slot at
-        a time.  The load term is linear and drops out.  ``base`` is
-        ``residuals(v_full)``: S batched residual evaluations for S slots.
-        A probe at an inverted configuration raises ``BarrierError`` from
-        ``stress``.
+        a time; entry [b, e, a] is (moved - base) sign_a / h_b, element e's
+        share of the Hessian entry coupling the DOFs of its slots a (row)
+        and b (column), with h_b = |delta_b|.  The load term is linear and
+        drops out.  ``base`` is ``residuals(v_full)``: S batched residual
+        evaluations for S slots.  A probe at an inverted configuration
+        raises ``BarrierError`` from ``stress``.
         """
         v_loc, deltas = self._at_steps(v_full)
         moved = np.empty((v_loc.shape[1], *v_loc.shape))
         for slot in range(v_loc.shape[1]):
             moved[slot] = self._moved(v_loc, slot, deltas[:, slot], self._residuals)
-        return self._forward_difference(moved, base, deltas)
+        moved -= base
+        moved *= self.dofmap.signs
+        moved /= np.abs(deltas).T[:, :, None]
+        return moved
 
-    def element_hessians_fd(self, v_full: np.ndarray, base: np.ndarray) -> np.ndarray:
-        """``element_hessians`` from the element energies alone: the forward
-        differences of ``residuals_fd``, with ``base`` = ``residuals_fd(v_full)``.
-        A non-finite probe energy raises ``BarrierError``.
+    def element_hessians_fd(self, v_full: np.ndarray,
+                            base: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """``element_hessians`` from second differences of the element
+        energies, with ``base`` = ``probe_energies(v_full)``.
 
-        With slot b moved up, the probe that also moves slot a up is one
-        array of coefficients whichever of them moves first, so it is
-        evaluated once, for a >= b, and stored in both blocks before each
-        takes its down probe and is divided by 2 delta_a: S^2 + S (S + 1) / 2
-        batched energy evaluations for S slots, where every ordered pair
-        would take 2 S^2, with the same bits.
+        Every probe moves a DOF up or down by its step h, so no sign enters.
+        With e the element energies at v, the diagonal entry of slot a is
+        the central difference (e_up_a - 2 e + e_dn_a) / h_a^2 and the entry
+        of slots a != b the forward mixed difference
+        (e(+a+b) - e_up_a - e_up_b + e) / (h_a h_b) (Nocedal & Wright, 2nd
+        ed., section 8.1).  e(+a+b) is evaluated once per unordered pair and
+        the entry stored in both blocks [b, e, a] and [a, e, b], so they are
+        equal: S (S - 1) / 2 + 1 batched energy evaluations for S slots.  A
+        non-finite energy raises ``BarrierError``.
         """
+        e_up, e_dn = base
         v_loc, deltas = self._at_steps(v_full)
+        h = np.abs(deltas)
+        e = self._finite(self._element_energies(v_loc))
         n_slots = v_loc.shape[1]
-        moved = np.empty((n_slots, *v_loc.shape))
+        blocks = np.empty((n_slots, *v_loc.shape))
         for b in range(n_slots):
             center_b = v_loc[:, b].copy()
             v_loc[:, b] = center_b + deltas[:, b]
-            for a in range(n_slots):
-                if a >= b:  # for a < b, the move of slot a stored this probe
-                    up = self._probe(v_loc, a, deltas[:, a])
-                    moved[b, :, a] = moved[a, :, b] = up
-                moved[b, :, a] -= self._probe(v_loc, a, -deltas[:, a])
+            for a in range(b + 1, n_slots):
+                pair = self._probe(v_loc, a, deltas[:, a])
+                blocks[b, :, a] = blocks[a, :, b] = (
+                    (pair - e_up[:, a] - e_up[:, b] + e) / (h[:, a] * h[:, b]))
             v_loc[:, b] = center_b
-        moved /= 2.0 * deltas
-        return self._forward_difference(moved, base, deltas)
-
+        slots = np.arange(n_slots)
+        blocks[slots, :, slots] = ((e_up - 2.0 * e[:, None] + e_dn) / h**2).T
+        return blocks
 
 def _frobenius2(G: np.ndarray) -> np.ndarray:
     """Squared Frobenius norm of G at every quadrature point.

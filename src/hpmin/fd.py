@@ -3,17 +3,17 @@ slots or a distance-2 coloring.
 
 The energy is a sum of element energies, so its Hessian is a sum of
 element blocks (a partially separable function, Griewank & Toint 1982).
-A model differences its element residuals, explicit or estimated by
-central differences, once per local slot, with that slot of every element
-moved by its step from :func:`difference_steps`, and one ``bincount``
-scatters the blocks into the pattern through a position map built once
-(``SlotPattern``).  A problem without element kernels takes one forward
-gradient difference per color group instead; group members share no
-structurally-coupled row, so every pattern column can be read off
-directly (Coleman & More 1983).  The groups come from a plain greedy
-coloring in natural order: the model problems never take this path,
-which serves generic problems and is the reference the element slots are
-checked against.
+A model differences its explicit element residuals once per local slot,
+or takes second differences of its element energies once per local slot
+and pair of slots, with those slots of every element moved by their steps
+from :func:`difference_steps`, and one ``bincount`` scatters the blocks
+into the pattern through a position map built once (``SlotPattern``).  A
+problem without element kernels takes one forward gradient difference per
+color group instead; group members share no structurally-coupled row, so
+every pattern column can be read off directly (Coleman & More 1983).  The
+groups come from a plain greedy coloring in natural order: the model
+problems never take this path, which serves generic problems and is the
+reference the element slots are checked against.
 """
 
 from __future__ import annotations

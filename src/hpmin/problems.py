@@ -23,10 +23,11 @@ def _problem(mesh: QuadMesh, p: int, components: int, dirichlet: DirichletSpec,
 
     ``make_model(geo, dofmap)`` builds the energy model and
     ``make_x0(dofmap)`` the free-DOF starting vector.  Each gradient mode
-    evaluates the element residuals at the full vector, ``model.residuals``
-    in explicit mode and ``model.residuals_fd`` in central_diff mode,
-    assembles them with ``model.assemble_gradient`` and keeps the free
-    entries; ``element_dofs`` maps the element slots to free DOFs.
+    evaluates the elements at the full vector, ``model.residuals`` in
+    explicit mode and ``model.probe_energies`` in central_diff mode, turns
+    that evaluation into element residuals (``model.residuals_fd`` of the
+    probes), assembles them with ``model.assemble_gradient`` and keeps the
+    free entries; ``element_dofs`` maps the element slots to free DOFs.
 
     ``minimize`` evaluates the gradient at every point before it builds
     the one Hessian there, so each gradient leaves one record: its mode,
@@ -41,16 +42,18 @@ def _problem(mesh: QuadMesh, p: int, components: int, dirichlet: DirichletSpec,
     model = make_model(geo, dm)
     record = None
 
-    def wire(mode, evaluate, kernel):
+    def wire(mode, evaluate, residuals, kernel):
         """The gradient and element blocks of one mode from its element
-        evaluation ``evaluate(v_full)`` and the model's blocks ``kernel``."""
+        evaluation ``evaluate(v_full)``, the element residuals
+        ``residuals(v_full, evaluation)`` and the model's blocks ``kernel``."""
         def gradient(v_free):
             nonlocal record
             record = None
             v_full = expand_solution(dm, v_free)
             evaluation = evaluate(v_full)
             record = (mode, v_full.tobytes(), evaluation)
-            return model.assemble_gradient(evaluation)[dm.free_dofs]
+            return model.assemble_gradient(
+                residuals(v_full, evaluation))[dm.free_dofs]
 
         def blocks(v_free):
             nonlocal record
@@ -62,9 +65,11 @@ def _problem(mesh: QuadMesh, p: int, components: int, dirichlet: DirichletSpec,
         return gradient, blocks
 
     gradient, element_hessians = wire("explicit", model.residuals,
+                                      lambda v_full, residuals: residuals,
                                       model.element_hessians)
-    gradient_fd, element_hessians_fd = wire("central_diff", model.residuals_fd,
-                                            model.element_hessians_fd)
+    gradient_fd, element_hessians_fd = wire(
+        "central_diff", model.probe_energies, model.residuals_fd,
+        model.element_hessians_fd)
     free_index = np.full(dm.n_dofs, -1)
     free_index[dm.free_dofs] = np.arange(dm.n_free)
     problem = EnergyProblem(

@@ -27,10 +27,64 @@ from hpmin.mesh import HOLE_RADIUS, QuadMesh, _corner_cross, _grid, build_mesh
 
 def central_gradient(model, v_full: np.ndarray) -> np.ndarray:
     """The element-local central-difference gradient of a model at a full
-    vector: its ``residuals_fd`` assembled by ``assemble_gradient``, as a
-    problem's ``gradient_fd`` assembles them before it keeps the free
-    entries."""
-    return model.assemble_gradient(model.residuals_fd(v_full))
+    vector: its ``residuals_fd`` of its ``probe_energies`` assembled by
+    ``assemble_gradient``, as a problem's ``gradient_fd`` assembles them
+    before it keeps the free entries."""
+    return model.assemble_gradient(
+        model.residuals_fd(v_full, model.probe_energies(v_full)))
+
+
+def central_residuals(model, v_full: np.ndarray) -> np.ndarray:
+    """Central differences of the element energies, (T, slots), one slot
+    at a time: slot s of every element moved by its signed step delta up,
+    then down, and (e_up - e_dn) / (2 delta) of each column."""
+    v_loc = model.dofmap.gather(v_full)
+    deltas = model.dofmap.gather(FD_STEP * np.maximum(1.0, np.abs(v_full)))
+    columns = []
+    for slot in range(v_loc.shape[1]):
+        center = v_loc[:, slot].copy()
+        v_loc[:, slot] = center + deltas[:, slot]
+        up = model._element_energies(v_loc)
+        v_loc[:, slot] = center - deltas[:, slot]
+        columns.append(up - model._element_energies(v_loc))
+        v_loc[:, slot] = center
+    return np.column_stack(columns) / (2.0 * deltas)
+
+
+def hessian_mixed_differences(energy, v: np.ndarray, pattern) -> np.ndarray:
+    """Second differences of a scalar energy on the stored entries of a
+    CSR pattern, in its data order, one DOF pair at a time: the central
+    (E(+i) - 2 E + E(-i)) / h_i^2 on the diagonal and the forward mixed
+    (E(+i+j) - E(+i) - E(+j) + E) / (h_i h_j) off it, with
+    h_i = FD_STEP max(1, |v_i|).
+
+    Reference implementation: every probe re-evaluates the full energy,
+    once for each pair i < j.
+    """
+    v = np.asarray(v, dtype=float)
+    h = FD_STEP * np.maximum(1.0, np.abs(v))
+
+    def at(*up, down=()):
+        probe = v.copy()
+        probe[list(up)] += h[list(up)]
+        probe[list(down)] -= h[list(down)]
+        value = energy(probe)
+        if not np.isfinite(value):
+            raise BarrierError(f"energy not finite at probe {up}, {down}")
+        return value
+
+    e = at()
+    e_up = [at(i) for i in range(v.size)]
+    rows = np.repeat(np.arange(v.size), np.diff(pattern.indptr))
+    pairs = {}
+    for i, j in zip(rows.tolist(), pattern.indices.tolist()):
+        if (j, i) in pairs:
+            pairs[i, j] = pairs[j, i]
+        elif i == j:
+            pairs[i, j] = (e_up[i] - 2.0 * e + at(down=(i,))) / h[i] ** 2
+        else:
+            pairs[i, j] = (at(i, j) - e_up[i] - e_up[j] + e) / (h[i] * h[j])
+    return np.array(list(pairs.values()))
 
 
 def gradient_central(energy, v: np.ndarray, h: float = FD_STEP,

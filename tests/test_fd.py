@@ -26,8 +26,10 @@ from hpmin.quadrature import rule_for_degree
 from hpmin.solver import TrOptions, minimize
 from oracles import (
     central_gradient,
+    central_residuals,
     free_index,
     gradient_central,
+    hessian_mixed_differences,
     make_rect,
     physical_derivatives,
 )
@@ -324,71 +326,54 @@ def test_slot_hessian_matches_colored_hessian(problem, p):
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 @pytest.mark.parametrize("problem", ["hyper", "plaplace"])
 def test_slot_hessian_fd_matches_colored_hessian(problem, p):
-    # second differences of the element energies against colored forward
-    # differences of the central-difference gradient.  The plaplace point
+    # second differences of the element energies against two other
+    # estimates of the same Hessian: the explicit-mode element slots, the
+    # accuracy oracle, and colored forward differences of the
+    # central-difference gradient.  Round-off of the element energies over
+    # h^2 sets the bounds: measured against the explicit slots 1.4e-4 ...
+    # 5.4e-4 relative on plaplace and 1.4e-6 ... 1.6e-6 on hyper, and no
+    # more against the colored differences.  The plaplace point
     # keeps |v| < 1: past it a colored probe recomputes its steps
     # FD_STEP * max(1, |v_j|) at the moved point, which the element slots
-    # do not, and at standard-normal points (max |v| 2.2 ... 3.9) the two
-    # differ by 1.3e-4 ... 5.3e-4 relative
+    # do not
     fe = _fem_problem(problem, p, level=1)
     rng = np.random.default_rng(20 + p)
     if problem == "hyper":
         v, bound = fe.x0 + 1e-3 * rng.standard_normal(fe.x0.size), 5e-6
     else:
-        v, bound = rng.uniform(-0.9, 0.9, fe.x0.size), 1e-9
-    colored = hessian_fd(fe.gradient_fd, v, greedy_coloring(fe.pattern),
-                         g0=fe.gradient_fd(v))
-    H = hessian_fd(fe.element_hessians_fd, v,
-                   slot_pattern(fe.pattern, fe.element_dofs), g0=None)
+        v, bound = rng.uniform(-0.9, 0.9, fe.x0.size), 1e-3
+    slots = slot_pattern(fe.pattern, fe.element_dofs)
+    H = hessian_fd(fe.element_hessians_fd, v, slots, g0=None)
     for name in ("indices", "indptr"):
         structure = getattr(fe.pattern, name)
         np.testing.assert_array_equal(getattr(H, name), structure)
         assert np.shares_memory(getattr(H, name), structure)
     assert (H != H.T).nnz == 0
-    rel = np.max(np.abs(H.data - colored.data)) / np.max(np.abs(colored.data))
-    assert rel <= bound
-
-
-def _ordered_pair_blocks_fd(model, v_full):
-    """``element_hessians_fd`` with every ordered pair of slots probed: slot
-    b of every element moved up, the central-difference residuals of every
-    slot there, minus those at v, times sign_a over h_b."""
-    steps = hpmin.fd.difference_steps(v_full)
-    v_loc = model.dofmap.gather(v_full)
-    deltas = model.dofmap.gather(steps)
-
-    def central_residuals():
-        columns = []
-        for a in range(v_loc.shape[1]):
-            center = v_loc[:, a].copy()
-            v_loc[:, a] = center + deltas[:, a]
-            up = model._element_energies(v_loc)
-            v_loc[:, a] = center - deltas[:, a]
-            columns.append(up - model._element_energies(v_loc))
-            v_loc[:, a] = center
-        return np.column_stack(columns) / (2.0 * deltas)
-
-    base = central_residuals()
-    blocks = np.empty((v_loc.shape[1], *v_loc.shape))
-    for b in range(v_loc.shape[1]):
-        center = v_loc[:, b].copy()
-        v_loc[:, b] = center + deltas[:, b]
-        blocks[b] = central_residuals()
-        v_loc[:, b] = center
-    h = steps[model.dofmap.elems2dofs]
-    return (blocks - base) * model.dofmap.signs / h.T[:, :, None]
+    for reference in (
+            hessian_fd(fe.element_hessians, v, slots, g0=None),
+            hessian_fd(fe.gradient_fd, v, greedy_coloring(fe.pattern),
+                       g0=fe.gradient_fd(v))):
+        rel = (np.max(np.abs(H.data - reference.data))
+               / np.max(np.abs(reference.data)))
+        assert rel <= bound
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 @pytest.mark.parametrize("problem", ["hyper", "plaplace"])
 def test_slot_hessian_fd_probes_each_pair_once(problem, p, monkeypatch):
-    # the probe that moves slots a and b up is one array of coefficients
-    # whichever moves first, so element_hessians_fd evaluates it once, in
-    # S^2 + S (S + 1) / 2 batched energy evaluations for S slots on a given
-    # base instead of 2 S^2, and keeps the bits of the ordered-pair loop
-    model, _, v, _ = _gradient_case(problem, p)
-    oracle = _ordered_pair_blocks_fd(model, v)
-    base = model.residuals_fd(v)
+    # the element blocks on the gradient's probes take e at v and one probe
+    # per unordered pair of slots, S (S - 1) / 2 + 1 batched energy
+    # evaluations for S slots, and equal the same second differences of the
+    # whole energy taken one DOF pair at a time: the energy is a sum of
+    # element energies, so only round-off of the four whole sums, each
+    # about eps times the sum of its terms' magnitudes, tells them apart
+    # (measured at most 2.3 of that over h_i h_j)
+    fe, model = _build(problem, p)
+    dm = model.dofmap
+    v = _random_start(problem, fe, np.random.default_rng(p))
+    v_full = expand_solution(dm, v)
+    oracle = hessian_mixed_differences(fe.energy, v, fe.pattern)
+    base = model.probe_energies(v_full)
     evaluations = []
 
     def counted(v_loc, energies=model._element_energies):
@@ -396,9 +381,74 @@ def test_slot_hessian_fd_probes_each_pair_once(problem, p, monkeypatch):
         return energies(v_loc)
 
     monkeypatch.setattr(model, "_element_energies", counted)
-    np.testing.assert_array_equal(model.element_hessians_fd(v, base), oracle)
-    n_slots = model.dofmap.elems2dofs.shape[1]
-    assert len(evaluations) == n_slots ** 2 + n_slots * (n_slots + 1) // 2
+    H = hessian_fd(lambda _: model.element_hessians_fd(v_full, base), v,
+                   slot_pattern(fe.pattern, fe.element_dofs), g0=None)
+    n_slots = dm.elems2dofs.shape[1]
+    assert len(evaluations) == n_slots * (n_slots - 1) // 2 + 1
+    magnitude = (np.abs(model.element_energies(v_full)).sum()
+                 + np.abs(model.b_full * v_full).sum())
+    h = hpmin.fd.difference_steps(v)
+    rows = np.repeat(np.arange(v.size), np.diff(fe.pattern.indptr))
+    bound = 8.0 * np.finfo(float).eps * magnitude / (h[rows] * h[fe.pattern.indices])
+    assert np.all(np.abs(H.data - oracle) <= bound)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("problem", ["hyper", "plaplace"])
+def test_slot_hessian_fd_blocks_are_exactly_symmetric(problem, p):
+    # one pair probe serves both blocks of a pair, and the diagonal is
+    # its own mirror, so term [b, e, a] equals term [a, e, b] bit for bit
+    model, _, v, _ = _gradient_case(problem, p)
+    blocks = model.element_hessians_fd(v, model.probe_energies(v))
+    np.testing.assert_array_equal(blocks, blocks.transpose(2, 1, 0))
+
+
+def test_slot_hessian_fd_raises_on_a_non_finite_energy(monkeypatch):
+    # e at v, and every pair probe, must be finite; the blocks read e_up
+    # and e_dn from their base alone, so a finite base is enough to reach
+    # them
+    model, _, _, _ = _gradient_case("hyper", 2)
+    dm = model.dofmap
+    evaluations = []
+
+    def counted(v_loc, energies=model._element_energies):
+        evaluations.append(v_loc.shape)
+        return energies(v_loc)
+
+    monkeypatch.setattr(model, "_element_energies", counted)
+    finite = np.zeros((2, dm.mesh.n_elems, dm.elems2dofs.shape[1]))
+    # the mirror image inverts every element: e at v is +inf
+    mirrored = identity_deformation(dm)
+    mirrored[:dm.n_p] *= -1.0
+    with pytest.raises(BarrierError):
+        model.element_hessians_fd(mirrored, finite)
+    assert len(evaluations) == 1
+    # the identity shrunk to det F = 1e-14 > 0: e at v is finite, and a
+    # probe that moves two DOFs up by their steps 1e-6 inverts an element
+    evaluations.clear()
+    shrunk = 1e-7 * identity_deformation(dm)
+    assert np.all(np.isfinite(model.element_energies(shrunk)))
+    with pytest.raises(BarrierError):
+        model.element_hessians_fd(shrunk, finite)
+    assert len(evaluations) >= 2
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("problem", ["hyper", "plaplace"])
+def test_gradient_fd_keeps_the_bits_of_a_plain_probe_loop(problem, p):
+    # the problem's central-difference gradient, on the probes it keeps for
+    # the Hessian, is the oracle's central gradient and the central
+    # differences of a probe loop that keeps no probe, bit for bit
+    fe, model = _build(problem, p)
+    dm = model.dofmap
+    v = _random_start(problem, fe, np.random.default_rng(40 + p))
+    v_full = expand_solution(dm, v)
+    gradient = fe.gradient_fd(v)
+    np.testing.assert_array_equal(gradient,
+                                  central_gradient(model, v_full)[dm.free_dofs])
+    np.testing.assert_array_equal(
+        gradient,
+        model.assemble_gradient(central_residuals(model, v_full))[dm.free_dofs])
 
 
 def test_central_diff_hessian_does_not_see_the_load(monkeypatch):
@@ -625,7 +675,8 @@ def test_central_residuals_match_the_explicit_ones_slot_by_slot(problem, p):
     # layout; the central-difference estimate matches the explicit one
     # entry by entry before any scatter
     model, _, v, _ = _gradient_case(problem, p)
-    explicit, central = model.residuals(v), model.residuals_fd(v)
+    explicit = model.residuals(v)
+    central = model.residuals_fd(v, model.probe_energies(v))
     assert central.shape == explicit.shape
     rel = np.max(np.abs(central - explicit)) / np.max(np.abs(explicit))
     assert rel <= 1e-8
@@ -691,10 +742,10 @@ _KEPT = {"explicit": ("gradient", "element_hessians", "_residuals"),
 def test_hessian_reuses_the_gradients_element_evaluation(problem, p, mode,
                                                          monkeypatch):
     # each gradient leaves one record of its element evaluation, the
-    # residuals or their central-difference estimate, and the blocks at
-    # the same point take it as their base: S batched evaluations for S
-    # slots in place of S + 1, or S^2 + S (S + 1) / 2 in place of 2 S more,
-    # with the bits of a fresh problem's blocks.  Any blocks call spends
+    # residuals or the energies of the central-difference probes, and the
+    # blocks at the same point take it as their base: S batched evaluations
+    # for S slots in place of S + 1, or S (S - 1) / 2 + 1 in place of 2 S
+    # more, with the bits of a fresh problem's blocks.  Any blocks call spends
     # the record, so a second one at the same point, and any other, is cold
     gradient_name, blocks_name, kernel_name = _KEPT[mode]
     fe, model = _build(problem, p)
@@ -703,7 +754,7 @@ def test_hessian_reuses_the_gradients_element_evaluation(problem, p, mode,
     if mode == "explicit":
         warm, cold = n_slots, n_slots + 1
     else:
-        warm = n_slots ** 2 + n_slots * (n_slots + 1) // 2
+        warm = n_slots * (n_slots - 1) // 2 + 1
         cold = warm + 2 * n_slots
     evaluations = []
 
@@ -752,14 +803,6 @@ def test_hessian_reuses_the_gradients_element_evaluation(problem, p, mode,
         assert not np.array_equal(new_gradient, old_gradient)
     if problem == "hyper":
         # a gradient that raises leaves no record, not even the one before it
-        gradient(v)
-        inverted = v.copy()
-        inverted[0] += 10.0
-        with pytest.raises(BarrierError):
-            gradient(inverted)
-        assert evaluations_of_blocks(v) == cold
-    if problem == "hyper":
-        # a gradient that raises keeps nothing, not even the entry before it
         gradient(v)
         inverted = v.copy()
         inverted[0] += 10.0

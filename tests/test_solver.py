@@ -270,8 +270,7 @@ def _kept_case(case, mode, monkeypatch):
         monkeypatch.setattr(hpmin.solver, "GRAD_RTOL", 1e-15)
         fe, model = neohooke_problem(make_perforated_square(1), p=1, young=2e8,
                                      poisson=0.3, f=(-3.5e7, -3.5e7))
-        return fe, model, TrOptions(max_iters=100,
-                                    initial_radius=0.2 * np.sqrt(2.0),
+        return fe, model, TrOptions(max_iters=100, initial_radius=0.2,
                                     gradient_mode=mode)
     load = (1e30, -3.5e7) if case == "barrier" else (-3.5e7, -3.5e7)
     fe, model = neohooke_problem(make_perforated_square(0), p=2, young=2e8,
@@ -306,7 +305,7 @@ def test_kept_gradient_evaluation_keeps_every_solve_bit(case, mode, monkeypatch)
         fe, element_hessians=_cold_blocks(model, model.element_hessians,
                                           model.residuals),
         element_hessians_fd=_cold_blocks(model, model.element_hessians_fd,
-                                         model.residuals_fd))
+                                         model.probe_energies))
     kernel = "_element_energies" if mode == "central_diff" else "_residuals"
     evaluations = []
 
@@ -344,7 +343,7 @@ def test_no_hessian_in_a_solve_is_built_cold(case, mode, monkeypatch):
     # minimize evaluates the gradient at every point before the one Hessian
     # there, so every Hessian of a solve takes the gradient's evaluation as
     # its base: S batched residual evaluations for S slots, or
-    # S^2 + S (S + 1) / 2 batched energy evaluations, and never the cold
+    # S (S - 1) / 2 + 1 batched energy evaluations, and never the cold
     # S + 1 or 2 S more
     fe, model, opts = _kept_case(case, mode, monkeypatch)
     n_slots = model.dofmap.elems2dofs.shape[1]
@@ -352,7 +351,7 @@ def test_no_hessian_in_a_solve_is_built_cold(case, mode, monkeypatch):
         kernel, blocks, warm = "_residuals", "element_hessians", n_slots
     else:
         kernel, blocks = "_element_energies", "element_hessians_fd"
-        warm = n_slots ** 2 + n_slots * (n_slots + 1) // 2
+        warm = n_slots * (n_slots - 1) // 2 + 1
     evaluations = []
 
     def counted(v_loc, evaluate=getattr(model, kernel)):
