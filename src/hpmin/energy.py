@@ -17,21 +17,24 @@ product against the transposed table; no per-element derivative tensor
 is formed.  Outside these kernels G is exposed only as
 ``NeoHookeModel.gradfield``, the named entries of F for det F checks.
 
-``residuals`` gives the element residuals, the explicit gradient before
-its scatter.  ``probe_energies`` gives the element energies with one local
-slot of every element moved by its DOF's step up and down, one slot at a
-time, and ``residuals_fd`` their central differences, an estimate of the
-residuals in the same signed local layout; ``assemble_gradient`` scatters
-either one into a gradient.  The element blocks of a finite-difference
-Hessian come from ``element_hessians``, forward differences of the
-residuals one moved slot at a time, or from ``element_hessians_fd``,
-second differences of the element energies: it reads the probe energies
-and adds one probe per pair of slots.  Both block kernels take the
-evaluation at the unmoved point (the residuals, or the probe energies) as
-a required base, since the gradient there has already computed it.  The
-steps are those of :func:`hpmin.fd.difference_steps` at the point.  A
-model keeps no state between calls, and every batched product runs over
-all elements.
+Each gradient mode has one element evaluation at a point: its element
+residuals and the base its Hessian blocks difference against.
+``residuals`` gives the explicit residuals, the gradient before its
+scatter, and they are their own base.  ``probe_energies`` gives the
+element energies (e_up, e_dn) with one local slot of every element moved
+by its DOF's step up and down, one slot at a time, as the base, and
+their central differences as the residuals, an estimate in the same
+signed local layout; ``assemble_gradient`` scatters either into a
+gradient.  The element blocks of a finite-difference Hessian come from
+``element_hessians``, forward differences of the residuals one moved
+slot at a time, or from ``element_hessians_fd``, second differences of
+the element energies: it reads (e_up, e_dn) and adds one probe per pair
+of slots.  Both block kernels take the base as a required argument,
+since the gradient at the point has already computed it.  The steps are
+those of :func:`hpmin.fd.difference_steps` at the point.  Every probe
+evaluates a moved copy of the local coefficients, so no call changes
+its arguments; a model keeps no state between calls, and every batched
+product runs over all elements.
 
 * scalar power-law diffusion: (1/alpha) integral |grad v|^alpha - integral f v
 * vector compressible Neo-Hookean elasticity with stored density
@@ -130,33 +133,26 @@ class _ModelBase:
 
     def _at_steps(self, v_full: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Signed local coefficients of ``v_full`` and the signed local steps
-        of :func:`hpmin.fd.difference_steps` there, both (T, slots)."""
-        return self.dofmap.gather(v_full), self.dofmap.gather(difference_steps(v_full))
+        of :func:`hpmin.fd.difference_steps` there, both (T, slots).  The
+        steps come from the gathered coefficients: |+-x| is exact, so they
+        have the bits of the gathered steps of ``v_full``."""
+        v_loc = self.dofmap.gather(v_full)
+        return v_loc, self.dofmap.signs * difference_steps(v_loc)
 
-    @staticmethod
-    def _moved(v_loc: np.ndarray, slot: int, shift: np.ndarray, evaluate):
-        """``evaluate(v_loc)`` with ``slot`` of every element moved by
-        ``shift``; ``v_loc`` is moved in place and left with its bits."""
-        center = v_loc[:, slot].copy()
-        v_loc[:, slot] = center + shift
-        try:
-            return evaluate(v_loc)
-        finally:
-            v_loc[:, slot] = center
-
-    @staticmethod
-    def _finite(energies: np.ndarray) -> np.ndarray:
-        """``energies``; a non-finite one raises ``BarrierError``."""
+    def _shifted(self, v_loc: np.ndarray, *moves, evaluate=None) -> np.ndarray:
+        """``evaluate``, by default the element energies, of a copy of
+        ``v_loc`` with ``shift`` added to ``slot`` of every element for each
+        ``(slot, shift)`` of ``moves``.  A non-finite element energy raises
+        ``BarrierError``."""
+        moved = v_loc.copy()
+        for slot, shift in moves:
+            moved[:, slot] += shift
+        if evaluate is not None:
+            return evaluate(moved)
+        energies = self._element_energies(moved)
         if not np.all(np.isfinite(energies)):
             raise BarrierError("energy not finite at a finite-difference probe")
         return energies
-
-    def _probe(self, v_loc: np.ndarray, slot: int, shift: np.ndarray) -> np.ndarray:
-        """Element energies with ``slot`` of every element moved by ``shift``.
-
-        A non-finite energy raises ``BarrierError``.
-        """
-        return self._finite(self._moved(v_loc, slot, shift, self._element_energies))
 
     def _gather(self, v_loc: np.ndarray) -> np.ndarray:
         """Gradient array G, (components, 2, T, n_ip), of local coefficients.
@@ -207,24 +203,20 @@ class _ModelBase:
     def gradient(self, v_full: np.ndarray) -> np.ndarray:
         return self.assemble_gradient(self.residuals(v_full))
 
-    def probe_energies(self, v_full: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Element energies (e_up, e_dn), each (T, slots), with slot s of
-        every element moved by its signed step delta up and down, one slot
-        at a time: 2 S batched energy evaluations for S slots.  A non-finite
-        probe energy raises ``BarrierError``."""
+    def probe_energies(self, v_full: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """The central mode's element evaluation: the central-difference
+        estimate of ``residuals(v_full)``, (T, slots), and its base
+        (e_up, e_dn), the element energies with slot s of every element
+        moved by its signed step delta up and down, one slot at a time.
+        The estimate is (e_up - e_dn) / (2 delta): 2 S batched energy
+        evaluations for S slots.  A non-finite probe energy raises
+        ``BarrierError``."""
         v_loc, deltas = self._at_steps(v_full)
         e_up, e_dn = np.empty((2, *v_loc.shape))
         for slot in range(v_loc.shape[1]):
-            e_up[:, slot] = self._probe(v_loc, slot, deltas[:, slot])
-            e_dn[:, slot] = self._probe(v_loc, slot, -deltas[:, slot])
-        return e_up, e_dn
-
-    def residuals_fd(self, v_full: np.ndarray,
-                     probes: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        """Central-difference estimate of ``residuals(v_full)``, (T, slots):
-        (e_up - e_dn) / (2 delta) of ``probes`` = ``probe_energies(v_full)``."""
-        e_up, e_dn = probes
-        return (e_up - e_dn) / (2.0 * self._at_steps(v_full)[1])
+            e_up[:, slot] = self._shifted(v_loc, (slot, deltas[:, slot]))
+            e_dn[:, slot] = self._shifted(v_loc, (slot, -deltas[:, slot]))
+        return (e_up - e_dn) / (2.0 * deltas), (e_up, e_dn)
 
     def element_hessians(self, v_full: np.ndarray, base: np.ndarray) -> np.ndarray:
         """Forward differences of the element residuals, (slots, T, slots).
@@ -240,7 +232,8 @@ class _ModelBase:
         v_loc, deltas = self._at_steps(v_full)
         moved = np.empty((v_loc.shape[1], *v_loc.shape))
         for slot in range(v_loc.shape[1]):
-            moved[slot] = self._moved(v_loc, slot, deltas[:, slot], self._residuals)
+            moved[slot] = self._shifted(v_loc, (slot, deltas[:, slot]),
+                                        evaluate=self._residuals)
         moved -= base
         moved *= self.dofmap.signs
         moved /= np.abs(deltas).T[:, :, None]
@@ -249,7 +242,7 @@ class _ModelBase:
     def element_hessians_fd(self, v_full: np.ndarray,
                             base: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         """``element_hessians`` from second differences of the element
-        energies, with ``base`` = ``probe_energies(v_full)``.
+        energies, with ``base`` = (e_up, e_dn) of ``probe_energies(v_full)``.
 
         Every probe moves a DOF up or down by its step h, so no sign enters.
         With e the element energies at v, the diagonal entry of slot a is
@@ -264,20 +257,18 @@ class _ModelBase:
         e_up, e_dn = base
         v_loc, deltas = self._at_steps(v_full)
         h = np.abs(deltas)
-        e = self._finite(self._element_energies(v_loc))
+        e = self._shifted(v_loc)
         n_slots = v_loc.shape[1]
         blocks = np.empty((n_slots, *v_loc.shape))
         for b in range(n_slots):
-            center_b = v_loc[:, b].copy()
-            v_loc[:, b] = center_b + deltas[:, b]
             for a in range(b + 1, n_slots):
-                pair = self._probe(v_loc, a, deltas[:, a])
+                pair = self._shifted(v_loc, (b, deltas[:, b]), (a, deltas[:, a]))
                 blocks[b, :, a] = blocks[a, :, b] = (
                     (pair - e_up[:, a] - e_up[:, b] + e) / (h[:, a] * h[:, b]))
-            v_loc[:, b] = center_b
         slots = np.arange(n_slots)
         blocks[slots, :, slots] = ((e_up - 2.0 * e[:, None] + e_dn) / h**2).T
         return blocks
+
 
 def _frobenius2(G: np.ndarray) -> np.ndarray:
     """Squared Frobenius norm of G at every quadrature point.

@@ -23,53 +23,52 @@ def _problem(mesh: QuadMesh, p: int, components: int, dirichlet: DirichletSpec,
 
     ``make_model(geo, dofmap)`` builds the energy model and
     ``make_x0(dofmap)`` the free-DOF starting vector.  Each gradient mode
-    evaluates the elements at the full vector, ``model.residuals`` in
-    explicit mode and ``model.probe_energies`` in central_diff mode, turns
-    that evaluation into element residuals (``model.residuals_fd`` of the
-    probes), assembles them with ``model.assemble_gradient`` and keeps the
-    free entries; ``element_dofs`` maps the element slots to free DOFs.
+    has one element evaluation at the full vector, its element residuals
+    and the base of its blocks: ``model.residuals``, their own base, in
+    explicit mode and ``model.probe_energies`` in central_diff mode.  The
+    gradient assembles the residuals with ``model.assemble_gradient`` and
+    keeps the free entries; ``element_dofs`` maps the element slots to
+    free DOFs.
 
     ``minimize`` evaluates the gradient at every point before it builds
-    the one Hessian there, so each gradient leaves one record: its mode,
-    the bytes of the full vector and the evaluation.  The blocks of that
-    mode at that point take the evaluation as their base and do not
-    compute it again.  Any blocks call clears the record, and elsewhere
+    the one Hessian there, so each mode keeps one record, left by its
+    last gradient: the bytes of the full vector and the base.  The blocks
+    of that mode at that point take the base from it and do not compute
+    it again.  A blocks call spends its mode's record, and elsewhere
     computes the base itself; a gradient that raises leaves none.
     """
     rule = rule_for_degree(p)
     geo = geometry_factors(mesh, rule, tabulate(p, rule.points))
     dm = build_dofmap(mesh, p, components=components, dirichlet=dirichlet)
     model = make_model(geo, dm)
-    record = None
 
-    def wire(mode, evaluate, residuals, kernel):
+    def wire(evaluate, kernel):
         """The gradient and element blocks of one mode from its element
-        evaluation ``evaluate(v_full)``, the element residuals
-        ``residuals(v_full, evaluation)`` and the model's blocks ``kernel``."""
+        evaluation ``evaluate(v_full)``, (residuals, base), and the model's
+        blocks ``kernel(v_full, base)``."""
+        record = None
+
         def gradient(v_free):
             nonlocal record
             record = None
             v_full = expand_solution(dm, v_free)
-            evaluation = evaluate(v_full)
-            record = (mode, v_full.tobytes(), evaluation)
-            return model.assemble_gradient(
-                residuals(v_full, evaluation))[dm.free_dofs]
+            residuals, base = evaluate(v_full)
+            record = (v_full.tobytes(), base)
+            return model.assemble_gradient(residuals)[dm.free_dofs]
 
         def blocks(v_free):
             nonlocal record
             v_full = expand_solution(dm, v_free)
-            kept = record is not None and record[:2] == (mode, v_full.tobytes())
-            base = record[2] if kept else evaluate(v_full)
+            kept = record is not None and record[0] == v_full.tobytes()
+            base = record[1] if kept else evaluate(v_full)[1]
             record = None
             return kernel(v_full, base)
         return gradient, blocks
 
-    gradient, element_hessians = wire("explicit", model.residuals,
-                                      lambda v_full, residuals: residuals,
-                                      model.element_hessians)
-    gradient_fd, element_hessians_fd = wire(
-        "central_diff", model.probe_energies, model.residuals_fd,
-        model.element_hessians_fd)
+    gradient, element_hessians = wire(
+        lambda v_full: (model.residuals(v_full),) * 2, model.element_hessians)
+    gradient_fd, element_hessians_fd = wire(model.probe_energies,
+                                            model.element_hessians_fd)
     free_index = np.full(dm.n_dofs, -1)
     free_index[dm.free_dofs] = np.arange(dm.n_free)
     problem = EnergyProblem(

@@ -27,11 +27,10 @@ from hpmin.mesh import HOLE_RADIUS, QuadMesh, _corner_cross, _grid, build_mesh
 
 def central_gradient(model, v_full: np.ndarray) -> np.ndarray:
     """The element-local central-difference gradient of a model at a full
-    vector: its ``residuals_fd`` of its ``probe_energies`` assembled by
+    vector: the residuals of its ``probe_energies`` assembled by
     ``assemble_gradient``, as a problem's ``gradient_fd`` assembles them
     before it keeps the free entries."""
-    return model.assemble_gradient(
-        model.residuals_fd(v_full, model.probe_energies(v_full)))
+    return model.assemble_gradient(model.probe_energies(v_full)[0])
 
 
 def central_residuals(model, v_full: np.ndarray) -> np.ndarray:

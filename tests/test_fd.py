@@ -373,7 +373,7 @@ def test_slot_hessian_fd_probes_each_pair_once(problem, p, monkeypatch):
     v = _random_start(problem, fe, np.random.default_rng(p))
     v_full = expand_solution(dm, v)
     oracle = hessian_mixed_differences(fe.energy, v, fe.pattern)
-    base = model.probe_energies(v_full)
+    base = model.probe_energies(v_full)[1]
     evaluations = []
 
     def counted(v_loc, energies=model._element_energies):
@@ -399,7 +399,7 @@ def test_slot_hessian_fd_blocks_are_exactly_symmetric(problem, p):
     # one pair probe serves both blocks of a pair, and the diagonal is
     # its own mirror, so term [b, e, a] equals term [a, e, b] bit for bit
     model, _, v, _ = _gradient_case(problem, p)
-    blocks = model.element_hessians_fd(v, model.probe_energies(v))
+    blocks = model.element_hessians_fd(v, model.probe_energies(v)[1])
     np.testing.assert_array_equal(blocks, blocks.transpose(2, 1, 0))
 
 
@@ -676,7 +676,7 @@ def test_central_residuals_match_the_explicit_ones_slot_by_slot(problem, p):
     # entry by entry before any scatter
     model, _, v, _ = _gradient_case(problem, p)
     explicit = model.residuals(v)
-    central = model.residuals_fd(v, model.probe_energies(v))
+    central = model.probe_energies(v)[0]
     assert central.shape == explicit.shape
     rel = np.max(np.abs(central - explicit)) / np.max(np.abs(explicit))
     assert rel <= 1e-8
@@ -710,7 +710,7 @@ def test_repeated_gradients_have_the_bits_of_a_fresh_model(problem, p, gradient,
 
 
 @pytest.mark.parametrize("gradient", ["explicit", "central"])
-def test_barrier_probe_leaves_the_base_bits(gradient):
+def test_barrier_probe_leaves_the_base_bits(gradient, monkeypatch):
     model, fresh, v, group = _gradient_case("hyper", 2)
     grad = _GRADIENTS[gradient]
     dm = model.dofmap
@@ -728,6 +728,42 @@ def test_barrier_probe_leaves_the_base_bits(gradient):
     moved_group[group] += 1e-4
     np.testing.assert_array_equal(grad(model, moved_group),
                                   grad(fresh(), moved_group))
+    # every finite-difference entry point of the mode, on both models,
+    # probes copies: it leaves the full vector and the base it was given
+    # with their bits, whether it returns or a probe after the first
+    # raises (a residual probe from stress, an energy probe on +inf)
+    for problem in ("hyper", "plaplace"):
+        model, _, v, _ = _gradient_case(problem, 2)
+        if gradient == "explicit":
+            kernel, bad = "_residuals", BarrierError("probe crossed det F <= 0")
+            base = model.residuals(v)
+            calls = [model.element_hessians]
+        else:
+            kernel, bad = "_element_energies", np.inf
+            base = model.probe_energies(v)[1]
+            calls = [lambda w, _: model.probe_energies(w),
+                     model.element_hessians_fd]
+        bits = (v.tobytes(), np.asarray(base).tobytes())
+        for call in calls:
+            call(v, base)
+            assert (v.tobytes(), np.asarray(base).tobytes()) == bits
+            probes = []
+
+            def failing(v_loc, evaluate=getattr(model, kernel)):
+                probes.append(v_loc)
+                out = evaluate(v_loc)
+                if len(probes) < 2:
+                    return out
+                if isinstance(bad, Exception):
+                    raise bad
+                return np.full_like(out, bad)
+
+            monkeypatch.setattr(model, kernel, failing)
+            with pytest.raises(BarrierError):
+                call(v, base)
+            monkeypatch.undo()
+            assert len(probes) == 2
+            assert (v.tobytes(), np.asarray(base).tobytes()) == bits
 
 
 # per mode: the problem's gradient, its element blocks, and the model kernel
@@ -809,3 +845,33 @@ def test_hessian_reuses_the_gradients_element_evaluation(problem, p, mode,
         with pytest.raises(BarrierError):
             gradient(inverted)
         assert evaluations_of_blocks(v) == cold
+
+
+@pytest.mark.parametrize("mode", ["explicit", "central"])
+@pytest.mark.parametrize("problem", ["hyper", "plaplace"])
+def test_each_mode_keeps_its_own_record(problem, mode, monkeypatch):
+    # a gradient of the other mode at the same point, between a gradient
+    # and its blocks, leaves this mode's record in place: the blocks are
+    # warm, S batched residual evaluations or S (S - 1) / 2 + 1 batched
+    # energy evaluations for S slots, with the bits of a fresh problem's
+    # blocks
+    gradient_name, blocks_name, kernel_name = _KEPT[mode]
+    other = _KEPT["central" if mode == "explicit" else "explicit"][0]
+    fe, model = _build(problem, 2)
+    n_slots = model.dofmap.elems2dofs.shape[1]
+    warm = n_slots if mode == "explicit" else n_slots * (n_slots - 1) // 2 + 1
+    evaluations = []
+
+    def counted(v_loc, kernel=getattr(model, kernel_name)):
+        evaluations.append(v_loc.shape)
+        return kernel(v_loc)
+
+    monkeypatch.setattr(model, kernel_name, counted)
+    v = _random_start(problem, fe, np.random.default_rng(50))
+    getattr(fe, gradient_name)(v)
+    getattr(fe, other)(v)
+    evaluations.clear()
+    H = getattr(fe, blocks_name)(v)
+    assert len(evaluations) == warm
+    np.testing.assert_array_equal(
+        H, getattr(_build(problem, 2)[0], blocks_name)(v))

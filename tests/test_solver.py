@@ -260,18 +260,17 @@ def test_hyperelastic_steps_are_cut_before_inversion():
 def _kept_case(case, mode, monkeypatch):
     """Problem, model and options of one solve of the kept-evaluation test:
     the plaplace (L-shape, level 2) and hyperelastic (perforated square,
-    level 0) runs; ``rounding``, whose trials below the energy's rounding
-    are judged by their gradients and some of them rejected; and
-    ``barrier``, whose trial gradients cross det F <= 0."""
+    level 0) runs; ``rounding``, whose trials are all judged by their
+    gradients, as those below the energy's rounding are, so that every
+    rejected trial's gradient is evaluated; and ``barrier``, whose trial
+    gradients cross det F <= 0."""
     if case == "plaplace":
         fe, model = plaplace_problem(make_lshape(2), p=2, alpha=3.0, f=-10.0)
         return fe, model, TrOptions(gradient_mode=mode)
     if case == "rounding":
-        monkeypatch.setattr(hpmin.solver, "GRAD_RTOL", 1e-15)
-        fe, model = neohooke_problem(make_perforated_square(1), p=1, young=2e8,
-                                     poisson=0.3, f=(-3.5e7, -3.5e7))
-        return fe, model, TrOptions(max_iters=100, initial_radius=0.2,
-                                    gradient_mode=mode)
+        monkeypatch.setattr(hpmin.solver, "ROUNDOFF_DECREASE", np.inf)
+        fe, model = plaplace_problem(make_lshape(1), p=2, alpha=3.0, f=-10.0)
+        return fe, model, TrOptions(initial_radius=10.0, gradient_mode=mode)
     load = (1e30, -3.5e7) if case == "barrier" else (-3.5e7, -3.5e7)
     fe, model = neohooke_problem(make_perforated_square(0), p=2, young=2e8,
                                  poisson=0.3, f=load)
@@ -304,8 +303,9 @@ def test_kept_gradient_evaluation_keeps_every_solve_bit(case, mode, monkeypatch)
     cold = replace(
         fe, element_hessians=_cold_blocks(model, model.element_hessians,
                                           model.residuals),
-        element_hessians_fd=_cold_blocks(model, model.element_hessians_fd,
-                                         model.probe_energies))
+        element_hessians_fd=_cold_blocks(
+            model, model.element_hessians_fd,
+            lambda v_full: model.probe_energies(v_full)[1]))
     kernel = "_element_energies" if mode == "central_diff" else "_residuals"
     evaluations = []
 
@@ -332,6 +332,7 @@ def test_kept_gradient_evaluation_keeps_every_solve_bit(case, mode, monkeypatch)
     # the start and every accepted step take one gradient; these cases
     # also evaluate it at a rejected trial
     if case in ("rounding", "barrier"):
+        assert kept.rejected >= 1
         assert len(gradients) > kept.accepted + 1
 
 
