@@ -18,23 +18,22 @@ is formed.  Outside these kernels G is exposed only as
 ``NeoHookeModel.gradfield``, the named entries of F for det F checks.
 
 Each gradient mode has one element evaluation at a point: its element
-residuals and the base its Hessian blocks difference against.
-``residuals`` gives the explicit residuals, the gradient before its
-scatter, and they are their own base.  ``probe_energies`` gives the
-element energies (e_up, e_dn) with one local slot of every element moved
-by its DOF's step up and down, one slot at a time, as the base, and
-their central differences as the residuals, an estimate in the same
-signed local layout; ``assemble_gradient`` scatters either into a
-gradient.  The element blocks of a finite-difference Hessian come from
+residuals.  ``residuals`` gives the explicit ones, the gradient before
+its scatter, and ``probe_energies`` their central-difference estimate in
+the same signed local layout, from the element energies with one local
+slot of every element moved by its DOF's step up and down, one slot at a
+time; ``assemble_gradient`` scatters either into a gradient.  The
+element blocks of a finite-difference Hessian come from
 ``element_hessians``, forward differences of the residuals one moved
-slot at a time, or from ``element_hessians_fd``, second differences of
-the element energies: it reads (e_up, e_dn) and adds one probe per pair
-of slots.  Both block kernels take the base as a required argument,
-since the gradient at the point has already computed it.  The steps are
-those of :func:`hpmin.fd.difference_steps` at the point.  Every probe
-evaluates a moved copy of the local coefficients, so no call changes
-its arguments; a model keeps no state between calls, and every batched
-product runs over all elements.
+slot at a time on the explicit residuals at the point as their base, or
+from ``element_hessians_fd``, second differences of the density W(G)
+taken pointwise on the gathered G and contracted like the stiffness of
+a linear model: a fixed 9 (scalar) or 33 (vector) density evaluations,
+whatever the degree.  The slot steps are those of
+:func:`hpmin.fd.difference_steps` at the point, the pointwise ones those
+of :func:`hpmin.fd.hessian_steps` at G.  Every probe evaluates a moved
+copy, so no call changes its arguments; a model keeps no state between
+calls, and every batched product runs over all elements.
 
 * scalar power-law diffusion: (1/alpha) integral |grad v|^alpha - integral f v
 * vector compressible Neo-Hookean elasticity with stored density
@@ -53,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dofmap import DofMap
-from .fd import difference_steps
+from .fd import difference_steps, hessian_steps
 from .mesh import GeometryFactors
 
 __all__ = [
@@ -130,6 +129,12 @@ class _ModelBase:
         self._ref = np.stack([table.dxi, table.deta])  # (2, m, n_ip)
         self._ref_t = np.ascontiguousarray(self._ref.transpose(0, 2, 1))  # (2, n_ip, m)
         self._w_jinv_t = geometry.wdetj * geometry.jinv_t  # (2, 2, T, n_ip)
+        # products of reference derivatives d_b phi_m d_f phi_n at each
+        # point, rows (b, f, point), columns (m, n): one matrix product with
+        # it contracts pointwise second derivatives into element blocks
+        m = self._ref.shape[1]
+        self._ref_outer = np.einsum("bmq,fnq->bfqmn", self._ref,
+                                    self._ref).reshape(-1, m * m)
 
     def _at_steps(self, v_full: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Signed local coefficients of ``v_full`` and the signed local steps
@@ -139,14 +144,13 @@ class _ModelBase:
         v_loc = self.dofmap.gather(v_full)
         return v_loc, self.dofmap.signs * difference_steps(v_loc)
 
-    def _shifted(self, v_loc: np.ndarray, *moves, evaluate=None) -> np.ndarray:
+    def _shifted(self, v_loc: np.ndarray, slot: int, shift: np.ndarray,
+                 evaluate=None) -> np.ndarray:
         """``evaluate``, by default the element energies, of a copy of
-        ``v_loc`` with ``shift`` added to ``slot`` of every element for each
-        ``(slot, shift)`` of ``moves``.  A non-finite element energy raises
-        ``BarrierError``."""
+        ``v_loc`` with ``shift`` added to ``slot`` of every element.  A
+        non-finite element energy raises ``BarrierError``."""
         moved = v_loc.copy()
-        for slot, shift in moves:
-            moved[:, slot] += shift
+        moved[:, slot] += shift
         if evaluate is not None:
             return evaluate(moved)
         energies = self._element_energies(moved)
@@ -203,20 +207,19 @@ class _ModelBase:
     def gradient(self, v_full: np.ndarray) -> np.ndarray:
         return self.assemble_gradient(self.residuals(v_full))
 
-    def probe_energies(self, v_full: np.ndarray) -> tuple[np.ndarray, tuple]:
+    def probe_energies(self, v_full: np.ndarray) -> np.ndarray:
         """The central mode's element evaluation: the central-difference
-        estimate of ``residuals(v_full)``, (T, slots), and its base
-        (e_up, e_dn), the element energies with slot s of every element
-        moved by its signed step delta up and down, one slot at a time.
-        The estimate is (e_up - e_dn) / (2 delta): 2 S batched energy
-        evaluations for S slots.  A non-finite probe energy raises
-        ``BarrierError``."""
+        estimate of ``residuals(v_full)``, (T, slots).  With e_up and e_dn
+        the element energies with slot s of every element moved by its
+        signed step delta up and down, one slot at a time, the estimate is
+        (e_up - e_dn) / (2 delta): 2 S batched energy evaluations for S
+        slots.  A non-finite probe energy raises ``BarrierError``."""
         v_loc, deltas = self._at_steps(v_full)
         e_up, e_dn = np.empty((2, *v_loc.shape))
         for slot in range(v_loc.shape[1]):
-            e_up[:, slot] = self._shifted(v_loc, (slot, deltas[:, slot]))
-            e_dn[:, slot] = self._shifted(v_loc, (slot, -deltas[:, slot]))
-        return (e_up - e_dn) / (2.0 * deltas), (e_up, e_dn)
+            e_up[:, slot] = self._shifted(v_loc, slot, deltas[:, slot])
+            e_dn[:, slot] = self._shifted(v_loc, slot, -deltas[:, slot])
+        return (e_up - e_dn) / (2.0 * deltas)
 
     def element_hessians(self, v_full: np.ndarray, base: np.ndarray) -> np.ndarray:
         """Forward differences of the element residuals, (slots, T, slots).
@@ -232,41 +235,71 @@ class _ModelBase:
         v_loc, deltas = self._at_steps(v_full)
         moved = np.empty((v_loc.shape[1], *v_loc.shape))
         for slot in range(v_loc.shape[1]):
-            moved[slot] = self._shifted(v_loc, (slot, deltas[:, slot]),
+            moved[slot] = self._shifted(v_loc, slot, deltas[:, slot],
                                         evaluate=self._residuals)
         moved -= base
         moved *= self.dofmap.signs
         moved /= np.abs(deltas).T[:, :, None]
         return moved
 
-    def element_hessians_fd(self, v_full: np.ndarray,
-                            base: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        """``element_hessians`` from second differences of the element
-        energies, with ``base`` = (e_up, e_dn) of ``probe_energies(v_full)``.
+    def element_hessians_fd(self, v_full: np.ndarray) -> np.ndarray:
+        """``element_hessians`` from pointwise second differences of the
+        density.
 
-        Every probe moves a DOF up or down by its step h, so no sign enters.
-        With e the element energies at v, the diagonal entry of slot a is
-        the central difference (e_up_a - 2 e + e_dn_a) / h_a^2 and the entry
-        of slots a != b the forward mixed difference
-        (e(+a+b) - e_up_a - e_up_b + e) / (h_a h_b) (Nocedal & Wright, 2nd
-        ed., section 8.1).  e(+a+b) is evaluated once per unordered pair and
-        the entry stored in both blocks [b, e, a] and [a, e, b], so they are
-        equal: S (S - 1) / 2 + 1 batched energy evaluations for S slots.  A
-        non-finite energy raises ``BarrierError``.
+        At every quadrature point, entry i of G moves by its step h_i from
+        :func:`hpmin.fd.hessian_steps`.  The second derivative of W in G is
+        the central (W(+i) - 2 W + W(-i)) / h_i^2 on the diagonal and the
+        central mixed (W(+i+j) - W(+i-j) - W(-i+j) + W(-i-j)) / (4 h_i h_j)
+        off it (Nocedal & Wright, 2nd ed., section 8.1): 1 + 2 n + 2 n (n - 1)
+        density evaluations for the n = 2 x components entries of G, 9 for
+        a scalar model and 33 for a vector one.  Weighted by w |J| and mapped
+        to the reference directions by J^{-T} on both sides, it is
+        contracted with the products of the reference derivatives by one
+        matrix product.  The blocks are averaged with their mirrors, so
+        [b, e, a] equals [a, e, b] bit for bit, and carry the signs of both
+        slots.  A non-finite density raises ``BarrierError``.
         """
-        e_up, e_dn = base
-        v_loc, deltas = self._at_steps(v_full)
-        h = np.abs(deltas)
-        e = self._shifted(v_loc)
-        n_slots = v_loc.shape[1]
-        blocks = np.empty((n_slots, *v_loc.shape))
-        for b in range(n_slots):
-            for a in range(b + 1, n_slots):
-                pair = self._shifted(v_loc, (b, deltas[:, b]), (a, deltas[:, a]))
-                blocks[b, :, a] = blocks[a, :, b] = (
-                    (pair - e_up[:, a] - e_up[:, b] + e) / (h[:, a] * h[:, b]))
-        slots = np.arange(n_slots)
-        blocks[slots, :, slots] = ((e_up - 2.0 * e[:, None] + e_dn) / h**2).T
+        G = self._gather(self.dofmap.gather(v_full))
+        components, _, n_elems, n_ip = G.shape
+        flat = G.reshape(-1, n_elems, n_ip)
+        n = flat.shape[0]
+        h = hessian_steps(flat)
+
+        def probe(*moves):
+            moved = flat.copy()
+            for i, sign in moves:
+                moved[i] += sign * h[i]
+            dens = self.density(moved.reshape(G.shape))
+            if not np.all(np.isfinite(dens)):
+                raise BarrierError("density not finite at a second-difference probe")
+            return dens
+
+        d2 = np.empty((n, n, n_elems, n_ip))
+        w = probe()
+        for i in range(n):
+            d2[i, i] = (probe((i, 1.0)) - 2.0 * w + probe((i, -1.0))) / h[i] ** 2
+            for j in range(i + 1, n):
+                d2[i, j] = d2[j, i] = (
+                    probe((i, 1.0), (j, 1.0)) - probe((i, 1.0), (j, -1.0))
+                    - probe((i, -1.0), (j, 1.0)) + probe((i, -1.0), (j, -1.0))
+                ) / (4.0 * h[i] * h[j])
+        d2 = d2.reshape(components, 2, components, 2, n_elems, n_ip)
+        # weighted by w |J| and mapped to the reference directions by
+        # J^{-T} on both sides: rows (element, component, component),
+        # columns (direction, direction, point)
+        d2 = np.einsum("cadetq,eftq->cadftq", d2, self.geometry.jinv_t)
+        d2 = np.einsum("abtq,cadftq->tcdbfq", self._w_jinv_t, d2, order="C")
+        m = self._ref.shape[1]
+        local = (d2.reshape(n_elems * components**2, -1) @ self._ref_outer
+                 ).reshape(n_elems, components, components, m, m)
+        # local[e, c, d, k, l] couples slot (c, k), row, and slot (d, l);
+        # block [(d, l), e, (c, k)] is it plus its mirror
+        n_slots = components * m
+        blocks = np.empty((n_slots, n_elems, n_slots))
+        np.add(local.transpose(2, 4, 0, 1, 3), local.transpose(1, 3, 0, 2, 4),
+               out=blocks.reshape(components, m, n_elems, components, m))
+        blocks *= 0.5 * self.dofmap.signs
+        blocks *= self.dofmap.signs.T[:, :, None]
         return blocks
 
 

@@ -1,19 +1,21 @@
-"""The finite-difference step rule and the sparse Hessian layouts: element
-slots or a distance-2 coloring.
+"""The finite-difference step rules and the sparse Hessian layouts:
+element slots or a distance-2 coloring.
 
 The energy is a sum of element energies, so its Hessian is a sum of
 element blocks (a partially separable function, Griewank & Toint 1982).
 A model differences its explicit element residuals once per local slot,
-or takes second differences of its element energies once per local slot
-and pair of slots, with those slots of every element moved by their steps
-from :func:`difference_steps`, and one ``bincount`` scatters the blocks
-into the pattern through a position map built once (``SlotPattern``).  A
-problem without element kernels takes one forward gradient difference per
-color group instead; group members share no structurally-coupled row, so
-every pattern column can be read off directly (Coleman & More 1983).  The
-groups come from a plain greedy coloring in natural order: the model
-problems never take this path, which serves generic problems and is the
-reference the element slots are checked against.
+with that slot of every element moved by its step from
+:func:`difference_steps`, or takes second differences of its density at
+every quadrature point, with the entries of the gradient array G moved by
+their steps from :func:`hessian_steps`, and one ``bincount`` scatters the
+blocks into the pattern through a position map built once
+(``SlotPattern``).  A problem without element kernels takes one forward
+gradient difference per color group instead; group members share no
+structurally-coupled row, so every pattern column can be read off
+directly (Coleman & More 1983).  The groups come from a plain greedy
+coloring in natural order: the model problems never take this path,
+which serves generic problems and is the reference the element slots are
+checked against.
 """
 
 from __future__ import annotations
@@ -25,21 +27,34 @@ import scipy.sparse as sp
 
 __all__ = [
     "FD_STEP",
+    "HESSIAN_STEP",
     "ColoredPattern",
     "SlotPattern",
     "difference_steps",
     "greedy_coloring",
     "hessian_fd",
+    "hessian_steps",
     "slot_pattern",
 ]
 
 # Relative difference step: coordinate i moves by FD_STEP * max(1, |v_i|).
 FD_STEP = 1e-6
 
+# Relative step of the pointwise second differences of a density: entry i
+# of G moves by HESSIAN_STEP * max(1, |G_i|).  A central second difference
+# has truncation error O(h^2) and round-off O(eps / h^2), balanced near
+# eps^(1/4), about 1.2e-4.
+HESSIAN_STEP = 1e-4
+
 
 def difference_steps(values: np.ndarray) -> np.ndarray:
     """Per-coordinate step FD_STEP * max(1, |v_i|)."""
     return FD_STEP * np.maximum(1.0, np.abs(values))
+
+
+def hessian_steps(values: np.ndarray) -> np.ndarray:
+    """Per-entry step HESSIAN_STEP * max(1, |G_i|)."""
+    return HESSIAN_STEP * np.maximum(1.0, np.abs(values))
 
 
 @dataclass(frozen=True)
@@ -166,9 +181,9 @@ def hessian_fd(grad, v: np.ndarray, layout: ColoredPattern | SlotPattern,
     and the whole H, has the same bits under any valid distance-2 coloring.
 
     With a ``SlotPattern``, ``grad(v)`` gives the (slots, T, slots) element
-    blocks instead, a model's ``element_hessians`` or
-    ``element_hessians_fd``, with fixed DOFs stepped like free ones, and
-    ``g0`` is not read.  One ``bincount`` adds them into the pattern's
+    blocks instead, a model's ``element_hessians``, with fixed DOFs
+    stepped like free ones, or ``element_hessians_fd``, and ``g0`` is not
+    read.  One ``bincount`` adds them into the pattern's
     data; terms of fixed DOFs go to a bin past the end, which is dropped.
 
     Either way the result is symmetrized, (H + H^T) / 2, directly in the

@@ -23,52 +23,48 @@ def _problem(mesh: QuadMesh, p: int, components: int, dirichlet: DirichletSpec,
 
     ``make_model(geo, dofmap)`` builds the energy model and
     ``make_x0(dofmap)`` the free-DOF starting vector.  Each gradient mode
-    has one element evaluation at the full vector, its element residuals
-    and the base of its blocks: ``model.residuals``, their own base, in
-    explicit mode and ``model.probe_energies`` in central_diff mode.  The
-    gradient assembles the residuals with ``model.assemble_gradient`` and
-    keeps the free entries; ``element_dofs`` maps the element slots to
-    free DOFs.
+    has one element evaluation at the full vector, its element residuals:
+    ``model.residuals`` in explicit mode and ``model.probe_energies`` in
+    central_diff mode.  The gradient assembles them with
+    ``model.assemble_gradient`` and keeps the free entries;
+    ``element_dofs`` maps the element slots to free DOFs.
 
+    The explicit blocks difference against the residuals at their point.
     ``minimize`` evaluates the gradient at every point before it builds
-    the one Hessian there, so each mode keeps one record, left by its
-    last gradient: the bytes of the full vector and the base.  The blocks
-    of that mode at that point take the base from it and do not compute
-    it again.  A blocks call spends its mode's record, and elsewhere
-    computes the base itself; a gradient that raises leaves none.
+    the one Hessian there, so the explicit gradient keeps one record: the
+    bytes of the full vector and its residuals.  The blocks at that point
+    take the residuals from it and do not compute them again.  A blocks
+    call spends the record, and elsewhere computes the residuals itself;
+    a gradient that raises leaves none.  The central_diff blocks read
+    nothing of their gradient.
     """
     rule = rule_for_degree(p)
     geo = geometry_factors(mesh, rule, tabulate(p, rule.points))
     dm = build_dofmap(mesh, p, components=components, dirichlet=dirichlet)
     model = make_model(geo, dm)
 
-    def wire(evaluate, kernel):
-        """The gradient and element blocks of one mode from its element
-        evaluation ``evaluate(v_full)``, (residuals, base), and the model's
-        blocks ``kernel(v_full, base)``."""
+    record = None
+
+    def gradient(v_free):
+        nonlocal record
         record = None
+        v_full = expand_solution(dm, v_free)
+        residuals = model.residuals(v_full)
+        record = (v_full.tobytes(), residuals)
+        return model.assemble_gradient(residuals)[dm.free_dofs]
 
-        def gradient(v_free):
-            nonlocal record
-            record = None
-            v_full = expand_solution(dm, v_free)
-            residuals, base = evaluate(v_full)
-            record = (v_full.tobytes(), base)
-            return model.assemble_gradient(residuals)[dm.free_dofs]
+    def element_hessians(v_free):
+        nonlocal record
+        v_full = expand_solution(dm, v_free)
+        kept = record is not None and record[0] == v_full.tobytes()
+        base = record[1] if kept else model.residuals(v_full)
+        record = None
+        return model.element_hessians(v_full, base)
 
-        def blocks(v_free):
-            nonlocal record
-            v_full = expand_solution(dm, v_free)
-            kept = record is not None and record[0] == v_full.tobytes()
-            base = record[1] if kept else evaluate(v_full)[1]
-            record = None
-            return kernel(v_full, base)
-        return gradient, blocks
+    def gradient_fd(v_free):
+        residuals = model.probe_energies(expand_solution(dm, v_free))
+        return model.assemble_gradient(residuals)[dm.free_dofs]
 
-    gradient, element_hessians = wire(
-        lambda v_full: (model.residuals(v_full),) * 2, model.element_hessians)
-    gradient_fd, element_hessians_fd = wire(model.probe_energies,
-                                            model.element_hessians_fd)
     free_index = np.full(dm.n_dofs, -1)
     free_index[dm.free_dofs] = np.arange(dm.n_free)
     problem = EnergyProblem(
@@ -76,7 +72,8 @@ def _problem(mesh: QuadMesh, p: int, components: int, dirichlet: DirichletSpec,
         gradient=gradient, gradient_fd=gradient_fd,
         pattern=sparsity_pattern(dm), x0=make_x0(dm),
         element_hessians=element_hessians,
-        element_hessians_fd=element_hessians_fd,
+        element_hessians_fd=lambda v_free: model.element_hessians_fd(
+            expand_solution(dm, v_free)),
         element_dofs=free_index[dm.elems2dofs])
     return problem, model
 

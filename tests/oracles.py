@@ -1,7 +1,8 @@
 """Reference implementations that only the tests read.
 
 Each one is the plain form of a fast path in ``hpmin``: whole-energy
-central differences, per-element physical shape derivatives, the
+central differences, element Hessian blocks from stress differences,
+per-element physical shape derivatives, the
 full-to-free DOF index, the element DOF tables one local slot at a time,
 Legendre polynomials and kernels one degree at a time, shape functions
 evaluated one at a time from the geometry of the reference square,
@@ -30,7 +31,7 @@ def central_gradient(model, v_full: np.ndarray) -> np.ndarray:
     vector: the residuals of its ``probe_energies`` assembled by
     ``assemble_gradient``, as a problem's ``gradient_fd`` assembles them
     before it keeps the free entries."""
-    return model.assemble_gradient(model.probe_energies(v_full)[0])
+    return model.assemble_gradient(model.probe_energies(v_full))
 
 
 def central_residuals(model, v_full: np.ndarray) -> np.ndarray:
@@ -50,40 +51,38 @@ def central_residuals(model, v_full: np.ndarray) -> np.ndarray:
     return np.column_stack(columns) / (2.0 * deltas)
 
 
-def hessian_mixed_differences(energy, v: np.ndarray, pattern) -> np.ndarray:
-    """Second differences of a scalar energy on the stored entries of a
-    CSR pattern, in its data order, one DOF pair at a time: the central
-    (E(+i) - 2 E + E(-i)) / h_i^2 on the diagonal and the forward mixed
-    (E(+i+j) - E(+i) - E(+j) + E) / (h_i h_j) off it, with
-    h_i = FD_STEP max(1, |v_i|).
+def element_hessians_from_stress(model, v_full: np.ndarray) -> np.ndarray:
+    """The element blocks of ``model.element_hessians_fd`` from central
+    differences of the model's ``stress`` at the same quadrature points.
 
-    Reference implementation: every probe re-evaluates the full energy,
-    once for each pair i < j.
+    Column (d, e) of the second derivative of the density at every point
+    is (P(G + h E_de) - P(G - h E_de)) / (2 h), with h = FD_STEP
+    max(1, |G_de|).  Element e's block couples slot (c, k), row, and slot
+    (d, l), column: the sum over the points of w |J| dphi_k . D dphi_l with
+    the physical shape-function derivatives, times the signs of both slots,
+    stored at [(d, l), e, (c, k)] as in the model's blocks.
+
+    Reference implementation: one stress difference per entry of G, and
+    the physical derivatives of every element formed in full.
     """
-    v = np.asarray(v, dtype=float)
-    h = FD_STEP * np.maximum(1.0, np.abs(v))
-
-    def at(*up, down=()):
-        probe = v.copy()
-        probe[list(up)] += h[list(up)]
-        probe[list(down)] -= h[list(down)]
-        value = energy(probe)
-        if not np.isfinite(value):
-            raise BarrierError(f"energy not finite at probe {up}, {down}")
-        return value
-
-    e = at()
-    e_up = [at(i) for i in range(v.size)]
-    rows = np.repeat(np.arange(v.size), np.diff(pattern.indptr))
-    pairs = {}
-    for i, j in zip(rows.tolist(), pattern.indices.tolist()):
-        if (j, i) in pairs:
-            pairs[i, j] = pairs[j, i]
-        elif i == j:
-            pairs[i, j] = (e_up[i] - 2.0 * e + at(down=(i,))) / h[i] ** 2
-        else:
-            pairs[i, j] = (at(i, j) - e_up[i] - e_up[j] + e) / (h[i] * h[j])
-    return np.array(list(pairs.values()))
+    dm, geo = model.dofmap, model.geometry
+    G = model._gather(dm.gather(v_full))
+    components = G.shape[0]
+    second = np.empty((components, 2, *G.shape))
+    for d in range(components):
+        for e in range(2):
+            h = FD_STEP * np.maximum(1.0, np.abs(G[d, e]))
+            up, down = G.copy(), G.copy()
+            up[d, e] += h
+            down[d, e] -= h
+            second[:, :, d, e] = (model.stress(up) - model.stress(down)) / (2.0 * h)
+    dphi = np.stack(physical_derivatives(geo))  # (2, T, n_ip, m)
+    local = np.einsum("tq,atqk,cadetq,etql->tckdl", geo.wdetj, dphi, second,
+                      dphi, optimize=True)
+    n_elems = G.shape[2]
+    local = local.reshape(n_elems, dm.signs.shape[1], -1)
+    local *= dm.signs[:, :, None] * dm.signs[:, None, :]
+    return local.transpose(2, 0, 1)
 
 
 def gradient_central(energy, v: np.ndarray, h: float = FD_STEP,

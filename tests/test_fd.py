@@ -29,7 +29,7 @@ from oracles import (
     central_residuals,
     free_index,
     gradient_central,
-    hessian_mixed_differences,
+    element_hessians_from_stress,
     make_rect,
     physical_derivatives,
 )
@@ -326,13 +326,14 @@ def test_slot_hessian_matches_colored_hessian(problem, p):
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 @pytest.mark.parametrize("problem", ["hyper", "plaplace"])
 def test_slot_hessian_fd_matches_colored_hessian(problem, p):
-    # second differences of the element energies against two other
+    # pointwise second differences of the density against two other
     # estimates of the same Hessian: the explicit-mode element slots, the
     # accuracy oracle, and colored forward differences of the
-    # central-difference gradient.  Round-off of the element energies over
-    # h^2 sets the bounds: measured against the explicit slots 1.4e-4 ...
-    # 5.4e-4 relative on plaplace and 1.4e-6 ... 1.6e-6 on hyper, and no
-    # more against the colored differences.  The plaplace point
+    # central-difference gradient.  Measured against the explicit slots
+    # 2.8e-7 ... 4.4e-7 relative on plaplace and 1.3e-6 on hyper, the
+    # forward differences' own error; against the colored differences
+    # 4.3e-5 ... 2.8e-4 on plaplace, the round-off of the central gradient
+    # over its step, and 1.3e-6 ... 1.4e-6 on hyper.  The plaplace point
     # keeps |v| < 1: past it a colored probe recomputes its steps
     # FD_STEP * max(1, |v_j|) at the moved point, which the element slots
     # do not
@@ -360,76 +361,109 @@ def test_slot_hessian_fd_matches_colored_hessian(problem, p):
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 @pytest.mark.parametrize("problem", ["hyper", "plaplace"])
+def test_slot_hessian_fd_matches_stress_differences(problem, p):
+    # the pointwise second differences of the density, contracted into
+    # element blocks, against central differences of the stress at the
+    # same points contracted with the physical shape-function derivatives.
+    # Measured: 1.2e-7 ... 1.2e-6 relative on plaplace, where the density's
+    # third derivative jumps at G = 0, and 4.1e-9 ... 7.4e-9 on hyper
+    if problem == "hyper":
+        fe, model = neohooke_problem(make_perforated_square(1), p=p, young=2e8,
+                                     poisson=0.3, f=(-3.5e7, -3.5e7))
+        bound = 3e-8
+    else:
+        fe, model = plaplace_problem(make_lshape(1), p=p, alpha=3.0, f=-10.0)
+        bound = 3e-6
+    v = _random_start(problem, fe, np.random.default_rng(60 + p))
+    v_full = expand_solution(model.dofmap, v)
+    blocks = model.element_hessians_fd(v_full)
+    oracle = element_hessians_from_stress(model, v_full)
+    assert blocks.shape == oracle.shape
+    assert np.max(np.abs(blocks - oracle)) / np.max(np.abs(oracle)) <= bound
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("problem", ["hyper", "plaplace"])
 def test_slot_hessian_fd_probes_each_pair_once(problem, p, monkeypatch):
-    # the element blocks on the gradient's probes take e at v and one probe
-    # per unordered pair of slots, S (S - 1) / 2 + 1 batched energy
-    # evaluations for S slots, and equal the same second differences of the
-    # whole energy taken one DOF pair at a time: the energy is a sum of
-    # element energies, so only round-off of the four whole sums, each
-    # about eps times the sum of its terms' magnitudes, tells them apart
-    # (measured at most 2.3 of that over h_i h_j)
+    # the blocks evaluate the density once at G and then on copies of G
+    # with, at every quadrature point, each entry moved by its step up and
+    # down, and each unordered pair of entries moved in the four sign
+    # combinations, each once: 1 + 2 n + 2 n (n - 1) batched density
+    # evaluations for the n entries of G, 9 on plaplace and 33 on hyper at
+    # every degree
     fe, model = _build(problem, p)
     dm = model.dofmap
-    v = _random_start(problem, fe, np.random.default_rng(p))
-    v_full = expand_solution(dm, v)
-    oracle = hessian_mixed_differences(fe.energy, v, fe.pattern)
-    base = model.probe_energies(v_full)[1]
-    evaluations = []
+    v_full = expand_solution(dm, _random_start(problem, fe,
+                                               np.random.default_rng(p)))
+    G = model._gather(dm.gather(v_full))
+    flat = G.reshape(-1, *G.shape[2:])
+    h = hpmin.fd.hessian_steps(flat)
+    probes = []
 
-    def counted(v_loc, energies=model._element_energies):
-        evaluations.append(v_loc.shape)
-        return energies(v_loc)
+    def recorded(moved, density=model.density):
+        probes.append(moved.reshape(flat.shape).copy())
+        return density(moved)
 
-    monkeypatch.setattr(model, "_element_energies", counted)
-    H = hessian_fd(lambda _: model.element_hessians_fd(v_full, base), v,
-                   slot_pattern(fe.pattern, fe.element_dofs), g0=None)
-    n_slots = dm.elems2dofs.shape[1]
-    assert len(evaluations) == n_slots * (n_slots - 1) // 2 + 1
-    magnitude = (np.abs(model.element_energies(v_full)).sum()
-                 + np.abs(model.b_full * v_full).sum())
-    h = hpmin.fd.difference_steps(v)
-    rows = np.repeat(np.arange(v.size), np.diff(fe.pattern.indptr))
-    bound = 8.0 * np.finfo(float).eps * magnitude / (h[rows] * h[fe.pattern.indices])
-    assert np.all(np.abs(H.data - oracle) <= bound)
+    monkeypatch.setattr(model, "density", recorded)
+    model.element_hessians_fd(v_full)
+    assert len(probes) == {"plaplace": 9, "hyper": 33}[problem]
+    moves = []
+    for moved in probes:
+        move = []
+        for i in range(flat.shape[0]):
+            if np.array_equal(moved[i], flat[i] + h[i]):
+                move.append((i, 1))
+            elif np.array_equal(moved[i], flat[i] - h[i]):
+                move.append((i, -1))
+            else:
+                np.testing.assert_array_equal(moved[i], flat[i])
+        moves.append(tuple(move))
+    n = flat.shape[0]
+    expected = ([()] + [((i, s),) for i in range(n) for s in (1, -1)]
+                + [((i, s), (j, t)) for i in range(n) for j in range(i + 1, n)
+                   for s in (1, -1) for t in (1, -1)])
+    assert sorted(moves) == sorted(expected)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 @pytest.mark.parametrize("problem", ["hyper", "plaplace"])
 def test_slot_hessian_fd_blocks_are_exactly_symmetric(problem, p):
-    # one pair probe serves both blocks of a pair, and the diagonal is
-    # its own mirror, so term [b, e, a] equals term [a, e, b] bit for bit
+    # every block is the sum of a contracted term and its mirror, so term
+    # [b, e, a] equals term [a, e, b] bit for bit
     model, _, v, _ = _gradient_case(problem, p)
-    blocks = model.element_hessians_fd(v, model.probe_energies(v)[1])
+    blocks = model.element_hessians_fd(v)
     np.testing.assert_array_equal(blocks, blocks.transpose(2, 1, 0))
 
 
 def test_slot_hessian_fd_raises_on_a_non_finite_energy(monkeypatch):
-    # e at v, and every pair probe, must be finite; the blocks read e_up
-    # and e_dn from their base alone, so a finite base is enough to reach
-    # them
+    # the density at G, and at every probe, must be finite.  The identity
+    # scaled by s has G = s I, det F = s^2 at every point, and every entry
+    # of G steps by h = HESSIAN_STEP: the probes keep det F > 0 at s = 2 h
+    # and cross it at s = h / 2, where min det F = h^2 / 4 lies below the
+    # probe step (the entry G_11 moved down has det F = -h^2 / 4)
     model, _, _, _ = _gradient_case("hyper", 2)
     dm = model.dofmap
     evaluations = []
 
-    def counted(v_loc, energies=model._element_energies):
-        evaluations.append(v_loc.shape)
-        return energies(v_loc)
+    def counted(G, density=model.density):
+        evaluations.append(G.shape)
+        return density(G)
 
-    monkeypatch.setattr(model, "_element_energies", counted)
-    finite = np.zeros((2, dm.mesh.n_elems, dm.elems2dofs.shape[1]))
-    # the mirror image inverts every element: e at v is +inf
+    monkeypatch.setattr(model, "density", counted)
+    # the mirror image inverts every element: W at G is +inf
     mirrored = identity_deformation(dm)
     mirrored[:dm.n_p] *= -1.0
     with pytest.raises(BarrierError):
-        model.element_hessians_fd(mirrored, finite)
+        model.element_hessians_fd(mirrored)
     assert len(evaluations) == 1
-    # the identity shrunk to det F = 1e-14 > 0: e at v is finite, and a
-    # probe that moves two DOFs up by their steps 1e-6 inverts an element
+    h = hpmin.fd.HESSIAN_STEP
+    assert np.all(np.isfinite(
+        model.element_hessians_fd(2.0 * h * identity_deformation(dm))))
     evaluations.clear()
-    shrunk = 1e-7 * identity_deformation(dm)
-    assert np.all(np.isfinite(model.element_energies(shrunk)))
+    shrunk = 0.5 * h * identity_deformation(dm)
+    assert 0.0 < model.gradfield(shrunk).det.min() < h
     with pytest.raises(BarrierError):
-        model.element_hessians_fd(shrunk, finite)
+        model.element_hessians_fd(shrunk)
     assert len(evaluations) >= 2
 
 
@@ -676,7 +710,7 @@ def test_central_residuals_match_the_explicit_ones_slot_by_slot(problem, p):
     # entry by entry before any scatter
     model, _, v, _ = _gradient_case(problem, p)
     explicit = model.residuals(v)
-    central = model.probe_energies(v)[0]
+    central = model.probe_energies(v)
     assert central.shape == explicit.shape
     rel = np.max(np.abs(central - explicit)) / np.max(np.abs(explicit))
     assert rel <= 1e-8
@@ -729,29 +763,31 @@ def test_barrier_probe_leaves_the_base_bits(gradient, monkeypatch):
     np.testing.assert_array_equal(grad(model, moved_group),
                                   grad(fresh(), moved_group))
     # every finite-difference entry point of the mode, on both models,
-    # probes copies: it leaves the full vector and the base it was given
+    # probes copies: it leaves the full vector, and the base it was given,
     # with their bits, whether it returns or a probe after the first
-    # raises (a residual probe from stress, an energy probe on +inf)
+    # raises (a residual probe from stress, an energy or density probe on
+    # +inf)
     for problem in ("hyper", "plaplace"):
         model, _, v, _ = _gradient_case(problem, 2)
         if gradient == "explicit":
-            kernel, bad = "_residuals", BarrierError("probe crossed det F <= 0")
+            bad = BarrierError("probe crossed det F <= 0")
             base = model.residuals(v)
-            calls = [model.element_hessians]
+            kept = (v, base)
+            calls = [(lambda w: model.element_hessians(w, base), "_residuals")]
         else:
-            kernel, bad = "_element_energies", np.inf
-            base = model.probe_energies(v)[1]
-            calls = [lambda w, _: model.probe_energies(w),
-                     model.element_hessians_fd]
-        bits = (v.tobytes(), np.asarray(base).tobytes())
-        for call in calls:
-            call(v, base)
-            assert (v.tobytes(), np.asarray(base).tobytes()) == bits
+            bad = np.inf
+            kept = (v,)
+            calls = [(model.probe_energies, "_element_energies"),
+                     (model.element_hessians_fd, "density")]
+        bits = [a.tobytes() for a in kept]
+        for call, kernel in calls:
+            call(v)
+            assert [a.tobytes() for a in kept] == bits
             probes = []
 
-            def failing(v_loc, evaluate=getattr(model, kernel)):
-                probes.append(v_loc)
-                out = evaluate(v_loc)
+            def failing(probe, evaluate=getattr(model, kernel)):
+                probes.append(probe)
+                out = evaluate(probe)
                 if len(probes) < 2:
                     return out
                 if isinstance(bad, Exception):
@@ -760,16 +796,23 @@ def test_barrier_probe_leaves_the_base_bits(gradient, monkeypatch):
 
             monkeypatch.setattr(model, kernel, failing)
             with pytest.raises(BarrierError):
-                call(v, base)
+                call(v)
             monkeypatch.undo()
             assert len(probes) == 2
-            assert (v.tobytes(), np.asarray(base).tobytes()) == bits
+            assert [a.tobytes() for a in kept] == bits
 
 
 # per mode: the problem's gradient, its element blocks, and the model kernel
-# that both evaluate one batch at a time
+# that the blocks evaluate one batch at a time
 _KEPT = {"explicit": ("gradient", "element_hessians", "_residuals"),
-         "central": ("gradient_fd", "element_hessians_fd", "_element_energies")}
+         "central": ("gradient_fd", "element_hessians_fd", "density")}
+
+
+def _density_probes(model):
+    """Batched density evaluations of ``element_hessians_fd``: 9 for a
+    scalar model and 33 for a vector one."""
+    n = 2 * model.dofmap.components
+    return 1 + 2 * n + 2 * n * (n - 1)
 
 
 @pytest.mark.parametrize("mode", ["explicit", "central"])
@@ -777,12 +820,13 @@ _KEPT = {"explicit": ("gradient", "element_hessians", "_residuals"),
 @pytest.mark.parametrize("problem", ["hyper", "plaplace"])
 def test_hessian_reuses_the_gradients_element_evaluation(problem, p, mode,
                                                          monkeypatch):
-    # each gradient leaves one record of its element evaluation, the
-    # residuals or the energies of the central-difference probes, and the
-    # blocks at the same point take it as their base: S batched evaluations
-    # for S slots in place of S + 1, or S (S - 1) / 2 + 1 in place of 2 S
-    # more, with the bits of a fresh problem's blocks.  Any blocks call spends
-    # the record, so a second one at the same point, and any other, is cold
+    # each explicit gradient leaves one record of its element residuals,
+    # and the blocks at the same point take them as their base: S batched
+    # residual evaluations for S slots in place of S + 1, with the bits of a
+    # fresh problem's blocks.  Any blocks call spends the record, so a
+    # second one at the same point, and any other, is cold.  The central
+    # blocks take nothing from their gradient: warm or cold, they are the
+    # 9 or 33 batched density evaluations at the point
     gradient_name, blocks_name, kernel_name = _KEPT[mode]
     fe, model = _build(problem, p)
     gradient, blocks = getattr(fe, gradient_name), getattr(fe, blocks_name)
@@ -790,8 +834,7 @@ def test_hessian_reuses_the_gradients_element_evaluation(problem, p, mode,
     if mode == "explicit":
         warm, cold = n_slots, n_slots + 1
     else:
-        warm = n_slots * (n_slots - 1) // 2 + 1
-        cold = warm + 2 * n_slots
+        warm = cold = _density_probes(model)
     evaluations = []
 
     def counted(v_loc, kernel=getattr(model, kernel_name)):
@@ -827,9 +870,10 @@ def test_hessian_reuses_the_gradients_element_evaluation(problem, p, mode,
     getattr(fe, "gradient_fd" if mode == "explicit" else "gradient")(w)
     assert evaluations_of_blocks(w) == cold
     # after a step change, a gradient and the blocks on its evaluation both
-    # take the new step
+    # take the new steps
     old_gradient, old_blocks = gradient(v), fresh_blocks(v)
     monkeypatch.setattr(hpmin.fd, "FD_STEP", 1e-5)
+    monkeypatch.setattr(hpmin.fd, "HESSIAN_STEP", 1e-3)
     new_gradient = gradient(v)
     assert evaluations_of_blocks(v) == warm
     assert not np.array_equal(fresh_blocks(v), old_blocks)
@@ -851,15 +895,15 @@ def test_hessian_reuses_the_gradients_element_evaluation(problem, p, mode,
 @pytest.mark.parametrize("problem", ["hyper", "plaplace"])
 def test_each_mode_keeps_its_own_record(problem, mode, monkeypatch):
     # a gradient of the other mode at the same point, between a gradient
-    # and its blocks, leaves this mode's record in place: the blocks are
-    # warm, S batched residual evaluations or S (S - 1) / 2 + 1 batched
-    # energy evaluations for S slots, with the bits of a fresh problem's
-    # blocks
+    # and its blocks, leaves the explicit record in place: the blocks are
+    # warm, S batched residual evaluations for S slots, or the 9 or 33
+    # batched density evaluations of the central blocks, with the bits of
+    # a fresh problem's blocks
     gradient_name, blocks_name, kernel_name = _KEPT[mode]
     other = _KEPT["central" if mode == "explicit" else "explicit"][0]
     fe, model = _build(problem, 2)
     n_slots = model.dofmap.elems2dofs.shape[1]
-    warm = n_slots if mode == "explicit" else n_slots * (n_slots - 1) // 2 + 1
+    warm = n_slots if mode == "explicit" else _density_probes(model)
     evaluations = []
 
     def counted(v_loc, kernel=getattr(model, kernel_name)):

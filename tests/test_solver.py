@@ -262,8 +262,8 @@ def _kept_case(case, mode, monkeypatch):
     the plaplace (L-shape, level 2) and hyperelastic (perforated square,
     level 0) runs; ``rounding``, whose trials are all judged by their
     gradients, as those below the energy's rounding are, so that every
-    rejected trial's gradient is evaluated; and ``barrier``, whose trial
-    gradients cross det F <= 0."""
+    rejected trial's gradient is evaluated; and ``barrier``, which drives
+    det F towards 0 until a Hessian probe crosses it."""
     if case == "plaplace":
         fe, model = plaplace_problem(make_lshape(2), p=2, alpha=3.0, f=-10.0)
         return fe, model, TrOptions(gradient_mode=mode)
@@ -280,13 +280,13 @@ def _kept_case(case, mode, monkeypatch):
                                 max_iters=3000, gradient_mode=mode)
 
 
-def _cold_blocks(model, kernel, evaluate):
-    """Element blocks of a model kernel over the free DOFs on a base always
-    computed from scratch by ``evaluate(v_full)``: the problem's blocks
-    without the gradient's evaluation."""
+def _cold_blocks(model):
+    """The explicit element blocks over the free DOFs on residuals always
+    computed from scratch: the problem's blocks without the gradient's
+    evaluation."""
     def blocks(v_free):
         v_full = expand_solution(model.dofmap, v_free)
-        return kernel(v_full, evaluate(v_full))
+        return model.element_hessians(v_full, model.residuals(v_full))
     return blocks
 
 
@@ -295,17 +295,19 @@ def _cold_blocks(model, kernel, evaluate):
     ("hyper", "explicit"), ("hyper", "central_diff"),
     ("rounding", "central_diff"), ("barrier", "central_diff")])
 def test_kept_gradient_evaluation_keeps_every_solve_bit(case, mode, monkeypatch):
-    # the Hessian takes the gradient's element evaluation at its point as
+    # the explicit Hessian takes the gradient's residuals at its point as
     # its base; a stale base, e.g. of a rejected trial whose gradient was
     # evaluated, would change the solve.  The whole solve matches one whose
-    # blocks are all computed cold, with fewer batched evaluations
+    # blocks are all computed cold, with fewer batched evaluations.  The
+    # central Hessian takes nothing from the gradient: the solve matches
+    # one whose blocks come from a second model, which evaluates no
+    # gradient, with the same batched energy evaluations
     fe, model, opts = _kept_case(case, mode, monkeypatch)
-    cold = replace(
-        fe, element_hessians=_cold_blocks(model, model.element_hessians,
-                                          model.residuals),
-        element_hessians_fd=_cold_blocks(
-            model, model.element_hessians_fd,
-            lambda v_full: model.probe_energies(v_full)[1]))
+    if mode == "explicit":
+        cold = replace(fe, element_hessians=_cold_blocks(model))
+    else:
+        second = _kept_case(case, mode, monkeypatch)[0]
+        cold = replace(fe, element_hessians_fd=second.element_hessians_fd)
     kernel = "_element_energies" if mode == "central_diff" else "_residuals"
     evaluations = []
 
@@ -325,15 +327,21 @@ def test_kept_gradient_evaluation_keeps_every_solve_bit(case, mode, monkeypatch)
     n_kept = len(evaluations)
     evaluations.clear()
     reference = minimize(cold, opts)
-    assert n_kept < len(evaluations)
+    if mode == "explicit":
+        assert n_kept < len(evaluations)
+    else:
+        assert n_kept == len(evaluations)
     np.testing.assert_array_equal(kept.v_free, reference.v_free)
     assert (kept.energy, kept.status) == (reference.energy, reference.status)
     assert kept.history == reference.history
-    # the start and every accepted step take one gradient; these cases
-    # also evaluate it at a rejected trial
-    if case in ("rounding", "barrier"):
+    # the start and every accepted step take one gradient; the rounding
+    # case also evaluates it at a rejected trial
+    if case == "rounding":
         assert kept.rejected >= 1
         assert len(gradients) > kept.accepted + 1
+    if case == "barrier":
+        assert kept.rejected >= 1
+        assert kept.status == "hessian_failed"
 
 
 @pytest.mark.parametrize("case, mode", [
@@ -342,17 +350,17 @@ def test_kept_gradient_evaluation_keeps_every_solve_bit(case, mode, monkeypatch)
     ("rounding", "central_diff"), ("barrier", "central_diff")])
 def test_no_hessian_in_a_solve_is_built_cold(case, mode, monkeypatch):
     # minimize evaluates the gradient at every point before the one Hessian
-    # there, so every Hessian of a solve takes the gradient's evaluation as
-    # its base: S batched residual evaluations for S slots, or
-    # S (S - 1) / 2 + 1 batched energy evaluations, and never the cold
-    # S + 1 or 2 S more
+    # there, so every explicit Hessian of a solve takes the gradient's
+    # residuals as its base: S batched residual evaluations for S slots,
+    # never the cold S + 1.  Every central Hessian is its 33 (hyper) or 9
+    # (plaplace) batched density evaluations
     fe, model, opts = _kept_case(case, mode, monkeypatch)
     n_slots = model.dofmap.elems2dofs.shape[1]
     if mode == "explicit":
         kernel, blocks, warm = "_residuals", "element_hessians", n_slots
     else:
-        kernel, blocks = "_element_energies", "element_hessians_fd"
-        warm = n_slots * (n_slots - 1) // 2 + 1
+        kernel, blocks = "density", "element_hessians_fd"
+        warm = 33 if model.dofmap.components == 2 else 9
     evaluations = []
 
     def counted(v_loc, evaluate=getattr(model, kernel)):
@@ -508,14 +516,14 @@ def test_forcing_tolerance_per_iteration(monkeypatch):
 @pytest.mark.parametrize("mode", ["explicit", "central_diff"])
 def test_barrier_probe_ends_or_rejects(mode):
     # a load of 1e30 drives det F towards 0, where a difference probe
-    # crosses det F <= 0: in the Hessian build, which ends the solve at the
-    # current point, and in the central-difference gradient of a trial that
-    # would be accepted, which rejects that trial.  The Hessian probes the
-    # element residuals (element_hessians) or the element energies
-    # (element_hessians_fd) one local slot at a time, so it raises from
-    # its own source.  Steps are not cut short of det F = 0 here
-    # (max_step=None): with the cut, no trial's gradient probe crosses and
-    # only the Hessian build raises
+    # crosses det F <= 0 in the Hessian build, which ends the solve at the
+    # current point.  The Hessian probes the element residuals
+    # (element_hessians) one local slot at a time, or the density at every
+    # point (element_hessians_fd), so it raises from its own source.  Steps
+    # are not cut short of det F = 0 here (max_step=None).  A central
+    # Hessian probe moves G by 1e-4, a central gradient probe v by 1e-6, so
+    # the Hessian build at an accepted point crosses before any trial's
+    # gradient probe does; a gradient that raises is the next test's case
     problem, _ = neohooke_problem(make_perforated_square(0), p=2, young=2e8,
                                   poisson=0.3, f=(1e30, -3.5e7))
     # every iteration evaluates one trial energy, after its Hessian build
@@ -557,8 +565,28 @@ def test_barrier_probe_ends_or_rejects(mode):
     for i, _ in raised_at[:-1]:
         record = sol.history[i - 1]
         assert not record["accepted"] and record["rho"] is None
-    if mode == "central_diff":
-        assert len(raised_at) > 1
+
+
+def test_barrier_in_a_trial_gradient_rejects_the_trial():
+    # J = |v|^2 / 2 - sum(v), whose gradient raises BarrierError once
+    # max |v| > 0.5, as a difference probe through det F <= 0 does: a
+    # trial past that is rejected (rho None) and the solve goes on from
+    # the current point, until a Hessian probe just short of 0.5 raises
+    # and ends it unconverged
+    def gradient(v):
+        if np.max(np.abs(v)) > 0.5:
+            raise BarrierError("probe crossed det F <= 0")
+        return v - 1.0
+
+    n = 200
+    problem = EnergyProblem(
+        energy=lambda v: 0.5 * (v @ v) - v.sum(), gradient=gradient,
+        pattern=sp.identity(n, dtype=bool, format="csr"), x0=np.zeros(n))
+    sol = minimize(problem, TrOptions(max_iters=50, initial_radius=100.0))
+    assert not sol.converged and sol.status == "hessian_failed"
+    assert sol.history[-1]["accepted"]
+    assert 0.5 - 1e-6 < np.max(sol.v_free) <= 0.5
+    assert any(not r["accepted"] and r["rho"] is None for r in sol.history)
 
 
 def _count_hessian_sources(problem, monkeypatch):
