@@ -17,23 +17,23 @@ product against the transposed table; no per-element derivative tensor
 is formed.  Outside these kernels G is exposed only as
 ``NeoHookeModel.gradfield``, the named entries of F for det F checks.
 
-Each gradient mode has one element evaluation at a point: its element
-residuals.  ``residuals`` gives the explicit ones, the gradient before
-its scatter, and ``probe_energies`` their central-difference estimate in
-the same signed local layout, from the element energies with one local
-slot of every element moved by its DOF's step up and down, one slot at a
-time; ``assemble_gradient`` scatters either into a gradient.  The
-element blocks of a finite-difference Hessian come from
-``element_hessians``, forward differences of the residuals one moved
-slot at a time on the explicit residuals at the point as their base, or
-from ``element_hessians_fd``, second differences of the density W(G)
-taken pointwise on the gathered G and contracted like the stiffness of
-a linear model: a fixed 9 (scalar) or 33 (vector) density evaluations,
-whatever the degree.  The slot steps are those of
-:func:`hpmin.fd.difference_steps` at the point, the pointwise ones those
-of :func:`hpmin.fd.hessian_steps` at G.  Every probe evaluates a moved
-copy, so no call changes its arguments; a model keeps no state between
-calls, and every batched product runs over all elements.
+Every derivative gathers G once, takes its pointwise derivatives on it,
+and contracts them with one of two shared contractions.  First
+derivatives contract into element residuals, the gradient before its
+scatter: ``residuals`` from ``stress``, and ``residuals_fd`` from central
+differences of the density, with each entry of G moved by its step from
+:func:`hpmin.fd.difference_steps` up and down (4 scalar or 8 vector
+density evaluations); ``assemble_gradient`` scatters either.  Second
+derivatives contract into the element blocks of a finite-difference
+Hessian like the stiffness of a linear model: ``element_hessians`` from
+the same central differences of ``stress`` (4 or 8 stress evaluations),
+and ``element_hessians_fd`` from second differences of the density with
+the steps of :func:`hpmin.fd.hessian_steps` (9 or 33 density
+evaluations), whatever the degree.  So the derivatives of explicit mode
+need only a model's ``stress``, and those of central_diff mode only its
+``density``.  Every probe evaluates a moved copy of G, so no call changes
+its arguments; a model keeps no state between calls, and every batched
+product runs over all elements.
 
 * scalar power-law diffusion: (1/alpha) integral |grad v|^alpha - integral f v
 * vector compressible Neo-Hookean elasticity with stored density
@@ -48,6 +48,7 @@ calls, and every batched product runs over all elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -129,34 +130,13 @@ class _ModelBase:
         self._ref = np.stack([table.dxi, table.deta])  # (2, m, n_ip)
         self._ref_t = np.ascontiguousarray(self._ref.transpose(0, 2, 1))  # (2, n_ip, m)
         self._w_jinv_t = geometry.wdetj * geometry.jinv_t  # (2, 2, T, n_ip)
-        # products of reference derivatives d_b phi_m d_f phi_n at each
-        # point, rows (b, f, point), columns (m, n): one matrix product with
-        # it contracts pointwise second derivatives into element blocks
+        # products of reference derivatives d_b phi_k d_f phi_l at each
+        # point: for column function l, rows (b, f, point) and columns k, so
+        # one matrix product with it contracts pointwise second derivatives
+        # into the blocks of one column slot
         m = self._ref.shape[1]
-        self._ref_outer = np.einsum("bmq,fnq->bfqmn", self._ref,
-                                    self._ref).reshape(-1, m * m)
-
-    def _at_steps(self, v_full: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Signed local coefficients of ``v_full`` and the signed local steps
-        of :func:`hpmin.fd.difference_steps` there, both (T, slots).  The
-        steps come from the gathered coefficients: |+-x| is exact, so they
-        have the bits of the gathered steps of ``v_full``."""
-        v_loc = self.dofmap.gather(v_full)
-        return v_loc, self.dofmap.signs * difference_steps(v_loc)
-
-    def _shifted(self, v_loc: np.ndarray, slot: int, shift: np.ndarray,
-                 evaluate=None) -> np.ndarray:
-        """``evaluate``, by default the element energies, of a copy of
-        ``v_loc`` with ``shift`` added to ``slot`` of every element.  A
-        non-finite element energy raises ``BarrierError``."""
-        moved = v_loc.copy()
-        moved[:, slot] += shift
-        if evaluate is not None:
-            return evaluate(moved)
-        energies = self._element_energies(moved)
-        if not np.all(np.isfinite(energies)):
-            raise BarrierError("energy not finite at a finite-difference probe")
-        return energies
+        self._ref_outer = np.einsum("bkq,flq->lbfqk", self._ref, self._ref,
+                                    order="C").reshape(m, -1, m)
 
     def _gather(self, v_loc: np.ndarray) -> np.ndarray:
         """Gradient array G, (components, 2, T, n_ip), of local coefficients.
@@ -185,20 +165,88 @@ class _ModelBase:
             return np.inf
         return float(dens.sum() - self.b_full @ v_full)
 
-    def _residuals(self, v_loc: np.ndarray) -> np.ndarray:
-        """Derivatives of every element's density integral with respect to
-        its signed local coefficients, in the layout of ``v_loc``."""
-        G = self._gather(v_loc)
-        # w |J| P J^{-T}: the stress against the reference directions
-        Q = np.einsum("catq,abtq->cbtq", self.stress(G), self._w_jinv_t)
+    def _probe(self, pointwise, G: np.ndarray, h: np.ndarray, *moves) -> np.ndarray:
+        """``pointwise`` of a copy of G with, for each (i, sign) of
+        ``moves``, entry i moved by sign h_i at every quadrature point.  A
+        non-finite value raises ``BarrierError``."""
+        moved = G.reshape(-1, *G.shape[2:]).copy()
+        for i, sign in moves:
+            moved[i] += sign * h[i]
+        out = pointwise(moved.reshape(G.shape))
+        if not np.all(np.isfinite(out)):
+            raise BarrierError("not finite at a finite-difference probe")
+        return out
+
+    def _central(self, pointwise, G: np.ndarray) -> np.ndarray:
+        """Central differences of ``pointwise``, a function f of G taken at
+        every quadrature point, over the entries of G.
+
+        At every point, entry j of G moves by its step h_j from
+        :func:`hpmin.fd.difference_steps` up and down:
+        (f(G + h_j e_j) - f(G - h_j e_j)) / (2 h_j), 2 n evaluations of f
+        for the n = 2 x components entries.  The result has two leading
+        axes shaped like G's, entry j holding the difference over entry j,
+        followed by the shape of f(G).  A non-finite value raises
+        ``BarrierError``.
+        """
+        h = difference_steps(G.reshape(-1, *G.shape[2:]))
+        probe = partial(self._probe, pointwise, G, h)
+        diffs = np.stack([(probe((j, 1.0)) - probe((j, -1.0))) / (2.0 * h[j])
+                          for j in range(h.shape[0])])
+        return diffs.reshape(*G.shape[:2], *diffs.shape[1:])
+
+    def _contract_first(self, P: np.ndarray) -> np.ndarray:
+        """Element residuals, (T, slots), of pointwise first derivatives P
+        of the density, shaped like G: the derivatives of every element's
+        density integral with respect to its signed local coefficients."""
+        # w |J| P J^{-T}: the derivatives against the reference directions
+        Q = np.einsum("catq,abtq->cbtq", P, self._w_jinv_t)
         r_loc = (Q @ self._ref_t).sum(axis=1)  # (components, T, m)
-        return r_loc.transpose(1, 0, 2).reshape(G.shape[2], -1)
+        return r_loc.transpose(1, 0, 2).reshape(P.shape[2], -1)
+
+    def _contract_second(self, d2: np.ndarray) -> np.ndarray:
+        """Element blocks, (slots, T, slots), of pointwise second
+        derivatives d2 of the density, (components, 2, components, 2, T,
+        n_ip): [d, e, c, a] is the derivative over G[d, e] of the first
+        derivative over G[c, a].
+
+        Weighted by w |J| and mapped to the reference directions by J^{-T}
+        on both sides, d2 is contracted with the products of the reference
+        derivatives by one matrix product per column slot (d, l), straight
+        into the blocks.  Entry [b, e, a] is element e's share of the
+        Hessian entry coupling the DOFs of its slots a (row) and b
+        (column), with the signs of both slots.
+        """
+        components, n_elems = d2.shape[0], d2.shape[4]
+        d2 = np.einsum("decatq,eftq->dfcatq", d2, self.geometry.jinv_t)
+        d2 = np.einsum("abtq,dfcatq->dtcbfq", self._w_jinv_t, d2)
+        # einsum in its own output order and one copy: the same bits, and
+        # about 3 times faster than einsum asked for C order (numpy 2.4)
+        rows = np.ascontiguousarray(d2).reshape(components, n_elems * components, -1)
+        del d2
+        m = self._ref.shape[1]
+        blocks = np.empty((components * m, n_elems, components * m))
+        out = blocks.reshape(components, m, n_elems * components, m)
+        for d in range(components):
+            for l in range(m):
+                np.matmul(rows[d], self._ref_outer[l], out=out[d, l])
+        blocks *= self.dofmap.signs
+        blocks *= self.dofmap.signs.T[:, :, None]
+        return blocks
 
     def residuals(self, v_full: np.ndarray) -> np.ndarray:
         """Element residuals, (T, slots): the explicit gradient before its
         scatter.  At an inverted configuration ``stress`` raises
         ``BarrierError``."""
-        return self._residuals(self.dofmap.gather(v_full))
+        G = self._gather(self.dofmap.gather(v_full))
+        return self._contract_first(self.stress(G))
+
+    def residuals_fd(self, v_full: np.ndarray) -> np.ndarray:
+        """The central-difference estimate of ``residuals(v_full)``, from
+        central differences of the density on the gathered G: 4 (scalar)
+        or 8 (vector) density evaluations at any degree."""
+        G = self._gather(self.dofmap.gather(v_full))
+        return self._contract_first(self._central(self.density, G))
 
     def assemble_gradient(self, residuals: np.ndarray) -> np.ndarray:
         """The explicit gradient of element residuals, one entry per DOF."""
@@ -207,44 +255,15 @@ class _ModelBase:
     def gradient(self, v_full: np.ndarray) -> np.ndarray:
         return self.assemble_gradient(self.residuals(v_full))
 
-    def probe_energies(self, v_full: np.ndarray) -> np.ndarray:
-        """The central mode's element evaluation: the central-difference
-        estimate of ``residuals(v_full)``, (T, slots).  With e_up and e_dn
-        the element energies with slot s of every element moved by its
-        signed step delta up and down, one slot at a time, the estimate is
-        (e_up - e_dn) / (2 delta): 2 S batched energy evaluations for S
-        slots.  A non-finite probe energy raises ``BarrierError``."""
-        v_loc, deltas = self._at_steps(v_full)
-        e_up, e_dn = np.empty((2, *v_loc.shape))
-        for slot in range(v_loc.shape[1]):
-            e_up[:, slot] = self._shifted(v_loc, slot, deltas[:, slot])
-            e_dn[:, slot] = self._shifted(v_loc, slot, -deltas[:, slot])
-        return (e_up - e_dn) / (2.0 * deltas)
-
-    def element_hessians(self, v_full: np.ndarray, base: np.ndarray) -> np.ndarray:
-        """Forward differences of the element residuals, (slots, T, slots).
-
-        Slot b of every element moves by its DOF's signed step, one slot at
-        a time; entry [b, e, a] is (moved - base) sign_a / h_b, element e's
-        share of the Hessian entry coupling the DOFs of its slots a (row)
-        and b (column), with h_b = |delta_b|.  The load term is linear and
-        drops out.  ``base`` is ``residuals(v_full)``: S batched residual
-        evaluations for S slots.  A probe at an inverted configuration
-        raises ``BarrierError`` from ``stress``.
-        """
-        v_loc, deltas = self._at_steps(v_full)
-        moved = np.empty((v_loc.shape[1], *v_loc.shape))
-        for slot in range(v_loc.shape[1]):
-            moved[slot] = self._shifted(v_loc, slot, deltas[:, slot],
-                                        evaluate=self._residuals)
-        moved -= base
-        moved *= self.dofmap.signs
-        moved /= np.abs(deltas).T[:, :, None]
-        return moved
+    def element_hessians(self, v_full: np.ndarray) -> np.ndarray:
+        """Element blocks from central differences of the stress on the
+        gathered G: 4 (scalar) or 8 (vector) stress evaluations at any
+        degree.  The load term is linear and drops out."""
+        G = self._gather(self.dofmap.gather(v_full))
+        return self._contract_second(self._central(self.stress, G))
 
     def element_hessians_fd(self, v_full: np.ndarray) -> np.ndarray:
-        """``element_hessians`` from pointwise second differences of the
-        density.
+        """Element blocks from pointwise second differences of the density.
 
         At every quadrature point, entry i of G moves by its step h_i from
         :func:`hpmin.fd.hessian_steps`.  The second derivative of W in G is
@@ -252,29 +271,14 @@ class _ModelBase:
         central mixed (W(+i+j) - W(+i-j) - W(-i+j) + W(-i-j)) / (4 h_i h_j)
         off it (Nocedal & Wright, 2nd ed., section 8.1): 1 + 2 n + 2 n (n - 1)
         density evaluations for the n = 2 x components entries of G, 9 for
-        a scalar model and 33 for a vector one.  Weighted by w |J| and mapped
-        to the reference directions by J^{-T} on both sides, it is
-        contracted with the products of the reference derivatives by one
-        matrix product.  The blocks are averaged with their mirrors, so
-        [b, e, a] equals [a, e, b] bit for bit, and carry the signs of both
-        slots.  A non-finite density raises ``BarrierError``.
+        a scalar model and 33 for a vector one.  A non-finite density
+        raises ``BarrierError``.
         """
         G = self._gather(self.dofmap.gather(v_full))
-        components, _, n_elems, n_ip = G.shape
-        flat = G.reshape(-1, n_elems, n_ip)
-        n = flat.shape[0]
-        h = hessian_steps(flat)
-
-        def probe(*moves):
-            moved = flat.copy()
-            for i, sign in moves:
-                moved[i] += sign * h[i]
-            dens = self.density(moved.reshape(G.shape))
-            if not np.all(np.isfinite(dens)):
-                raise BarrierError("density not finite at a second-difference probe")
-            return dens
-
-        d2 = np.empty((n, n, n_elems, n_ip))
+        h = hessian_steps(G.reshape(-1, *G.shape[2:]))
+        n = h.shape[0]
+        probe = partial(self._probe, self.density, G, h)
+        d2 = np.empty((n, *h.shape))
         w = probe()
         for i in range(n):
             d2[i, i] = (probe((i, 1.0)) - 2.0 * w + probe((i, -1.0))) / h[i] ** 2
@@ -283,24 +287,7 @@ class _ModelBase:
                     probe((i, 1.0), (j, 1.0)) - probe((i, 1.0), (j, -1.0))
                     - probe((i, -1.0), (j, 1.0)) + probe((i, -1.0), (j, -1.0))
                 ) / (4.0 * h[i] * h[j])
-        d2 = d2.reshape(components, 2, components, 2, n_elems, n_ip)
-        # weighted by w |J| and mapped to the reference directions by
-        # J^{-T} on both sides: rows (element, component, component),
-        # columns (direction, direction, point)
-        d2 = np.einsum("cadetq,eftq->cadftq", d2, self.geometry.jinv_t)
-        d2 = np.einsum("abtq,cadftq->tcdbfq", self._w_jinv_t, d2, order="C")
-        m = self._ref.shape[1]
-        local = (d2.reshape(n_elems * components**2, -1) @ self._ref_outer
-                 ).reshape(n_elems, components, components, m, m)
-        # local[e, c, d, k, l] couples slot (c, k), row, and slot (d, l);
-        # block [(d, l), e, (c, k)] is it plus its mirror
-        n_slots = components * m
-        blocks = np.empty((n_slots, n_elems, n_slots))
-        np.add(local.transpose(2, 4, 0, 1, 3), local.transpose(1, 3, 0, 2, 4),
-               out=blocks.reshape(components, m, n_elems, components, m))
-        blocks *= 0.5 * self.dofmap.signs
-        blocks *= self.dofmap.signs.T[:, :, None]
-        return blocks
+        return self._contract_second(d2.reshape(*G.shape[:2], *G.shape))
 
 
 def _frobenius2(G: np.ndarray) -> np.ndarray:

@@ -3,12 +3,11 @@ element slots or a distance-2 coloring.
 
 The energy is a sum of element energies, so its Hessian is a sum of
 element blocks (a partially separable function, Griewank & Toint 1982).
-A model differences its explicit element residuals once per local slot,
-with that slot of every element moved by its step from
-:func:`difference_steps`, or takes second differences of its density at
-every quadrature point, with the entries of the gradient array G moved by
-their steps from :func:`hessian_steps`, and one ``bincount`` scatters the
-blocks into the pattern through a position map built once
+A model takes them at every quadrature point, on the gradient array G:
+central differences of its stress, with the entries of G moved by their
+steps from :func:`difference_steps`, or second differences of its
+density, with the steps from :func:`hessian_steps`.  One ``bincount``
+scatters the blocks into the pattern through a position map built once
 (``SlotPattern``).  A problem without element kernels takes one forward
 gradient difference per color group instead; group members share no
 structurally-coupled row, so every pattern column can be read off
@@ -181,14 +180,14 @@ def hessian_fd(grad, v: np.ndarray, layout: ColoredPattern | SlotPattern,
     and the whole H, has the same bits under any valid distance-2 coloring.
 
     With a ``SlotPattern``, ``grad(v)`` gives the (slots, T, slots) element
-    blocks instead, a model's ``element_hessians``, with fixed DOFs
-    stepped like free ones, or ``element_hessians_fd``, and ``g0`` is not
-    read.  One ``bincount`` adds them into the pattern's
-    data; terms of fixed DOFs go to a bin past the end, which is dropped.
+    blocks instead, a model's ``element_hessians`` or
+    ``element_hessians_fd`` over all DOFs, fixed ones included, and ``g0``
+    is not read.  One ``bincount`` adds them into the pattern's data;
+    terms of fixed DOFs go to a bin past the end, which is dropped.
 
     Either way the result is symmetrized, (H + H^T) / 2, directly in the
-    pattern's CSR layout and shares the pattern's ``indices`` and
-    ``indptr`` arrays.
+    pattern's CSR layout, so H equals H^T bit for bit, and shares the
+    pattern's ``indices`` and ``indptr`` arrays.
     """
     v = np.asarray(v, dtype=float)
     pattern = layout.pattern

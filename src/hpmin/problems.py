@@ -22,58 +22,33 @@ def _problem(mesh: QuadMesh, p: int, components: int, dirichlet: DirichletSpec,
     ``EnergyProblem`` over its free DOFs.
 
     ``make_model(geo, dofmap)`` builds the energy model and
-    ``make_x0(dofmap)`` the free-DOF starting vector.  Each gradient mode
-    has one element evaluation at the full vector, its element residuals:
-    ``model.residuals`` in explicit mode and ``model.probe_energies`` in
-    central_diff mode.  The gradient assembles them with
-    ``model.assemble_gradient`` and keeps the free entries;
-    ``element_dofs`` maps the element slots to free DOFs.
-
-    The explicit blocks difference against the residuals at their point.
-    ``minimize`` evaluates the gradient at every point before it builds
-    the one Hessian there, so the explicit gradient keeps one record: the
-    bytes of the full vector and its residuals.  The blocks at that point
-    take the residuals from it and do not compute them again.  A blocks
-    call spends the record, and elsewhere computes the residuals itself;
-    a gradient that raises leaves none.  The central_diff blocks read
-    nothing of their gradient.
+    ``make_x0(dofmap)`` the free-DOF starting vector.  Every callback
+    evaluates the model at the full vector: each gradient assembles its
+    mode's element residuals, ``model.residuals`` (explicit) or
+    ``model.residuals_fd`` (central_diff), with ``model.assemble_gradient``
+    and keeps the free entries, and each mode's element blocks are
+    ``model.element_hessians`` or ``model.element_hessians_fd``.
+    ``element_dofs`` maps the element slots to free DOFs.  No callback
+    keeps anything between calls.
     """
     rule = rule_for_degree(p)
     geo = geometry_factors(mesh, rule, tabulate(p, rule.points))
     dm = build_dofmap(mesh, p, components=components, dirichlet=dirichlet)
     model = make_model(geo, dm)
 
-    record = None
-
-    def gradient(v_free):
-        nonlocal record
-        record = None
-        v_full = expand_solution(dm, v_free)
-        residuals = model.residuals(v_full)
-        record = (v_full.tobytes(), residuals)
-        return model.assemble_gradient(residuals)[dm.free_dofs]
-
-    def element_hessians(v_free):
-        nonlocal record
-        v_full = expand_solution(dm, v_free)
-        kept = record is not None and record[0] == v_full.tobytes()
-        base = record[1] if kept else model.residuals(v_full)
-        record = None
-        return model.element_hessians(v_full, base)
-
-    def gradient_fd(v_free):
-        residuals = model.probe_energies(expand_solution(dm, v_free))
-        return model.assemble_gradient(residuals)[dm.free_dofs]
+    def full(v_free):
+        return expand_solution(dm, v_free)
 
     free_index = np.full(dm.n_dofs, -1)
     free_index[dm.free_dofs] = np.arange(dm.n_free)
     problem = EnergyProblem(
-        energy=lambda v_free: model.energy(expand_solution(dm, v_free)),
-        gradient=gradient, gradient_fd=gradient_fd,
+        energy=lambda v: model.energy(full(v)),
+        gradient=lambda v: model.gradient(full(v))[dm.free_dofs],
+        gradient_fd=lambda v: model.assemble_gradient(
+            model.residuals_fd(full(v)))[dm.free_dofs],
         pattern=sparsity_pattern(dm), x0=make_x0(dm),
-        element_hessians=element_hessians,
-        element_hessians_fd=lambda v_free: model.element_hessians_fd(
-            expand_solution(dm, v_free)),
+        element_hessians=lambda v: model.element_hessians(full(v)),
+        element_hessians_fd=lambda v: model.element_hessians_fd(full(v)),
         element_dofs=free_index[dm.elems2dofs])
     return problem, model
 

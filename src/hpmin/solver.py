@@ -2,14 +2,14 @@
 
 Each accepted step builds a sparse finite-difference Hessian on the
 problem's sparsity pattern.  A problem that gives its element blocks has
-them built one local slot at a time, from forward differences of its
-element residuals in ``explicit`` mode and from second differences of its
-element energies in ``central_diff`` mode; any other problem differences
-its gradient once per color group.  Each iteration solves the
-trust-region subproblem with Steihaug-Toint truncated CG, stopped at a
-forcing tolerance that falls with the gradient (an inexact Newton step),
-and accepts or rejects the step by the ratio of actual to predicted
-energy reduction.  A predicted reduction below the energy's rounding
+them added into the pattern; the model problems take them at every
+quadrature point, from central differences of the stress in
+``explicit`` mode and from second differences of the density in
+``central_diff`` mode.  Any other problem differences its gradient once
+per color group.  Each iteration solves the trust-region subproblem with
+Steihaug-Toint truncated CG, stopped at a forcing tolerance that falls
+with the gradient (an inexact Newton step), and accepts or rejects the
+step by the ratio of actual to predicted energy reduction.  A predicted reduction below the energy's rounding
 takes its actual reduction from the trapezoid rule on the gradients at
 both ends of the step instead of from the energies.
 A problem with a ``max_step`` (the elastic orientation barrier) has a
@@ -70,17 +70,14 @@ class EnergyProblem:
     v + t step leaves the admissible set (inf if it never does); None means
     steps are never cut.
 
-    An energy that is a sum of element energies may give its Hessian one
-    local slot at a time: ``element_hessians(v)`` (explicit mode) and
+    An energy that is a sum of element energies may give its Hessian as
+    element blocks: ``element_hessians(v)`` (explicit mode) and
     ``element_hessians_fd(v)`` (central_diff mode) return the
     (slots, T, slots) blocks that :func:`hpmin.fd.hessian_fd` adds up, and
     the array ``element_dofs`` holds the (T, slots) pattern row of the DOF
     in every element slot, -1 where it is fixed; :func:`minimize` raises
     ``ValueError`` on blocks without it.  When the mode's blocks are None,
     the Hessian is colored forward differences of the mode's gradient.
-    :func:`minimize` evaluates the mode's gradient at every point before it
-    builds the one Hessian there, so the blocks may reuse what that
-    gradient computed at the same point.
     """
 
     energy: Callable[[np.ndarray], float]

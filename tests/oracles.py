@@ -27,11 +27,11 @@ from hpmin.mesh import HOLE_RADIUS, QuadMesh, _corner_cross, _grid, build_mesh
 
 
 def central_gradient(model, v_full: np.ndarray) -> np.ndarray:
-    """The element-local central-difference gradient of a model at a full
-    vector: the residuals of its ``probe_energies`` assembled by
-    ``assemble_gradient``, as a problem's ``gradient_fd`` assembles them
-    before it keeps the free entries."""
-    return model.assemble_gradient(model.probe_energies(v_full))
+    """The central-difference gradient of a model at a full vector: its
+    ``residuals_fd``, from central differences of the density at the
+    quadrature points, assembled by ``assemble_gradient``, as a problem's
+    ``gradient_fd`` assembles them before it keeps the free entries."""
+    return model.assemble_gradient(model.residuals_fd(v_full))
 
 
 def central_residuals(model, v_full: np.ndarray) -> np.ndarray:
@@ -52,8 +52,9 @@ def central_residuals(model, v_full: np.ndarray) -> np.ndarray:
 
 
 def element_hessians_from_stress(model, v_full: np.ndarray) -> np.ndarray:
-    """The element blocks of ``model.element_hessians_fd`` from central
-    differences of the model's ``stress`` at the same quadrature points.
+    """A model's element blocks from central differences of its ``stress``
+    at the quadrature points: the differences of ``model.element_hessians``,
+    contracted in full, and an estimate of ``model.element_hessians_fd``.
 
     Column (d, e) of the second derivative of the density at every point
     is (P(G + h E_de) - P(G - h E_de)) / (2 h), with h = FD_STEP

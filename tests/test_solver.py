@@ -280,38 +280,23 @@ def _kept_case(case, mode, monkeypatch):
                                 max_iters=3000, gradient_mode=mode)
 
 
-def _cold_blocks(model):
-    """The explicit element blocks over the free DOFs on residuals always
-    computed from scratch: the problem's blocks without the gradient's
-    evaluation."""
-    def blocks(v_free):
-        v_full = expand_solution(model.dofmap, v_free)
-        return model.element_hessians(v_full, model.residuals(v_full))
-    return blocks
-
-
 @pytest.mark.parametrize("case, mode", [
     ("plaplace", "explicit"), ("plaplace", "central_diff"),
     ("hyper", "explicit"), ("hyper", "central_diff"),
     ("rounding", "central_diff"), ("barrier", "central_diff")])
 def test_kept_gradient_evaluation_keeps_every_solve_bit(case, mode, monkeypatch):
-    # the explicit Hessian takes the gradient's residuals at its point as
-    # its base; a stale base, e.g. of a rejected trial whose gradient was
-    # evaluated, would change the solve.  The whole solve matches one whose
-    # blocks are all computed cold, with fewer batched evaluations.  The
-    # central Hessian takes nothing from the gradient: the solve matches
-    # one whose blocks come from a second model, which evaluates no
-    # gradient, with the same batched energy evaluations
+    # the Hessian of neither mode takes anything from the gradient, so a
+    # stale evaluation, e.g. of a rejected trial whose gradient was
+    # evaluated, cannot reach it: the solve matches one whose blocks come
+    # from a second model, which evaluates no gradient, with the same
+    # batched energy evaluations
     fe, model, opts = _kept_case(case, mode, monkeypatch)
-    if mode == "explicit":
-        cold = replace(fe, element_hessians=_cold_blocks(model))
-    else:
-        second = _kept_case(case, mode, monkeypatch)[0]
-        cold = replace(fe, element_hessians_fd=second.element_hessians_fd)
-    kernel = "_element_energies" if mode == "central_diff" else "_residuals"
+    blocks = "element_hessians_fd" if mode == "central_diff" else "element_hessians"
+    second = _kept_case(case, mode, monkeypatch)[0]
+    cold = replace(fe, **{blocks: getattr(second, blocks)})
     evaluations = []
 
-    def counted(v_loc, evaluate=getattr(model, kernel)):
+    def counted(v_loc, evaluate=model._element_energies):
         evaluations.append(v_loc.shape)
         return evaluate(v_loc)
 
@@ -322,15 +307,12 @@ def test_kept_gradient_evaluation_keeps_every_solve_bit(case, mode, monkeypatch)
         gradients.append(v)
         return evaluate(v)
 
-    monkeypatch.setattr(model, kernel, counted)
+    monkeypatch.setattr(model, "_element_energies", counted)
     kept = minimize(replace(fe, **{gradient: counted_gradient}), opts)
     n_kept = len(evaluations)
     evaluations.clear()
     reference = minimize(cold, opts)
-    if mode == "explicit":
-        assert n_kept < len(evaluations)
-    else:
-        assert n_kept == len(evaluations)
+    assert n_kept == len(evaluations)
     np.testing.assert_array_equal(kept.v_free, reference.v_free)
     assert (kept.energy, kept.status) == (reference.energy, reference.status)
     assert kept.history == reference.history
@@ -349,23 +331,22 @@ def test_kept_gradient_evaluation_keeps_every_solve_bit(case, mode, monkeypatch)
     ("hyper", "explicit"), ("hyper", "central_diff"),
     ("rounding", "central_diff"), ("barrier", "central_diff")])
 def test_no_hessian_in_a_solve_is_built_cold(case, mode, monkeypatch):
-    # minimize evaluates the gradient at every point before the one Hessian
-    # there, so every explicit Hessian of a solve takes the gradient's
-    # residuals as its base: S batched residual evaluations for S slots,
-    # never the cold S + 1.  Every central Hessian is its 33 (hyper) or 9
-    # (plaplace) batched density evaluations
+    # every Hessian of a solve is the same fixed number of batched
+    # pointwise evaluations on the gathered G, whatever the degree: 8
+    # (hyper) or 4 (plaplace) stress evaluations in explicit mode, 33 or 9
+    # density evaluations in central_diff mode
     fe, model, opts = _kept_case(case, mode, monkeypatch)
-    n_slots = model.dofmap.elems2dofs.shape[1]
+    vector = model.dofmap.components == 2
     if mode == "explicit":
-        kernel, blocks, warm = "_residuals", "element_hessians", n_slots
+        kernel, blocks, probes = "stress", "element_hessians", 8 if vector else 4
     else:
         kernel, blocks = "density", "element_hessians_fd"
-        warm = 33 if model.dofmap.components == 2 else 9
+        probes = 33 if vector else 9
     evaluations = []
 
-    def counted(v_loc, evaluate=getattr(model, kernel)):
-        evaluations.append(v_loc.shape)
-        return evaluate(v_loc)
+    def counted(G, evaluate=getattr(model, kernel)):
+        evaluations.append(G.shape)
+        return evaluate(G)
 
     per_hessian = []
 
@@ -378,7 +359,7 @@ def test_no_hessian_in_a_solve_is_built_cold(case, mode, monkeypatch):
     monkeypatch.setattr(model, kernel, counted)
     sol = minimize(replace(fe, **{blocks: counted_blocks}), opts)
     assert sol.accepted > 0
-    assert per_hessian == [warm] * len(per_hessian)
+    assert per_hessian == [probes] * len(per_hessian)
 
 
 @pytest.mark.parametrize("mode", ["explicit", "central_diff"])
