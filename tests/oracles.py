@@ -1,37 +1,55 @@
-"""Reference implementations that only the tests read.
+"""Reference implementations and shared checks that only the tests read.
 
-Each one is the plain form of a fast path in ``hpmin``: whole-energy
-central differences, element Hessian blocks from stress differences,
-per-element physical shape derivatives, the
-full-to-free DOF index, the element DOF tables one local slot at a time,
-Legendre polynomials and kernels one degree at a time, shape functions
-evaluated one at a time from the geometry of the reference square,
-shoelace element areas, structured grids built cell by cell, and uniform
-refinement with each child stacked by hand.  It also
-holds what only the tests use: a model's central-difference gradient at
-a full vector, the unit-square mesh generator, the local
+Each reference implementation is the plain form of a fast path in
+``hpmin``: naive central differences of a whole energy (the suite's one
+copy), central differences of the element energies one slot at a time,
+element Hessian blocks from stress differences, the stiffness matrix
+assembled one element at a time, per-element physical shape derivatives,
+the full-to-free DOF index, the element DOF tables one local slot at a
+time, Legendre polynomials and kernels one degree at a time, shape
+functions evaluated one at a time from the geometry of the reference
+square, shoelace element areas, structured grids built cell by cell, and
+uniform refinement with each child stacked by hand.
+
+It also holds what only the tests use: the set-up of a degree-p space and
+of the two benchmark problems, the unit-square mesh generator, the local
 basis count, and readers of the convergence-table CSV that ``hpmin.cli``
 writes and of the legacy VTK files that ``hpmin.vtk`` writes.
+
+The ``check_*`` functions at the end are the checks that a unit test and
+an acceptance criterion share, so each exists once: the DOF counts and
+the sparsity nesting, explicit gradients against naive differences, the
+finite-difference Hessian against the stiffness matrix, the traces,
+parity, partition of unity and inter-element continuity of the basis, and
+the solver oracles.
 """
 
 import csv
 from pathlib import Path
 
 import numpy as np
+import pytest
+import scipy.sparse as sp
 
-from hpmin.basis import EdgeMode, Nodal, n_bubbles, shape_kinds
+import hpmin.solver
+from hpmin.basis import Bubble, EdgeMode, Nodal, n_bubbles, shape_kinds, tabulate
 from hpmin.cli import ConvergenceRow
-from hpmin.energy import BarrierError
-from hpmin.fd import FD_STEP
-from hpmin.mesh import HOLE_RADIUS, QuadMesh, _corner_cross, _grid, build_mesh
-
-
-def central_gradient(model, v_full: np.ndarray) -> np.ndarray:
-    """The central-difference gradient of a model at a full vector: its
-    ``residuals_fd``, from central differences of the density at the
-    quadrature points, assembled by ``assemble_gradient``, as a problem's
-    ``gradient_fd`` assembles them before it keeps the free entries."""
-    return model.assemble_gradient(model.residuals_fd(v_full))
+from hpmin.dofmap import DirichletSpec, build_dofmap, sample_field, sparsity_pattern
+from hpmin.energy import BarrierError, NeoHookeModel, PLaplaceModel, identity_deformation
+from hpmin.fd import FD_STEP, greedy_coloring, hessian_fd
+from hpmin.mesh import (
+    HOLE_RADIUS,
+    QuadMesh,
+    _corner_cross,
+    _grid,
+    build_mesh,
+    geometry_factors,
+    make_lshape,
+    make_perforated_square,
+)
+from hpmin.problems import neohooke_problem, plaplace_problem
+from hpmin.quadrature import rule_for_degree
+from hpmin.solver import EnergyProblem, TrOptions, minimize, steihaug_cg
 
 
 def central_residuals(model, v_full: np.ndarray) -> np.ndarray:
@@ -86,9 +104,9 @@ def element_hessians_from_stress(model, v_full: np.ndarray) -> np.ndarray:
     return local.transpose(2, 0, 1)
 
 
-def gradient_central(energy, v: np.ndarray, h: float = FD_STEP,
-                     dofs=None) -> np.ndarray:
-    """Naive central differences of a scalar energy over the given dofs.
+def gradient_central(energy, v: np.ndarray, dofs=None) -> np.ndarray:
+    """Naive central differences of a scalar energy over the given dofs,
+    with coordinate i moved by FD_STEP max(1, |v_i|) up and down.
 
     Reference implementation: every probe re-evaluates the full energy.
     """
@@ -96,7 +114,7 @@ def gradient_central(energy, v: np.ndarray, h: float = FD_STEP,
     dofs = np.arange(v.size) if dofs is None else np.asarray(dofs)
     g = np.empty(dofs.size)
     for out, i in enumerate(dofs):
-        hi = h * max(1.0, abs(v[i]))
+        hi = FD_STEP * max(1.0, abs(v[i]))
         probe = v.copy()
         probe[i] = v[i] + hi
         e_up = energy(probe)
@@ -106,6 +124,27 @@ def gradient_central(energy, v: np.ndarray, h: float = FD_STEP,
             raise BarrierError(f"energy not finite at probe of dof {i}")
         g[out] = (e_up - e_dn) / (2.0 * hi)
     return g
+
+
+def fe_space(mesh: QuadMesh, p: int, components: int = 1, dirichlet=None):
+    """Geometry factors and DOF map of degree p on a mesh, at the
+    quadrature rule of ``hpmin.problems``: (geometry, dofmap)."""
+    rule = rule_for_degree(p)
+    geo = geometry_factors(mesh, rule, tabulate(p, rule.points))
+    return geo, build_dofmap(mesh, p, components=components, dirichlet=dirichlet)
+
+
+def model_problem(problem: str, p: int, level: int | None = None):
+    """The problem and model of a benchmark functional at degree p:
+    ``hyper``, the Neo-Hookean run on the perforated square (level 0 by
+    default), or ``plaplace``, power-law diffusion with alpha = 3 on the
+    L-shape (level 1 by default)."""
+    if problem == "hyper":
+        mesh = make_perforated_square(0 if level is None else level)
+        return neohooke_problem(mesh, p=p, young=2e8, poisson=0.3,
+                                f=(-3.5e7, -3.5e7))
+    mesh = make_lshape(1 if level is None else level)
+    return plaplace_problem(mesh, p=p, alpha=3.0, f=-10.0)
 
 
 def physical_derivatives(geo) -> tuple[np.ndarray, np.ndarray]:
@@ -123,6 +162,37 @@ def free_index(dm) -> np.ndarray:
     index = -np.ones(dm.n_dofs, dtype=np.int64)
     index[dm.free_dofs] = np.arange(dm.n_free)
     return index
+
+
+def stiffness_matrix(model) -> np.ndarray:
+    """The Galerkin stiffness matrix, the integral of grad phi_i . grad
+    phi_j, over the free DOFs of a degree-1 scalar model (every sign +1):
+    the Hessian of the alpha = 2 power-law energy.
+
+    Reference implementation: one element at a time, one entry at a time.
+    """
+    dm, geo = model.dofmap, model.geometry
+    K = np.zeros((dm.n_free, dm.n_free))
+    fi = free_index(dm)
+    dphi_x, dphi_y = physical_derivatives(geo)
+    for t in range(dm.mesh.n_elems):
+        dofs = fi[dm.elems2dofs[t]]
+        ke = np.einsum("q,qa,qb->ab", geo.wdetj[t], dphi_x[t], dphi_x[t])
+        ke += np.einsum("q,qa,qb->ab", geo.wdetj[t], dphi_y[t], dphi_y[t])
+        for a in range(dofs.size):
+            for b in range(dofs.size):
+                if dofs[a] >= 0 and dofs[b] >= 0:
+                    K[dofs[a], dofs[b]] += ke[a, b]
+    return K
+
+
+def dof_kind(dm, dof) -> str:
+    """Kind of a global DOF, read off the blocked numbering."""
+    base = dof % dm.n_p
+    n_nodes, n_edges = dm.mesh.n_nodes, dm.mesh.n_edges
+    if base < n_nodes:
+        return "node"
+    return "edge" if base < n_nodes + (dm.p - 1) * n_edges else "bubble"
 
 
 def legendre_eval(k: int, xi):
@@ -357,3 +427,242 @@ def read_vtk(path) -> dict:
             next(lines)  # LOOKUP_TABLE default
             out[head[1]] = np.array([next(lines) for _ in range(count)], dtype=float)
     return out
+
+
+# Checks that a unit test and an acceptance criterion share: each asserts
+# one property, and both tests call the one copy.
+
+def check_lshape_p2_count():
+    """The level-0 L-shape at p = 2 has 53 DOFs per component: its 21
+    nodes, then one mode on each of its 32 edges, and no bubble."""
+    dm = build_dofmap(make_lshape(0), p=2)
+    assert dm.n_p == 53
+    assert dm.mesh.n_nodes == 21 and dm.mesh.n_edges == 32
+    kinds = [dof_kind(dm, d) for d in range(dm.n_p)]
+    assert kinds.count("node") == 21
+    assert kinds.count("edge") == 32
+    assert kinds.count("bubble") == 0
+
+
+def check_lshape_level1_free_count():
+    """The level-1 L-shape at p = 2 with u = 0 on the boundary has 113
+    free DOFs: (65 - 32 boundary nodes) + (112 - 32 boundary edges)."""
+    dm = build_dofmap(make_lshape(1), p=2, dirichlet=DirichletSpec(g=0.0))
+    assert dm.n_free == 113
+
+
+def check_sparsity_nesting():
+    """The p = 2 pattern of the level-0 L-shape, restricted to the nodal
+    rows and columns, is the p = 1 pattern."""
+    mesh = make_lshape(0)
+    pat1 = sparsity_pattern(build_dofmap(mesh, p=1))
+    pat2 = sparsity_pattern(build_dofmap(mesh, p=2))
+    nodal = mesh.n_nodes
+    rows1, cols1 = pat1.nonzero()
+    rows2, cols2 = pat2.nonzero()
+    mask = (rows2 < nodal) & (cols2 < nodal)
+    block = set(zip(rows2[mask].tolist(), cols2[mask].tolist()))
+    assert block == set(zip(rows1.tolist(), cols1.tolist()))
+
+
+def _check_gradient(model, v):
+    g = model.gradient(v)
+    err = np.max(np.abs(g - gradient_central(model.energy, v))) / np.max(np.abs(g))
+    assert err < 1e-6
+
+
+def check_plaplace_gradient(alpha: float, rng):
+    """At 5 random points, the explicit gradient of the power-law energy
+    (level-0 L-shape, p = 2, f = -10, no fixed DOF) matches the naive
+    central differences of the energy to 1e-6 relative."""
+    model = PLaplaceModel(*fe_space(make_lshape(0), 2), alpha=alpha, f=-10.0)
+    for _ in range(5):
+        _check_gradient(model, rng.standard_normal(model.dofmap.n_dofs))
+
+
+def check_neohooke_gradient(rng):
+    """At 5 random admissible points near the identity, the explicit
+    gradient of the Neo-Hookean energy (level-0 perforated square, p = 2,
+    no fixed DOF) matches the naive central differences of the energy to
+    1e-6 relative."""
+    geo, dm = fe_space(make_perforated_square(0), 2, components=2)
+    model = NeoHookeModel(geo, dm, c1=1.0, d1=2.0, f=(-1.0, -2.0))
+    v_id = identity_deformation(dm)
+    for _ in range(5):
+        v = v_id + 0.005 * rng.standard_normal(dm.n_dofs)
+        assert np.isfinite(model.energy(v))
+        _check_gradient(model, v)
+
+
+def check_fd_hessian_is_the_stiffness(rng):
+    """At a random point, the colored forward-difference Hessian of the
+    alpha = 2 power-law energy (level-1 L-shape, p = 1, u = 0 on the
+    boundary), a linear problem, matches the assembled stiffness matrix to
+    1e-5 relative.  Returns the stiffness matrix, the point and the
+    problem."""
+    fe, model = plaplace_problem(make_lshape(1), p=1, alpha=2.0, f=-10.0)
+    K = stiffness_matrix(model)
+    colored = greedy_coloring(fe.pattern)
+    v = rng.standard_normal(K.shape[0])
+    H = hessian_fd(fe.gradient, v, colored, g0=fe.gradient(v)).toarray()
+    assert np.max(np.abs(H - K)) / np.max(np.abs(K)) < 1e-5
+    return K, v, fe
+
+
+def edge_points(s: int, n: int = 10) -> np.ndarray:
+    """n points along local edge s of the reference square, (n, 2)."""
+    t = np.linspace(-1.0, 1.0, n)
+    block = {0: (t, -np.ones(n)), 1: (np.ones(n), t),
+             2: (t, np.ones(n)), 3: (-np.ones(n), t)}[s]
+    return np.column_stack(block)
+
+
+def check_edge_traces(p: int):
+    """Every degree-p edge mode vanishes, to 1e-12, on the other three
+    edges of the reference square."""
+    for s_other in range(4):
+        table = tabulate(p, edge_points(s_other))
+        for m, kind in enumerate(shape_kinds(p)):
+            if isinstance(kind, EdgeMode) and kind.edge != s_other:
+                assert np.max(np.abs(table.values[m])) < 1e-12
+
+
+def check_bubble_traces(p: int):
+    """Every degree-p bubble vanishes, to 1e-12, on all four edges."""
+    for s in range(4):
+        table = tabulate(p, edge_points(s))
+        for m, kind in enumerate(shape_kinds(p)):
+            if isinstance(kind, Bubble):
+                assert np.max(np.abs(table.values[m])) < 1e-12
+
+
+def check_partition_of_unity(p: int):
+    """The four nodal functions sum to 1, to 1e-14, at the degree-p
+    quadrature points."""
+    table = tabulate(p, rule_for_degree(p).points)
+    assert np.max(np.abs(table.values[:4].sum(axis=0) - 1.0)) < 1e-14
+
+
+def check_edge_parity(p: int, t: np.ndarray):
+    """Reversing the coordinate t along edge 0 multiplies every degree-k
+    edge mode of degree p by (-1)^k: odd modes flip."""
+    fwd = tabulate(p, np.column_stack([t, -np.ones_like(t)]))
+    rev = tabulate(p, np.column_stack([-t, -np.ones_like(t)]))
+    for m, kind in enumerate(shape_kinds(p)):
+        if isinstance(kind, EdgeMode) and kind.edge == 0:
+            np.testing.assert_allclose(rev.values[m],
+                                       (-1.0) ** kind.degree * fwd.values[m],
+                                       atol=1e-13)
+
+
+def interior_edge_pairs(mesh: QuadMesh) -> dict:
+    """(element, local edge) of both sides of every interior edge, keyed
+    by the edge."""
+    boundary = set(mesh.boundary_edges.tolist())
+    where = {}
+    for t in range(mesh.n_elems):
+        for s in range(4):
+            e = mesh.elems2edges[t, s]
+            if e not in boundary:
+                where.setdefault(e, []).append((t, s))
+    return where
+
+
+def trace_on_edge(dm, v_full, t, s, lam) -> np.ndarray:
+    """Field values in element t on its local edge s, at the fractions lam
+    of the global edge from its first node."""
+    mesh = dm.mesh
+    a = mesh.edges2nodes[mesh.elems2edges[t, s], 0]
+    tau = 2.0 * lam - 1.0 if mesh.elems2nodes[t, s] == a else 1.0 - 2.0 * lam
+    ref = (np.outer((1.0 - tau) / 2.0, _CORNERS[s])
+           + np.outer((1.0 + tau) / 2.0, _CORNERS[(s + 1) % 4]))
+    return sample_field(dm, v_full, tabulate(dm.p, ref))[0, t]
+
+
+def check_interelement_continuity(mesh: QuadMesh, p: int, rng):
+    """A random degree-p field takes the same values, to 1e-10, from both
+    sides of every interior edge, at 10 points along it."""
+    dm = build_dofmap(mesh, p=p)
+    v = rng.standard_normal(dm.n_dofs)
+    lam = np.linspace(0.05, 0.95, 10)
+    for (ta, sa), (tb, sb) in interior_edge_pairs(mesh).values():
+        np.testing.assert_allclose(trace_on_edge(dm, v, ta, sa, lam),
+                                   trace_on_edge(dm, v, tb, sb, lam), atol=1e-10)
+
+
+def dense_pattern(n: int) -> sp.csr_matrix:
+    """The n x n pattern with every entry stored."""
+    return sp.csr_matrix(np.ones((n, n), dtype=bool))
+
+
+def check_spd_quadratic(rng, monkeypatch):
+    """The solver minimizes a random SPD quadratic J = v.A.v / 2 - b.v
+    (n = 10) from 0 in at most 10 iterations, to a gradient below 1e-10
+    and v within 1e-9 of the solution of A v = b."""
+    n = 10
+    M = rng.standard_normal((n, n))
+    A = M @ M.T + n * np.eye(n)
+    b = rng.standard_normal(n)
+    problem = EnergyProblem(
+        energy=lambda v: 0.5 * v @ A @ v - b @ v,
+        gradient=lambda v: A @ v - b,
+        pattern=dense_pattern(n),
+        x0=np.zeros(n),
+    )
+    # J(x0) = 0, so the stopping test is grad_norm < 1e-10
+    monkeypatch.setattr(hpmin.solver, "GRAD_RTOL", 1e-10)
+    sol = minimize(problem, TrOptions())
+    assert sol.converged
+    assert sol.iterations <= 10
+    assert sol.grad_norm < 1e-10
+    np.testing.assert_allclose(sol.v_free, np.linalg.solve(A, b), atol=1e-9)
+
+
+def check_rosenbrock(monkeypatch):
+    """The solver takes the Rosenbrock function from (-1.2, 1) to its
+    minimizer (1, 1), to 1e-8."""
+    def energy(v):
+        x, y = v
+        return (1 - x) ** 2 + 100 * (y - x * x) ** 2
+
+    def gradient(v):
+        x, y = v
+        return np.array([-2 * (1 - x) - 400 * x * (y - x * x),
+                         200 * (y - x * x)])
+
+    problem = EnergyProblem(energy=energy, gradient=gradient,
+                            pattern=dense_pattern(2),
+                            x0=np.array([-1.2, 1.0]))
+    # J(x0) = 24.2, so the stopping test is grad_norm < 9.68e-13
+    monkeypatch.setattr(hpmin.solver, "GRAD_RTOL", 4e-14)
+    sol = minimize(problem, TrOptions(max_iters=500))
+    assert sol.converged
+    np.testing.assert_allclose(sol.v_free, [1.0, 1.0], atol=1e-8)
+
+
+def check_steihaug_interior(g: np.ndarray):
+    """On H = I with the radius 10 |g|, Steihaug CG returns the Newton
+    step -g, inside the region."""
+    step, hit = steihaug_cg(sp.eye(g.size, format="csr"), g,
+                            radius=10 * np.linalg.norm(g))
+    np.testing.assert_allclose(step, -g, atol=1e-12)
+    assert not hit
+
+
+def check_steihaug_boundary(g: np.ndarray, radius: float):
+    """On H = I with a radius below |g|, Steihaug CG returns the step along
+    -g to the boundary."""
+    step, hit = steihaug_cg(sp.eye(g.size, format="csr"), g, radius=radius)
+    assert hit
+    assert np.linalg.norm(step) == pytest.approx(radius, abs=1e-12)
+    np.testing.assert_allclose(step, -radius * g / np.linalg.norm(g), atol=1e-12)
+
+
+def check_steihaug_negative_curvature(radius: float):
+    """With g along the negative eigenvector of diag(1, -1), Steihaug CG
+    moves straight down -g to the boundary."""
+    step, hit = steihaug_cg(sp.diags([1.0, -1.0]).tocsr(), np.array([0.0, 1.0]),
+                            radius=radius)
+    assert hit
+    assert np.linalg.norm(step) == pytest.approx(radius, abs=1e-12)
+    assert step[1] < 0

@@ -14,7 +14,14 @@ from hpmin.basis import (
     tabulate,
 )
 from hpmin.quadrature import rule_for_degree
-from oracles import n_basis_functions, shape_table
+from oracles import (
+    check_bubble_traces,
+    check_edge_parity,
+    check_edge_traces,
+    check_partition_of_unity,
+    n_basis_functions,
+    shape_table,
+)
 
 RNG = np.random.default_rng(20240511)
 
@@ -99,42 +106,19 @@ def test_kind_ordering():
     assert kinds[-3:] == [Bubble(2, 2), Bubble(2, 3), Bubble(3, 2)]
 
 
-def _edge_points(s, n=10):
-    """Sample points on local edge s of the reference square."""
-    t = np.linspace(-1.0, 1.0, n)
-    edges = {
-        0: np.column_stack([t, -np.ones(n)]),
-        1: np.column_stack([np.ones(n), t]),
-        2: np.column_stack([t, np.ones(n)]),
-        3: np.column_stack([-np.ones(n), t]),
-    }
-    return edges[s]
-
-
 @pytest.mark.parametrize("p", [2, 3, 4, 5])
 def test_edge_trace_vanishes_on_other_edges(p):
-    for s_other in range(4):
-        table = tabulate(p, _edge_points(s_other))
-        for m, kind in enumerate(shape_kinds(p)):
-            if isinstance(kind, EdgeMode) and kind.edge != s_other:
-                assert np.max(np.abs(table.values[m])) < 1e-12
+    check_edge_traces(p)
 
 
 @pytest.mark.parametrize("p", [4, 5, 6])
 def test_bubble_trace_vanishes(p):
-    for s in range(4):
-        table = tabulate(p, _edge_points(s))
-        for m, kind in enumerate(shape_kinds(p)):
-            if isinstance(kind, Bubble):
-                assert np.max(np.abs(table.values[m])) < 1e-12
+    check_bubble_traces(p)
 
 
 @pytest.mark.parametrize("p", [1, 2, 4])
 def test_nodal_partition_of_unity(p):
-    rule = rule_for_degree(p)
-    table = tabulate(p, rule.points)
-    total = table.values[:4].sum(axis=0)
-    np.testing.assert_allclose(total, 1.0, atol=1e-14)
+    check_partition_of_unity(p)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
@@ -154,13 +138,7 @@ def test_analytic_derivatives_match_fd(p):
 
 def test_odd_edge_mode_flips_under_direction_reversal():
     # reversing the edge-local coordinate negates odd-degree edge values
-    t = RNG.uniform(-1.0, 1.0, size=12)
-    fwd = tabulate(4, np.column_stack([t, -np.ones_like(t)]))
-    rev = tabulate(4, np.column_stack([-t, -np.ones_like(t)]))
-    for m, kind in enumerate(shape_kinds(4)):
-        if isinstance(kind, EdgeMode) and kind.edge == 0:
-            sign = (-1.0) ** kind.degree
-            np.testing.assert_allclose(rev.values[m], sign * fwd.values[m], atol=1e-13)
+    check_edge_parity(4, RNG.uniform(-1.0, 1.0, size=12))
 
 
 def test_tabulate_rejects_bad_degree():

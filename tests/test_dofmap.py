@@ -3,49 +3,41 @@
 import numpy as np
 import pytest
 
-from hpmin.basis import tabulate
 from hpmin.dofmap import (
     DirichletSpec,
     build_dofmap,
     expand_solution,
-    sample_field,
     sparsity_pattern,
 )
 from hpmin.mesh import make_lshape, make_perforated_square
 from hpmin.problems import neohooke_problem
-from oracles import dofmap_tables, free_index, make_rect, n_basis_functions
+from oracles import (
+    check_interelement_continuity,
+    check_lshape_level1_free_count,
+    check_lshape_p2_count,
+    check_sparsity_nesting,
+    dof_kind,
+    dofmap_tables,
+    free_index,
+    interior_edge_pairs,
+    make_rect,
+    n_basis_functions,
+    trace_on_edge,
+)
 
 RNG = np.random.default_rng(20240512)
+
 
 def _left_or_bottom(x, y):
     return (np.abs(x) < 1e-12) | (np.abs(y) < 1e-12)
 
 
-_CORNERS = np.array([(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)])
-
-
-def _kind(dm, dof):
-    """Kind of a global DOF, read off the blocked numbering."""
-    base = dof % dm.n_p
-    n_nodes, n_edges = dm.mesh.n_nodes, dm.mesh.n_edges
-    if base < n_nodes:
-        return "node"
-    return "edge" if base < n_nodes + (dm.p - 1) * n_edges else "bubble"
-
-
 def test_lshape_p2_global_count():
-    dm = build_dofmap(make_lshape(0), p=2)
-    assert dm.n_p == 53
-    kinds = [_kind(dm, d) for d in range(dm.n_p)]
-    assert kinds.count("node") == 21
-    assert kinds.count("edge") == 32
-    assert kinds.count("bubble") == 0
+    check_lshape_p2_count()
 
 
 def test_lshape_level1_free_count():
-    dm = build_dofmap(make_lshape(1), p=2, dirichlet=DirichletSpec(g=0.0))
-    # cross-check: (65 - 32 boundary nodes) + (112 - 32 boundary edges)
-    assert dm.n_free == 113
+    check_lshape_level1_free_count()
 
 
 def test_p1_reduces_to_nodal_incidence():
@@ -78,60 +70,32 @@ def test_count_formula_matches_enumeration(p):
         assert dm.elems2dofs.shape[1] == n_basis_functions(p)
 
 
-def _trace_on_edge(dm, v_full, t, s, lam):
-    """Field values in element t on its local edge s, at global fractions lam."""
-    mesh = dm.mesh
-    a = mesh.edges2nodes[mesh.elems2edges[t, s], 0]
-    tau = 2.0 * lam - 1.0 if mesh.elems2nodes[t, s] == a else 1.0 - 2.0 * lam
-    ref = (np.outer((1.0 - tau) / 2.0, _CORNERS[s])
-           + np.outer((1.0 + tau) / 2.0, _CORNERS[(s + 1) % 4]))
-    return sample_field(dm, v_full, tabulate(dm.p, ref))[0, t]
-
-
-def _interior_edge_pairs(mesh):
-    boundary = set(mesh.boundary_edges.tolist())
-    where = {}
-    for t in range(mesh.n_elems):
-        for s in range(4):
-            e = mesh.elems2edges[t, s]
-            if e not in boundary:
-                where.setdefault(e, []).append((t, s))
-    return where
-
-
 @pytest.mark.parametrize("p", [2, 3, 4])
 def test_interelement_continuity(p):
     for mesh in (make_lshape(0), make_perforated_square(0)):
-        dm = build_dofmap(mesh, p=p)
-        v = RNG.standard_normal(dm.n_dofs)
-        lam = np.linspace(0.06, 0.94, 10)
-        for e, sides in _interior_edge_pairs(mesh).items():
-            (ta, sa), (tb, sb) = sides
-            va = _trace_on_edge(dm, v, ta, sa, lam)
-            vb = _trace_on_edge(dm, v, tb, sb, lam)
-            np.testing.assert_allclose(va, vb, atol=1e-10)
+        check_interelement_continuity(mesh, p, RNG)
 
 
 def test_single_odd_edge_mode_is_globally_consistent():
     # activate one degree-3 edge DOF on an interior edge and compare sides
     mesh = make_lshape(0)
     dm = build_dofmap(mesh, p=3)
-    pairs = _interior_edge_pairs(mesh)
+    pairs = interior_edge_pairs(mesh)
     e = next(iter(pairs))
     dof = mesh.n_nodes + e * (dm.p - 1) + (3 - 2)  # degree-3 mode of edge e
     v = np.zeros(dm.n_dofs)
     v[dof] = 1.0
     lam = np.linspace(0.1, 0.9, 10)
     (ta, sa), (tb, sb) = pairs[e]
-    va = _trace_on_edge(dm, v, ta, sa, lam)
-    vb = _trace_on_edge(dm, v, tb, sb, lam)
+    va = trace_on_edge(dm, v, ta, sa, lam)
+    vb = trace_on_edge(dm, v, tb, sb, lam)
     assert np.max(np.abs(va)) > 0.05  # mode actually nonzero on the edge
     np.testing.assert_allclose(va, vb, atol=1e-12)
 
 
 def test_dirichlet_fixes_nodes_and_edges_not_bubbles():
     dm = build_dofmap(make_lshape(0), p=4, dirichlet=DirichletSpec(g=0.0))
-    fixed_kinds = {_kind(dm, d) for d in dm.fixed_dofs}
+    fixed_kinds = {dof_kind(dm, d) for d in dm.fixed_dofs}
     assert fixed_kinds == {"node", "edge"}
     # 16 boundary nodes + 16 boundary edges * 3 modes each
     assert dm.fixed_dofs.size == 16 + 16 * 3
@@ -141,13 +105,13 @@ def test_dirichlet_tag_subsets():
     mesh = make_perforated_square(0)
     dm = build_dofmap(mesh, p=2, components=2,
                       dirichlet=DirichletSpec(_left_or_bottom, lambda x, y: (x, y)))
-    fixed_nodes = [d % dm.n_p for d in dm.fixed_dofs if _kind(dm, d) == "node"]
+    fixed_nodes = [d % dm.n_p for d in dm.fixed_dofs if dof_kind(dm, d) == "node"]
     coords = mesh.nodes[np.unique(fixed_nodes)]
     assert np.all((np.abs(coords[:, 0]) < 1e-12) | (np.abs(coords[:, 1]) < 1e-12))
     # nodal values must interpolate g = identity in each component
     for d, val in zip(dm.fixed_dofs, dm.fixed_values):
         comp, base = divmod(d, dm.n_p)
-        if _kind(dm, d) == "node":
+        if dof_kind(dm, d) == "node":
             assert val == pytest.approx(mesh.nodes[base, comp], abs=1e-14)
         else:
             assert val == 0.0
@@ -226,16 +190,7 @@ def test_sparsity_symmetric_with_diagonal():
 
 def test_sparsity_nodal_block_nesting():
     # restricting the p=2 pattern to nodal rows/columns gives the p=1 pattern
-    mesh = make_lshape(0)
-    pat1 = sparsity_pattern(build_dofmap(mesh, p=1))
-    pat2 = sparsity_pattern(build_dofmap(mesh, p=2))
-    nodal = mesh.n_nodes
-    rows1, cols1 = pat1.nonzero()
-    rows2, cols2 = pat2.nonzero()
-    mask = (rows2 < nodal) & (cols2 < nodal)
-    block = set(zip(rows2[mask].tolist(), cols2[mask].tolist()))
-    full = set(zip(rows1.tolist(), cols1.tolist()))
-    assert block == full
+    check_sparsity_nesting()
 
 
 def _cooccurrence(dm):

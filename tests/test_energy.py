@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hpmin.basis import tabulate
-from hpmin.dofmap import build_dofmap
+from hpmin.dofmap import expand_solution
 from hpmin.energy import (
     BarrierError,
     NeoHookeModel,
@@ -13,48 +13,39 @@ from hpmin.energy import (
     identity_deformation,
 )
 from hpmin.mesh import geometry_factors, make_lshape, make_perforated_square
+from hpmin.problems import plaplace_problem
 from hpmin.quadrature import rule_for_degree
-from oracles import make_rect, physical_derivatives
+from hpmin.solver import TrOptions, minimize
+from oracles import (
+    check_neohooke_gradient,
+    check_plaplace_gradient,
+    fe_space,
+    make_rect,
+    physical_derivatives,
+)
 
 RNG = np.random.default_rng(20240513)
 
 
-def _setup(mesh, p, components=1, dirichlet=None):
-    rule = rule_for_degree(p)
-    geo = geometry_factors(mesh, rule, tabulate(p, rule.points))
-    dm = build_dofmap(mesh, p, components=components, dirichlet=dirichlet)
-    return geo, dm
-
-
-def _fd_gradient(energy, v, h=1e-6):
-    g = np.empty_like(v)
-    for i in range(v.size):
-        hi = h * max(1.0, abs(v[i]))
-        up = v.copy(); up[i] += hi
-        dn = v.copy(); dn[i] -= hi
-        g[i] = (energy(up) - energy(dn)) / (2.0 * hi)
-    return g
-
-
 def test_load_zero_source():
-    geo, dm = _setup(make_lshape(0), p=2)
+    geo, dm = fe_space(make_lshape(0), p=2)
     assert np.all(assemble_load(geo, dm, 0.0) == 0.0)
 
 
 def test_load_nodal_sum_is_f_times_area():
     # partition of unity: sum of nodal entries = f * |domain|
-    geo, dm = _setup(make_lshape(1), p=2)
+    geo, dm = fe_space(make_lshape(1), p=2)
     b = assemble_load(geo, dm, -10.0)
     assert b[:dm.mesh.n_nodes].sum() == pytest.approx(-30.0, abs=1e-10)
 
 
 def test_load_unit_square_hats():
-    geo, dm = _setup(make_rect(1, 1), p=1)
+    geo, dm = fe_space(make_rect(1, 1), p=1)
     np.testing.assert_allclose(assemble_load(geo, dm, 1.0), 0.25, atol=1e-14)
 
 
 def test_load_vector_components():
-    geo, dm = _setup(make_rect(2, 2), p=1, components=2)
+    geo, dm = fe_space(make_rect(2, 2), p=1, components=2)
     b = assemble_load(geo, dm, (3.0, -7.0))
     assert b[:dm.n_p].sum() == pytest.approx(3.0, abs=1e-13)
     assert b[dm.n_p:].sum() == pytest.approx(-7.0, abs=1e-13)
@@ -62,7 +53,7 @@ def test_load_vector_components():
 
 def test_gradfield_linear_interpolant():
     mesh = make_lshape(0)
-    geo, dm = _setup(mesh, p=2)
+    geo, dm = fe_space(mesh, p=2)
     v = np.zeros(dm.n_dofs)
     v[:mesh.n_nodes] = mesh.nodes[:, 0]  # interpolant of v(x, y) = x
     model = PLaplaceModel(geo, dm, alpha=3.0, f=0.0)
@@ -72,14 +63,14 @@ def test_gradfield_linear_interpolant():
 
 
 def test_gradfield_zero():
-    geo, dm = _setup(make_lshape(0), p=3)
+    geo, dm = fe_space(make_lshape(0), p=3)
     model = PLaplaceModel(geo, dm, alpha=3.0, f=-10.0)
     [(v_x, v_y)] = model._gather(model.dofmap.gather(np.zeros(dm.n_dofs)))
     assert np.all(v_x == 0.0) and np.all(v_y == 0.0)
 
 
 def test_gradfield_identity_deformation():
-    geo, dm = _setup(make_perforated_square(0), p=3, components=2)
+    geo, dm = fe_space(make_perforated_square(0), p=3, components=2)
     model = NeoHookeModel(geo, dm, c1=1.0, d1=1.0, f=(0.0, 0.0))
     field = model.gradfield(identity_deformation(dm))
     np.testing.assert_allclose(field.f11, 1.0, atol=1e-12)
@@ -92,11 +83,11 @@ def _kernel_case(problem, p):
     # p-Laplace on the L-shape, Neo-Hooke on the perforated square, whose
     # hole-side elements are not parallelograms: J^{-T} varies inside them
     if problem == "plaplace":
-        geo, dm = _setup(make_lshape(1), p)
+        geo, dm = fe_space(make_lshape(1), p)
         model = PLaplaceModel(geo, dm, alpha=3.0, f=-10.0)
         v = RNG.standard_normal(dm.n_dofs)
     else:
-        geo, dm = _setup(make_perforated_square(1), p, components=2)
+        geo, dm = fe_space(make_perforated_square(1), p, components=2)
         model = NeoHookeModel(geo, dm, c1=1.0, d1=2.0, f=(-1.0, -2.0))
         v = identity_deformation(dm) + 1e-3 * RNG.standard_normal(dm.n_dofs)
     return model, v
@@ -140,7 +131,7 @@ def test_gradient_matches_einsum_oracle(problem, p):
 
 
 def test_plaplace_energy_zero_field():
-    geo, dm = _setup(make_lshape(0), p=2)
+    geo, dm = fe_space(make_lshape(0), p=2)
     model = PLaplaceModel(geo, dm, alpha=3.0, f=-10.0)
     assert model.energy(np.zeros(dm.n_dofs)) == 0.0
 
@@ -148,14 +139,14 @@ def test_plaplace_energy_zero_field():
 def test_plaplace_energy_quadratic_case():
     # alpha = 2, v = x on the unit square: J = (1/2) integral |grad v|^2 = 1/2
     mesh = make_rect(2, 2)
-    geo, dm = _setup(mesh, p=1)
+    geo, dm = fe_space(mesh, p=1)
     model = PLaplaceModel(geo, dm, alpha=2.0, f=0.0)
     v = mesh.nodes[:, 0].copy()
     assert model.energy(v) == pytest.approx(0.5, abs=1e-14)
 
 
 def test_plaplace_rejects_bad_alpha():
-    geo, dm = _setup(make_rect(1, 1), p=1)
+    geo, dm = fe_space(make_rect(1, 1), p=1)
     for alpha in (1.0, 1024.0, 1e308, np.inf, np.nan):
         with pytest.raises(ValueError, match="alpha"):
             PLaplaceModel(geo, dm, alpha=alpha, f=0.0)
@@ -163,7 +154,7 @@ def test_plaplace_rejects_bad_alpha():
 
 @pytest.mark.parametrize("f", [np.inf, -np.inf, np.nan])
 def test_load_must_be_finite(f):
-    geo, dm = _setup(make_rect(1, 1), p=1, components=2)
+    geo, dm = fe_space(make_rect(1, 1), p=1, components=2)
     with pytest.raises(ValueError, match="load f must be finite"):
         assemble_load(geo, dm, (1.0, f))
 
@@ -172,27 +163,21 @@ def test_load_must_be_finite(f):
 def test_plaplace_gradient_zero_point(alpha):
     # the stress |grad v|^(alpha-2) grad v tends to 0 as grad v -> 0 for
     # every alpha > 1, also below 2 where the power itself blows up
-    geo, dm = _setup(make_lshape(0), p=2)
+    geo, dm = fe_space(make_lshape(0), p=2)
     model = PLaplaceModel(geo, dm, alpha=alpha, f=0.0)
     np.testing.assert_array_equal(model.gradient(np.zeros(dm.n_dofs)), 0.0)
 
 
 @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
 def test_plaplace_gradient_matches_fd(alpha):
-    geo, dm = _setup(make_lshape(0), p=2)
-    model = PLaplaceModel(geo, dm, alpha=alpha, f=-10.0)
-    for _ in range(5):
-        v = RNG.standard_normal(dm.n_dofs)
-        g = model.gradient(v)
-        g_fd = _fd_gradient(model.energy, v)
-        assert np.max(np.abs(g - g_fd)) / np.max(np.abs(g)) < 1e-6
+    check_plaplace_gradient(alpha, RNG)
 
 
 def test_plaplace_constant_shift_invariance():
     # f = 0, no fixed DOFs: adding a constant (nodal partition of unity)
     # leaves the energy unchanged
     mesh = make_lshape(0)
-    geo, dm = _setup(mesh, p=3)
+    geo, dm = fe_space(mesh, p=3)
     model = PLaplaceModel(geo, dm, alpha=3.0, f=0.0)
     v = RNG.standard_normal(dm.n_dofs)
     shift = np.zeros(dm.n_dofs)
@@ -201,7 +186,7 @@ def test_plaplace_constant_shift_invariance():
 
 
 def test_neohooke_identity_is_stress_free():
-    geo, dm = _setup(make_perforated_square(0), p=2, components=2)
+    geo, dm = fe_space(make_perforated_square(0), p=2, components=2)
     model = NeoHookeModel(geo, dm, c1=1.0, d1=1.0, f=(0.0, 0.0))
     v = identity_deformation(dm)
     assert model.energy(v) == pytest.approx(0.0, abs=1e-13)
@@ -211,7 +196,7 @@ def test_neohooke_identity_is_stress_free():
 def test_neohooke_uniform_dilation_energy():
     # v = 2x on the unit square: W(2I) = (8 - 2 - 2 log 4) + 9 = 15 - 4 log 2
     mesh = make_rect(1, 1)
-    geo, dm = _setup(mesh, p=1, components=2)
+    geo, dm = fe_space(mesh, p=1, components=2)
     model = NeoHookeModel(geo, dm, c1=1.0, d1=1.0, f=(0.0, 0.0))
     v = 2.0 * identity_deformation(dm)
     w_exact = 15.0 - 4.0 * np.log(2.0)
@@ -222,7 +207,7 @@ def test_neohooke_dilation_stress():
     # dJ/dt along v = t * identity equals area * trace(P(tI)); at t = 2 the
     # first Piola stress is P = 15 I for C1 = D1 = 1, so the slope is 30
     mesh = make_rect(1, 1)
-    geo, dm = _setup(mesh, p=1, components=2)
+    geo, dm = fe_space(mesh, p=1, components=2)
     model = NeoHookeModel(geo, dm, c1=1.0, d1=1.0, f=(0.0, 0.0))
     v_id = identity_deformation(dm)
     slope = model.gradient(2.0 * v_id) @ v_id
@@ -234,7 +219,7 @@ def test_neohooke_dilation_stress():
 
 def test_neohooke_barrier():
     mesh = make_rect(1, 1)
-    geo, dm = _setup(mesh, p=1, components=2)
+    geo, dm = fe_space(mesh, p=1, components=2)
     model = NeoHookeModel(geo, dm, c1=1.0, d1=1.0, f=(0.0, 0.0))
     v = identity_deformation(dm)
     v[:dm.n_p] *= -1.0  # mirror one component: det F = -1
@@ -264,7 +249,7 @@ def test_neohooke_max_step_matches_bisection(linear):
     # at random admissible points along random steps, the first zero of
     # det F is found by a grid scan and bisection on min det F(v + t s);
     # a step with no y-component has det S = 0, so det F is linear in t
-    geo, dm = _setup(make_perforated_square(0), p=2, components=2)
+    geo, dm = fe_space(make_perforated_square(0), p=2, components=2)
     model = NeoHookeModel(geo, dm, c1=1.0, d1=1.0, f=(0.0, 0.0))
     v_id = identity_deformation(dm)
     for _ in range(4):
@@ -298,29 +283,20 @@ def _nodal_field(dm, fx, fy):
 ])
 def test_neohooke_max_step_closed_forms(fx, fy, expected):
     # from the identity, F(t) = I + t S with S constant
-    geo, dm = _setup(make_perforated_square(0), p=2, components=2)
+    geo, dm = fe_space(make_perforated_square(0), p=2, components=2)
     model = NeoHookeModel(geo, dm, c1=1.0, d1=1.0, f=(0.0, 0.0))
     t_max = model.max_step(identity_deformation(dm), _nodal_field(dm, fx, fy))
     assert t_max == pytest.approx(expected, rel=1e-12)
 
 
 def test_neohooke_gradient_matches_fd():
-    mesh = make_perforated_square(0)
-    geo, dm = _setup(mesh, p=2, components=2)
-    model = NeoHookeModel(geo, dm, c1=1.0, d1=2.0, f=(-1.0, -2.0))
-    v_id = identity_deformation(dm)
-    for _ in range(5):
-        v = v_id + 0.005 * RNG.standard_normal(dm.n_dofs)
-        assert np.isfinite(model.energy(v))
-        g = model.gradient(v)
-        g_fd = _fd_gradient(model.energy, v)
-        assert np.max(np.abs(g - g_fd)) / np.max(np.abs(g)) < 1e-6
+    check_neohooke_gradient(RNG)
 
 
 def test_neohooke_convex_along_dilation():
     # W(I) = 0 and convexity of t -> W(tI) sampled on [0.5, 2]
     mesh = make_rect(1, 1)
-    geo, dm = _setup(mesh, p=1, components=2)
+    geo, dm = fe_space(mesh, p=1, components=2)
     model = NeoHookeModel(geo, dm, c1=1.0, d1=1.0, f=(0.0, 0.0))
     v_id = identity_deformation(dm)
     assert model.energy(v_id) == pytest.approx(0.0, abs=1e-12)
@@ -331,7 +307,7 @@ def test_neohooke_convex_along_dilation():
 
 
 def test_young_poisson_mapping():
-    geo, dm = _setup(make_rect(1, 1), p=1, components=2)
+    geo, dm = fe_space(make_rect(1, 1), p=1, components=2)
     model = NeoHookeModel.from_young_poisson(geo, dm, young=2e8, poisson=0.3,
                                              f=(0.0, 0.0))
     assert model.c1 == pytest.approx(2e8 / (2 * 1.3) / 2)
@@ -341,21 +317,21 @@ def test_young_poisson_mapping():
 @pytest.mark.parametrize("c1, d1", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0),
                                     (1.0, np.inf), (0.0, 1.0), (1.0, -1.0)])
 def test_neohooke_rejects_bad_material_constants(c1, d1):
-    geo, dm = _setup(make_rect(1, 1), p=1, components=2)
+    geo, dm = fe_space(make_rect(1, 1), p=1, components=2)
     with pytest.raises(ValueError, match="c1, d1"):
         NeoHookeModel(geo, dm, c1=c1, d1=d1, f=(0.0, 0.0))
 
 
 @pytest.mark.parametrize("young", [np.inf, np.nan, 0.0])
 def test_young_poisson_rejects_bad_modulus(young):
-    geo, dm = _setup(make_rect(1, 1), p=1, components=2)
+    geo, dm = fe_space(make_rect(1, 1), p=1, components=2)
     with pytest.raises(ValueError, match="Young's modulus E"):
         NeoHookeModel.from_young_poisson(geo, dm, young=young, poisson=0.3,
                                          f=(0.0, 0.0))
 
 
 def test_length_mismatch_raises():
-    geo, dm = _setup(make_rect(1, 1), p=1)
+    geo, dm = fe_space(make_rect(1, 1), p=1)
     model = PLaplaceModel(geo, dm, alpha=2.0, f=0.0)
     with pytest.raises(ValueError, match="length"):
         model.energy(np.zeros(dm.n_dofs + 1))
@@ -365,11 +341,6 @@ def test_energy_quadrature_offset_below_benchmark_precision():
     # the power-3 density is not a polynomial, so the (p+1)-point rule is
     # inexact by design; the induced offset (~1e-4 at level 1) must stay
     # below the 4-decimal benchmark tolerance and stabilize under refinement
-    from hpmin.dofmap import expand_solution
-    from hpmin.problems import plaplace_problem
-    from hpmin.quadrature import rule_for_degree
-    from hpmin.solver import TrOptions, minimize
-
     mesh = make_lshape(1)
     problem, model = plaplace_problem(mesh, p=2, alpha=3.0, f=-10.0)
     sol = minimize(problem, TrOptions())

@@ -6,43 +6,24 @@ import scipy.sparse as sp
 
 import hpmin.fd
 import hpmin.solver
-from hpmin.basis import tabulate
-from hpmin.dofmap import (
-    DirichletSpec,
-    build_dofmap,
-    expand_solution,
-    sparsity_pattern,
-)
-from hpmin.energy import BarrierError, NeoHookeModel, PLaplaceModel, identity_deformation
-from hpmin.fd import (
-    ColoredPattern,
-    greedy_coloring,
-    hessian_fd,
-    slot_pattern,
-)
-from hpmin.mesh import geometry_factors, make_lshape, make_perforated_square
-from hpmin.problems import neohooke_problem, plaplace_problem
-from hpmin.quadrature import rule_for_degree
+from hpmin.dofmap import DirichletSpec, build_dofmap, expand_solution, sparsity_pattern
+from hpmin.energy import BarrierError, NeoHookeModel, identity_deformation
+from hpmin.fd import ColoredPattern, greedy_coloring, hessian_fd, slot_pattern
+from hpmin.mesh import make_lshape
+from hpmin.problems import plaplace_problem
 from hpmin.solver import TrOptions, minimize
 from oracles import (
-    central_gradient,
     central_residuals,
+    check_fd_hessian_is_the_stiffness,
+    element_hessians_from_stress,
+    fe_space,
     free_index,
     gradient_central,
-    element_hessians_from_stress,
     make_rect,
-    physical_derivatives,
+    model_problem,
 )
 
 RNG = np.random.default_rng(20240514)
-
-
-def _plaplace_model(p=2, alpha=3.0, f=-10.0, level=0):
-    mesh = make_lshape(level)
-    rule = rule_for_degree(p)
-    geo = geometry_factors(mesh, rule, tabulate(p, rule.points))
-    dm = build_dofmap(mesh, p, dirichlet=DirichletSpec(g=0.0))
-    return PLaplaceModel(geo, dm, alpha=alpha, f=f)
 
 
 def test_gradient_central_quadratic_exact():
@@ -61,80 +42,36 @@ def test_gradient_central_constant_energy():
     np.testing.assert_array_equal(gradient_central(lambda _: 3.5, v), 0.0)
 
 
-@pytest.mark.parametrize("p", [1, 2, 3, 4])
-def test_local_gradient_matches_explicit(p):
-    model = _plaplace_model(p=p)
-    v = RNG.standard_normal(model.dofmap.n_dofs)
-    g_fd = central_gradient(model, v)
-    g = model.gradient(v)
-    assert np.max(np.abs(g_fd - g)) / np.max(np.abs(g)) < 1e-6
-
-
-def test_local_gradient_equals_naive_path():
-    # the pointwise central differences of the density against central
-    # differences of the element energies one DOF at a time, re-evaluating
-    # every element density at each probe: two estimates of one gradient,
-    # measured 1.6e-10 apart relative to it
-    model = _plaplace_model()
-    v = RNG.standard_normal(model.dofmap.n_dofs)
-    dofs = model.dofmap.free_dofs
-    fast = central_gradient(model, v)[dofs]
-    naive = np.empty(dofs.size)
-    for out, i in enumerate(dofs):
-        hi = 1e-6 * max(1.0, abs(v[i]))
-        up = v.copy(); up[i] += hi
-        dn = v.copy(); dn[i] -= hi
-        diff = model.element_energies(up) - model.element_energies(dn)
-        naive[out] = diff.sum() / (2.0 * hi) - model.b_full[i]
-    assert np.max(np.abs(fast - naive)) <= 1e-8 * max(1.0, np.max(np.abs(naive)))
-
-
-def test_local_gradient_close_to_full_energy_differencing():
+def test_central_gradient_close_to_full_energy_differencing():
     # against total-energy probes the agreement is limited by cancellation
     # of the O(1) energy at step 1e-6, roughly eps * |J| / (2h)
-    model = _plaplace_model()
+    model = model_problem("plaplace", 2, level=0)[1]
     v = RNG.standard_normal(model.dofmap.n_dofs)
     dofs = model.dofmap.free_dofs
-    fast = central_gradient(model, v)[dofs]
+    fast = model.assemble_gradient(model.residuals_fd(v))[dofs]
     naive = gradient_central(model.energy, v, dofs=dofs)
     assert np.max(np.abs(fast - naive)) <= 1e-7 * max(1.0, np.max(np.abs(naive)))
 
 
-@pytest.mark.parametrize("p", [1, 2, 3, 4])
-def test_local_gradient_vector_model(p):
-    mesh = make_rect(3, 3)
-    rule = rule_for_degree(p)
-    geo = geometry_factors(mesh, rule, tabulate(p, rule.points))
-    dm = build_dofmap(mesh, p, components=2)
-    model = NeoHookeModel(geo, dm, c1=1.0, d1=2.0, f=(-1.0, 0.5))
-    v = identity_deformation(dm) + 0.01 * RNG.standard_normal(dm.n_dofs)
-    g_fd = central_gradient(model, v)
-    g = model.gradient(v)
-    assert np.max(np.abs(g_fd - g)) / np.max(np.abs(g)) < 1e-6
-
-
 def test_barrier_propagates():
-    mesh = make_rect(1, 1)
-    rule = rule_for_degree(1)
-    geo = geometry_factors(mesh, rule, tabulate(1, rule.points))
-    dm = build_dofmap(mesh, 1, components=2)
+    geo, dm = fe_space(make_rect(1, 1), 1, components=2)
     model = NeoHookeModel(geo, dm, c1=1.0, d1=1.0, f=(0.0, 0.0))
     v = identity_deformation(dm)
     v[:dm.n_p] *= -1.0
     with pytest.raises(BarrierError):
-        central_gradient(model, v)
+        model.residuals_fd(v)
     with pytest.raises(BarrierError):
         gradient_central(model.energy, v)
 
 
 def test_fd_error_scales_quadratically(monkeypatch):
-    model = _plaplace_model()
+    model = model_problem("plaplace", 2, level=0)[1]
     v = 0.5 + 0.1 * RNG.standard_normal(model.dofmap.n_dofs)
     g = model.gradient(v)
     errs = []
     for h in (1e-3, 1e-4, 1e-5):
         monkeypatch.setattr(hpmin.fd, "FD_STEP", h)
-        g_fd = central_gradient(model, v)
+        g_fd = model.assemble_gradient(model.residuals_fd(v))
         errs.append(np.max(np.abs(g_fd - g)))
     order = np.log10(errs[0] / errs[1]), np.log10(errs[1] / errs[2])
     assert min(order) >= 1.8
@@ -144,17 +81,16 @@ def test_fd_error_scales_quadratically(monkeypatch):
 def test_problem_gradients_are_the_free_part_of_the_full_ones(problem):
     # both gradients of a problem go through one free-DOF restriction
     rng = np.random.default_rng(7)
+    fe, model = model_problem(problem, 3)
     if problem == "hyper":
-        fe, model = neohooke_problem(make_perforated_square(0), p=3, young=2e8,
-                                     poisson=0.3, f=(-3.5e7, -3.5e7))
         v_free = fe.x0 + 1e-3 * rng.standard_normal(fe.x0.size)
     else:
-        fe, model = plaplace_problem(make_lshape(1), p=3, alpha=3.0, f=-10.0)
         v_free = rng.standard_normal(fe.x0.size)
     dm = model.dofmap
     v_full = expand_solution(dm, v_free)
     np.testing.assert_array_equal(
-        fe.gradient_fd(v_free), central_gradient(model, v_full)[dm.free_dofs])
+        fe.gradient_fd(v_free),
+        model.assemble_gradient(model.residuals_fd(v_full))[dm.free_dofs])
     np.testing.assert_array_equal(fe.gradient(v_free),
                                   model.gradient(v_full)[dm.free_dofs])
 
@@ -182,9 +118,7 @@ def _assert_valid_distance2(colored):
 
 
 def test_coloring_valid_on_fem_pattern():
-    model = _plaplace_model()
-    pat = sparsity_pattern(model.dofmap)
-    colored = greedy_coloring(pat)
+    colored = greedy_coloring(model_problem("plaplace", 2, level=0)[0].pattern)
     assert colored.n_groups <= 25
     _assert_valid_distance2(colored)
 
@@ -221,32 +155,9 @@ def test_hessian_fd_recovers_quadratic():
 
 
 def test_hessian_fd_matches_assembled_stiffness():
-    # alpha = 2 is the linear problem: Hessian == Galerkin stiffness matrix
-    model = _plaplace_model(p=1, alpha=2.0, f=-10.0, level=1)
-    dm, geo = model.dofmap, model.geometry
-    n = dm.n_free
-
-    K = np.zeros((n, n))
-    fi = free_index(dm)
-    dphi_x, dphi_y = physical_derivatives(geo)
-    for t in range(dm.mesh.n_elems):
-        dofs = fi[dm.elems2dofs[t]]
-        ke = np.einsum("q,qa,qb->ab", geo.wdetj[t], dphi_x[t], dphi_x[t])
-        ke += np.einsum("q,qa,qb->ab", geo.wdetj[t], dphi_y[t], dphi_y[t])
-        for a in range(4):
-            for b in range(4):
-                if dofs[a] >= 0 and dofs[b] >= 0:
-                    K[dofs[a], dofs[b]] += ke[a, b]
-
-    def grad_free(v_free):
-        return model.gradient(expand_solution(dm, v_free))[dm.free_dofs]
-
-    colored = greedy_coloring(sparsity_pattern(dm))
-    v = RNG.standard_normal(n)
-    H = hessian_fd(grad_free, v, colored, g0=grad_free(v)).toarray()
-    assert np.max(np.abs(H - K)) / np.max(np.abs(K)) < 1e-5
-    # the element-slot path, on the problem's own callbacks
-    fe, _ = plaplace_problem(dm.mesh, p=1, alpha=2.0, f=-10.0)
+    # alpha = 2 is the linear problem: Hessian == Galerkin stiffness matrix,
+    # from colored gradient differences and from the problem's element slots
+    K, v, fe = check_fd_hessian_is_the_stiffness(RNG)
     H = hessian_fd(fe.element_hessians, v,
                    slot_pattern(fe.pattern, fe.element_dofs), g0=None).toarray()
     assert np.max(np.abs(H - K)) / np.max(np.abs(K)) < 1e-5
@@ -286,13 +197,9 @@ def _hessian_fd_coo_oracle(grad, v, colored, h=1e-6):
 
 @pytest.mark.parametrize("problem", ["hyper", "plaplace"])
 def test_hessian_fd_csr_assembly_matches_coo_oracle(problem):
-    if problem == "hyper":
-        fe, model = neohooke_problem(make_perforated_square(1), p=2, young=2e8,
-                                     poisson=0.3, f=(-3.5e7, -3.5e7))
-        v = fe.x0 + 1e-3 * RNG.standard_normal(fe.x0.size)
-    else:
-        fe, model = plaplace_problem(make_lshape(2), p=2, alpha=3.0, f=-10.0)
-        v = RNG.standard_normal(fe.x0.size)
+    fe = model_problem(problem, 2, level=1 if problem == "hyper" else 2)[0]
+    scale = 1e-3 if problem == "hyper" else 1.0
+    v = fe.x0 + scale * RNG.standard_normal(fe.x0.size)
     colored = greedy_coloring(fe.pattern)
     H = hessian_fd(fe.gradient, v, colored, g0=fe.gradient(v))
     oracle = _hessian_fd_coo_oracle(fe.gradient, v, colored)
@@ -312,7 +219,7 @@ def test_slot_hessian_matches_colored_hessian(problem, p):
     # ... 4.1e-7 relative on plaplace and 1.3e-6 ... 1.5e-6 on hyper; the
     # blocks themselves match central stress differences to 1e-12
     # (test_slot_hessian_fd_matches_stress_differences)
-    fe = _fem_problem(problem, p, level=1)
+    fe = model_problem(problem, p, level=1)[0]
     rng = np.random.default_rng(10 + p)
     scale = 1e-3 if problem == "hyper" else 1.0
     v = fe.x0 + scale * rng.standard_normal(fe.x0.size)
@@ -343,7 +250,7 @@ def test_slot_hessian_fd_matches_colored_hessian(problem, p):
     # keeps |v| < 1: past it a colored probe recomputes its steps
     # FD_STEP * max(1, |v_j|) at the moved point, which the element slots
     # do not
-    fe = _fem_problem(problem, p, level=1)
+    fe = model_problem(problem, p, level=1)[0]
     rng = np.random.default_rng(20 + p)
     if problem == "hyper":
         v, bound = fe.x0 + 1e-3 * rng.standard_normal(fe.x0.size), 5e-6
@@ -375,13 +282,8 @@ def test_slot_hessian_fd_matches_stress_differences(problem, p):
     # third derivative jumps at G = 0, and 4.1e-9 ... 7.4e-9 on hyper.
     # The explicit blocks take the same stress differences and contract
     # them like the density's: 2e-16 ... 7e-16 apart
-    if problem == "hyper":
-        fe, model = neohooke_problem(make_perforated_square(1), p=p, young=2e8,
-                                     poisson=0.3, f=(-3.5e7, -3.5e7))
-        bound = 3e-8
-    else:
-        fe, model = plaplace_problem(make_lshape(1), p=p, alpha=3.0, f=-10.0)
-        bound = 3e-6
+    fe, model = model_problem(problem, p, level=1)
+    bound = 3e-8 if problem == "hyper" else 3e-6
     v = _random_start(problem, fe, np.random.default_rng(60 + p))
     v_full = expand_solution(model.dofmap, v)
     oracle = element_hessians_from_stress(model, v_full)
@@ -404,10 +306,9 @@ def test_slot_hessian_fd_probes_each_pair_once(problem, p, monkeypatch):
     # entry moved by h = difference_steps(G) up and down, each once: 2 n
     # evaluations, 4 on plaplace and 8 on hyper.  No call changes the bits
     # of the full vector
-    fe, model = _build(problem, p)
+    fe, model, v, _ = _case(problem, p)
     dm = model.dofmap
-    v_full = expand_solution(dm, _random_start(problem, fe,
-                                               np.random.default_rng(p)))
+    v_full = expand_solution(dm, v)
     bits = v_full.tobytes()
     G = model._gather(dm.gather(v_full))
     flat = G.reshape(-1, *G.shape[2:])
@@ -454,7 +355,7 @@ def test_slot_hessian_fd_raises_on_a_non_finite_energy(monkeypatch):
     # of G steps by h = HESSIAN_STEP: the probes keep det F > 0 at s = 2 h
     # and cross it at s = h / 2, where min det F = h^2 / 4 lies below the
     # probe step (the entry G_11 moved down has det F = -h^2 / 4)
-    model, _, _, _ = _gradient_case("hyper", 2)
+    model = model_problem("hyper", 2)[1]
     dm = model.dofmap
     evaluations = []
 
@@ -483,17 +384,15 @@ def test_slot_hessian_fd_raises_on_a_non_finite_energy(monkeypatch):
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 @pytest.mark.parametrize("problem", ["hyper", "plaplace"])
 def test_gradient_fd_keeps_the_bits_of_a_plain_probe_loop(problem, p):
-    # the problem's central-difference gradient is the oracle's central
-    # gradient bit for bit, and within 1e-8 of the assembled central
-    # differences of the element energies, one slot at a time: two
-    # estimates of one gradient
-    fe, model = _build(problem, p)
+    # the problem's central-difference gradient, from pointwise differences
+    # of the density, is within 1e-8 of the assembled central differences
+    # of the element energies, one slot at a time: two estimates of one
+    # gradient
+    fe, model = model_problem(problem, p)
     dm = model.dofmap
     v = _random_start(problem, fe, np.random.default_rng(40 + p))
     v_full = expand_solution(dm, v)
     gradient = fe.gradient_fd(v)
-    np.testing.assert_array_equal(gradient,
-                                  central_gradient(model, v_full)[dm.free_dofs])
     loop = model.assemble_gradient(central_residuals(model, v_full))[dm.free_dofs]
     assert np.max(np.abs(gradient - loop)) <= 1e-8 * np.max(np.abs(loop))
 
@@ -616,17 +515,10 @@ def _coloring_oracle(pattern, order):
     return groups
 
 
-def _fem_problem(problem, p, level):
-    if problem == "hyper":
-        return neohooke_problem(make_perforated_square(level), p=p, young=2e8,
-                                poisson=0.3, f=(-3.5e7, -3.5e7))[0]
-    return plaplace_problem(make_lshape(level), p=p, alpha=3.0, f=-10.0)[0]
-
-
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 @pytest.mark.parametrize("problem", ["hyper", "plaplace"])
 def test_coloring_matches_neighbour_loop_oracle(problem, p):
-    fe = _fem_problem(problem, p, level=1 if problem == "hyper" else 2)
+    fe = model_problem(problem, p, level=1 if problem == "hyper" else 2)[0]
     colored = greedy_coloring(fe.pattern)
     oracle = _coloring_oracle(fe.pattern, np.arange(fe.x0.size))
     np.testing.assert_array_equal(colored.groups, oracle)
@@ -639,7 +531,7 @@ def test_coloring_matches_neighbour_loop_oracle(problem, p):
 def test_hessian_fd_bits_do_not_depend_on_the_coloring(problem, p):
     # row i of a probe sees only the one group member coupled to it, so any
     # valid distance-2 coloring gives the same bits
-    fe = _fem_problem(problem, p, level=1)
+    fe = model_problem(problem, p, level=1)[0]
     rng = np.random.default_rng(p)
     scale = 1e-3 if problem == "hyper" else 1.0
     v = fe.x0 + scale * rng.standard_normal(fe.x0.size)
@@ -690,29 +582,21 @@ def test_coloring_empty_pattern():
     assert colored.groups.size == 0
 
 
-def _build(problem, p):
-    """The problem and model of the hyperelastic case (perforated square,
-    level 0) or the plaplace case (L-shape, level 1)."""
-    if problem == "hyper":
-        return neohooke_problem(make_perforated_square(0), p=p, young=2e8,
-                                poisson=0.3, f=(-3.5e7, -3.5e7))
-    return plaplace_problem(make_lshape(1), p=p, alpha=3.0, f=-10.0)
-
-
 def _random_start(problem, fe, rng):
     """A random admissible free vector near the problem's start."""
     scale = 1e-3 if problem == "hyper" else 1.0
     return fe.x0 + scale * rng.standard_normal(fe.x0.size)
 
 
-def _gradient_case(problem, p):
-    """A problem's model, a fresh-model factory, a random admissible full
-    vector, and the full DOF ids of one color group of its pattern."""
-    fe, model = _build(problem, p)
-    dm = model.dofmap
-    v = expand_solution(dm, _random_start(problem, fe, np.random.default_rng(p)))
-    group = dm.free_dofs[np.flatnonzero(greedy_coloring(fe.pattern).groups == 0)]
-    return model, lambda: _build(problem, p)[1], v, group
+def _case(problem, p):
+    """The problem and model of the hyperelastic case (perforated square,
+    level 0) or the plaplace case (L-shape, level 1), a random admissible
+    free vector, and the positions in it of one color group of the
+    pattern."""
+    fe, model = model_problem(problem, p)
+    v = _random_start(problem, fe, np.random.default_rng(p))
+    group = np.flatnonzero(greedy_coloring(fe.pattern).groups == 0)
+    return fe, model, v, group
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
@@ -721,7 +605,8 @@ def test_central_residuals_match_the_explicit_ones_slot_by_slot(problem, p):
     # both gradient modes assemble element residuals in one signed local
     # layout; the central-difference estimate matches the explicit one
     # entry by entry before any scatter
-    model, _, v, _ = _gradient_case(problem, p)
+    _, model, v, _ = _case(problem, p)
+    v = expand_solution(model.dofmap, v)
     explicit = model.residuals(v)
     central = model.residuals_fd(v)
     assert central.shape == explicit.shape
@@ -729,8 +614,9 @@ def test_central_residuals_match_the_explicit_ones_slot_by_slot(problem, p):
     assert rel <= 1e-8
 
 
-_GRADIENTS = {"explicit": lambda model, v: model.gradient(v),
-              "central": central_gradient}
+# per mode: the problem's gradient and its element blocks
+_CALLBACKS = {"explicit": ("gradient", "element_hessians"),
+              "central": ("gradient_fd", "element_hessians_fd")}
 
 
 @pytest.mark.parametrize("gradient", ["explicit", "central"])
@@ -738,30 +624,55 @@ _GRADIENTS = {"explicit": lambda model, v: model.gradient(v),
 @pytest.mark.parametrize("problem", ["hyper", "plaplace"])
 def test_repeated_gradients_have_the_bits_of_a_fresh_model(problem, p, gradient,
                                                            monkeypatch):
-    # a model keeps no state between calls: call after call, it gives the
-    # bits of a fresh model
-    model, fresh, v, group = _gradient_case(problem, p)
-    grad = _GRADIENTS[gradient]
-    dm = model.dofmap
-    base = grad(model, v)
+    # a problem keeps no state between calls: call after call, with
+    # gradients of both modes in between, the mode's gradient and element
+    # blocks give the bits of a fresh problem's.  So no block takes
+    # anything from a gradient, at the same point or another
+    fe, _, v, group = _case(problem, p)
+
+    def fresh(name, w):
+        return getattr(model_problem(problem, p)[0], name)(w)
+
+    calls = _CALLBACKS[gradient]
+    base = {name: getattr(fe, name)(v) for name in calls}
     one, moved_group = v.copy(), v.copy()
-    one[dm.free_dofs[dm.n_free // 2]] += 1e-4
+    one[v.size // 2] += 1e-4
     moved_group[group] += 1e-4
     every = v + 1e-5 * np.random.default_rng(0).standard_normal(v.size)
     for w in (v.copy(), one, moved_group, every, v):
-        np.testing.assert_array_equal(grad(model, w), grad(fresh(), w))
-    np.testing.assert_array_equal(grad(model, v), base)
-    # a new step at the same v
+        for name in calls:
+            fe.gradient(w)
+            fe.gradient_fd(w)
+            np.testing.assert_array_equal(getattr(fe, name)(w), fresh(name, w))
+        if problem == "hyper":
+            # a gradient that raises changes nothing either
+            inverted = w.copy()
+            inverted[0] += 10.0
+            with pytest.raises(BarrierError):
+                getattr(fe, calls[0])(inverted)
+    for name in calls:
+        np.testing.assert_array_equal(getattr(fe, name)(v), base[name])
+    # new steps at the same v: every difference takes them
     monkeypatch.setattr(hpmin.fd, "FD_STEP", 1e-5)
-    np.testing.assert_array_equal(grad(model, v), grad(fresh(), v))
+    monkeypatch.setattr(hpmin.fd, "HESSIAN_STEP", 1e-3)
+    for name in calls:
+        new = getattr(fe, name)(v)
+        np.testing.assert_array_equal(new, fresh(name, v))
+        if name != "gradient":
+            assert not np.array_equal(new, base[name])
+
+
+_RESIDUALS = {"explicit": "residuals", "central": "residuals_fd"}
 
 
 @pytest.mark.parametrize("gradient", ["explicit", "central"])
 def test_barrier_probe_leaves_the_base_bits(gradient, monkeypatch):
-    model, fresh, v, group = _gradient_case("hyper", 2)
-    grad = _GRADIENTS[gradient]
+    # the mode's element residuals, its gradient before the scatter
+    _, model, v, group = _case("hyper", 2)
     dm = model.dofmap
-    base = grad(model, v)
+    residuals = getattr(model, _RESIDUALS[gradient])
+    v = expand_solution(dm, v)
+    base = residuals(v)
     # one free node pushed through its neighbours, and the mirror image
     inverted_one = v.copy()
     inverted_one[dm.free_dofs[0]] += 10.0
@@ -769,18 +680,19 @@ def test_barrier_probe_leaves_the_base_bits(gradient, monkeypatch):
     mirrored[:dm.n_p] *= -1.0
     for w in (inverted_one, mirrored):
         with pytest.raises(BarrierError):
-            grad(model, w)
-        np.testing.assert_array_equal(grad(model, v), base)
+            residuals(w)
+        np.testing.assert_array_equal(residuals(v), base)
     moved_group = v.copy()
-    moved_group[group] += 1e-4
-    np.testing.assert_array_equal(grad(model, moved_group),
-                                  grad(fresh(), moved_group))
+    moved_group[dm.free_dofs[group]] += 1e-4
+    fresh = getattr(model_problem("hyper", 2)[1], _RESIDUALS[gradient])
+    np.testing.assert_array_equal(residuals(moved_group), fresh(moved_group))
     # every finite-difference entry point of the mode, on both models,
     # probes copies of G: it leaves the full vector with its bits, whether
     # it returns or a probe after the first raises (a stress probe from
     # BarrierError, a density probe on +inf)
     for problem in ("hyper", "plaplace"):
-        model, _, v, _ = _gradient_case(problem, 2)
+        _, model, v, _ = _case(problem, 2)
+        v = expand_solution(model.dofmap, v)
         if gradient == "explicit":
             bad = BarrierError("probe crossed det F <= 0")
             calls = [(model.element_hessians, "stress")]
@@ -809,105 +721,3 @@ def test_barrier_probe_leaves_the_base_bits(gradient, monkeypatch):
             monkeypatch.undo()
             assert len(probes) == 2
             assert v.tobytes() == bits
-
-
-# per mode: the problem's gradient, its element blocks, and the pointwise
-# function that the blocks evaluate one batch at a time
-_KEPT = {"explicit": ("gradient", "element_hessians", "stress"),
-         "central": ("gradient_fd", "element_hessians_fd", "density")}
-
-
-def _block_probes(model, mode):
-    """Batched evaluations of a mode's element blocks: 2 n stress
-    evaluations (4 scalar, 8 vector) or 1 + 2 n + 2 n (n - 1) density
-    evaluations (9 scalar, 33 vector) for the n entries of G."""
-    n = 2 * model.dofmap.components
-    return 2 * n if mode == "explicit" else 1 + 2 * n + 2 * n * (n - 1)
-
-
-@pytest.mark.parametrize("mode", ["explicit", "central"])
-@pytest.mark.parametrize("p", [2, 3])
-@pytest.mark.parametrize("problem", ["hyper", "plaplace"])
-def test_hessian_reuses_the_gradients_element_evaluation(problem, p, mode,
-                                                         monkeypatch):
-    # the blocks of neither mode take anything from their gradient: warm
-    # or cold, before or after a gradient at the same point or another,
-    # they are the same batched pointwise evaluations at the point, with
-    # the bits of a fresh problem's blocks
-    gradient_name, blocks_name, kernel_name = _KEPT[mode]
-    fe, model = _build(problem, p)
-    gradient, blocks = getattr(fe, gradient_name), getattr(fe, blocks_name)
-    probes = _block_probes(model, mode)
-    evaluations = []
-
-    def counted(G, kernel=getattr(model, kernel_name)):
-        evaluations.append(G.shape)
-        return kernel(G)
-
-    monkeypatch.setattr(model, kernel_name, counted)
-
-    def fresh_blocks(v):
-        return getattr(_build(problem, p)[0], blocks_name)(v)
-
-    def evaluations_of_blocks(v):
-        evaluations.clear()
-        H = blocks(v)
-        n = len(evaluations)
-        np.testing.assert_array_equal(H, fresh_blocks(v))
-        return n
-
-    v = _random_start(problem, fe, np.random.default_rng(30 + p))
-    w = v.copy()
-    w[w.size // 2] += 1e-4
-    assert evaluations_of_blocks(v) == probes
-    gradient(v)
-    assert evaluations_of_blocks(v) == probes
-    gradient(v)
-    assert evaluations_of_blocks(w) == probes
-    gradient(w)
-    getattr(fe, "gradient_fd" if mode == "explicit" else "gradient")(w)
-    assert evaluations_of_blocks(w) == probes
-    # after a step change, a gradient and the blocks both take the new steps
-    old_gradient, old_blocks = gradient(v), fresh_blocks(v)
-    monkeypatch.setattr(hpmin.fd, "FD_STEP", 1e-5)
-    monkeypatch.setattr(hpmin.fd, "HESSIAN_STEP", 1e-3)
-    new_gradient = gradient(v)
-    assert evaluations_of_blocks(v) == probes
-    assert not np.array_equal(fresh_blocks(v), old_blocks)
-    np.testing.assert_array_equal(
-        new_gradient, getattr(_build(problem, p)[0], gradient_name)(v))
-    if mode == "central":
-        assert not np.array_equal(new_gradient, old_gradient)
-    if problem == "hyper":
-        # a gradient that raises changes nothing either
-        inverted = v.copy()
-        inverted[0] += 10.0
-        with pytest.raises(BarrierError):
-            gradient(inverted)
-        assert evaluations_of_blocks(v) == probes
-
-
-@pytest.mark.parametrize("mode", ["explicit", "central"])
-@pytest.mark.parametrize("problem", ["hyper", "plaplace"])
-def test_each_mode_keeps_its_own_record(problem, mode, monkeypatch):
-    # a gradient of either mode at the same point, between a gradient and
-    # its blocks, leaves the blocks as they are: the same batched pointwise
-    # evaluations, with the bits of a fresh problem's blocks
-    gradient_name, blocks_name, kernel_name = _KEPT[mode]
-    other = _KEPT["central" if mode == "explicit" else "explicit"][0]
-    fe, model = _build(problem, 2)
-    evaluations = []
-
-    def counted(G, kernel=getattr(model, kernel_name)):
-        evaluations.append(G.shape)
-        return kernel(G)
-
-    monkeypatch.setattr(model, kernel_name, counted)
-    v = _random_start(problem, fe, np.random.default_rng(50))
-    getattr(fe, gradient_name)(v)
-    getattr(fe, other)(v)
-    evaluations.clear()
-    H = getattr(fe, blocks_name)(v)
-    assert len(evaluations) == _block_probes(model, mode)
-    np.testing.assert_array_equal(
-        H, getattr(_build(problem, 2)[0], blocks_name)(v))

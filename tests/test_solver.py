@@ -22,38 +22,31 @@ from hpmin.solver import (
     minimize,
     steihaug_cg,
 )
-from oracles import make_rect
+from oracles import (
+    check_rosenbrock,
+    check_spd_quadratic,
+    check_steihaug_boundary,
+    check_steihaug_interior,
+    check_steihaug_negative_curvature,
+    dense_pattern,
+    make_rect,
+    model_problem,
+)
 
 RNG = np.random.default_rng(20240515)
 
 
-def _dense_pattern(n):
-    return sp.csr_matrix(np.ones((n, n), dtype=bool))
-
-
 def test_steihaug_interior_newton_step():
-    g = RNG.standard_normal(6)
-    step, hit = steihaug_cg(sp.eye(6, format="csr"), g, radius=10 * np.linalg.norm(g))
-    np.testing.assert_allclose(step, -g, atol=1e-12)
-    assert not hit
+    check_steihaug_interior(RNG.standard_normal(6))
 
 
 def test_steihaug_boundary_step():
     g = RNG.standard_normal(6)
-    radius = 0.5 * np.linalg.norm(g)
-    step, hit = steihaug_cg(sp.eye(6, format="csr"), g, radius=radius)
-    np.testing.assert_allclose(step, -radius * g / np.linalg.norm(g), atol=1e-12)
-    assert hit
+    check_steihaug_boundary(g, 0.5 * np.linalg.norm(g))
 
 
 def test_steihaug_negative_curvature():
-    # g along the negative eigenvector: move straight to the boundary
-    H = sp.diags([1.0, -1.0]).tocsr()
-    g = np.array([0.0, 1.0])
-    step, hit = steihaug_cg(H, g, radius=2.5)
-    assert hit
-    assert np.linalg.norm(step) == pytest.approx(2.5, abs=1e-12)
-    assert step[1] < 0  # descends along -g
+    check_steihaug_negative_curvature(2.5)
 
 
 def test_steihaug_zero_gradient():
@@ -141,28 +134,8 @@ def test_steihaug_forcing_tolerance_keeps_the_cauchy_decrease(definite, radius):
         assert not hit  # the interior exit is exercised
 
 
-def _spd_quadratic_oracle(rng, monkeypatch):
-    n = 10
-    M = rng.standard_normal((n, n))
-    A = M @ M.T + n * np.eye(n)
-    b = rng.standard_normal(n)
-    problem = EnergyProblem(
-        energy=lambda v: 0.5 * v @ A @ v - b @ v,
-        gradient=lambda v: A @ v - b,
-        pattern=_dense_pattern(n),
-        x0=np.zeros(n),
-    )
-    # J(x0) = 0, so the stopping test is grad_norm < 1e-10
-    monkeypatch.setattr(hpmin.solver, "GRAD_RTOL", 1e-10)
-    sol = minimize(problem, TrOptions())
-    assert sol.converged
-    assert sol.iterations <= 10
-    assert sol.grad_norm < 1e-10
-    np.testing.assert_allclose(sol.v_free, np.linalg.solve(A, b), atol=1e-9)
-
-
 def test_spd_quadratic_oracle(monkeypatch):
-    _spd_quadratic_oracle(RNG, monkeypatch)
+    check_spd_quadratic(RNG, monkeypatch)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -171,27 +144,11 @@ def test_spd_quadratic_oracle_on_seeds(seed, monkeypatch):
     # J, and the ratio comes from the gradients: at a ratio of energies
     # alone, seed 39 stalled at a gradient of 1e-8 while its radius
     # collapsed, and with the forcing tolerance 6 of these seeds did
-    _spd_quadratic_oracle(np.random.default_rng(seed), monkeypatch)
+    check_spd_quadratic(np.random.default_rng(seed), monkeypatch)
 
 
 def test_rosenbrock(monkeypatch):
-    def energy(v):
-        x, y = v
-        return (1 - x) ** 2 + 100 * (y - x * x) ** 2
-
-    def gradient(v):
-        x, y = v
-        return np.array([-2 * (1 - x) - 400 * x * (y - x * x),
-                         200 * (y - x * x)])
-
-    problem = EnergyProblem(energy=energy, gradient=gradient,
-                            pattern=_dense_pattern(2),
-                            x0=np.array([-1.2, 1.0]))
-    # J(x0) = 24.2, so the stopping test is grad_norm < 9.68e-13
-    monkeypatch.setattr(hpmin.solver, "GRAD_RTOL", 4e-14)
-    sol = minimize(problem, TrOptions(max_iters=500))
-    assert sol.converged
-    np.testing.assert_allclose(sol.v_free, [1.0, 1.0], atol=1e-8)
+    check_rosenbrock(monkeypatch)
 
 
 def test_accepted_energies_decrease():
@@ -209,15 +166,6 @@ def test_zero_datum_is_instant():
     assert sol.iterations <= 1
     assert sol.energy == 0.0
     np.testing.assert_array_equal(sol.v_free, 0.0)
-
-
-def test_gradient_mode_equivalence():
-    mesh = make_lshape(1)
-    problem, _ = plaplace_problem(mesh, p=2, alpha=3.0, f=-10.0)
-    sol_exp = minimize(problem, TrOptions(gradient_mode="explicit"))
-    sol_fd = minimize(problem, TrOptions(gradient_mode="central_diff"))
-    assert sol_exp.converged and sol_fd.converged
-    assert abs(sol_exp.energy - sol_fd.energy) < 1e-6
 
 
 def test_hyperelastic_barrier_robustness():
@@ -257,111 +205,6 @@ def test_hyperelastic_steps_are_cut_before_inversion():
     assert cut and all(0.0 < f <= BOUNDARY_FRACTION for f in cut)
 
 
-def _kept_case(case, mode, monkeypatch):
-    """Problem, model and options of one solve of the kept-evaluation test:
-    the plaplace (L-shape, level 2) and hyperelastic (perforated square,
-    level 0) runs; ``rounding``, whose trials are all judged by their
-    gradients, as those below the energy's rounding are, so that every
-    rejected trial's gradient is evaluated; and ``barrier``, which drives
-    det F towards 0 until a Hessian probe crosses it."""
-    if case == "plaplace":
-        fe, model = plaplace_problem(make_lshape(2), p=2, alpha=3.0, f=-10.0)
-        return fe, model, TrOptions(gradient_mode=mode)
-    if case == "rounding":
-        monkeypatch.setattr(hpmin.solver, "ROUNDOFF_DECREASE", np.inf)
-        fe, model = plaplace_problem(make_lshape(1), p=2, alpha=3.0, f=-10.0)
-        return fe, model, TrOptions(initial_radius=10.0, gradient_mode=mode)
-    load = (1e30, -3.5e7) if case == "barrier" else (-3.5e7, -3.5e7)
-    fe, model = neohooke_problem(make_perforated_square(0), p=2, young=2e8,
-                                 poisson=0.3, f=load)
-    if case == "barrier":
-        fe = replace(fe, max_step=None)
-    return fe, model, TrOptions(initial_radius=0.2 * np.sqrt(2.0),
-                                max_iters=3000, gradient_mode=mode)
-
-
-@pytest.mark.parametrize("case, mode", [
-    ("plaplace", "explicit"), ("plaplace", "central_diff"),
-    ("hyper", "explicit"), ("hyper", "central_diff"),
-    ("rounding", "central_diff"), ("barrier", "central_diff")])
-def test_kept_gradient_evaluation_keeps_every_solve_bit(case, mode, monkeypatch):
-    # the Hessian of neither mode takes anything from the gradient, so a
-    # stale evaluation, e.g. of a rejected trial whose gradient was
-    # evaluated, cannot reach it: the solve matches one whose blocks come
-    # from a second model, which evaluates no gradient, with the same
-    # batched energy evaluations
-    fe, model, opts = _kept_case(case, mode, monkeypatch)
-    blocks = "element_hessians_fd" if mode == "central_diff" else "element_hessians"
-    second = _kept_case(case, mode, monkeypatch)[0]
-    cold = replace(fe, **{blocks: getattr(second, blocks)})
-    evaluations = []
-
-    def counted(v_loc, evaluate=model._element_energies):
-        evaluations.append(v_loc.shape)
-        return evaluate(v_loc)
-
-    gradient = "gradient_fd" if mode == "central_diff" else "gradient"
-    gradients = []
-
-    def counted_gradient(v, evaluate=getattr(fe, gradient)):
-        gradients.append(v)
-        return evaluate(v)
-
-    monkeypatch.setattr(model, "_element_energies", counted)
-    kept = minimize(replace(fe, **{gradient: counted_gradient}), opts)
-    n_kept = len(evaluations)
-    evaluations.clear()
-    reference = minimize(cold, opts)
-    assert n_kept == len(evaluations)
-    np.testing.assert_array_equal(kept.v_free, reference.v_free)
-    assert (kept.energy, kept.status) == (reference.energy, reference.status)
-    assert kept.history == reference.history
-    # the start and every accepted step take one gradient; the rounding
-    # case also evaluates it at a rejected trial
-    if case == "rounding":
-        assert kept.rejected >= 1
-        assert len(gradients) > kept.accepted + 1
-    if case == "barrier":
-        assert kept.rejected >= 1
-        assert kept.status == "hessian_failed"
-
-
-@pytest.mark.parametrize("case, mode", [
-    ("plaplace", "explicit"), ("plaplace", "central_diff"),
-    ("hyper", "explicit"), ("hyper", "central_diff"),
-    ("rounding", "central_diff"), ("barrier", "central_diff")])
-def test_no_hessian_in_a_solve_is_built_cold(case, mode, monkeypatch):
-    # every Hessian of a solve is the same fixed number of batched
-    # pointwise evaluations on the gathered G, whatever the degree: 8
-    # (hyper) or 4 (plaplace) stress evaluations in explicit mode, 33 or 9
-    # density evaluations in central_diff mode
-    fe, model, opts = _kept_case(case, mode, monkeypatch)
-    vector = model.dofmap.components == 2
-    if mode == "explicit":
-        kernel, blocks, probes = "stress", "element_hessians", 8 if vector else 4
-    else:
-        kernel, blocks = "density", "element_hessians_fd"
-        probes = 33 if vector else 9
-    evaluations = []
-
-    def counted(G, evaluate=getattr(model, kernel)):
-        evaluations.append(G.shape)
-        return evaluate(G)
-
-    per_hessian = []
-
-    def counted_blocks(v, build=getattr(fe, blocks)):
-        evaluations.clear()
-        built = build(v)
-        per_hessian.append(len(evaluations))
-        return built
-
-    monkeypatch.setattr(model, kernel, counted)
-    sol = minimize(replace(fe, **{blocks: counted_blocks}), opts)
-    assert sol.accepted > 0
-    assert per_hessian == [probes] * len(per_hessian)
-
-
 @pytest.mark.parametrize("mode", ["explicit", "central_diff"])
 def test_plaplace_has_no_step_cut(mode):
     # plaplace sets no max_step, and one that never cuts changes no bit of
@@ -387,7 +230,7 @@ def test_options_validation():
 def test_rejects_nonfinite_start():
     problem = EnergyProblem(
         energy=lambda v: np.inf, gradient=lambda v: v,
-        pattern=_dense_pattern(2), x0=np.zeros(2),
+        pattern=dense_pattern(2), x0=np.zeros(2),
     )
     with pytest.raises(ValueError, match="non-finite energy"):
         minimize(problem, TrOptions())
@@ -396,7 +239,7 @@ def test_rejects_nonfinite_start():
 def test_central_diff_requires_callback():
     problem = EnergyProblem(
         energy=lambda v: v @ v, gradient=lambda v: 2 * v,
-        pattern=_dense_pattern(2), x0=np.ones(2),
+        pattern=dense_pattern(2), x0=np.ones(2),
     )
     with pytest.raises(ValueError, match="central-difference"):
         minimize(problem, TrOptions(gradient_mode="central_diff"))
@@ -448,7 +291,7 @@ def test_radius_collapse_stops_unconverged():
     problem = EnergyProblem(
         energy=lambda v: abs(v[0] - 0.3),
         gradient=lambda v: np.where(v < 0.3, -1.0, 1.0),
-        pattern=_dense_pattern(1), x0=np.zeros(1))
+        pattern=dense_pattern(1), x0=np.zeros(1))
     sol = minimize(problem, TrOptions(max_iters=3000))
     assert not sol.converged and sol.status == "radius_collapse"
     assert sol.iterations <= 80
@@ -458,20 +301,24 @@ def test_radius_collapse_stops_unconverged():
 
 
 def test_gradient_ratio_converges_below_the_energy_rounding(monkeypatch):
-    # J(x0) = 2.52e8, so the stopping test is grad_norm < 2.5e-7, below
-    # what rounding of an energy of 1.9e8 resolves.  Trials whose predicted
-    # decrease is that small are judged by their gradients, so the solve
-    # converges (in 67 iterations); judged by their energies, rho 0 or
-    # negative collapsed the radius at a gradient of 2.1e-2
-    problem, _ = neohooke_problem(make_perforated_square(1), p=1, young=2e8,
-                                  poisson=0.3, f=(-3.5e7, -3.5e7))
+    # J(x0) = 2.52e8 at both levels, so the stopping test is grad_norm <
+    # 2.5e-7, below what rounding of an energy of 1.9e8 to 2.4e8 resolves.
+    # Trials whose predicted decrease is that small are judged by their
+    # gradients (Conn, Gould & Toint, Trust-Region Methods, 2000, section
+    # 17.4), so both solves converge, level 1 in 64 iterations and level 2
+    # in 13.  Judged by their energies alone, level 1 still converged in
+    # the same 64 iterations, but level 2 collapsed its radius at a
+    # gradient of 2.1e-2
     monkeypatch.setattr(hpmin.solver, "GRAD_RTOL", 1e-15)
-    sol = minimize(problem, TrOptions(max_iters=3000, initial_radius=0.28))
-    assert sol.converged
-    assert sol.grad_norm < 2.6e-7
-    assert sol.iterations <= 80
-    assert len(sol.history) == sol.iterations
-    assert np.isfinite(sol.energy)
+    for level in (1, 2):
+        problem, _ = neohooke_problem(make_perforated_square(level), p=1,
+                                      young=2e8, poisson=0.3, f=(-3.5e7, -3.5e7))
+        sol = minimize(problem, TrOptions(max_iters=3000, initial_radius=0.28))
+        assert sol.converged
+        assert sol.grad_norm < 2.6e-7
+        assert sol.iterations <= 80
+        assert len(sol.history) == sol.iterations
+        assert np.isfinite(sol.energy)
 
 
 def test_forcing_tolerance_per_iteration(monkeypatch):
@@ -498,9 +345,9 @@ def test_forcing_tolerance_per_iteration(monkeypatch):
 def test_barrier_probe_ends_or_rejects(mode):
     # a load of 1e30 drives det F towards 0, where a difference probe
     # crosses det F <= 0 in the Hessian build, which ends the solve at the
-    # current point.  The Hessian probes the element residuals
-    # (element_hessians) one local slot at a time, or the density at every
-    # point (element_hessians_fd), so it raises from its own source.  Steps
+    # current point.  The Hessian evaluates the stress (element_hessians, 8
+    # evaluations) or the density (element_hessians_fd, 33 evaluations) at
+    # moved copies of G at every point, so it raises from its own source.  Steps
     # are not cut short of det F = 0 here (max_step=None).  A central
     # Hessian probe moves G by 1e-4, a central gradient probe v by 1e-6, so
     # the Hessian build at an accepted point crosses before any trial's
@@ -599,22 +446,70 @@ def _count_hessian_sources(problem, monkeypatch):
     return counted, calls, n_groups
 
 
+def _solve_case(case, mode, monkeypatch):
+    """Problem, model and options of one solve: ``plaplace`` (L-shape,
+    level 1) or ``hyper`` (perforated square, level 0), both at p = 2, or
+    ``rounding``, the plaplace solve from a radius of 10 with every trial
+    judged by its gradients, as those below the energy's rounding are."""
+    if case == "hyper":
+        fe, model = model_problem("hyper", 2)
+        return fe, model, TrOptions(initial_radius=0.2 * np.sqrt(2.0),
+                                    max_iters=3000, gradient_mode=mode)
+    if case == "rounding":
+        monkeypatch.setattr(hpmin.solver, "ROUNDOFF_DECREASE", np.inf)
+    fe, model = model_problem("plaplace", 2)
+    radius = 10.0 if case == "rounding" else 1.0
+    return fe, model, TrOptions(initial_radius=radius, gradient_mode=mode)
+
+
+# per mode: the pointwise function of the element blocks, and its batched
+# evaluations per build for 1 and 2 components: 2 n stress evaluations, or
+# 1 + 2 n + 2 n (n - 1) density evaluations, for the n entries of G
+_BLOCK_PROBES = {"explicit": ("stress", {1: 4, 2: 8}),
+                 "central_diff": ("density", {1: 9, 2: 33})}
+
+
 @pytest.mark.parametrize("mode", ["explicit", "central_diff"])
 def test_gradient_and_coloring_calls_per_hessian(mode, monkeypatch):
     # the benchmark's trace identities: a model problem builds its Hessian
-    # from the element slots in either mode, with no coloring and no
-    # gradient call beyond the start and one per accepted step
-    problem, _ = plaplace_problem(make_lshape(1), p=2, alpha=3.0, f=-10.0)
-    counted, calls, _ = _count_hessian_sources(problem, monkeypatch)
-    sol = minimize(counted, TrOptions(gradient_mode=mode))
-    assert sol.converged and sol.accepted > 1
+    # from the element slots in either mode, with no coloring, and every
+    # build makes the same batched pointwise evaluations, whatever the
+    # point.  A gradient is taken at the start and at every trial that is
+    # accepted or judged by its gradient: one per accepted step, and in the
+    # rounding case one per trial with a ratio
     gradient, blocks = (("gradient_fd", "element_hessians_fd")
                         if mode == "central_diff"
                         else ("gradient", "element_hessians"))
-    expected = dict.fromkeys(calls, 0)
-    expected.update({gradient: sol.accepted + 1, blocks: sol.accepted,
-                     "hessian": sol.accepted})
-    assert calls == expected
+    kernel, probes = _BLOCK_PROBES[mode]
+    for case in ("plaplace", "hyper", "rounding"):
+        with monkeypatch.context() as patch:
+            problem, model, opts = _solve_case(case, mode, patch)
+            evaluations, per_hessian = [], []
+
+            def counted(G, evaluate=getattr(model, kernel)):
+                evaluations.append(G.shape)
+                return evaluate(G)
+
+            def counted_blocks(v, build=getattr(problem, blocks)):
+                evaluations.clear()
+                built = build(v)
+                per_hessian.append(len(evaluations))
+                return built
+
+            patch.setattr(model, kernel, counted)
+            counted_problem, calls, _ = _count_hessian_sources(
+                replace(problem, **{blocks: counted_blocks}), patch)
+            sol = minimize(counted_problem, opts)
+        assert sol.converged and sol.accepted > 1, case
+        gradients = sol.accepted + 1
+        if case == "rounding":
+            gradients = 1 + sum(r["rho"] is not None for r in sol.history)
+            assert sol.rejected >= 1 and gradients > sol.accepted + 1
+        expected = dict.fromkeys(calls, 0)
+        expected.update({gradient: gradients, blocks: sol.accepted,
+                         "hessian": sol.accepted})
+        assert calls == expected, case
+        assert per_hessian == [probes[model.dofmap.components]] * sol.accepted
 
 
 def test_central_diff_colors_a_problem_without_element_kernels(monkeypatch):
