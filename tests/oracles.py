@@ -12,9 +12,10 @@ square, shoelace element areas, structured grids built cell by cell, and
 uniform refinement with each child stacked by hand.
 
 It also holds what only the tests use: the set-up of a degree-p space and
-of the two benchmark problems, the unit-square mesh generator, the local
-basis count, and readers of the convergence-table CSV that ``hpmin.cli``
-writes and of the legacy VTK files that ``hpmin.vtk`` writes.
+of the two benchmark problems, the batched evaluations of an element-block
+build, the unit-square mesh generator, the local basis count, and readers
+of the convergence-table CSV that ``hpmin.cli`` writes and of the legacy
+VTK files that ``hpmin.vtk`` writes.
 
 The ``check_*`` functions at the end are the checks that a unit test and
 an acceptance criterion share, so each exists once: the DOF counts and
@@ -145,6 +146,17 @@ def model_problem(problem: str, p: int, level: int | None = None):
                                 f=(-3.5e7, -3.5e7))
     mesh = make_lshape(1 if level is None else level)
     return plaplace_problem(mesh, p=p, alpha=3.0, f=-10.0)
+
+
+def block_evaluations(mode: str, components: int) -> tuple[str, int]:
+    """The pointwise function that a mode's element blocks evaluate, and
+    its batched evaluations per build for the n = 2 * components entries
+    of G: 2 n of the stress (``explicit``), or 1 + 2 n + 2 n (n - 1) of
+    the density (the central mode): 4 or 8, and 9 or 33."""
+    n = 2 * components
+    if mode == "explicit":
+        return "stress", 2 * n
+    return "density", 1 + 2 * n + 2 * n * (n - 1)
 
 
 def physical_derivatives(geo) -> tuple[np.ndarray, np.ndarray]:

@@ -13,6 +13,7 @@ from hpmin.mesh import make_lshape
 from hpmin.problems import plaplace_problem
 from hpmin.solver import TrOptions, minimize
 from oracles import (
+    block_evaluations,
     central_residuals,
     check_fd_hessian_is_the_stiffness,
     element_hessians_from_stress,
@@ -624,42 +625,118 @@ _CALLBACKS = {"explicit": ("gradient", "element_hessians"),
 @pytest.mark.parametrize("problem", ["hyper", "plaplace"])
 def test_repeated_gradients_have_the_bits_of_a_fresh_model(problem, p, gradient,
                                                            monkeypatch):
-    # a problem keeps no state between calls: call after call, with
-    # gradients of both modes in between, the mode's gradient and element
-    # blocks give the bits of a fresh problem's.  So no block takes
-    # anything from a gradient, at the same point or another
+    # a problem's gradient keeps no state between calls: call after call,
+    # with gradients of both modes in between, it gives the bits of a
+    # fresh problem's, and it takes a new step at once
     fe, _, v, group = _case(problem, p)
+    name = _CALLBACKS[gradient][0]
 
-    def fresh(name, w):
+    def fresh(w):
         return getattr(model_problem(problem, p)[0], name)(w)
 
-    calls = _CALLBACKS[gradient]
-    base = {name: getattr(fe, name)(v) for name in calls}
+    base = getattr(fe, name)(v)
     one, moved_group = v.copy(), v.copy()
     one[v.size // 2] += 1e-4
     moved_group[group] += 1e-4
     every = v + 1e-5 * np.random.default_rng(0).standard_normal(v.size)
     for w in (v.copy(), one, moved_group, every, v):
-        for name in calls:
-            fe.gradient(w)
-            fe.gradient_fd(w)
-            np.testing.assert_array_equal(getattr(fe, name)(w), fresh(name, w))
+        fe.gradient(w)
+        fe.gradient_fd(w)
+        np.testing.assert_array_equal(getattr(fe, name)(w), fresh(w))
         if problem == "hyper":
             # a gradient that raises changes nothing either
             inverted = w.copy()
             inverted[0] += 10.0
             with pytest.raises(BarrierError):
-                getattr(fe, calls[0])(inverted)
-    for name in calls:
-        np.testing.assert_array_equal(getattr(fe, name)(v), base[name])
-    # new steps at the same v: every difference takes them
+                getattr(fe, name)(inverted)
+    np.testing.assert_array_equal(getattr(fe, name)(v), base)
+    # a new step at the same v
+    monkeypatch.setattr(hpmin.fd, "FD_STEP", 1e-5)
+    new = getattr(fe, name)(v)
+    np.testing.assert_array_equal(new, fresh(v))
+    if gradient == "central":
+        assert not np.array_equal(new, base)
+
+
+def _counted_blocks(problem, p, mode, seed, monkeypatch):
+    """The problem, with the pointwise function of the mode's blocks
+    counted; its gradient of the mode; a random admissible free vector
+    drawn with the seed; a build of the blocks that checks them against a
+    fresh problem's and returns its count of batched evaluations; and the
+    count that a build makes."""
+    fe, model = model_problem(problem, p)
+    gradient_name, blocks_name = _CALLBACKS[mode]
+    kernel, probes = block_evaluations(mode, model.dofmap.components)
+    evaluations = []
+
+    def counted(G, evaluate=getattr(model, kernel)):
+        evaluations.append(G.shape)
+        return evaluate(G)
+
+    monkeypatch.setattr(model, kernel, counted)
+
+    def evaluations_of_blocks(v):
+        evaluations.clear()
+        H = getattr(fe, blocks_name)(v)
+        n = len(evaluations)
+        fresh = getattr(model_problem(problem, p)[0], blocks_name)(v)
+        np.testing.assert_array_equal(H, fresh)
+        return n
+
+    v = _random_start(problem, fe, np.random.default_rng(seed))
+    return fe, getattr(fe, gradient_name), v, evaluations_of_blocks, probes
+
+
+@pytest.mark.parametrize("mode", ["explicit", "central"])
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("problem", ["hyper", "plaplace"])
+def test_hessian_reuses_the_gradients_element_evaluation(problem, p, mode,
+                                                         monkeypatch):
+    # named after a gradient-to-Hessian record that is gone: the blocks of
+    # neither mode take anything from their gradient.  Warm or cold, before
+    # or after a gradient at the same point or another, they are the same
+    # batched pointwise evaluations at the point, with the bits of a fresh
+    # problem's blocks, and they take new steps at once
+    fe, gradient, v, evaluations_of_blocks, probes = _counted_blocks(
+        problem, p, mode, 30 + p, monkeypatch)
+    blocks = getattr(fe, _CALLBACKS[mode][1])
+    w = v.copy()
+    w[w.size // 2] += 1e-4
+    assert evaluations_of_blocks(v) == probes
+    gradient(v)
+    assert evaluations_of_blocks(v) == probes
+    gradient(v)
+    assert evaluations_of_blocks(w) == probes
+    gradient(w)
+    assert evaluations_of_blocks(w) == probes
+    old_blocks = blocks(v)
     monkeypatch.setattr(hpmin.fd, "FD_STEP", 1e-5)
     monkeypatch.setattr(hpmin.fd, "HESSIAN_STEP", 1e-3)
-    for name in calls:
-        new = getattr(fe, name)(v)
-        np.testing.assert_array_equal(new, fresh(name, v))
-        if name != "gradient":
-            assert not np.array_equal(new, base[name])
+    gradient(v)
+    assert evaluations_of_blocks(v) == probes
+    assert not np.array_equal(blocks(v), old_blocks)
+    if problem == "hyper":
+        # a gradient that raises changes nothing either
+        inverted = v.copy()
+        inverted[0] += 10.0
+        with pytest.raises(BarrierError):
+            gradient(inverted)
+        assert evaluations_of_blocks(v) == probes
+
+
+@pytest.mark.parametrize("mode", ["explicit", "central"])
+@pytest.mark.parametrize("problem", ["hyper", "plaplace"])
+def test_each_mode_keeps_its_own_record(problem, mode, monkeypatch):
+    # named after the per-mode records that are gone: a gradient of either
+    # mode at the same point, between a gradient and its blocks, leaves the
+    # blocks as they are: the same batched pointwise evaluations, with the
+    # bits of a fresh problem's blocks
+    fe, gradient, v, evaluations_of_blocks, probes = _counted_blocks(
+        problem, 2, mode, 50, monkeypatch)
+    other = _CALLBACKS["central" if mode == "explicit" else "explicit"][0]
+    gradient(v)
+    getattr(fe, other)(v)
+    assert evaluations_of_blocks(v) == probes
 
 
 _RESIDUALS = {"explicit": "residuals", "central": "residuals_fd"}

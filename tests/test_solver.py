@@ -23,6 +23,7 @@ from hpmin.solver import (
     steihaug_cg,
 )
 from oracles import (
+    block_evaluations,
     check_rosenbrock,
     check_spd_quadratic,
     check_steihaug_boundary,
@@ -446,60 +447,47 @@ def _count_hessian_sources(problem, monkeypatch):
     return counted, calls, n_groups
 
 
-def _solve_case(case, mode, monkeypatch):
-    """Problem, model and options of one solve: ``plaplace`` (L-shape,
-    level 1) or ``hyper`` (perforated square, level 0), both at p = 2, or
-    ``rounding``, the plaplace solve from a radius of 10 with every trial
-    judged by its gradients, as those below the energy's rounding are."""
-    if case == "hyper":
-        fe, model = model_problem("hyper", 2)
+def _solve_case(case, mode, monkeypatch, plaplace_level=1):
+    """Problem, model and options of one solve: ``plaplace`` (L-shape, level
+    1 or ``plaplace_level``) or ``hyper`` (perforated square, level 0),
+    both at p = 2; ``rounding``, the level-1 plaplace solve from a radius
+    of 10 with every trial judged by its gradients, as those below the
+    energy's rounding are; or ``barrier``, the hyperelastic solve whose
+    load of 1e30 drives det F towards 0 until a Hessian probe crosses it."""
+    if case in ("hyper", "barrier"):
+        load = (1e30, -3.5e7) if case == "barrier" else (-3.5e7, -3.5e7)
+        fe, model = neohooke_problem(make_perforated_square(0), p=2,
+                                     young=2e8, poisson=0.3, f=load)
+        if case == "barrier":
+            fe = replace(fe, max_step=None)
         return fe, model, TrOptions(initial_radius=0.2 * np.sqrt(2.0),
                                     max_iters=3000, gradient_mode=mode)
     if case == "rounding":
         monkeypatch.setattr(hpmin.solver, "ROUNDOFF_DECREASE", np.inf)
-    fe, model = model_problem("plaplace", 2)
+    level = plaplace_level if case == "plaplace" else 1
+    fe, model = model_problem("plaplace", 2, level)
     radius = 10.0 if case == "rounding" else 1.0
     return fe, model, TrOptions(initial_radius=radius, gradient_mode=mode)
 
 
-# per mode: the pointwise function of the element blocks, and its batched
-# evaluations per build for 1 and 2 components: 2 n stress evaluations, or
-# 1 + 2 n + 2 n (n - 1) density evaluations, for the n entries of G
-_BLOCK_PROBES = {"explicit": ("stress", {1: 4, 2: 8}),
-                 "central_diff": ("density", {1: 9, 2: 33})}
+# per mode: the problem's gradient and its element blocks
+_CALLBACKS = {"explicit": ("gradient", "element_hessians"),
+              "central_diff": ("gradient_fd", "element_hessians_fd")}
 
 
 @pytest.mark.parametrize("mode", ["explicit", "central_diff"])
 def test_gradient_and_coloring_calls_per_hessian(mode, monkeypatch):
     # the benchmark's trace identities: a model problem builds its Hessian
-    # from the element slots in either mode, with no coloring, and every
-    # build makes the same batched pointwise evaluations, whatever the
-    # point.  A gradient is taken at the start and at every trial that is
-    # accepted or judged by its gradient: one per accepted step, and in the
-    # rounding case one per trial with a ratio
-    gradient, blocks = (("gradient_fd", "element_hessians_fd")
-                        if mode == "central_diff"
-                        else ("gradient", "element_hessians"))
-    kernel, probes = _BLOCK_PROBES[mode]
+    # from the element slots in either mode, with no coloring.  A gradient
+    # is taken at the start and at every trial that is accepted or judged
+    # by its gradient: one per accepted step, and in the rounding case one
+    # per trial with a ratio
+    gradient, blocks = _CALLBACKS[mode]
     for case in ("plaplace", "hyper", "rounding"):
         with monkeypatch.context() as patch:
-            problem, model, opts = _solve_case(case, mode, patch)
-            evaluations, per_hessian = [], []
-
-            def counted(G, evaluate=getattr(model, kernel)):
-                evaluations.append(G.shape)
-                return evaluate(G)
-
-            def counted_blocks(v, build=getattr(problem, blocks)):
-                evaluations.clear()
-                built = build(v)
-                per_hessian.append(len(evaluations))
-                return built
-
-            patch.setattr(model, kernel, counted)
-            counted_problem, calls, _ = _count_hessian_sources(
-                replace(problem, **{blocks: counted_blocks}), patch)
-            sol = minimize(counted_problem, opts)
+            problem, _, opts = _solve_case(case, mode, patch)
+            counted, calls, _ = _count_hessian_sources(problem, patch)
+            sol = minimize(counted, opts)
         assert sol.converged and sol.accepted > 1, case
         gradients = sol.accepted + 1
         if case == "rounding":
@@ -509,7 +497,69 @@ def test_gradient_and_coloring_calls_per_hessian(mode, monkeypatch):
         expected.update({gradient: gradients, blocks: sol.accepted,
                          "hessian": sol.accepted})
         assert calls == expected, case
-        assert per_hessian == [probes[model.dofmap.components]] * sol.accepted
+
+
+_SOLVES = [("plaplace", "explicit"), ("plaplace", "central_diff"),
+           ("hyper", "explicit"), ("hyper", "central_diff"),
+           ("rounding", "central_diff"), ("barrier", "central_diff")]
+
+
+@pytest.mark.parametrize("case, mode", _SOLVES)
+def test_kept_gradient_evaluation_keeps_every_solve_bit(case, mode, monkeypatch):
+    # named after a gradient-to-Hessian record that is gone: the Hessian
+    # of neither mode takes anything from the gradient, so a gradient
+    # evaluated at a rejected trial cannot reach it.  The solve matches one
+    # whose blocks come from a second problem, which evaluates no
+    # gradient, with the same batched energy evaluations
+    fe, model, opts = _solve_case(case, mode, monkeypatch, plaplace_level=2)
+    blocks = _CALLBACKS[mode][1]
+    second = _solve_case(case, mode, monkeypatch, plaplace_level=2)[0]
+    cold = replace(fe, **{blocks: getattr(second, blocks)})
+    evaluations = []
+
+    def counted(v_loc, evaluate=model._element_energies):
+        evaluations.append(v_loc.shape)
+        return evaluate(v_loc)
+
+    monkeypatch.setattr(model, "_element_energies", counted)
+    kept = minimize(fe, opts)
+    n_kept = len(evaluations)
+    evaluations.clear()
+    reference = minimize(cold, opts)
+    assert n_kept == len(evaluations)
+    np.testing.assert_array_equal(kept.v_free, reference.v_free)
+    assert (kept.energy, kept.status) == (reference.energy, reference.status)
+    assert kept.history == reference.history
+    if case in ("rounding", "barrier"):
+        assert kept.rejected >= 1
+
+
+@pytest.mark.parametrize("case, mode", _SOLVES)
+def test_no_hessian_in_a_solve_is_built_cold(case, mode, monkeypatch):
+    # named after a warm/cold split that is gone: every Hessian of a solve
+    # is the same fixed number of batched pointwise evaluations on the
+    # gathered G, whatever the point: 4 (plaplace) or 8 (hyper) stress
+    # evaluations in explicit mode, 9 or 33 density evaluations in
+    # central_diff mode
+    fe, model, opts = _solve_case(case, mode, monkeypatch, plaplace_level=2)
+    blocks = _CALLBACKS[mode][1]
+    kernel, probes = block_evaluations(mode, model.dofmap.components)
+    evaluations, per_hessian = [], []
+
+    def counted(G, evaluate=getattr(model, kernel)):
+        evaluations.append(G.shape)
+        return evaluate(G)
+
+    def counted_blocks(v, build=getattr(fe, blocks)):
+        evaluations.clear()
+        built = build(v)
+        per_hessian.append(len(evaluations))
+        return built
+
+    monkeypatch.setattr(model, kernel, counted)
+    sol = minimize(replace(fe, **{blocks: counted_blocks}), opts)
+    assert sol.accepted > 0
+    assert per_hessian == [probes] * len(per_hessian)
 
 
 def test_central_diff_colors_a_problem_without_element_kernels(monkeypatch):
