@@ -210,11 +210,15 @@ def compare_elements(config: BenchConfig, degrees):
 
 
 def parse_levels(text: str) -> tuple[int, ...]:
-    """Accept '2', '1,3,5', or '1..6'."""
+    """Accept '2', '1,3,5', or '1..6'; a repeated entry is an error."""
     if ".." in text:
         lo, hi = text.split("..")
         return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(part) for part in text.split(","))
+    values = tuple(int(part) for part in text.split(","))
+    for value in values:
+        if values.count(value) > 1:
+            raise argparse.ArgumentTypeError(f"{value} is repeated in {text!r}")
+    return values
 
 
 def _gradient_mode(text: str) -> str:

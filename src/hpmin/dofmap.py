@@ -7,7 +7,11 @@ direction opposes the global (ascending node index) edge direction.  Both
 are stored in the local layout the kernels read: for a vector problem the
 scalar columns are tiled once per component, so slot c * m + j of an
 element (m local shape functions) addresses component c of its local
-function j: that function's scalar DOF id plus c * n_p.
+function j: that function's scalar DOF id plus c * n_p.  Only the slots
+of odd-degree edge modes can carry a sign of -1, and there are none at
+p <= 2; the DOF map records those slots, and the signed gather, the
+signed scatter and the element Hessian blocks multiply only them, since
+a sign of +1 changes no bit.
 
 Global numbering is blocked: nodal DOFs by node index, then edge DOFs by
 edge index and degree, then bubbles by element; vector problems repeat
@@ -69,6 +73,9 @@ class DofMap:
     # the scalar id of local function j (ShapeTable order) plus c * n_p
     elems2dofs: np.ndarray
     signs: np.ndarray         # (T, components * m) entries +-1, same slots
+    # the slots of odd-degree edge modes, in every component: the only
+    # columns of ``signs`` that can hold -1
+    signed_slots: np.ndarray
     free_dofs: np.ndarray
     fixed_dofs: np.ndarray
     fixed_values: np.ndarray
@@ -90,13 +97,22 @@ class DofMap:
                 f"expected coefficient vector of length {self.n_dofs}, "
                 f"got {v_full.shape}"
             )
-        return self.signs * v_full[self.elems2dofs]
+        return self.apply_signs(v_full[self.elems2dofs])
 
     def scatter(self, local: np.ndarray) -> np.ndarray:
         """Accumulate signed element-local values into a full vector."""
-        return np.bincount(self.elems2dofs.ravel(),
-                           weights=(self.signs * local).ravel(),
+        if self.signed_slots.size:
+            local = self.apply_signs(local.copy())
+        return np.bincount(self.elems2dofs.ravel(), weights=local.ravel(),
                            minlength=self.n_dofs)
+
+    def apply_signs(self, local: np.ndarray) -> np.ndarray:
+        """Multiply ``local``, whose last two axes are (T, slots), by the
+        signs of its slots, in place, and return it.  Only the signed slots
+        are touched: a sign of +1 changes no bit."""
+        if self.signed_slots.size:
+            local[..., self.signed_slots] *= self.signs[:, self.signed_slots]
+        return local
 
 
 def _resolve_g(g, xy: np.ndarray, components: int) -> np.ndarray:
@@ -139,7 +155,8 @@ def build_dofmap(mesh: QuadMesh, p: int, components: int = 1,
     element's corner nodes; its edge modes, each addressed by local side
     and degree, with sign -1 for an odd degree on a side whose local
     direction runs against the global one; and its bubbles.  A vector
-    problem repeats the blocks once per component.
+    problem repeats the blocks once per component.  ``signed_slots``
+    lists the columns of the odd-degree edge modes.
     """
     if p < 1:
         raise ValueError(f"degree must be >= 1, got {p}")
@@ -166,6 +183,8 @@ def build_dofmap(mesh: QuadMesh, p: int, components: int = 1,
     ])
     signs = np.hstack([np.ones((n_elems, 4)), np.where(flip, -1.0, 1.0),
                        np.ones((n_elems, nb))])
+    signed_slots = (4 + np.flatnonzero(degree % 2)
+                    + elems2dofs.shape[1] * np.arange(components)[:, None]).ravel()
     elems2dofs = np.concatenate(
         [elems2dofs + c * n_p for c in range(components)], axis=1)
     signs = np.tile(signs, (1, components))
@@ -188,7 +207,7 @@ def build_dofmap(mesh: QuadMesh, p: int, components: int = 1,
     free_dofs = np.where(~fixed_mask)[0]
     return DofMap(
         mesh=mesh, p=p, components=components, n_p=n_p,
-        elems2dofs=elems2dofs, signs=signs,
+        elems2dofs=elems2dofs, signs=signs, signed_slots=signed_slots,
         free_dofs=free_dofs, fixed_dofs=fixed_dofs,
         fixed_values=fixed_values_full[fixed_dofs],
     )

@@ -132,8 +132,8 @@ class _ModelBase:
         self._w_jinv_t = geometry.wdetj * geometry.jinv_t  # (2, 2, T, n_ip)
         # products of reference derivatives d_b phi_k d_f phi_l at each
         # point: for column function l, rows (b, f, point) and columns k, so
-        # one matrix product with it contracts pointwise second derivatives
-        # into the blocks of one column slot
+        # one batched matrix product with it contracts pointwise second
+        # derivatives into the blocks of every column slot
         m = self._ref.shape[1]
         self._ref_outer = np.einsum("bkq,flq->lbfqk", self._ref, self._ref,
                                     order="C").reshape(m, -1, m)
@@ -212,10 +212,11 @@ class _ModelBase:
 
         Weighted by w |J| and mapped to the reference directions by J^{-T}
         on both sides, d2 is contracted with the products of the reference
-        derivatives by one matrix product per column slot (d, l), straight
-        into the blocks.  Entry [b, e, a] is element e's share of the
-        Hessian entry coupling the DOFs of its slots a (row) and b
-        (column), with the signs of both slots.
+        derivatives by one batched matrix product over the column slots
+        (d, l), straight into the blocks.  Entry [b, e, a] is element e's
+        share of the Hessian entry coupling the DOFs of its slots a (row)
+        and b (column), with the signs of both slots, multiplied in on the
+        DOF map's signed slots only.
         """
         components, n_elems = d2.shape[0], d2.shape[4]
         d2 = np.einsum("decatq,eftq->dfcatq", d2, self.geometry.jinv_t)
@@ -226,12 +227,10 @@ class _ModelBase:
         del d2
         m = self._ref.shape[1]
         blocks = np.empty((components * m, n_elems, components * m))
-        out = blocks.reshape(components, m, n_elems * components, m)
-        for d in range(components):
-            for l in range(m):
-                np.matmul(rows[d], self._ref_outer[l], out=out[d, l])
-        blocks *= self.dofmap.signs
-        blocks *= self.dofmap.signs.T[:, :, None]
+        np.matmul(rows[:, None], self._ref_outer,
+                  out=blocks.reshape(components, m, n_elems * components, m))
+        self.dofmap.apply_signs(blocks)  # the row slots a
+        self.dofmap.apply_signs(blocks.transpose(2, 1, 0))  # the column slots b
         return blocks
 
     def residuals(self, v_full: np.ndarray) -> np.ndarray:

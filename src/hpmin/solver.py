@@ -55,6 +55,8 @@ FORCING_MAX = 0.1
 ROUNDOFF_DECREASE = 10.0
 GRAD_RTOL = 1e-6
 
+_HUGE = np.finfo(float).max
+
 
 @dataclass
 class EnergyProblem:
@@ -156,6 +158,11 @@ class TrSolution:
         return self.status == "converged"
 
 
+def _norm(x: np.ndarray) -> float:
+    """The 2-norm of a real vector, with the bits of np.linalg.norm(x)."""
+    return np.sqrt(x @ x)
+
+
 def _unit_scale(x: float) -> float:
     """The power of two c with c * x in [0.5, 1), for x > 0 finite."""
     return np.ldexp(1.0, -np.frexp(x)[1])
@@ -209,28 +216,32 @@ def steihaug_cg(H, g: np.ndarray, radius: float,
     scale = _unit_scale(g_max)
     unit = _unit_scale(radius)
     r = g * scale
-    g_norm = np.linalg.norm(r)
+    g_norm = _norm(r)
     d = -r
     rr = g_norm * g_norm
+    # r is a new array, so the loop updates r, d and Hd in place
     for _ in range(2 * g.size):
-        Hd = (H @ d) * scale
+        Hd = H @ d
+        Hd *= scale
         kappa = d @ Hd
         # no curvature, or so little that rr / kappa would overflow
-        if kappa <= rr / np.finfo(float).max:
+        if kappa <= rr / _HUGE:
             return s + _boundary_tau(s, d, radius) * d, True
         alpha = rr / kappa
         s_trial = s + alpha * d
         # |s_trial| >= radius; past the max test every entry is inside
         # the radius, so the norm in units of it cannot overflow
-        if (np.max(np.abs(s_trial)) >= radius
-                or np.linalg.norm(s_trial * unit) >= radius * unit):
+        if (max(s_trial.max(), -s_trial.min()) >= radius
+                or _norm(s_trial * unit) >= radius * unit):
             return s + _boundary_tau(s, d, radius) * d, True
         s = s_trial
-        r = r + alpha * Hd
+        Hd *= alpha
+        r += Hd
         rr_new = r @ r
         if np.sqrt(rr_new) <= rtol * g_norm:
             break
-        d = -r + (rr_new / rr) * d
+        d *= rr_new / rr
+        d -= r
         rr = rr_new
     return s, False
 
@@ -326,23 +337,24 @@ def minimize(problem: EnergyProblem, opts: TrOptions | None = None) -> TrSolutio
                 step = step_fraction * step
                 hit_boundary = False
         predicted = -(g @ step + 0.5 * (step @ (H @ step)))
-        trial = problem.energy(v + step)
+        v_trial = v + step
+        trial = problem.energy(v_trial)
         g_trial, rho = None, -np.inf
         if np.isfinite(trial) and predicted > 0.0:
             rounding = np.finfo(float).eps * max(1.0, abs(energy_now))
             if predicted >= ROUNDOFF_DECREASE * rounding:
                 rho = (energy_now - trial) / predicted
             else:
-                g_trial = _finite_gradient(grad_fn, v + step)
+                g_trial = _finite_gradient(grad_fn, v_trial)
                 if g_trial is not None:
                     rho = -0.5 * ((g + g_trial) @ step) / predicted
         if rho > ETA_ACCEPT and g_trial is None:
-            g_trial = _finite_gradient(grad_fn, v + step)
+            g_trial = _finite_gradient(grad_fn, v_trial)
             if g_trial is None:
                 rho = -np.inf
         accept = rho > ETA_ACCEPT
         if accept:
-            v = v + step
+            v = v_trial
             energy_now = trial
             g = g_trial
             accepted += 1

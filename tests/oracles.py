@@ -6,10 +6,11 @@ copy), central differences of the element energies one slot at a time,
 element Hessian blocks from stress differences, the stiffness matrix
 assembled one element at a time, per-element physical shape derivatives,
 the full-to-free DOF index, the element DOF tables one local slot at a
-time, Legendre polynomials and kernels one degree at a time, shape
-functions evaluated one at a time from the geometry of the reference
-square, shoelace element areas, structured grids built cell by cell, and
-uniform refinement with each child stacked by hand.
+time, Steihaug CG with a new array per vector operation, Legendre
+polynomials and kernels one degree at a time, shape functions evaluated
+one at a time from the geometry of the reference square, shoelace element
+areas, structured grids built cell by cell, and uniform refinement with
+each child stacked by hand.
 
 It also holds what only the tests use: the set-up of a degree-p space and
 of the two benchmark problems, the batched evaluations of an element-block
@@ -50,7 +51,15 @@ from hpmin.mesh import (
 )
 from hpmin.problems import neohooke_problem, plaplace_problem
 from hpmin.quadrature import rule_for_degree
-from hpmin.solver import EnergyProblem, TrOptions, minimize, steihaug_cg
+from hpmin.solver import (
+    CG_TOL,
+    EnergyProblem,
+    TrOptions,
+    _boundary_tau,
+    _unit_scale,
+    minimize,
+    steihaug_cg,
+)
 
 
 def central_residuals(model, v_full: np.ndarray) -> np.ndarray:
@@ -125,6 +134,46 @@ def gradient_central(energy, v: np.ndarray, dofs=None) -> np.ndarray:
             raise BarrierError(f"energy not finite at probe of dof {i}")
         g[out] = (e_up - e_dn) / (2.0 * hi)
     return g
+
+
+def steihaug_cg_plain(H, g: np.ndarray, radius: float,
+                      rtol: float = CG_TOL) -> tuple[np.ndarray, bool]:
+    """``hpmin.solver.steihaug_cg`` as a new array per vector operation,
+    with ``np.linalg.norm`` and ``np.max(np.abs(.))``."""
+    if radius <= 0.0:
+        raise ValueError(f"radius must be positive, got {radius}")
+    g = np.asarray(g, dtype=float)
+    s = np.zeros_like(g)
+    g_max = np.max(np.abs(g), initial=0.0)
+    if g_max == 0.0:
+        return s, False
+    scale = _unit_scale(g_max)
+    unit = _unit_scale(radius)
+    r = g * scale
+    g_norm = np.linalg.norm(r)
+    d = -r
+    rr = g_norm * g_norm
+    for _ in range(2 * g.size):
+        Hd = (H @ d) * scale
+        kappa = d @ Hd
+        # no curvature, or so little that rr / kappa would overflow
+        if kappa <= rr / np.finfo(float).max:
+            return s + _boundary_tau(s, d, radius) * d, True
+        alpha = rr / kappa
+        s_trial = s + alpha * d
+        # |s_trial| >= radius; past the max test every entry is inside
+        # the radius, so the norm in units of it cannot overflow
+        if (np.max(np.abs(s_trial)) >= radius
+                or np.linalg.norm(s_trial * unit) >= radius * unit):
+            return s + _boundary_tau(s, d, radius) * d, True
+        s = s_trial
+        r = r + alpha * Hd
+        rr_new = r @ r
+        if np.sqrt(rr_new) <= rtol * g_norm:
+            break
+        d = -r + (rr_new / rr) * d
+        rr = rr_new
+    return s, False
 
 
 def fe_space(mesh: QuadMesh, p: int, components: int = 1, dirichlet=None):
@@ -247,7 +296,8 @@ def n_basis_functions(p: int) -> int:
 
 def dofmap_tables(mesh, p: int, components: int):
     """``elems2dofs``, ``signs`` and ``n_p`` of ``build_dofmap``, built one
-    local slot at a time from the kind of its shape function."""
+    local slot at a time from the kind of its shape function, and the
+    slots of the odd-degree edge modes in every component."""
     kinds = shape_kinds(p)
     nb = n_bubbles(p)
     n_nodes, n_edges, n_elems = mesh.n_nodes, mesh.n_edges, mesh.n_elems
@@ -259,6 +309,7 @@ def dofmap_tables(mesh, p: int, components: int):
     signs = np.ones((n_elems, len(kinds)))
     nxt = np.roll(mesh.elems2nodes, -1, axis=1)
     bubble_count = 0
+    odd_slots = []
     for m, kind in enumerate(kinds):
         if isinstance(kind, Nodal):
             elems2dofs[:, m] = mesh.elems2nodes[:, kind.node]
@@ -267,6 +318,7 @@ def dofmap_tables(mesh, p: int, components: int):
             elems2dofs[:, m] = (edge_base
                                 + mesh.elems2edges[:, s] * (p - 1) + (k - 2))
             if k % 2 == 1:
+                odd_slots.append(m)
                 against = mesh.elems2nodes[:, s] > nxt[:, s]
                 signs[against, m] = -1.0
         else:
@@ -275,7 +327,8 @@ def dofmap_tables(mesh, p: int, components: int):
             bubble_count += 1
     elems2dofs = np.concatenate(
         [elems2dofs + c * n_p for c in range(components)], axis=1)
-    return elems2dofs, np.tile(signs, (1, components)), n_p
+    odd_slots = [c * len(kinds) + m for c in range(components) for m in odd_slots]
+    return elems2dofs, np.tile(signs, (1, components)), n_p, odd_slots
 
 
 # Corner s of the reference square, counterclockwise from (-1, -1).
@@ -678,3 +731,4 @@ def check_steihaug_negative_curvature(radius: float):
     assert hit
     assert np.linalg.norm(step) == pytest.approx(radius, abs=1e-12)
     assert step[1] < 0
+

@@ -121,6 +121,12 @@ def test_cli_plaplace_stdout(capsys):
 def test_cli_exit_code_on_bad_usage(capsys):
     assert main(["plaplace", "--levels", "oops"]) == 3
     capsys.readouterr()
+    # a repeated degree or level would solve, and print, the same row twice
+    for argv, repeated in ((["compare", "plaplace", "--p", "2,2", "--levels", "1"],
+                            "2 is repeated in '2,2'"),
+                           (["plaplace", "--levels", "1,1"], "1 is repeated in '1,1'")):
+        assert main(argv) == 3
+        assert repeated in capsys.readouterr().err
 
 
 def test_cli_exit_code_on_bad_config(capsys):

@@ -52,11 +52,15 @@ def test_p1_reduces_to_nodal_incidence():
 def test_tables_match_slot_by_slot_oracle(p, components):
     for mesh in (make_lshape(1), make_perforated_square(1)):
         dm = build_dofmap(mesh, p, components=components)
-        elems2dofs, signs, n_p = dofmap_tables(mesh, p, components)
+        elems2dofs, signs, n_p, odd_slots = dofmap_tables(mesh, p, components)
         assert dm.n_p == n_p
         assert dm.elems2dofs.dtype == elems2dofs.dtype
         np.testing.assert_array_equal(dm.elems2dofs, elems2dofs)
         np.testing.assert_array_equal(dm.signs, signs)
+        # the gather, the scatter and the blocks sign only these slots
+        assert dm.signed_slots.tolist() == odd_slots
+        assert np.all(np.delete(signs, odd_slots, axis=1) == 1.0)
+        assert (len(odd_slots) == 0) == (p <= 2)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])

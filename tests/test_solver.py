@@ -32,9 +32,23 @@ from oracles import (
     dense_pattern,
     make_rect,
     model_problem,
+    steihaug_cg_plain,
 )
 
 RNG = np.random.default_rng(20240515)
+
+
+def cg_with_the_plain_bits(H, g: np.ndarray, radius: float, rtol: float = CG_TOL):
+    """``steihaug_cg(H, g, radius, rtol)``, asserting that it has the bits
+    of ``steihaug_cg_plain`` (step and boundary flag) and changes neither g
+    nor H.data."""
+    g_bits, h_bits = g.tobytes(), H.data.tobytes()
+    step, hit = steihaug_cg(H, g, radius, rtol=rtol)
+    assert g.tobytes() == g_bits and H.data.tobytes() == h_bits
+    plain, plain_hit = steihaug_cg_plain(H, g, radius, rtol=rtol)
+    assert step.tobytes() == plain.tobytes()
+    assert hit == plain_hit
+    return step, hit
 
 
 def test_steihaug_interior_newton_step():
@@ -69,9 +83,10 @@ def test_steihaug_model_reduction_positive():
         H = sp.csr_matrix(0.5 * (M + M.T))  # possibly indefinite
         g = RNG.standard_normal(n)
         for radius in (0.01, 1.0, 100.0):
-            step, _ = steihaug_cg(H, g, radius)
-            model = g @ step + 0.5 * step @ (H @ step)
-            assert model < 0.0
+            for rtol in (0.1, CG_TOL):
+                step, _ = cg_with_the_plain_bits(H, g, radius, rtol)
+                model = g @ step + 0.5 * step @ (H @ step)
+                assert model < 0.0
 
 
 @pytest.mark.parametrize("radius", [0.01, 1.0, 100.0])
@@ -85,8 +100,8 @@ def test_steihaug_step_is_invariant_under_power_of_two_scaling(definite, radius)
     H = sp.csr_matrix(M @ M.T + n * np.eye(n) if definite else 0.5 * (M + M.T))
     g = RNG.standard_normal(n)
     c = 2.0 ** 600
-    step, hit = steihaug_cg(H, g, radius)
-    step_c, hit_c = steihaug_cg(c * H, c * g, radius)
+    step, hit = cg_with_the_plain_bits(H, g, radius)
+    step_c, hit_c = cg_with_the_plain_bits(c * H, c * g, radius)
     np.testing.assert_array_equal(step_c, step)
     assert hit_c == hit
     assert g @ step + 0.5 * step @ (H @ step) < 0.0
@@ -100,8 +115,8 @@ def test_steihaug_tiny_curvature_goes_to_the_boundary(curvature, radius):
     # parent, |s_trial| overflowed at curvature 1e-200 and radius 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        step, hit = steihaug_cg(sp.identity(3, format="csr") * curvature,
-                                np.ones(3), radius)
+        step, hit = cg_with_the_plain_bits(
+            sp.identity(3, format="csr") * curvature, np.ones(3), radius)
     assert hit
     np.testing.assert_allclose(step, -radius / np.sqrt(3.0), rtol=1e-15)
 
@@ -117,7 +132,7 @@ def test_steihaug_forcing_tolerance_keeps_the_cauchy_decrease(definite, radius):
     M = rng.standard_normal((n, n))
     H = M @ M.T + 0.1 * np.eye(n) if definite else 0.5 * (M + M.T)
     g = rng.standard_normal(n)
-    step, hit = steihaug_cg(sp.csr_matrix(H), g, radius, rtol=0.1)
+    step, hit = cg_with_the_plain_bits(sp.csr_matrix(H), g, radius, rtol=0.1)
 
     def model(s):
         return g @ s + 0.5 * s @ (H @ s)
