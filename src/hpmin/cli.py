@@ -144,6 +144,8 @@ def run(config: BenchConfig):
 
     Returns (rows, exit_code).  With an output directory it writes
     ``<problem>.csv`` and, with ``export_vtk``, ``<problem>_level<n>.vtk``.
+    A problem too large to build raises ``MemoryError`` naming its degree
+    and level.
     """
     spec = PROBLEMS[config.problem]
     if config.out_dir is not None:
@@ -151,7 +153,11 @@ def run(config: BenchConfig):
     rows, failures = [], 0
     for level in config.levels:
         mesh = spec.make_mesh(level)
-        problem, model = spec.build(mesh, config)
+        try:
+            problem, model = spec.build(mesh, config)
+        except MemoryError as exc:
+            raise MemoryError(f"degree {config.p} on level {level}: "
+                              f"{str(exc) or 'out of memory'}") from exc
         opts = TrOptions(max_iters=(spec.max_iters if config.max_iters is None
                                     else config.max_iters),
                          initial_radius=spec.initial_radius(mesh),
@@ -299,7 +305,7 @@ def main(argv=None) -> int:
             write_rows(table, sys.stdout, COMPARE_HEADER)
             return code
         rows, code = run(BenchConfig(**fields))
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     write_rows(map(astuple, rows), sys.stdout, CSV_HEADER)

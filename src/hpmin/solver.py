@@ -8,13 +8,17 @@ quadrature point, from central differences of the stress in
 ``central_diff`` mode.  Any other problem differences its gradient once
 per color group.  Each iteration solves the trust-region subproblem with
 Steihaug-Toint truncated CG, stopped at a forcing tolerance that falls
-with the gradient (an inexact Newton step), and accepts or rejects the
-step by the ratio of actual to predicted energy reduction.  A predicted reduction below the energy's rounding
+with the gradient (an inexact Newton step), and on a step expected to end
+the solve at a residual a tenth of the stopping tolerance.  It accepts or
+rejects the step by the ratio of actual to predicted energy reduction,
+the predicted one taken from CG's recurrences with no product with the
+Hessian.  A predicted reduction below the energy's rounding
 takes its actual reduction from the trapezoid rule on the gradients at
 both ends of the step instead of from the energies.
 A problem with a ``max_step`` (the elastic orientation barrier) has a
 step that would reach det F = 0 cut to the fraction ``BOUNDARY_FRACTION``
-of the way there before its trial energy is evaluated.  A +inf trial
+of the way there before its trial energy is evaluated, and its predicted
+reduction rescaled to the cut step.  A +inf trial
 energy still rejects the step and shrinks the radius.  So does a
 non-finite gradient of a trial that would be accepted, or a
 ``BarrierError`` from it, raised when a difference probe of a
@@ -40,8 +44,9 @@ __all__ = ["EnergyProblem", "TrOptions", "TrSolution", "minimize", "steihaug_cg"
 
 # Constants of the method: the acceptance and radius rule of the
 # trust-region loop, the share of the way to a problem's max_step that a
-# cut step goes, the relative residual at which CG stops on a step that
-# should end the solve and the largest one it stops at before, the
+# cut step goes, the smallest and the largest relative residual at which
+# CG stops, the residual, in units of the stopping tolerance, at which it
+# stops on a step that should end the solve, the
 # predicted decrease, in units of eps * max(1, |J|), below which the ratio
 # is taken from the gradients, and the stopping test's gradient max-norm
 # relative to max(1, |J(x0)|).
@@ -52,6 +57,7 @@ MAX_RADIUS = 1e8
 BOUNDARY_FRACTION = 0.5
 CG_TOL = 1e-8
 FORCING_MAX = 0.1
+FINAL_RESIDUAL = 0.1
 ROUNDOFF_DECREASE = 10.0
 GRAD_RTOL = 1e-6
 
@@ -141,7 +147,9 @@ class TrSolution:
     no ratio (a +inf trial energy, a non-positive predicted decrease, or a
     ``BarrierError`` from or a non-finite entry in the trial's gradient);
     and ``step_fraction``, the factor ``BOUNDARY_FRACTION * max_step`` that
-    cut the CG step, or 1.0 when the step was not cut.
+    cut the CG step, or 1.0 when the step was not cut; and ``cg_rtol``,
+    the relative residual that iteration's CG was given (see
+    :func:`minimize`).
     """
 
     v_free: np.ndarray
@@ -185,10 +193,15 @@ def _boundary_tau(s: np.ndarray, d: np.ndarray, radius: float) -> float:
 
 
 def steihaug_cg(H, g: np.ndarray, radius: float,
-                rtol: float = CG_TOL) -> tuple[np.ndarray, bool]:
+                rtol: float = CG_TOL) -> tuple[np.ndarray, bool, float]:
     """Truncated CG on H s = -g inside the trust region.
 
-    Returns (step, hit_boundary).  Stops at the boundary along the current
+    Returns (step, hit_boundary, decrease), where decrease is the model
+    decrease -(g . s + s . H s / 2) of the step, taken from CG's own
+    recurrences: each interior iteration lowers the model by
+    alpha |r|^2 / 2, and a boundary exit along d by
+    -tau (d . r) - tau (tau kappa) / 2, so no product with H is spent on
+    it.  Stops at the boundary along the current
     direction on negative curvature or when the iterate leaves the region;
     otherwise iterates until the residual H s + g has a 2-norm of at most
     ``rtol`` |g|, for at most 2n iterations.  The returned step never
@@ -201,7 +214,8 @@ def steihaug_cg(H, g: np.ndarray, radius: float,
     with H, not with |g|^2: a finite g past 1e154 no longer overflows them.
     Short of underflow the scaling is exact and leaves the step's bits as
     they are: steihaug_cg(c H, c g, radius) gives the step of
-    steihaug_cg(H, g, radius) for any power of two c.  The step's length
+    steihaug_cg(H, g, radius) for any power of two c.  The decrease is
+    summed in these units and scaled back once.  The step's length
     is compared with the radius, and the boundary root taken, in units of
     the radius, so a curvature tiny next to g, which sends the CG
     iterate far past the radius, overflows nothing either.
@@ -212,29 +226,36 @@ def steihaug_cg(H, g: np.ndarray, radius: float,
     s = np.zeros_like(g)
     g_max = np.max(np.abs(g), initial=0.0)
     if g_max == 0.0:
-        return s, False
+        return s, False, 0.0
     scale = _unit_scale(g_max)
     unit = _unit_scale(radius)
     r = g * scale
     g_norm = _norm(r)
     d = -r
     rr = g_norm * g_norm
+    decrease = 0.0
     # r is a new array, so the loop updates r, d and Hd in place
     for _ in range(2 * g.size):
         Hd = H @ d
         Hd *= scale
         kappa = d @ Hd
-        # no curvature, or so little that rr / kappa would overflow
-        if kappa <= rr / _HUGE:
-            return s + _boundary_tau(s, d, radius) * d, True
-        alpha = rr / kappa
-        s_trial = s + alpha * d
-        # |s_trial| >= radius; past the max test every entry is inside
-        # the radius, so the norm in units of it cannot overflow
-        if (max(s_trial.max(), -s_trial.min()) >= radius
-                or _norm(s_trial * unit) >= radius * unit):
-            return s + _boundary_tau(s, d, radius) * d, True
+        # no curvature, or so little that rr / kappa would overflow, ends
+        # on the boundary, as does an iterate at or past the radius; past
+        # the max test every entry is inside the radius, so the norm in
+        # units of it cannot overflow
+        inside = kappa > rr / _HUGE
+        if inside:
+            alpha = rr / kappa
+            s_trial = s + alpha * d
+            inside = (max(s_trial.max(), -s_trial.min()) < radius
+                      and _norm(s_trial * unit) < radius * unit)
+        if not inside:
+            tau = _boundary_tau(s, d, radius)
+            # tau (tau kappa), not tau * tau * kappa, which can overflow
+            decrease -= tau * (d @ r) + 0.5 * tau * (tau * kappa)
+            return s + tau * d, True, decrease / scale
         s = s_trial
+        decrease += 0.5 * alpha * rr
         Hd *= alpha
         r += Hd
         rr_new = r @ r
@@ -243,7 +264,7 @@ def steihaug_cg(H, g: np.ndarray, radius: float,
         d *= rr_new / rr
         d -= r
         rr = rr_new
-    return s, False
+    return s, False, decrease / scale
 
 
 def _finite_gradient(grad_fn, v: np.ndarray) -> np.ndarray | None:
@@ -261,9 +282,16 @@ def minimize(problem: EnergyProblem, opts: TrOptions | None = None) -> TrSolutio
 
     Each iteration's CG stops at the relative residual
     eta_k = min(``FORCING_MAX``, |g_k| / |g_0|) in max-norms (Dembo,
-    Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982), or at ``CG_TOL``
-    once eta_k |g_k| is below the stopping test's tolerance, so that a
-    step expected to end the solve is an exact Newton step.  When the
+    Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982).  Once
+    eta_k |g_k| is below the stopping test's tolerance tol, the step is
+    expected to end the solve, and CG stops at
+    max(``CG_TOL``, ``FINAL_RESIDUAL`` tol / |g_k|_2) instead: its
+    residual H s + g, the model's gradient after the step, then has a
+    2-norm, and so a max-norm, of at most ``FINAL_RESIDUAL`` tol.  Solving
+    further buys nothing; the gradient at the new point is set by the
+    nonlinearity and the difference Hessian.  The predicted decrease is the
+    one CG returns; a step cut to t s by ``max_step`` predicts
+    t (t (decrease + g.s) - g.s), the model's decrease at t s.  When the
     predicted decrease is below ``ROUNDOFF_DECREASE`` * eps * max(1, |J|),
     rounding hides the actual one, and the ratio's numerator is
     -(g + g_trial) . s / 2 (Conn, Gould & Toint, *Trust-Region Methods*,
@@ -326,17 +354,22 @@ def minimize(problem: EnergyProblem, opts: TrOptions | None = None) -> TrSolutio
                 break
         rtol = min(FORCING_MAX, grad_norm / first_norm)
         if rtol * grad_norm <= grad_tol:
-            rtol = CG_TOL
-        step, hit_boundary = steihaug_cg(H, g, radius, rtol=rtol)
+            # |g|_2 scaled by a power of two, so its square cannot overflow
+            unit = _unit_scale(grad_norm)
+            rtol = max(CG_TOL, FINAL_RESIDUAL * grad_tol * unit / _norm(g * unit))
+        step, hit_boundary, predicted = steihaug_cg(H, g, radius, rtol=rtol)
         step_fraction = 1.0
         if problem.max_step is not None:
             t_max = problem.max_step(v, step)
             if t_max <= 1.0:
-                # a CG step descends the model, so any cut of it does too
+                # a CG step descends the model, so any cut of it does too:
+                # m(t s) = t g.s + t^2 (m(s) - g.s)
                 step_fraction = BOUNDARY_FRACTION * t_max
+                slope = g @ step
+                predicted = step_fraction * (
+                    step_fraction * (predicted + slope) - slope)
                 step = step_fraction * step
                 hit_boundary = False
-        predicted = -(g @ step + 0.5 * (step @ (H @ step)))
         v_trial = v + step
         trial = problem.energy(v_trial)
         g_trial, rho = None, -np.inf
@@ -370,6 +403,7 @@ def minimize(problem: EnergyProblem, opts: TrOptions | None = None) -> TrSolutio
             "grad_norm": grad_norm, "radius": float(radius),
             "rho": None if rho == -np.inf else float(rho),
             "accepted": bool(accept), "step_fraction": float(step_fraction),
+            "cg_rtol": float(rtol),
         })
         if radius < np.finfo(float).eps * max(1.0, np.linalg.norm(v)):
             status = "radius_collapse"  # a step this short cannot move v

@@ -6,11 +6,12 @@ copy), central differences of the element energies one slot at a time,
 element Hessian blocks from stress differences, the stiffness matrix
 assembled one element at a time, per-element physical shape derivatives,
 the full-to-free DOF index, the element DOF tables one local slot at a
-time, Steihaug CG with a new array per vector operation, Legendre
-polynomials and kernels one degree at a time, shape functions evaluated
-one at a time from the geometry of the reference square, shoelace element
-areas, structured grids built cell by cell, and uniform refinement with
-each child stacked by hand.
+time, Steihaug CG with a new array per vector operation and its model
+decrease from its own product with H, Legendre polynomials and kernels
+one degree at a time, shape functions evaluated one at a time from the
+geometry of the reference square, shoelace element areas, structured
+grids built cell by cell, and uniform refinement with each child stacked
+by hand.
 
 It also holds what only the tests use: the set-up of a degree-p space and
 of the two benchmark problems, the batched evaluations of an element-block
@@ -27,6 +28,7 @@ the solver oracles.
 """
 
 import csv
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +54,7 @@ from hpmin.mesh import (
 from hpmin.problems import neohooke_problem, plaplace_problem
 from hpmin.quadrature import rule_for_degree
 from hpmin.solver import (
+    BOUNDARY_FRACTION,
     CG_TOL,
     EnergyProblem,
     TrOptions,
@@ -137,16 +140,18 @@ def gradient_central(energy, v: np.ndarray, dofs=None) -> np.ndarray:
 
 
 def steihaug_cg_plain(H, g: np.ndarray, radius: float,
-                      rtol: float = CG_TOL) -> tuple[np.ndarray, bool]:
+                      rtol: float = CG_TOL) -> tuple[np.ndarray, bool, float]:
     """``hpmin.solver.steihaug_cg`` as a new array per vector operation,
-    with ``np.linalg.norm`` and ``np.max(np.abs(.))``."""
+    with ``np.linalg.norm`` and ``np.max(np.abs(.))``, and the model
+    decrease -(g . s + s . (H s) / 2) of the step computed directly, with
+    its own product with H."""
     if radius <= 0.0:
         raise ValueError(f"radius must be positive, got {radius}")
     g = np.asarray(g, dtype=float)
     s = np.zeros_like(g)
     g_max = np.max(np.abs(g), initial=0.0)
     if g_max == 0.0:
-        return s, False
+        return s, False, 0.0
     scale = _unit_scale(g_max)
     unit = _unit_scale(radius)
     r = g * scale
@@ -158,14 +163,14 @@ def steihaug_cg_plain(H, g: np.ndarray, radius: float,
         kappa = d @ Hd
         # no curvature, or so little that rr / kappa would overflow
         if kappa <= rr / np.finfo(float).max:
-            return s + _boundary_tau(s, d, radius) * d, True
+            return _with_decrease(H, g, s + _boundary_tau(s, d, radius) * d, True)
         alpha = rr / kappa
         s_trial = s + alpha * d
         # |s_trial| >= radius; past the max test every entry is inside
         # the radius, so the norm in units of it cannot overflow
         if (np.max(np.abs(s_trial)) >= radius
                 or np.linalg.norm(s_trial * unit) >= radius * unit):
-            return s + _boundary_tau(s, d, radius) * d, True
+            return _with_decrease(H, g, s + _boundary_tau(s, d, radius) * d, True)
         s = s_trial
         r = r + alpha * Hd
         rr_new = r @ r
@@ -173,7 +178,11 @@ def steihaug_cg_plain(H, g: np.ndarray, radius: float,
             break
         d = -r + (rr_new / rr) * d
         rr = rr_new
-    return s, False
+    return _with_decrease(H, g, s, False)
+
+
+def _with_decrease(H, g: np.ndarray, s: np.ndarray, hit: bool):
+    return s, hit, -(g @ s + 0.5 * (s @ (H @ s)))
 
 
 def fe_space(mesh: QuadMesh, p: int, components: int = 1, dirichlet=None):
@@ -663,7 +672,12 @@ def dense_pattern(n: int) -> sp.csr_matrix:
 def check_spd_quadratic(rng, monkeypatch):
     """The solver minimizes a random SPD quadratic J = v.A.v / 2 - b.v
     (n = 10) from 0 in at most 10 iterations, to a gradient below 1e-10
-    and v within 1e-9 of the solution of A v = b."""
+    and v within 1e-9 of the solution of A v = b.  With a constant
+    ``max_step`` that cuts every step to 0.4 of the CG step it still
+    converges, and the predicted decrease of each cut step is the model's,
+    which here is the energy's: every accepted step that lowers J by more
+    than 1e-6 max(1, |J|), so that the rounding of the energies and of the
+    difference Hessian stays far below it, has a ratio within 1e-9 of 1."""
     n = 10
     M = rng.standard_normal((n, n))
     A = M @ M.T + n * np.eye(n)
@@ -681,6 +695,16 @@ def check_spd_quadratic(rng, monkeypatch):
     assert sol.iterations <= 10
     assert sol.grad_norm < 1e-10
     np.testing.assert_allclose(sol.v_free, np.linalg.solve(A, b), atol=1e-9)
+    cut = minimize(replace(problem, max_step=lambda v, step: 0.8), TrOptions())
+    assert cut.converged
+    assert all(r["step_fraction"] == BOUNDARY_FRACTION * 0.8 for r in cut.history)
+    before, checked = 0.0, 0
+    for record in cut.history:
+        if before - record["energy"] > 1e-6 * max(1.0, abs(record["energy"])):
+            assert record["rho"] == pytest.approx(1.0, rel=0.0, abs=1e-9)
+            checked += 1
+        before = record["energy"]
+    assert checked >= 10
 
 
 def check_rosenbrock(monkeypatch):
@@ -708,8 +732,8 @@ def check_rosenbrock(monkeypatch):
 def check_steihaug_interior(g: np.ndarray):
     """On H = I with the radius 10 |g|, Steihaug CG returns the Newton
     step -g, inside the region."""
-    step, hit = steihaug_cg(sp.eye(g.size, format="csr"), g,
-                            radius=10 * np.linalg.norm(g))
+    step, hit, _ = steihaug_cg(sp.eye(g.size, format="csr"), g,
+                               radius=10 * np.linalg.norm(g))
     np.testing.assert_allclose(step, -g, atol=1e-12)
     assert not hit
 
@@ -717,7 +741,7 @@ def check_steihaug_interior(g: np.ndarray):
 def check_steihaug_boundary(g: np.ndarray, radius: float):
     """On H = I with a radius below |g|, Steihaug CG returns the step along
     -g to the boundary."""
-    step, hit = steihaug_cg(sp.eye(g.size, format="csr"), g, radius=radius)
+    step, hit, _ = steihaug_cg(sp.eye(g.size, format="csr"), g, radius=radius)
     assert hit
     assert np.linalg.norm(step) == pytest.approx(radius, abs=1e-12)
     np.testing.assert_allclose(step, -radius * g / np.linalg.norm(g), atol=1e-12)
@@ -726,8 +750,8 @@ def check_steihaug_boundary(g: np.ndarray, radius: float):
 def check_steihaug_negative_curvature(radius: float):
     """With g along the negative eigenvector of diag(1, -1), Steihaug CG
     moves straight down -g to the boundary."""
-    step, hit = steihaug_cg(sp.diags([1.0, -1.0]).tocsr(), np.array([0.0, 1.0]),
-                            radius=radius)
+    step, hit, _ = steihaug_cg(sp.diags([1.0, -1.0]).tocsr(),
+                               np.array([0.0, 1.0]), radius=radius)
     assert hit
     assert np.linalg.norm(step) == pytest.approx(radius, abs=1e-12)
     assert step[1] < 0

@@ -22,7 +22,7 @@ from hpmin.vtk import write_solution, write_vtk
 from oracles import read_rows, read_vtk
 
 RECORD_KEYS = {"iteration", "energy", "grad_norm", "radius", "rho", "accepted",
-               "step_fraction"}
+               "step_fraction", "cg_rtol"}
 
 
 def test_parse_levels():
@@ -162,6 +162,25 @@ def test_cli_nonfinite_parameter_is_config_error(argv, name, capsys):
         assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("configuration error") and name in err
+
+
+def test_cli_degree_too_large_for_memory_is_config_error(capsys, monkeypatch):
+    # at p = 40 the reference tables alone need 37 GiB; the builder stands
+    # in for that allocation, which a test must not make.  A MemoryError
+    # without a message still says what ran out
+    spec = hpmin.cli.PROBLEMS["plaplace"]
+    for error, cause in ((MemoryError("Unable to allocate 37.3 GiB"),
+                          "Unable to allocate 37.3 GiB"),
+                         (MemoryError(), "out of memory")):
+        def too_large(mesh, config):
+            raise error
+
+        monkeypatch.setitem(hpmin.cli.PROBLEMS, "plaplace",
+                            replace(spec, build=too_large))
+        assert main(["plaplace", "--levels", "0", "--p", "40"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"configuration error: degree 40 on level 0: {cause}\n"
+        assert captured.out == ""
 
 
 def test_cli_huge_alpha_is_config_error(capsys):

@@ -11,12 +11,15 @@ import scipy.sparse as sp
 import hpmin.solver
 from hpmin.dofmap import expand_solution
 from hpmin.energy import BarrierError
+from hpmin.fd import hessian_fd, slot_pattern
 from hpmin.mesh import make_lshape, make_perforated_square
 from hpmin.problems import neohooke_problem, plaplace_problem
 from hpmin.solver import (
     BOUNDARY_FRACTION,
     CG_TOL,
+    FINAL_RESIDUAL,
     FORCING_MAX,
+    GRAD_RTOL,
     EnergyProblem,
     TrOptions,
     minimize,
@@ -40,14 +43,17 @@ RNG = np.random.default_rng(20240515)
 
 def cg_with_the_plain_bits(H, g: np.ndarray, radius: float, rtol: float = CG_TOL):
     """``steihaug_cg(H, g, radius, rtol)``, asserting that it has the bits
-    of ``steihaug_cg_plain`` (step and boundary flag) and changes neither g
-    nor H.data."""
+    of ``steihaug_cg_plain`` (step and boundary flag), that its model
+    decrease from the CG recurrences agrees with the plain one's direct
+    -(g . s + s . (H s) / 2) to 1e-12, and that it changes neither g nor
+    H.data."""
     g_bits, h_bits = g.tobytes(), H.data.tobytes()
-    step, hit = steihaug_cg(H, g, radius, rtol=rtol)
+    step, hit, decrease = steihaug_cg(H, g, radius, rtol=rtol)
     assert g.tobytes() == g_bits and H.data.tobytes() == h_bits
-    plain, plain_hit = steihaug_cg_plain(H, g, radius, rtol=rtol)
+    plain, plain_hit, plain_decrease = steihaug_cg_plain(H, g, radius, rtol=rtol)
     assert step.tobytes() == plain.tobytes()
     assert hit == plain_hit
+    assert decrease == pytest.approx(plain_decrease, rel=1e-12, abs=0.0)
     return step, hit
 
 
@@ -65,9 +71,11 @@ def test_steihaug_negative_curvature():
 
 
 def test_steihaug_zero_gradient():
-    step, hit = steihaug_cg(sp.eye(3, format="csr"), np.zeros(3), radius=1.0)
+    step, hit, decrease = steihaug_cg(sp.eye(3, format="csr"), np.zeros(3),
+                                      radius=1.0)
     np.testing.assert_array_equal(step, 0.0)
     assert not hit
+    assert decrease == 0.0
 
 
 def test_steihaug_rejects_bad_radius():
@@ -337,24 +345,39 @@ def test_gradient_ratio_converges_below_the_energy_rounding(monkeypatch):
         assert np.isfinite(sol.energy)
 
 
-def test_forcing_tolerance_per_iteration(monkeypatch):
+def test_forcing_tolerance_per_iteration():
     # CG stops at min(FORCING_MAX, |g_k| / |g_0|) until a step is expected
-    # to end the solve; that last accepted step is an exact Newton step
-    rtols = []
-
-    def recording(H, g, radius, rtol):
-        rtols.append(rtol)
-        return steihaug_cg(H, g, radius, rtol=rtol)
-
-    monkeypatch.setattr(hpmin.solver, "steihaug_cg", recording)
+    # to end the solve; that last accepted step stops where the model's
+    # next gradient H s + g has a 2-norm of at most FINAL_RESIDUAL times
+    # the stopping tolerance.  The solve is deterministic, so stopping one
+    # iteration early gives the point, gradient and Hessian of that step
     problem, _ = plaplace_problem(make_lshape(2), p=2, alpha=3.0, f=-10.0)
+    grad_tol = GRAD_RTOL * max(1.0, abs(problem.energy(problem.x0)))
     sol = minimize(problem, TrOptions())
-    assert sol.converged and len(rtols) == sol.iterations
-    assert sol.history[-1]["accepted"]
-    assert rtols[-1] == CG_TOL
+    assert sol.converged and sol.history[-1]["accepted"]
+    v = minimize(problem, TrOptions(max_iters=sol.iterations - 1)).v_free
+    g = problem.gradient(v)
+    H = hessian_fd(problem.element_hessians, v,
+                   slot_pattern(problem.pattern, problem.element_dofs), g0=g)
+    rtols = [r["cg_rtol"] for r in sol.history]
+    assert rtols[-1] == max(CG_TOL, FINAL_RESIDUAL * grad_tol / np.linalg.norm(g))
+    assert rtols[-1] > CG_TOL  # the floor is not what stops this step
+    assert np.linalg.norm(H @ (sol.v_free - v) + g) <= FINAL_RESIDUAL * grad_tol
     norms = [r["grad_norm"] for r in sol.history]
     assert rtols[:-1] == [min(FORCING_MAX, n / norms[0]) for n in norms[:-1]]
     assert FORCING_MAX in rtols and min(rtols[:-1]) < FORCING_MAX
+    # a gradient whose squared 2-norm overflows: J = 1e300 + 1e290 |v|^2 / 2
+    # - b.v, b = 5e294 (1, 1, 1), has the stopping tolerance 1e294, so
+    # every step is expected to end the solve; its tolerance is still
+    # FINAL_RESIDUAL tol / |g|_2, without an overflow warning
+    b = np.full(3, 5e294)
+    huge = EnergyProblem(energy=lambda v: 1e300 + 0.5e290 * (v @ v) - b @ v,
+                         gradient=lambda v: 1e290 * v - b,
+                         pattern=dense_pattern(3), x0=np.zeros(3))
+    sol = minimize(huge, TrOptions())
+    assert sol.converged
+    assert sol.history[0]["cg_rtol"] == pytest.approx(
+        FINAL_RESIDUAL * 1e294 / (5e294 * np.sqrt(3.0)), rel=1e-15)
 
 
 @pytest.mark.parametrize("mode", ["explicit", "central_diff"])
