@@ -22,18 +22,20 @@ and contracts them with one of two shared contractions.  First
 derivatives contract into element residuals, the gradient before its
 scatter: ``residuals`` from ``stress``, and ``residuals_fd`` from central
 differences of the density, with each entry of G moved by its step from
-:func:`hpmin.fd.difference_steps` up and down (4 scalar or 8 vector
-density evaluations); ``assemble_gradient`` scatters either.  Second
-derivatives contract into the element blocks of a finite-difference
-Hessian like the stiffness of a linear model: ``element_hessians`` from
-the same central differences of ``stress`` (4 or 8 stress evaluations),
-and ``element_hessians_fd`` from second differences of the density with
-the steps of :func:`hpmin.fd.hessian_steps` (9 or 33 density
-evaluations), whatever the degree.  So the derivatives of explicit mode
-need only a model's ``stress``, and those of central_diff mode only its
-``density``.  Every probe evaluates a moved copy of G, so no call changes
-its arguments; a model keeps no state between calls, and every batched
-product runs over all elements.
+:func:`hpmin.fd.difference_steps` up and down (4 scalar or 8 vector moved
+copies of G); ``assemble_gradient`` scatters either.  Second derivatives
+contract into the element blocks of a finite-difference Hessian like the
+stiffness of a linear model: ``element_hessians`` from the same central
+differences of ``stress`` (4 or 8 copies), and ``element_hessians_fd``
+from second differences of the density with the steps of
+:func:`hpmin.fd.hessian_steps` (9 or 33 copies), whatever the degree.  So
+the derivatives of explicit mode need only a model's ``stress``, and
+those of central_diff mode only its ``density``.  The moved copies of G
+are new arrays, laid side by side along the element axis so that one
+pointwise call evaluates a batch of up to ``PROBE_BATCH`` values of G:
+all the probes of a derivative on small meshes, one at a time on the
+largest.  So no call changes its arguments; a model keeps no state
+between calls, and every batched product runs over all elements.
 
 * scalar power-law diffusion: (1/alpha) integral |grad v|^alpha - integral f v
 * vector compressible Neo-Hookean elasticity with stored density
@@ -48,7 +50,6 @@ product runs over all elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -57,6 +58,7 @@ from .fd import difference_steps, hessian_steps
 from .mesh import GeometryFactors
 
 __all__ = [
+    "PROBE_BATCH",
     "BarrierError",
     "DeformationField",
     "PLaplaceModel",
@@ -64,6 +66,13 @@ __all__ = [
     "assemble_load",
     "identity_deformation",
 ]
+
+
+# Values of G in one batch of finite-difference probes: 512 KB of doubles, a
+# quarter of a 2 MB L2 cache, so that a batch's pointwise temporaries stay
+# in cache.  Past it the working set of one stacked call outgrows the cache
+# and the call gets slower per value.
+PROBE_BATCH = 1 << 16
 
 
 class BarrierError(ArithmeticError):
@@ -165,17 +174,31 @@ class _ModelBase:
             return np.inf
         return float(dens.sum() - self.b_full @ v_full)
 
-    def _probe(self, pointwise, G: np.ndarray, h: np.ndarray, *moves) -> np.ndarray:
-        """``pointwise`` of a copy of G with, for each (i, sign) of
-        ``moves``, entry i moved by sign h_i at every quadrature point.  A
-        non-finite value raises ``BarrierError``."""
-        moved = G.reshape(-1, *G.shape[2:]).copy()
-        for i, sign in moves:
-            moved[i] += sign * h[i]
-        out = pointwise(moved.reshape(G.shape))
-        if not np.all(np.isfinite(out)):
-            raise BarrierError("not finite at a finite-difference probe")
-        return out
+    def _probes(self, pointwise, G: np.ndarray, h: np.ndarray, moves):
+        """``pointwise`` of moved copies of G, one per entry of ``moves``,
+        yielded in its order: copy p has, for each (i, sign) of
+        ``moves[p]``, entry i moved by sign h_i at every quadrature point.
+
+        The copies of a batch lie side by side along the element axis, so
+        one call of ``pointwise`` evaluates them all; a batch holds at most
+        ``PROBE_BATCH`` values of G.  Each output is a view into its
+        batch's.  A non-finite value raises ``BarrierError``.
+        """
+        flat = G.reshape(-1, *G.shape[2:])  # (n, T, n_ip)
+        batch = max(1, PROBE_BATCH // G.size)
+        for start in range(0, len(moves), batch):
+            chunk = moves[start:start + batch]
+            copies = np.empty((flat.shape[0], len(chunk), *flat.shape[1:]))
+            copies[...] = flat[:, None]
+            for p, move in enumerate(chunk):
+                for i, sign in move:
+                    copies[i, p] += sign * h[i]
+            out = pointwise(copies.reshape(*G.shape[:2], -1, G.shape[3]))
+            if not np.all(np.isfinite(out)):
+                raise BarrierError("not finite at a finite-difference probe")
+            out = out.reshape(*out.shape[:-2], len(chunk), *G.shape[2:])
+            for p in range(len(chunk)):
+                yield out[..., p, :, :]
 
     def _central(self, pointwise, G: np.ndarray) -> np.ndarray:
         """Central differences of ``pointwise``, a function f of G taken at
@@ -183,16 +206,23 @@ class _ModelBase:
 
         At every point, entry j of G moves by its step h_j from
         :func:`hpmin.fd.difference_steps` up and down:
-        (f(G + h_j e_j) - f(G - h_j e_j)) / (2 h_j), 2 n evaluations of f
-        for the n = 2 x components entries.  The result has two leading
-        axes shaped like G's, entry j holding the difference over entry j,
-        followed by the shape of f(G).  A non-finite value raises
-        ``BarrierError``.
+        (f(G + h_j e_j) - f(G - h_j e_j)) / (2 h_j), 2 n moved copies of G
+        for the n = 2 x components entries, evaluated in batches by
+        ``_probes``.  The result has two leading axes shaped like G's,
+        entry j holding the difference over entry j, followed by the shape
+        of f(G).  A non-finite value raises ``BarrierError``.
         """
         h = difference_steps(G.reshape(-1, *G.shape[2:]))
-        probe = partial(self._probe, pointwise, G, h)
-        diffs = np.stack([(probe((j, 1.0)) - probe((j, -1.0))) / (2.0 * h[j])
-                          for j in range(h.shape[0])])
+        n = h.shape[0]
+        values = self._probes(pointwise, G, h,
+                              [((j, sign),) for j in range(n) for sign in (1.0, -1.0)])
+        diffs = None
+        for j in range(n):
+            up, down = next(values), next(values)
+            if diffs is None:
+                diffs = np.empty((n, *up.shape))
+            np.subtract(up, down, out=diffs[j])
+            diffs[j] /= 2.0 * h[j]
         return diffs.reshape(*G.shape[:2], *diffs.shape[1:])
 
     def _contract_first(self, P: np.ndarray) -> np.ndarray:
@@ -243,7 +273,7 @@ class _ModelBase:
     def residuals_fd(self, v_full: np.ndarray) -> np.ndarray:
         """The central-difference estimate of ``residuals(v_full)``, from
         central differences of the density on the gathered G: 4 (scalar)
-        or 8 (vector) density evaluations at any degree."""
+        or 8 (vector) moved copies of G at any degree."""
         G = self._gather(self.dofmap.gather(v_full))
         return self._contract_first(self._central(self.density, G))
 
@@ -256,7 +286,7 @@ class _ModelBase:
 
     def element_hessians(self, v_full: np.ndarray) -> np.ndarray:
         """Element blocks from central differences of the stress on the
-        gathered G: 4 (scalar) or 8 (vector) stress evaluations at any
+        gathered G: 4 (scalar) or 8 (vector) moved copies of G at any
         degree.  The load term is linear and drops out."""
         G = self._gather(self.dofmap.gather(v_full))
         return self._contract_second(self._central(self.stress, G))
@@ -268,24 +298,32 @@ class _ModelBase:
         :func:`hpmin.fd.hessian_steps`.  The second derivative of W in G is
         the central (W(+i) - 2 W + W(-i)) / h_i^2 on the diagonal and the
         central mixed (W(+i+j) - W(+i-j) - W(-i+j) + W(-i-j)) / (4 h_i h_j)
-        off it (Nocedal & Wright, 2nd ed., section 8.1): 1 + 2 n + 2 n (n - 1)
-        density evaluations for the n = 2 x components entries of G, 9 for
-        a scalar model and 33 for a vector one.  A non-finite density
-        raises ``BarrierError``.
+        off it (Nocedal & Wright, 2nd ed., section 8.1): G and 2 n + 2 n (n - 1)
+        moved copies of it for the n = 2 x components entries of G, 9 for a
+        scalar model and 33 for a vector one, evaluated in batches by
+        ``_probes``.  A non-finite density raises ``BarrierError``.
         """
         G = self._gather(self.dofmap.gather(v_full))
         h = hessian_steps(G.reshape(-1, *G.shape[2:]))
         n = h.shape[0]
-        probe = partial(self._probe, self.density, G, h)
-        d2 = np.empty((n, *h.shape))
-        w = probe()
+        moves = [()]
         for i in range(n):
-            d2[i, i] = (probe((i, 1.0)) - 2.0 * w + probe((i, -1.0))) / h[i] ** 2
+            moves += [((i, 1.0),), ((i, -1.0),)]
+            moves += [((i, s), (j, t)) for j in range(i + 1, n)
+                      for s in (1.0, -1.0) for t in (1.0, -1.0)]
+        values = self._probes(self.density, G, h, moves)
+        w = 2.0 * next(values)
+        d2 = np.empty((n, *h.shape))
+        for i in range(n):
+            np.subtract(next(values), w, out=d2[i, i])
+            d2[i, i] += next(values)
+            d2[i, i] /= h[i] ** 2
             for j in range(i + 1, n):
-                d2[i, j] = d2[j, i] = (
-                    probe((i, 1.0), (j, 1.0)) - probe((i, 1.0), (j, -1.0))
-                    - probe((i, -1.0), (j, 1.0)) + probe((i, -1.0), (j, -1.0))
-                ) / (4.0 * h[i] * h[j])
+                np.subtract(next(values), next(values), out=d2[i, j])
+                d2[i, j] -= next(values)
+                d2[i, j] += next(values)
+                d2[i, j] /= 4.0 * h[i] * h[j]
+                d2[j, i] = d2[i, j]
         return self._contract_second(d2.reshape(*G.shape[:2], *G.shape))
 
 
@@ -324,14 +362,19 @@ class PLaplaceModel(_ModelBase):
 
     def density(self, G: np.ndarray) -> np.ndarray:
         """(1/alpha) |grad v|^alpha."""
-        return _frobenius2(G) ** (self.alpha / 2.0) / self.alpha
+        dens = _frobenius2(G)
+        dens **= self.alpha / 2.0
+        dens /= self.alpha
+        return dens
 
     def stress(self, G: np.ndarray) -> np.ndarray:
         """|grad v|^(alpha-2) grad v."""
         norm2 = _frobenius2(G)
         # the analytic limit at grad v = 0 is 0 for every alpha > 1: the
         # base 1 put there multiplies G = 0, so no 0 ** negative is taken
-        return np.where(norm2 > 0.0, norm2, 1.0) ** ((self.alpha - 2.0) / 2.0) * G
+        scale = np.where(norm2 > 0.0, norm2, 1.0)
+        scale **= (self.alpha - 2.0) / 2.0
+        return scale * G
 
 
 class NeoHookeModel(_ModelBase):
@@ -409,4 +452,7 @@ class NeoHookeModel(_ModelBase):
             raise BarrierError("gradient requested at an inverted configuration")
         coef = (2.0 * self.d1 * (det - 1.0) * det - 2.0 * self.c1) / det
         # det F F^{-T} is the cofactor matrix [[f22, -f21], [-f12, f11]]
-        return 2.0 * self.c1 * G + coef * (G[::-1, ::-1] * _COFACTOR_SIGNS)
+        P = G[::-1, ::-1] * _COFACTOR_SIGNS
+        P *= coef
+        P += 2.0 * self.c1 * G
+        return P

@@ -6,12 +6,13 @@ element blocks (a partially separable function, Griewank & Toint 1982).
 A model takes them at every quadrature point, on the gradient array G:
 central differences of its stress, with the entries of G moved by their
 steps from :func:`difference_steps`, or second differences of its
-density, with the steps from :func:`hessian_steps`.  One ``bincount``
+density, with the steps from :func:`hessian_steps`, each set of moved
+copies of G evaluated in batches of pointwise calls.  One ``bincount``
 scatters the blocks into the pattern through a position map built once
-(``SlotPattern``).  A problem without element kernels takes one forward
-gradient difference per color group instead; group members share no
-structurally-coupled row, so every pattern column can be read off
-directly (Coleman & More 1983).  The groups come from a plain greedy
+by one sparse lookup (``SlotPattern``).  A problem without element
+kernels takes one forward gradient difference per color group instead;
+group members share no structurally-coupled row, so every pattern column
+can be read off directly (Coleman & More 1983).  The groups come from a plain greedy
 coloring in natural order: the model problems never take this path,
 which serves generic problems and is the reference the element slots are
 checked against.
@@ -46,14 +47,22 @@ FD_STEP = 1e-6
 HESSIAN_STEP = 1e-4
 
 
+def _relative_steps(values: np.ndarray, relative: float) -> np.ndarray:
+    """relative * max(1, |x|) for every value x, in one new array."""
+    steps = np.abs(values)
+    np.maximum(steps, 1.0, out=steps)
+    steps *= relative
+    return steps
+
+
 def difference_steps(values: np.ndarray) -> np.ndarray:
     """Per-coordinate step FD_STEP * max(1, |v_i|)."""
-    return FD_STEP * np.maximum(1.0, np.abs(values))
+    return _relative_steps(values, FD_STEP)
 
 
 def hessian_steps(values: np.ndarray) -> np.ndarray:
     """Per-entry step HESSIAN_STEP * max(1, |G_i|)."""
-    return HESSIAN_STEP * np.maximum(1.0, np.abs(values))
+    return _relative_steps(values, HESSIAN_STEP)
 
 
 @dataclass(frozen=True)
@@ -134,11 +143,11 @@ def slot_pattern(pattern: sp.csr_matrix, element_dofs: np.ndarray) -> SlotPatter
     sharing an element.
 
     ``element_dofs`` (T, slots) gives the pattern row of the DOF in every
-    element slot, -1 where it is fixed.  Slot by slot, one sparse lookup
-    reads the entry numbers of the pairs (slot a, slot b) of all elements;
-    a pair of free DOFs outside the pattern raises.  Fixed slots read an
-    empty row and column appended to the pattern, so a pattern with no
-    row at all maps every term to the dropped bin.
+    element slot, -1 where it is fixed.  One sparse lookup reads the entry
+    numbers of all pairs (slot a, slot b) of all elements; a pair of free
+    DOFs outside the pattern raises.  Fixed slots read an empty row and
+    column appended to the pattern, so a pattern with no row at all maps
+    every term to the dropped bin.
     """
     n, nnz = pattern.shape[0], pattern.nnz
     fixed = element_dofs < 0
@@ -148,10 +157,11 @@ def slot_pattern(pattern: sp.csr_matrix, element_dofs: np.ndarray) -> SlotPatter
     entry = sp.csr_matrix((np.arange(1, nnz + 1), pattern.indices,
                            np.append(pattern.indptr, pattern.indptr[-1])),
                           shape=(n + 1, n + 1))
-    positions = np.empty((dofs.shape[1], *dofs.shape), dtype=np.int64)
-    for slot, cols in enumerate(dofs.T):
-        found = entry[dofs.ravel(), np.repeat(cols, dofs.shape[1])]
-        positions[slot] = np.asarray(found).reshape(dofs.shape) - 1
+    # term [b, e, a] reads row dofs[e, a] and column dofs[e, b]
+    shape = (dofs.shape[1], *dofs.shape)
+    rows = np.broadcast_to(dofs, shape).ravel()
+    cols = np.broadcast_to(dofs.T[:, :, None], shape).ravel()
+    positions = np.asarray(entry[rows, cols]).reshape(shape) - 1
     dropped = fixed[None, :, :] | fixed.T[:, :, None]
     if np.any((positions < 0) & ~dropped):
         raise ValueError("pattern does not hold every pair of DOFs that "
@@ -204,5 +214,7 @@ def hessian_fd(grad, v: np.ndarray, layout: ColoredPattern | SlotPattern,
         rows = np.repeat(np.arange(v.size), np.diff(pattern.indptr))
         cols = pattern.indices
         data = diffs[groups[cols], rows] / steps[cols]
-    return sp.csr_matrix(((data + data[layout.transpose]) * 0.5,
-                          pattern.indices, pattern.indptr), shape=pattern.shape)
+    data += data[layout.transpose]
+    data *= 0.5
+    return sp.csr_matrix((data, pattern.indices, pattern.indptr),
+                         shape=pattern.shape)

@@ -3,6 +3,8 @@
 Each reference implementation is the plain form of a fast path in
 ``hpmin``: naive central differences of a whole energy (the suite's one
 copy), central differences of the element energies one slot at a time,
+pointwise central differences of the density with one moved copy of G
+per call, the slot map of an element-slot Hessian one slot at a time,
 element Hessian blocks from stress differences, the stiffness matrix
 assembled one element at a time, per-element physical shape derivatives,
 the full-to-free DOF index, the element DOF tables one local slot at a
@@ -14,10 +16,11 @@ grids built cell by cell, and uniform refinement with each child stacked
 by hand.
 
 It also holds what only the tests use: the set-up of a degree-p space and
-of the two benchmark problems, the batched evaluations of an element-block
-build, the unit-square mesh generator, the local basis count, and readers
-of the convergence-table CSV that ``hpmin.cli`` writes and of the legacy
-VTK files that ``hpmin.vtk`` writes.
+of the two benchmark problems, the moved copies of G that an
+element-block build evaluates and their batches per pointwise call, the
+unit-square mesh generator, the local basis count, and readers of the
+convergence-table CSV that ``hpmin.cli`` writes and of the legacy VTK
+files that ``hpmin.vtk`` writes.
 
 The ``check_*`` functions at the end are the checks that a unit test and
 an acceptance criterion share, so each exists once: the DOF counts and
@@ -35,12 +38,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import hpmin.energy
 import hpmin.solver
 from hpmin.basis import Bubble, EdgeMode, Nodal, n_bubbles, shape_kinds, tabulate
 from hpmin.cli import ConvergenceRow
 from hpmin.dofmap import DirichletSpec, build_dofmap, sample_field, sparsity_pattern
 from hpmin.energy import BarrierError, NeoHookeModel, PLaplaceModel, identity_deformation
-from hpmin.fd import FD_STEP, greedy_coloring, hessian_fd
+from hpmin.fd import FD_STEP, SlotPattern, greedy_coloring, hessian_fd
 from hpmin.mesh import (
     HOLE_RADIUS,
     QuadMesh,
@@ -80,6 +84,52 @@ def central_residuals(model, v_full: np.ndarray) -> np.ndarray:
         columns.append(up - model._element_energies(v_loc))
         v_loc[:, slot] = center
     return np.column_stack(columns) / (2.0 * deltas)
+
+
+def residuals_fd_plain(model, v_full: np.ndarray) -> np.ndarray:
+    """``model.residuals_fd(v_full)`` with one moved copy of G per call of
+    the density: entry j of a fresh copy moved by h_j = FD_STEP
+    max(1, |G_j|) up, then down, each copy checked for a finite density,
+    and (W(+j) - W(-j)) / (2 h_j) of each entry stacked in order."""
+    G = model._gather(model.dofmap.gather(v_full))
+    flat = G.reshape(-1, *G.shape[2:])
+    h = FD_STEP * np.maximum(1.0, np.abs(flat))
+
+    def density(j, sign):
+        moved = flat.copy()
+        moved[j] += sign * h[j]
+        dens = model.density(moved.reshape(G.shape))
+        if not np.all(np.isfinite(dens)):
+            raise BarrierError("not finite at a finite-difference probe")
+        return dens
+
+    diffs = np.stack([(density(j, 1.0) - density(j, -1.0)) / (2.0 * h[j])
+                      for j in range(flat.shape[0])])
+    return model._contract_first(diffs.reshape(*G.shape[:2], *diffs.shape[1:]))
+
+
+def slot_pattern_per_slot(pattern: sp.csr_matrix,
+                          element_dofs: np.ndarray) -> SlotPattern:
+    """``hpmin.fd.slot_pattern`` with one sparse lookup per column slot b:
+    the entry numbers of the pairs (slot a, slot b) of all elements."""
+    n, nnz = pattern.shape[0], pattern.nnz
+    fixed = element_dofs < 0
+    dofs = np.where(fixed, n, element_dofs)
+    entry = sp.csr_matrix((np.arange(1, nnz + 1), pattern.indices,
+                           np.append(pattern.indptr, pattern.indptr[-1])),
+                          shape=(n + 1, n + 1))
+    positions = np.empty((dofs.shape[1], *dofs.shape), dtype=np.int64)
+    for slot, cols in enumerate(dofs.T):
+        found = entry[dofs.ravel(), np.repeat(cols, dofs.shape[1])]
+        positions[slot] = np.asarray(found).reshape(dofs.shape) - 1
+    dropped = fixed[None, :, :] | fixed.T[:, :, None]
+    if np.any((positions < 0) & ~dropped):
+        raise ValueError("pattern does not hold every pair of DOFs that "
+                         "share an element")
+    positions[dropped] = nnz
+    transpose = np.arange(nnz + 1)
+    transpose[positions] = positions.transpose(2, 1, 0)
+    return SlotPattern(pattern, positions.ravel(), transpose[:nnz])
 
 
 def element_hessians_from_stress(model, v_full: np.ndarray) -> np.ndarray:
@@ -208,13 +258,41 @@ def model_problem(problem: str, p: int, level: int | None = None):
 
 def block_evaluations(mode: str, components: int) -> tuple[str, int]:
     """The pointwise function that a mode's element blocks evaluate, and
-    its batched evaluations per build for the n = 2 * components entries
-    of G: 2 n of the stress (``explicit``), or 1 + 2 n + 2 n (n - 1) of
-    the density (the central mode): 4 or 8, and 9 or 33."""
+    the copies of G it evaluates per build for the n = 2 * components
+    entries of G: 2 n of the stress (``explicit``), or 1 + 2 n + 2 n (n - 1)
+    of the density (the central mode): 4 or 8, and 9 or 33."""
     n = 2 * components
     if mode == "explicit":
         return "stress", 2 * n
     return "density", 1 + 2 * n + 2 * n * (n - 1)
+
+
+def count_copies(model, kernel: str, monkeypatch) -> list[int]:
+    """Count the calls of a model's pointwise ``kernel``: the list returned
+    gets, at every call, the number of copies of the model's G that the
+    call evaluates side by side along the element axis."""
+    copies = []
+
+    def counted(G, evaluate=getattr(model, kernel)):
+        copies.append(G.shape[2] // model.geometry.n_elems)
+        return evaluate(G)
+
+    monkeypatch.setattr(model, kernel, counted)
+    return copies
+
+
+def g_size(model) -> int:
+    """The values in one copy of a model's gradient array G."""
+    return 2 * model.dofmap.components * model.geometry.wdetj.size
+
+
+def probe_batches(model, probes: int) -> list[int]:
+    """The copies of G per pointwise call of a derivative that evaluates
+    ``probes`` moved copies of a model's G: batches of max(1,
+    ``PROBE_BATCH`` // G.size) copies in order, the last one holding the
+    rest, so ceil(probes / batch) calls."""
+    batch = max(1, hpmin.energy.PROBE_BATCH // g_size(model))
+    return [min(batch, probes - start) for start in range(0, probes, batch)]
 
 
 def physical_derivatives(geo) -> tuple[np.ndarray, np.ndarray]:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import hpmin.energy
 import hpmin.fd
 import hpmin.solver
 from hpmin.dofmap import DirichletSpec, build_dofmap, expand_solution, sparsity_pattern
@@ -16,12 +17,17 @@ from oracles import (
     block_evaluations,
     central_residuals,
     check_fd_hessian_is_the_stiffness,
+    count_copies,
     element_hessians_from_stress,
     fe_space,
     free_index,
+    g_size,
     gradient_central,
     make_rect,
     model_problem,
+    probe_batches,
+    residuals_fd_plain,
+    slot_pattern_per_slot,
 )
 
 RNG = np.random.default_rng(20240514)
@@ -301,12 +307,13 @@ def test_slot_hessian_fd_probes_each_pair_once(problem, p, monkeypatch):
     # of G with, at every quadrature point, each entry moved by its step
     # h = hessian_steps(G) up and down, and each unordered pair of entries
     # moved in the four sign combinations, each once: 1 + 2 n + 2 n (n - 1)
-    # batched density evaluations for the n entries of G, 9 on plaplace and
-    # 33 on hyper at every degree.  The central gradient differences the
-    # density, and the explicit blocks the stress, on copies of G with each
-    # entry moved by h = difference_steps(G) up and down, each once: 2 n
-    # evaluations, 4 on plaplace and 8 on hyper.  No call changes the bits
-    # of the full vector
+    # copies of G for the n entries of G, 9 on plaplace and 33 on hyper at
+    # every degree.  The central gradient differences the density, and the
+    # explicit blocks the stress, on copies of G with each entry moved by
+    # h = difference_steps(G) up and down, each once: 2 n copies, 4 on
+    # plaplace and 8 on hyper.  A call of the pointwise function evaluates
+    # a batch of copies side by side along the element axis, ceil(copies /
+    # batch) calls in all.  No call changes the bits of the full vector
     fe, model, v, _ = _case(problem, p)
     dm = model.dofmap
     v_full = expand_solution(dm, v)
@@ -325,10 +332,12 @@ def test_slot_hessian_fd_probes_each_pair_once(problem, p, monkeypatch):
             ("element_hessians", "stress", hpmin.fd.difference_steps, singles,
              {"plaplace": 4, "hyper": 8})):
         h = steps(flat)
-        probes = []
+        probes, calls = [], []
 
         def recorded(moved, evaluate=getattr(model, kernel)):
-            probes.append(moved.reshape(flat.shape).copy())
+            copies = moved.reshape(n, -1, *flat.shape[1:])
+            calls.append(copies.shape[1])
+            probes.extend(copies[:, k].copy() for k in range(copies.shape[1]))
             return evaluate(moved)
 
         monkeypatch.setattr(model, kernel, recorded)
@@ -336,6 +345,7 @@ def test_slot_hessian_fd_probes_each_pair_once(problem, p, monkeypatch):
         monkeypatch.undo()
         assert v_full.tobytes() == bits
         assert len(probes) == len(expected) == count[problem]
+        assert calls == probe_batches(model, count[problem])
         moves = []
         for moved in probes:
             move = []
@@ -355,25 +365,24 @@ def test_slot_hessian_fd_raises_on_a_non_finite_energy(monkeypatch):
     # scaled by s has G = s I, det F = s^2 at every point, and every entry
     # of G steps by h = HESSIAN_STEP: the probes keep det F > 0 at s = 2 h
     # and cross it at s = h / 2, where min det F = h^2 / 4 lies below the
-    # probe step (the entry G_11 moved down has det F = -h^2 / 4)
+    # probe step (the entry G_11 moved down has det F = -h^2 / 4).  With
+    # two copies of G per density call, the probes span 17 calls
     model = model_problem("hyper", 2)[1]
     dm = model.dofmap
-    evaluations = []
-
-    def counted(G, density=model.density):
-        evaluations.append(G.shape)
-        return density(G)
-
-    monkeypatch.setattr(model, "density", counted)
-    # the mirror image inverts every element: W at G is +inf
+    monkeypatch.setattr(hpmin.energy, "PROBE_BATCH", 2 * g_size(model))
+    evaluations = count_copies(model, "density", monkeypatch)
+    # the mirror image inverts every element: W at G is +inf, and the
+    # first call, G and its first probe, raises
     mirrored = identity_deformation(dm)
     mirrored[:dm.n_p] *= -1.0
     with pytest.raises(BarrierError):
         model.element_hessians_fd(mirrored)
-    assert len(evaluations) == 1
+    assert evaluations == [2]
     h = hpmin.fd.HESSIAN_STEP
+    evaluations.clear()
     assert np.all(np.isfinite(
         model.element_hessians_fd(2.0 * h * identity_deformation(dm))))
+    assert evaluations == probe_batches(model, 33) == [2] * 16 + [1]
     evaluations.clear()
     shrunk = 0.5 * h * identity_deformation(dm)
     assert 0.0 < model.gradfield(shrunk).det.min() < h
@@ -384,16 +393,52 @@ def test_slot_hessian_fd_raises_on_a_non_finite_energy(monkeypatch):
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 @pytest.mark.parametrize("problem", ["hyper", "plaplace"])
+def test_probe_batches_change_no_bit(problem, p, monkeypatch):
+    # the finite-difference derivatives have the same bits whether their
+    # probes are evaluated one copy of G per call (the plain loop), three
+    # copies per call (every set of 4, 8 or 33 probes split mid-set, and
+    # a central pair split across two calls) or in the default batches
+    _, model, v, _ = _case(problem, p)
+    v_full = expand_solution(model.dofmap, v)
+    names = ("element_hessians", "element_hessians_fd", "residuals_fd")
+    results = []
+    for batch in (1, 3 * g_size(model), hpmin.energy.PROBE_BATCH):
+        with monkeypatch.context() as patch:
+            patch.setattr(hpmin.energy, "PROBE_BATCH", batch)
+            results.append([getattr(model, name)(v_full) for name in names])
+    for other in results[1:]:
+        for name, base, values in zip(names, results[0], other):
+            assert np.array_equal(values, base), name
+
+
+@pytest.mark.parametrize("problem", ["hyper", "plaplace"])
+def test_slot_pattern_matches_the_per_slot_lookup(problem):
+    # one sparse lookup for every slot pair of every element, fixed slots
+    # included, against one lookup per column slot
+    fe = model_problem(problem, 2)[0]
+    assert np.any(fe.element_dofs < 0)
+    slots = slot_pattern(fe.pattern, fe.element_dofs)
+    oracle = slot_pattern_per_slot(fe.pattern, fe.element_dofs)
+    assert slots.pattern is oracle.pattern
+    np.testing.assert_array_equal(slots.positions, oracle.positions)
+    np.testing.assert_array_equal(slots.transpose, oracle.transpose)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("problem", ["hyper", "plaplace"])
 def test_gradient_fd_keeps_the_bits_of_a_plain_probe_loop(problem, p):
     # the problem's central-difference gradient, from pointwise differences
-    # of the density, is within 1e-8 of the assembled central differences
-    # of the element energies, one slot at a time: two estimates of one
-    # gradient
+    # of the density in batches of copies of G, has the bits of the same
+    # differences taken one copy per density call.  It is within 1e-8 of
+    # the assembled central differences of the element energies, one slot
+    # at a time: two estimates of one gradient
     fe, model = model_problem(problem, p)
     dm = model.dofmap
     v = _random_start(problem, fe, np.random.default_rng(40 + p))
     v_full = expand_solution(dm, v)
     gradient = fe.gradient_fd(v)
+    plain = model.assemble_gradient(residuals_fd_plain(model, v_full))
+    np.testing.assert_array_equal(gradient, plain[dm.free_dofs])
     loop = model.assemble_gradient(central_residuals(model, v_full))[dm.free_dofs]
     assert np.max(np.abs(gradient - loop)) <= 1e-8 * np.max(np.abs(loop))
 
@@ -662,29 +707,24 @@ def _counted_blocks(problem, p, mode, seed, monkeypatch):
     """The problem, with the pointwise function of the mode's blocks
     counted; its gradient of the mode; a random admissible free vector
     drawn with the seed; a build of the blocks that checks them against a
-    fresh problem's and returns its count of batched evaluations; and the
-    count that a build makes."""
+    fresh problem's and returns the copies of G that each of its pointwise
+    calls evaluated; and those of a build's batches of probes."""
     fe, model = model_problem(problem, p)
     gradient_name, blocks_name = _CALLBACKS[mode]
     kernel, probes = block_evaluations(mode, model.dofmap.components)
-    evaluations = []
-
-    def counted(G, evaluate=getattr(model, kernel)):
-        evaluations.append(G.shape)
-        return evaluate(G)
-
-    monkeypatch.setattr(model, kernel, counted)
+    evaluations = count_copies(model, kernel, monkeypatch)
 
     def evaluations_of_blocks(v):
         evaluations.clear()
         H = getattr(fe, blocks_name)(v)
-        n = len(evaluations)
+        copies = list(evaluations)
         fresh = getattr(model_problem(problem, p)[0], blocks_name)(v)
         np.testing.assert_array_equal(H, fresh)
-        return n
+        return copies
 
     v = _random_start(problem, fe, np.random.default_rng(seed))
-    return fe, getattr(fe, gradient_name), v, evaluations_of_blocks, probes
+    return (fe, getattr(fe, gradient_name), v, evaluations_of_blocks,
+            probe_batches(model, probes))
 
 
 @pytest.mark.parametrize("mode", ["explicit", "central"])
@@ -695,7 +735,8 @@ def test_hessian_reuses_the_gradients_element_evaluation(problem, p, mode,
     # named after a gradient-to-Hessian record that is gone: the blocks of
     # neither mode take anything from their gradient.  Warm or cold, before
     # or after a gradient at the same point or another, they are the same
-    # batched pointwise evaluations at the point, with the bits of a fresh
+    # batches of probes at the point, 4 or 8 copies of G through the
+    # stress or 9 or 33 through the density, with the bits of a fresh
     # problem's blocks, and they take new steps at once
     fe, gradient, v, evaluations_of_blocks, probes = _counted_blocks(
         problem, p, mode, 30 + p, monkeypatch)
@@ -729,8 +770,8 @@ def test_hessian_reuses_the_gradients_element_evaluation(problem, p, mode,
 def test_each_mode_keeps_its_own_record(problem, mode, monkeypatch):
     # named after the per-mode records that are gone: a gradient of either
     # mode at the same point, between a gradient and its blocks, leaves the
-    # blocks as they are: the same batched pointwise evaluations, with the
-    # bits of a fresh problem's blocks
+    # blocks as they are: the same batches of probes, with the bits of a
+    # fresh problem's blocks
     fe, gradient, v, evaluations_of_blocks, probes = _counted_blocks(
         problem, 2, mode, 50, monkeypatch)
     other = _CALLBACKS["central" if mode == "explicit" else "explicit"][0]
@@ -765,8 +806,9 @@ def test_barrier_probe_leaves_the_base_bits(gradient, monkeypatch):
     np.testing.assert_array_equal(residuals(moved_group), fresh(moved_group))
     # every finite-difference entry point of the mode, on both models,
     # probes copies of G: it leaves the full vector with its bits, whether
-    # it returns or a probe after the first raises (a stress probe from
-    # BarrierError, a density probe on +inf)
+    # it returns or a call after the first raises (a stress call from
+    # BarrierError, a density call on +inf).  Two copies of G per call
+    # spread the probes over several calls
     for problem in ("hyper", "plaplace"):
         _, model, v, _ = _case(problem, 2)
         v = expand_solution(model.dofmap, v)
@@ -792,9 +834,11 @@ def test_barrier_probe_leaves_the_base_bits(gradient, monkeypatch):
                     raise bad
                 return np.full_like(out, bad)
 
-            monkeypatch.setattr(model, kernel, failing)
-            with pytest.raises(BarrierError):
-                call(v)
-            monkeypatch.undo()
-            assert len(probes) == 2
+            with monkeypatch.context() as patch:
+                patch.setattr(hpmin.energy, "PROBE_BATCH", 2 * g_size(model))
+                patch.setattr(model, kernel, failing)
+                with pytest.raises(BarrierError):
+                    call(v)
+            two_copies = 2 * model.geometry.n_elems
+            assert [probe.shape[2] for probe in probes] == [two_copies] * 2
             assert v.tobytes() == bits

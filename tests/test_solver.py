@@ -32,9 +32,11 @@ from oracles import (
     check_steihaug_boundary,
     check_steihaug_interior,
     check_steihaug_negative_curvature,
+    count_copies,
     dense_pattern,
     make_rect,
     model_problem,
+    probe_batches,
     steihaug_cg_plain,
 )
 
@@ -575,29 +577,24 @@ def test_kept_gradient_evaluation_keeps_every_solve_bit(case, mode, monkeypatch)
 @pytest.mark.parametrize("case, mode", _SOLVES)
 def test_no_hessian_in_a_solve_is_built_cold(case, mode, monkeypatch):
     # named after a warm/cold split that is gone: every Hessian of a solve
-    # is the same fixed number of batched pointwise evaluations on the
-    # gathered G, whatever the point: 4 (plaplace) or 8 (hyper) stress
-    # evaluations in explicit mode, 9 or 33 density evaluations in
-    # central_diff mode
+    # is the same batches of probes on the gathered G, whatever the point:
+    # 4 (plaplace) or 8 (hyper) copies of G through the stress in explicit
+    # mode, 9 or 33 through the density in central_diff mode
     fe, model, opts = _solve_case(case, mode, monkeypatch, plaplace_level=2)
     blocks = _CALLBACKS[mode][1]
     kernel, probes = block_evaluations(mode, model.dofmap.components)
-    evaluations, per_hessian = [], []
-
-    def counted(G, evaluate=getattr(model, kernel)):
-        evaluations.append(G.shape)
-        return evaluate(G)
+    evaluations = count_copies(model, kernel, monkeypatch)
+    per_hessian = []
 
     def counted_blocks(v, build=getattr(fe, blocks)):
         evaluations.clear()
         built = build(v)
-        per_hessian.append(len(evaluations))
+        per_hessian.append(list(evaluations))
         return built
 
-    monkeypatch.setattr(model, kernel, counted)
     sol = minimize(replace(fe, **{blocks: counted_blocks}), opts)
     assert sol.accepted > 0
-    assert per_hessian == [probes] * len(per_hessian)
+    assert per_hessian == [probe_batches(model, probes)] * len(per_hessian)
 
 
 def test_central_diff_colors_a_problem_without_element_kernels(monkeypatch):
